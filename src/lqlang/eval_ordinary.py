@@ -52,10 +52,6 @@ class Heap:
     def __len__(self) -> int:
         return len(self.bindings)
 
-    def suspensions(self) -> dict[str, Susp]:
-        return {x: b for x, b in self.bindings.items()
-                if isinstance(b, Susp)}
-
     def cells(self) -> dict[str, Cell]:
         return {x: b for x, b in self.bindings.items()
                 if isinstance(b, Cell)}

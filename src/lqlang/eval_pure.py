@@ -12,14 +12,20 @@ them at demand w blocks; on well-typed programs neither a removed binding
 nor a w-demanded linear binding is ever encountered, which is exactly what
 the progress suite checks.
 
-``state_welltyped`` renders a state as one closed term: the environment
+A state is well-typed when its encoding typechecks: the environment
 becomes nested lets at the binding multiplicities, and the focus plus the
 stack become a chain of left-weighted pairs whose constructor consumes its
-left component at the entry's demand.  The state is well-typed when that
-term typechecks at the corresponding chain of weighted-pair types.
-``instrumented_eval`` re-runs this check at the conclusion of every rule
-application; in a tail chain of rules the conclusion states coincide, so
-one check covers the chain.
+left component at the entry's demand (``encode_state``).
+``reference_welltyped`` is that definition, run from scratch.
+``state_welltyped`` gives the same verdict without re-typing the whole
+state: a ``CheckCache`` keeps the type and usage of every term it has
+inferred, keyed by identity, so each binding, focus and stack term of a run
+is inferred once.  Per check it compares each cached type with the
+expected one, checks scope from the usage keys, and replays the let rule
+over the binding groups, innermost first, on the cached usages.
+``instrumented_eval`` runs this check, with one cache per run, at the
+conclusion of every rule application; in a tail chain of rules the
+conclusion states coincide, so one check covers the chain.
 
 Two readings of the array rules are fixed here and documented in the
 README: the continuation of ``newMArray`` is run at demand 1 expecting an
@@ -38,7 +44,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .diagnostics import CheckError
-from .multiplicity import NF_OMEGA, NF_ONE, mult_normalize
+from .multiplicity import (NF_OMEGA, NF_ONE, ZERO, Usage, mult_normalize,
+                           sub_usage, usage_add, usage_scale)
 from .pretty import show_term, summarize
 from .runtime import (BlockReason, EvalAbort, Outcome, OutcomeKind, Trace,
                       TraceRecord)
@@ -46,8 +53,8 @@ from .syntax import (App, ArrayLit, Case, Con, ConDecl, DataDecl, IntLit,
                      Lam, Let, LetBind, MProd, MVar, MultApp, MultExpr,
                      MultLam, OMEGA, ONE, Prim, TArray, TArrow, TData, TInt,
                      TMArray, TVar, Term, Type, Var, array_lit,
-                     is_omega_mult, rename_vars, term_subst_mult)
-from .typecheck import TypeEnv, infer, type_equiv
+                     is_omega_mult, mult_vars, rename_vars, term_subst_mult)
+from .typecheck import TypeEnv, check_type, infer, type_equiv
 
 FRESH_PREFIX = "%p"
 
@@ -153,13 +160,126 @@ def _group_runs(binds: list[EnvBind]) -> list[list[EnvBind]]:
     return runs
 
 
-def state_welltyped(s: AnnState) -> bool:
+def reference_welltyped(s: AnnState) -> bool:
+    """The definition of state well-typedness: encode the whole state and
+    infer its type from scratch."""
     term, expected = encode_state(s)
     try:
         result = infer(s.xi, term)
     except CheckError:
         return False
     return type_equiv(result.ty, expected)
+
+
+@dataclass
+class CheckCache:
+    """What ``state_welltyped`` keeps between the states of one run.
+
+    ``inferred`` maps a term's id to the term, its type and its usage.
+    ``types`` holds the types that passed ``check_type`` and ``equal`` the
+    pairs found equivalent, by id.  Each entry holds its objects, so their
+    ids cannot be reused.  ``names`` keeps the first type seen for each
+    variable."""
+    inferred: dict[int, tuple[Term, Type, Usage]] = field(
+        default_factory=dict)
+    types: dict[int, Type] = field(default_factory=dict)
+    equal: dict[tuple[int, int], tuple[Type, Type]] = field(
+        default_factory=dict)
+    names: dict[str, Type] = field(default_factory=dict)
+
+
+def state_welltyped(s: AnnState, cache: Optional[CheckCache] = None) -> bool:
+    """The verdict of ``reference_welltyped``, computed from one inference
+    per term and run.  ``cache`` must only see states of one run; None
+    means a fresh cache."""
+    if cache is None:
+        cache = CheckCache()
+    live = [b for b in s.env if not b.forcing]
+    if not _fits_cache(s, live, cache):
+        return reference_welltyped(s)
+    xi = s.xi
+    inferred = cache.inferred
+    terms = [b.term for b in live] + [s.focus] + [e.term for e in s.stack]
+    missing = {id(t): t for t in terms if id(t) not in inferred}
+    if missing:
+        # sound in one environment: each name has one type (_fits_cache),
+        # and scope is checked below from the usage keys
+        env = xi.bind_vars([(b.name, b.ty, OMEGA) for b in live])
+        for key, t in missing.items():
+            try:
+                r = infer(env, t)
+            except CheckError:
+                return False
+            inferred[key] = (t, r.ty, r.usage)
+
+    groups = _group_runs(live)
+    level = {b.name: i for i, group in enumerate(groups) for b in group}
+
+    def use(t: Term, ty: Type, limit: int) -> Optional[Usage]:
+        """The usage of ``t`` if it has type ``ty`` and every free variable
+        is in ``xi`` or bound by a group before ``limit``."""
+        _, t_ty, u = inferred[id(t)]
+        if t_ty is not ty and (id(t_ty), id(ty)) not in cache.equal:
+            if not type_equiv(t_ty, ty):
+                return None
+            cache.equal[id(t_ty), id(ty)] = (t_ty, ty)
+        if id(ty) not in cache.types:
+            try:
+                check_type(xi, ty)
+            except CheckError:
+                return None
+            cache.types[id(ty)] = ty
+        for x in u:
+            j = level.get(x)
+            if (j is None or j >= limit) and x not in xi.vars:
+                return None
+        return u
+
+    # the %WPair chain: each entry consumed at its demand
+    acc: Usage = {}
+    for e in (*s.stack, SEntry(s.focus, s.demand, s.focus_ty)):
+        u = use(e.term, e.ty, len(groups))
+        if u is None or mult_vars(e.demand):
+            return False
+        acc = usage_add(acc, usage_scale(e.demand, u))
+    # the Let rule, innermost group first; only w groups are recursive
+    for i in reversed(range(len(groups))):
+        group = groups[i]
+        rec = not group[0].linear
+        m = OMEGA if rec else ONE
+        names = [b.name for b in group]
+        rhs: Usage = {}
+        for b in group:
+            u = use(b.term, b.ty, i + rec)
+            if u is None:
+                return False
+            if rec:
+                u = {x: v for x, v in u.items() if x not in names}
+            rhs = usage_add(rhs, u)
+        for x in names:
+            if not sub_usage(acc.pop(x, ZERO), m):
+                return False
+        acc = usage_add(acc, usage_scale(m, rhs))
+    return True
+
+
+def _fits_cache(s: AnnState, live: list[EnvBind], cache: CheckCache) -> bool:
+    """Can per-term results stand for ``s``?  Yes when no binding shadows
+    another and every variable keeps the type it first had in the run, as
+    in every state of an evaluator run.  Other states go to the
+    reference."""
+    xi = s.xi
+    if (xi.mult_vars or "%MkWPair" not in xi.cons
+            or "%MkUnit" not in xi.cons
+            or len({b.name for b in live}) != len(live)):
+        return False
+    known = cache.names
+    for x, ty in [(b.name, b.ty) for b in live] + [
+            (x, ty) for x, (ty, _) in xi.vars.items()]:
+        first = known.setdefault(x, ty)
+        if first is not ty and not type_equiv(first, ty):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +300,7 @@ class _PState:
     array_copies: int = 0
     check: bool = False
     check_count: int = 0
+    cache: Optional[CheckCache] = None
     trace: Optional[Trace] = None
 
     def fresh(self) -> str:
@@ -246,6 +367,7 @@ def _load(s: AnnState, fuel: int, check: bool,
           want_trace: bool) -> _PState:
     base = dataclasses.replace(with_internal_decls(s.xi), vars={})
     st = _PState(base=base, fuel=fuel, check=check,
+                 cache=CheckCache() if check else None,
                  trace=Trace() if want_trace else None)
     st.xi = {x: ty for x, (ty, _) in s.xi.vars.items()}
     for b in s.env:
@@ -277,10 +399,10 @@ def instrumented_eval(s: AnnState, fuel: int) -> PureResult:
     """As ``eval_pure`` but re-checks state well-typedness at the
     conclusion of every rule application.  Raises PreservationViolation on
     the first ill-typed state; requires a well-typed initial state."""
-    if not state_welltyped(s):
+    st = _load(s, fuel, check=True, want_trace=False)
+    if not state_welltyped(s, st.cache):
         raise ValueError("instrumented_eval requires a well-typed "
                          "initial state")
-    st = _load(s, fuel, check=True, want_trace=False)
     return _finish(st, lambda: _eval(st, s.focus, s.demand, s.focus_ty,
                                      s.stack))
 
@@ -318,7 +440,7 @@ def _ret(st: _PState, rule: str, value: Term, demand: MultExpr, ty: Type,
     if st.check:
         st.check_count += 1
         ann = st.snapshot(value, demand, ty, stack)
-        if not state_welltyped(ann):
+        if not state_welltyped(ann, st.cache):
             raise PreservationViolation(
                 rule, f"value {summarize(value)} at demand "
                       f"{'1' if demand == ONE else 'w'} with "

@@ -534,6 +534,9 @@ class DiffReport:
     ordinary_writes: int = 0
     pure_allocs: int = 0
     pure_copies: int = 0
+    # the checked program and its sharing form, for follow-up runs
+    checked: Optional[CheckedProgram] = field(default=None, repr=False)
+    sharing: Optional[Term] = field(default=None, repr=False)
 
 
 def run_both(checked: CheckedProgram, fuel: int
@@ -549,7 +552,7 @@ def bisim_run(decls: list[DataDecl], defs: list, main: Term, fuel: int,
     checked = check_program(decls, defs, main)
     if not is_ground_type(checked.ty, checked.env):
         raise ValueError(f"{program_id}: result type is not ground")
-    ores, pres, _ = run_both(checked, fuel)
+    ores, pres, sharing = run_both(checked, fuel)
     report = DiffReport(
         program_id=program_id,
         ordinary_outcome=ores.outcome.kind.value,
@@ -563,6 +566,8 @@ def bisim_run(decls: list[DataDecl], defs: list, main: Term, fuel: int,
         ordinary_writes=ores.write_count,
         pure_allocs=pres.array_allocs,
         pure_copies=pres.array_copies,
+        checked=checked,
+        sharing=sharing,
     )
     if ores.outcome.is_value and pres.outcome.is_value:
         otree, ook = deep_force_ordinary(ores, ores.outcome.value, fuel)
@@ -680,11 +685,10 @@ def fuzz(cfg: GenConfig, count: int, fuel: int,
                 summary.disagreements += 1
                 summary.reproducers.append(
                     _dump_reproducer(prog, directory, cfg.seed, i))
-        checked = check_program(prog.decls, prog.defs, prog.main)
-        sharing = to_sharing(checked.term, checked.env)
+        checked = report.checked
         try:
             pres = instrumented_eval(
-                initial_state(sharing, checked.ty, checked.env), fuel)
+                initial_state(report.sharing, checked.ty, checked.env), fuel)
             summary.state_checks += pres.check_count
         except PreservationViolation:
             summary.preservation_violations += 1

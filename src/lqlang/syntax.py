@@ -388,17 +388,6 @@ class ConDecl:
     loc: Optional[Loc] = field(**_ANN)
 
 
-def is_whnf(t: Term) -> bool:
-    """Weak-head forms: the values of both dynamic semantics."""
-    match t:
-        case Lam() | MultLam() | IntLit() | ArrName() | ArrayLit():
-            return True
-        case Con(_, _, _, args):
-            return all(isinstance(a, Var) for a in args)
-        case _:
-            return False
-
-
 def subterms(t: Term) -> Iterator[Term]:
     """The term and all of its descendants, pre-order."""
     yield t

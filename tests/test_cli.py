@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +138,15 @@ def test_trace_rule_names_match_figures(capsys):
     rules = {r["rule"] for r in json.loads(out)["trace"]}
     assert {"newMArray", "write", "freeze", "index",
             "linear variable", "shared variable"} <= rules
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lqlang", "check", str(CORPUS / "arith.lq")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "main" in proc.stdout

@@ -1,20 +1,25 @@
 """The pure semantics: linear-binding removal, copy-on-write arrays, state
 well-typedness, and the instrumented preservation checker."""
 
+import importlib
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from lqlang.eval_pure import (AnnState, EnvBind, PreservationViolation,
-                              SEntry, encode_state, eval_pure,
+                              SEntry, _PState, encode_state, eval_pure,
                               initial_state, instrumented_eval,
-                              state_welltyped)
+                              reference_welltyped, state_welltyped)
+from lqlang.harness import GenConfig, gen_welltyped
 from lqlang.runtime import BlockReason, OutcomeKind
 from lqlang.syntax import (App, ArrayLit, Branch, Case, Con, INT, IntLit,
                            Lam, Let, LetBind, OMEGA, ONE, Prim, TArray,
                            TData, TMArray, Var, array_lit)
 from lqlang.translate import to_sharing
-from lqlang.typecheck import infer
+from lqlang.typecheck import check_program, infer
 
-from conftest import check_corpus, corpus_files
+from conftest import CORPUS, check_corpus, corpus_files
 
 
 def prepare(env, term):
@@ -231,3 +236,96 @@ def test_trace_rule_names_match_rule_set(prelude_env):
     assert names <= allowed
     assert {"newMArray", "write", "freeze", "index",
             "linear variable"} <= names
+
+
+# --- incremental checking against the reference -------------------------------
+
+def _flip(demand):
+    return OMEGA if demand == ONE else ONE
+
+
+def _perturbed(s, k):
+    """Named copies of ``s`` with one thing changed; ``k`` picks the
+    binding to drop or flip."""
+    env = s.env
+    if env:
+        i = k % len(env)
+        flipped = replace(env[i], linear=not env[i].linear)
+        yield "drop binding", replace(s, env=env[:i] + env[i + 1:])
+        yield "flip linear", replace(s, env=env[:i] + (flipped,) + env[i + 1:])
+        yield "reverse env", replace(s, env=env[::-1])
+    yield "flip focus demand", replace(s, demand=_flip(s.demand))
+    yield "focus type Int", replace(s, focus_ty=INT)
+    if s.stack:
+        top = s.stack[-1]
+        yield "flip stack demand", replace(
+            s, stack=s.stack[:-1] + (replace(top, demand=_flip(top.demand)),))
+        yield "pop stack", replace(s, stack=s.stack[:-1])
+
+
+def _compare_on_runs(monkeypatch, programs, perturb):
+    """Run each program under ``instrumented_eval`` and compare the
+    incremental verdict with the reference at every checked state and,
+    with ``perturb``, on its perturbed copies, through the run's cache."""
+    module = importlib.import_module("lqlang.eval_pure")
+    incremental = module.state_welltyped
+    tally = Counter()
+
+    def spy(s, cache=None):
+        verdict = incremental(s, cache)
+        tally["states"] += 1
+        tally["mismatches"] += verdict != reference_welltyped(s)
+        if perturb:
+            for kind, bad in _perturbed(s, tally["states"]):
+                expected = reference_welltyped(bad)
+                tally[kind] += not expected
+                tally["mismatches"] += incremental(bad, cache) != expected
+        return verdict
+
+    monkeypatch.setattr(module, "state_welltyped", spy)
+    for checked in programs:
+        sh = to_sharing(checked.term, checked.env)
+        instrumented_eval(initial_state(sh, checked.ty, checked.env),
+                          100_000)
+    return tally
+
+
+def _checked_programs(prelude, seeds):
+    progs = [check_corpus(path, prelude) for path in corpus_files()]
+    for seed in seeds:
+        p = gen_welltyped(GenConfig(seed=seed))
+        progs.append(check_program(p.decls, p.defs, p.main))
+    return progs
+
+
+def test_incremental_check_matches_reference(prelude, monkeypatch):
+    tally = _compare_on_runs(monkeypatch,
+                             _checked_programs(prelude, range(200)),
+                             perturb=False)
+    assert tally["mismatches"] == 0
+    assert tally["states"] > 15_000
+
+
+def test_incremental_check_matches_reference_on_perturbed_states(
+        prelude, monkeypatch):
+    tally = _compare_on_runs(monkeypatch,
+                             _checked_programs(prelude, range(5)),
+                             perturb=True)
+    assert tally["mismatches"] == 0
+    # every kind of perturbation yields ill-typed states; "focus type Int"
+    # needs the type comparison on cache hits
+    for kind in ("drop binding", "flip linear", "reverse env",
+                 "flip focus demand", "focus type Int",
+                 "flip stack demand", "pop stack"):
+        assert tally[kind] > 0, kind
+
+
+def test_planted_unremoved_linear_binding_is_caught(prelude, monkeypatch):
+    """A linear variable rule that leaves the forced binding in the
+    environment breaks preservation."""
+    monkeypatch.setattr(_PState, "remove", lambda self, bind: None)
+    checked = check_corpus(CORPUS / "let1_chain.lq", prelude)
+    sh = to_sharing(checked.term, checked.env)
+    with pytest.raises(PreservationViolation):
+        instrumented_eval(initial_state(sh, checked.ty, checked.env),
+                          100_000)
