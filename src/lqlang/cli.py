@@ -1,14 +1,14 @@
 """Command-line driver: check, run and fuzz over ``.lq`` files.
 
 Exit codes are the machine contract: 0 success, 1 rejection / non-value
-outcome / disagreement / fuzz violation, 2 usage or I/O error.
+outcome / disagreement / fuzz violation, 2 usage or I/O error, 3 internal
+error (such as Python's recursion limit), reported as one line.
 Diagnostics always go to the error stream.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -22,7 +22,7 @@ from .harness import (GenConfig, deep_force_ordinary, deep_force_pure, fuzz,
 from .parser import SourceFile, parse_prelude, parse_program, prelude_source
 from .pretty import show_term, show_type
 from .runtime import Outcome, OutcomeKind, TraceRecord
-from .syntax import OMEGA, Term
+from .syntax import OMEGA
 from .translate import to_sharing
 from .typecheck import TypeEnv, check_program, elaborate_defs
 
@@ -118,32 +118,25 @@ def cmd_run(args: argparse.Namespace) -> int:
         if sem == "ordinary":
             res = eval_term(Heap(), sharing, args.fuel,
                             want_trace=args.trace)
-            tree = None
-            if res.outcome.is_value and ground:
-                tree, ok = deep_force_ordinary(res, res.outcome.value,
-                                               args.fuel)
-                if not ok:
-                    tree = None
-            text = (_tree_text(tree) if tree is not None
-                    else show_term(res.outcome.value)
-                    if res.outcome.is_value else None)
-            results.append((sem, res.outcome, tree, text,
-                            res.trace if args.trace else None))
         else:
             assert checked_ty is not None
-            state = initial_state(sharing, checked_ty, checked_env)
-            pres = eval_pure(state, args.fuel, want_trace=args.trace)
-            tree = None
-            if pres.outcome.is_value and ground:
-                tree, ok = deep_force_pure(pres, pres.outcome.value,
+            res = eval_pure(initial_state(sharing, checked_ty, checked_env),
+                            args.fuel, want_trace=args.trace)
+        tree = None
+        if res.outcome.is_value and ground:
+            if sem == "ordinary":
+                tree, ok = deep_force_ordinary(res, res.outcome.value,
+                                               args.fuel)
+            else:
+                tree, ok = deep_force_pure(res, res.outcome.value,
                                            checked_env, args.fuel)
-                if not ok:
-                    tree = None
-            text = (_tree_text(tree) if tree is not None
-                    else show_term(pres.outcome.value)
-                    if pres.outcome.is_value else None)
-            results.append((sem, pres.outcome, tree, text,
-                            pres.trace if args.trace else None))
+            if not ok:
+                tree = None
+        text = (_tree_text(tree) if tree is not None
+                else show_term(res.outcome.value)
+                if res.outcome.is_value else None)
+        results.append((sem, res.outcome, tree, text,
+                        res.trace if args.trace else None))
 
     if args.json:
         blobs = [_json_outcome(outcome, sem, text, trace)
@@ -239,6 +232,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RecursionError, AssertionError) as exc:
+        detail = " ".join(str(exc).split())
+        print(f"error: internal error ({type(exc).__name__}): {detail}",
+              file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

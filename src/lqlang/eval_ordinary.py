@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .pretty import summarize
-from .runtime import (BlockReason, EvalAbort, Outcome, OutcomeKind, Trace,
-                      TraceRecord)
+from .runtime import BlockReason, Machine, Outcome, TraceRecord
 from .syntax import (App, ArrName, ArrayLit, Case, Con, IntLit, Lam, Let,
                      LetBind, MultApp, MultLam, ONE, Prim, Term, Type, Var,
                      is_omega_mult, rename_vars, term_subst_mult)
@@ -58,37 +57,12 @@ class Heap:
 
 
 @dataclass
-class _State:
+class _State(Machine):
     heap: Heap
-    fuel: int
-    steps: int = 0
     cell_allocs: int = 0
     newmarray_count: int = 0
     write_count: int = 0
     forcing: set[str] = field(default_factory=set)
-    fresh_counter: int = 0
-    trace: Optional[Trace] = None
-
-    def fresh(self, prefix: str) -> str:
-        name = f"{prefix}{self.fresh_counter}"
-        self.fresh_counter += 1
-        return name
-
-    def tick(self, rule: str, redex: Term, heap_delta: int = 0) -> None:
-        if self.fuel <= 0:
-            raise EvalAbort(Outcome(OutcomeKind.OUT_OF_FUEL,
-                                    detail=summarize(redex),
-                                    steps=self.steps))
-        self.fuel -= 1
-        self.steps += 1
-        if self.trace is not None:
-            self.trace.add(rule, summarize(redex), heap_delta)
-
-    def blocked(self, reason: BlockReason, rule: str, location: str,
-                detail: str) -> EvalAbort:
-        return EvalAbort(Outcome(OutcomeKind.BLOCKED, reason=reason,
-                                 rule=rule, location=location, detail=detail,
-                                 steps=self.steps))
 
 
 @dataclass
@@ -104,14 +78,8 @@ class EvalResult:
 
 
 def _finish(st: _State, run) -> EvalResult:
-    try:
-        value = run()
-        outcome = Outcome(OutcomeKind.VALUE, value=value, steps=st.steps)
-    except EvalAbort as abort:
-        outcome = abort.outcome
-    records = st.trace.records if st.trace is not None else []
-    return EvalResult(outcome, st.heap, st.steps, st.cell_allocs,
-                      st.newmarray_count, st.write_count, records, st)
+    return EvalResult(st.drive(run), st.heap, st.steps, st.cell_allocs,
+                      st.newmarray_count, st.write_count, st.records, st)
 
 
 def eval_term(heap: Heap, t: Term, fuel: int,
@@ -120,7 +88,7 @@ def eval_term(heap: Heap, t: Term, fuel: int,
 
     The heap is owned and mutated by this evaluation.
     """
-    st = _State(heap=heap, fuel=fuel, trace=Trace() if want_trace else None)
+    st = _State(heap=heap, fuel=fuel, trace=[] if want_trace else None)
     return _finish(st, lambda: _eval(st, t))
 
 
@@ -167,12 +135,9 @@ def _eval(st: _State, t: Term) -> Term:
 
             case Var(x):
                 binding = heap.get(x)
-                if binding is None or x in st.forcing:
-                    if x in st.forcing:
-                        raise EvalAbort(Outcome(
-                            OutcomeKind.BLACKHOLE, location=x,
-                            detail=f"'{x}' was forced during its own "
-                                   f"evaluation", steps=st.steps))
+                if x in st.forcing:
+                    raise st.blackhole(x)
+                if binding is None:
                     raise st.blocked(BlockReason.MISSING_LINEAR_BINDING,
                                      "variable", x,
                                      f"no binding for '{x}'")
@@ -211,7 +176,7 @@ def _eval(st: _State, t: Term) -> Term:
                 continue
 
             case Let(mult, binds, body):
-                st.tick("let", t, heap_delta=len(binds))
+                st.tick("let", t)
                 ren = {b.var: st.fresh(FRESH_PREFIX) for b in binds}
                 # only w-groups are recursive: a 1-group's right-hand side
                 # is outside the scope of its own binders
@@ -294,7 +259,7 @@ def _eval_prim(st: _State, t: Prim, name: str,
     heap = st.heap.bindings
     match name:
         case "newMArray":
-            st.tick("newMArray", t, heap_delta=1)
+            st.tick("newMArray", t)
             st.newmarray_count += 1
             size = _force_int(st, name, args[0])
             if size < 0:
@@ -329,7 +294,7 @@ def _eval_prim(st: _State, t: Prim, name: str,
             return ArrName(cell_name)
 
         case "freeze":
-            st.tick("freeze", t, heap_delta=1)
+            st.tick("freeze", t)
             cell_name, cell = _force_cell(st, name, args[0],
                                           want_frozen=False)
             cell.frozen = True  # retag in place

@@ -46,13 +46,12 @@ from typing import Optional
 from .diagnostics import CheckError
 from .multiplicity import (NF_OMEGA, NF_ONE, ZERO, Usage, mult_normalize,
                            sub_usage, usage_add, usage_scale)
-from .pretty import show_term, summarize
-from .runtime import (BlockReason, EvalAbort, Outcome, OutcomeKind, Trace,
-                      TraceRecord)
+from .pretty import summarize
+from .runtime import BlockReason, Machine, Outcome, TraceRecord
 from .syntax import (App, ArrayLit, Case, Con, ConDecl, DataDecl, IntLit,
                      Lam, Let, LetBind, MProd, MVar, MultApp, MultExpr,
                      MultLam, OMEGA, ONE, Prim, TArray, TArrow, TData, TInt,
-                     TMArray, TVar, Term, Type, Var, array_lit,
+                     TMArray, TVar, Term, Type, Var,
                      is_omega_mult, mult_vars, rename_vars, term_subst_mult)
 from .typecheck import TypeEnv, check_type, infer, type_equiv
 
@@ -286,47 +285,22 @@ def _fits_cache(s: AnnState, live: list[EnvBind], cache: CheckCache) -> bool:
 # The machine
 
 @dataclass
-class _PState:
+class _PState(Machine):
     base: TypeEnv  # declarations only; term bindings live in xi/env
-    fuel: int
     xi: dict[str, Type] = field(default_factory=dict)
     env: list[EnvBind] = field(default_factory=list)
     by_name: dict[str, EnvBind] = field(default_factory=dict)
     anchors: list[EnvBind] = field(default_factory=list)
-    steps: int = 0
-    fresh_counter: int = 0
     group_counter: int = 0
     array_allocs: int = 0
     array_copies: int = 0
     check: bool = False
     check_count: int = 0
     cache: Optional[CheckCache] = None
-    trace: Optional[Trace] = None
-
-    def fresh(self) -> str:
-        name = f"{FRESH_PREFIX}{self.fresh_counter}"
-        self.fresh_counter += 1
-        return name
 
     def new_group(self) -> int:
         self.group_counter += 1
         return self.group_counter
-
-    def tick(self, rule: str, redex: Term) -> None:
-        if self.fuel <= 0:
-            raise EvalAbort(Outcome(OutcomeKind.OUT_OF_FUEL,
-                                    detail=summarize(redex),
-                                    steps=self.steps))
-        self.fuel -= 1
-        self.steps += 1
-        if self.trace is not None:
-            self.trace.add(rule, summarize(redex))
-
-    def blocked(self, reason: BlockReason, rule: str, location: str,
-                detail: str) -> EvalAbort:
-        return EvalAbort(Outcome(OutcomeKind.BLOCKED, reason=reason,
-                                 rule=rule, location=location, detail=detail,
-                                 steps=self.steps))
 
     def insert(self, bind: EnvBind) -> None:
         """New bindings go just before the innermost binding being forced,
@@ -368,7 +342,7 @@ def _load(s: AnnState, fuel: int, check: bool,
     base = dataclasses.replace(with_internal_decls(s.xi), vars={})
     st = _PState(base=base, fuel=fuel, check=check,
                  cache=CheckCache() if check else None,
-                 trace=Trace() if want_trace else None)
+                 trace=[] if want_trace else None)
     st.xi = {x: ty for x, (ty, _) in s.xi.vars.items()}
     for b in s.env:
         copy = dataclasses.replace(b)
@@ -379,14 +353,8 @@ def _load(s: AnnState, fuel: int, check: bool,
 
 
 def _finish(st: _PState, run) -> PureResult:
-    try:
-        value = run()
-        outcome = Outcome(OutcomeKind.VALUE, value=value, steps=st.steps)
-    except EvalAbort as abort:
-        outcome = abort.outcome
-    records = st.trace.records if st.trace is not None else []
-    return PureResult(outcome, st.steps, st.array_allocs, st.array_copies,
-                      st.check_count, records, st)
+    return PureResult(st.drive(run), st.steps, st.array_allocs,
+                      st.array_copies, st.check_count, st.records, st)
 
 
 def eval_pure(s: AnnState, fuel: int, want_trace: bool = False) -> PureResult:
@@ -470,16 +438,13 @@ def _eval(st: _PState, t: Term, demand: MultExpr, ty: Type,
 
             case Var(x):
                 b = st.by_name.get(x)
-                if b is None or b.forcing:
-                    if b is not None and b.forcing:
-                        raise EvalAbort(Outcome(
-                            OutcomeKind.BLACKHOLE, location=x,
-                            detail=f"'{x}' was forced during its own "
-                                   f"evaluation", steps=st.steps))
+                if b is None:
                     raise st.blocked(
                         BlockReason.MISSING_LINEAR_BINDING,
                         "linear variable", x,
                         f"no binding for '{x}' (already consumed?)")
+                if b.forcing:
+                    raise st.blackhole(x)
                 if b.linear:
                     if _concrete(st, demand) != ONE:
                         raise st.blocked(
@@ -534,7 +499,7 @@ def _eval(st: _PState, t: Term, demand: MultExpr, ty: Type,
                 st.tick("let", t)
                 bind_mult = _dmul(st, demand, m)
                 group = st.new_group()
-                ren = {b.var: st.fresh() for b in binds}
+                ren = {b.var: st.fresh(FRESH_PREFIX) for b in binds}
                 # only w-groups are recursive (see the ordinary let rule)
                 rhs_ren = ren if is_omega_mult(m) else {}
                 for b in binds:
@@ -551,7 +516,7 @@ def _eval(st: _PState, t: Term, demand: MultExpr, ty: Type,
                 assert scrut_ty is not None, \
                     "pure evaluation needs annotated terms"
                 frame_ty = TArrow(scrut_ty, m, ty)
-                hole = st.fresh()
+                hole = st.fresh(FRESH_PREFIX)
                 frame = Lam(m, hole, scrut_ty,
                             dataclasses.replace(t, scrut=Var(hole,
                                                              ty=scrut_ty)),
@@ -675,9 +640,9 @@ def _eval_prim(st: _PState, t: Prim, name: str, args: tuple[Term, ...],
             assert elem_ty is not None and isinstance(cont_ty, TArrow)
             st.array_allocs += 1
             arr_ty = TMArray(elem_ty)
-            lit = array_lit((elem_var.name,) * size, elem_ty, False,
-                            ty=arr_ty)
-            x = st.fresh()
+            lit = ArrayLit((elem_var.name,) * size, elem_ty, False,
+                           ty=arr_ty)
+            x = st.fresh(FRESH_PREFIX)
             inner: Term = Let(
                 mult=ONE,
                 binds=(LetBind(x, arr_ty, lit),),
@@ -707,7 +672,7 @@ def _eval_prim(st: _PState, t: Prim, name: str, args: tuple[Term, ...],
             assert isinstance(elem, Var)
             elems = arr.elems[:i] + (elem.name,) + arr.elems[i + 1:]
             st.array_copies += 1  # a structurally fresh array every write
-            fresh_arr = array_lit(elems, arr.elem_ty, False, ty=arr.ty)
+            fresh_arr = ArrayLit(elems, arr.elem_ty, False, ty=arr.ty)
             return _ret(st, "write", fresh_arr, demand, ty, stack)
 
         case "freeze":
@@ -715,9 +680,9 @@ def _eval_prim(st: _PState, t: Prim, name: str, args: tuple[Term, ...],
             arr = _want_array(st, name,
                               _prim_arg(st, name, args, 0, demand, stack),
                               want_frozen=False)
-            frozen = array_lit(arr.elems, arr.elem_ty, True,
-                               ty=TArray(arr.elem_ty))
-            x = st.fresh()
+            frozen = ArrayLit(arr.elems, arr.elem_ty, True,
+                              ty=TArray(arr.elem_ty))
+            x = st.fresh(FRESH_PREFIX)
             st.insert(EnvBind(x, False, TArray(arr.elem_ty), frozen,
                               st.new_group()))
             value = Con("Unrestricted", (TArray(arr.elem_ty),), (),

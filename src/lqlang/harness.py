@@ -14,6 +14,7 @@ so reproducers carry no datatype declarations of their own).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,16 +22,15 @@ from typing import Optional, Union
 
 from .diagnostics import CheckError
 from .eval_ordinary import EvalResult, Heap, eval_term, force_variable
-from .eval_pure import (AnnState, PreservationViolation, PureResult,
-                        eval_pure, force_pure_variable, initial_state,
-                        instrumented_eval)
-from .multiplicity import NF_OMEGA, NF_ONE, mult_normalize
+from .eval_pure import (PreservationViolation, PureResult, eval_pure,
+                        force_pure_variable, initial_state, instrumented_eval)
+from .multiplicity import NF_ONE, mult_normalize
+from .parser import parse_prelude
 from .pretty import show_program
 from .runtime import OutcomeKind
-from .syntax import (App, Branch, Case, Con, ConDecl, DataDecl, INT, IntLit,
-                     Lam, Let, LetBind, MVar, MultApp, MultExpr, MultLam,
-                     OMEGA, ONE, Prim, TArrow, TData, TForall, TMArray, Term,
-                     TVar, Type, Var)
+from .syntax import (App, Branch, Case, Con, DataDecl, INT, IntLit, Lam, Let,
+                     LetBind, MVar, MultApp, MultExpr, MultLam, OMEGA, ONE,
+                     Prim, TArrow, TData, TForall, TMArray, Term, Type, Var)
 from .translate import to_sharing
 from .typecheck import CheckedProgram, TypeEnv, check_program, instantiate_con
 
@@ -39,22 +39,13 @@ PAIR_II = TData("Pair", (ONE, ONE), (INT, INT))
 LIST_INT = TData("List", (), (INT,))
 UNR_INT = TData("Unrestricted", (), (INT,))
 
-# The generator's datatype pool matches the shipped prelude, so reproducer
-# files need no declarations of their own.
-BOOL_DECL = DataDecl("Bool", (), (), (ConDecl("True", ()),
-                                      ConDecl("False", ())))
-PAIR_DECL = DataDecl("Pair", ("p", "q"), ("a", "b"),
-                     (ConDecl("MkPair", ((TVar("a"), MVar("p")),
-                                         (TVar("b"), MVar("q")))),))
-LIST_DECL = DataDecl("List", (), ("a",),
-                     (ConDecl("Nil", ()),
-                      ConDecl("Cons", ((TVar("a"), ONE),
-                                       (TData("List", (), (TVar("a"),)),
-                                        ONE)))))
-UNR_DECL = DataDecl("Unrestricted", (), ("a",),
-                    (ConDecl("Unrestricted", ((TVar("a"), OMEGA),)),))
 
-POOL = [BOOL_DECL, UNR_DECL, PAIR_DECL, LIST_DECL]
+@functools.cache
+def _prelude_decls() -> tuple[DataDecl, ...]:
+    """The generator's datatype pool: the shipped prelude, so reproducer
+    files need no declarations of their own."""
+    return tuple(parse_prelude().decls)
+
 
 SUMLIST_DEF = (
     "sumlist",
@@ -77,7 +68,6 @@ class GenerationExhausted(Exception):
 class GenConfig:
     seed: int = 0
     max_depth: int = 5
-    max_pool: int = 4
     weights: tuple[float, float, float] = (2.0, 2.0, 1.0)  # 1 / w / variable
     array_prob: float = 0.3
     target: str = "Int"  # "Int" or "Bool"
@@ -94,9 +84,6 @@ class GenConfig:
             raise ValueError("array_prob must lie in [0, 1]")
         if self.target not in ("Int", "Bool"):
             raise ValueError("target must be 'Int' or 'Bool'")
-        if self.max_pool < 2:
-            raise ValueError("max_pool must be >= 2 (Bool and Unrestricted "
-                             "are always needed)")
 
 
 @dataclass
@@ -104,6 +91,8 @@ class GenProgram:
     decls: list[DataDecl]
     defs: list[tuple]
     main: Term
+    # the typechecker's verdict on this program, set by ``gen_welltyped``
+    checked: Optional[CheckedProgram] = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +107,6 @@ class _Gen:
         self.cfg = cfg
         self.counter = 0
         self.uses_list = False
-        pool = POOL[: max(2, cfg.max_pool)]
-        self.has_pair = PAIR_DECL in pool
-        self.has_list = LIST_DECL in pool
 
     def fresh(self) -> str:
         self.counter += 1
@@ -194,12 +180,7 @@ class _Gen:
         raise AssertionError(f"no generator for {ty}")
 
     def bindable_types(self) -> list[Type]:
-        out = [INT, BOOL]
-        if self.has_pair:
-            out.append(PAIR_II)
-        if self.has_list:
-            out.append(LIST_INT)
-        return out
+        return [INT, BOOL, PAIR_II, LIST_INT]
 
     def gen_int(self, lin: dict[str, Type], omega: dict[str, Type],
                 depth: int) -> Term:
@@ -211,11 +192,8 @@ class _Gen:
             (v, ty), = lin.items()
             if ty == INT:
                 return Var(v)
-        productions = ["arith", "let1", "letw", "beta", "casebool"]
-        if self.has_pair:
-            productions.append("pair_elim")
-        if self.has_list:
-            productions.append("list_sum")
+        productions = ["arith", "let1", "letw", "beta", "casebool",
+                       "pair_elim", "list_sum"]
         if rng.random() < self.cfg.array_prob:
             productions.append("array")
         if self.cfg.weights[2] > 0 and rng.random() < min(
@@ -405,13 +383,8 @@ class _Gen:
     def program(self) -> GenProgram:
         target = INT if self.cfg.target == "Int" else BOOL
         main = self.gen(target, {}, {}, self.cfg.max_depth)
-        decls = POOL[: max(2, self.cfg.max_pool)]
-        if BOOL_DECL not in decls:
-            decls = [BOOL_DECL] + decls
-        if UNR_DECL not in decls:
-            decls = [UNR_DECL] + decls
         defs = [SUMLIST_DEF] if self.uses_list else []
-        return GenProgram(list(decls), defs, main)
+        return GenProgram(list(_prelude_decls()), defs, main)
 
 
 def _seq_int(consumed_var: str, result: Term) -> Term:
@@ -423,7 +396,7 @@ def _seq_int(consumed_var: str, result: Term) -> Term:
 
 def gen_welltyped(cfg: GenConfig) -> GenProgram:
     """A closed well-typed program of the configured ground type; verified
-    with the typechecker before being returned."""
+    with the typechecker, whose result is kept in ``checked``."""
     cfg.validate()
     rng = random.Random(f"lq:{cfg.seed}")
     last_error: Optional[CheckError] = None
@@ -431,7 +404,7 @@ def gen_welltyped(cfg: GenConfig) -> GenProgram:
         gen = _Gen(rng, cfg)
         prog = gen.program()
         try:
-            check_program(prog.decls, prog.defs, prog.main)
+            prog.checked = check_program(prog.decls, prog.defs, prog.main)
             return prog
         except CheckError as exc:  # pragma: no cover - generator soundness
             last_error = exc
@@ -534,17 +507,6 @@ class DiffReport:
     ordinary_writes: int = 0
     pure_allocs: int = 0
     pure_copies: int = 0
-    # the checked program and its sharing form, for follow-up runs
-    checked: Optional[CheckedProgram] = field(default=None, repr=False)
-    sharing: Optional[Term] = field(default=None, repr=False)
-
-
-def run_both(checked: CheckedProgram, fuel: int
-             ) -> tuple[EvalResult, PureResult, Term]:
-    sharing = to_sharing(checked.term, checked.env)
-    ores = eval_term(Heap(), sharing, fuel)
-    pres = eval_pure(initial_state(sharing, checked.ty, checked.env), fuel)
-    return ores, pres, sharing
 
 
 def bisim_run(decls: list[DataDecl], defs: list, main: Term, fuel: int,
@@ -552,7 +514,16 @@ def bisim_run(decls: list[DataDecl], defs: list, main: Term, fuel: int,
     checked = check_program(decls, defs, main)
     if not is_ground_type(checked.ty, checked.env):
         raise ValueError(f"{program_id}: result type is not ground")
-    ores, pres, sharing = run_both(checked, fuel)
+    return _bisim(checked, to_sharing(checked.term, checked.env), fuel,
+                  program_id)
+
+
+def _bisim(checked: CheckedProgram, sharing: Term, fuel: int,
+           program_id: str) -> DiffReport:
+    """Run a checked program's sharing form under both semantics and
+    compare the fully forced results."""
+    ores = eval_term(Heap(), sharing, fuel)
+    pres = eval_pure(initial_state(sharing, checked.ty, checked.env), fuel)
     report = DiffReport(
         program_id=program_id,
         ordinary_outcome=ores.outcome.kind.value,
@@ -566,8 +537,6 @@ def bisim_run(decls: list[DataDecl], defs: list, main: Term, fuel: int,
         ordinary_writes=ores.write_count,
         pure_allocs=pres.array_allocs,
         pure_copies=pres.array_copies,
-        checked=checked,
-        sharing=sharing,
     )
     if ores.outcome.is_value and pres.outcome.is_value:
         otree, ook = deep_force_ordinary(ores, ores.outcome.value, fuel)
@@ -663,12 +632,13 @@ def fuzz(cfg: GenConfig, count: int, fuel: int,
         except GenerationExhausted:
             summary.generation_failures += 1
             continue
-        report = bisim_run(prog.decls, prog.defs, prog.main, fuel,
-                           program_id=f"fuzz-{cfg.seed}-{i}")
+        checked = prog.checked
+        sharing = to_sharing(checked.term, checked.env)
+        program_id = f"fuzz-{cfg.seed}-{i}"
+        report = _bisim(checked, sharing, fuel, program_id)
         if not report.agree and OutcomeKind.OUT_OF_FUEL.value in (
                 report.ordinary_outcome, report.pure_outcome):
-            report = bisim_run(prog.decls, prog.defs, prog.main, 2 * fuel,
-                               program_id=f"fuzz-{cfg.seed}-{i}")
+            report = _bisim(checked, sharing, 2 * fuel, program_id)
         blocked = OutcomeKind.BLOCKED.value
         if report.ordinary_outcome == blocked or report.pure_outcome == blocked:
             summary.progress_violations += 1
@@ -685,10 +655,9 @@ def fuzz(cfg: GenConfig, count: int, fuel: int,
                 summary.disagreements += 1
                 summary.reproducers.append(
                     _dump_reproducer(prog, directory, cfg.seed, i))
-        checked = report.checked
         try:
             pres = instrumented_eval(
-                initial_state(report.sharing, checked.ty, checked.env), fuel)
+                initial_state(sharing, checked.ty, checked.env), fuel)
             summary.state_checks += pres.check_count
         except PreservationViolation:
             summary.preservation_violations += 1

@@ -1,11 +1,19 @@
-"""Outcome and trace types shared by both evaluators."""
+"""Outcomes, traces and the machine plumbing shared by both evaluators.
+
+``Machine`` holds what the two semantics have in common: fuel, the step
+count, fresh names, the rule trace, the aborts (fuel, blocked, blackhole)
+and the driver that turns a run into an outcome.  Every rule that decides
+mutation, linear consumption or typestate stays in its evaluator, so the
+differential test still compares two independent semantics.
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
+from .pretty import show_term, summarize
 from .syntax import Term
 
 
@@ -27,7 +35,6 @@ class BlockReason(enum.Enum):
 class TraceRecord:
     rule: str
     redex: str
-    heap_delta: int = 0
 
 
 @dataclass
@@ -47,7 +54,6 @@ class Outcome:
     def describe(self) -> str:
         match self.kind:
             case OutcomeKind.VALUE:
-                from .pretty import show_term
                 assert self.value is not None
                 return show_term(self.value)
             case OutcomeKind.OUT_OF_FUEL:
@@ -70,9 +76,50 @@ class EvalAbort(Exception):
         self.outcome = outcome
 
 
-@dataclass
-class Trace:
-    records: list[TraceRecord] = field(default_factory=list)
+@dataclass(kw_only=True)
+class Machine:
+    """The state of one evaluation that does not depend on its semantics;
+    each evaluator's state extends it."""
 
-    def add(self, rule: str, redex: str, heap_delta: int = 0) -> None:
-        self.records.append(TraceRecord(rule, redex, heap_delta))
+    fuel: int
+    steps: int = 0
+    fresh_counter: int = 0
+    trace: Optional[list[TraceRecord]] = None
+
+    def fresh(self, prefix: str) -> str:
+        name = f"{prefix}{self.fresh_counter}"
+        self.fresh_counter += 1
+        return name
+
+    def tick(self, rule: str, redex: Term) -> None:
+        if self.fuel <= 0:
+            raise EvalAbort(Outcome(OutcomeKind.OUT_OF_FUEL,
+                                    detail=summarize(redex),
+                                    steps=self.steps))
+        self.fuel -= 1
+        self.steps += 1
+        if self.trace is not None:
+            self.trace.append(TraceRecord(rule, summarize(redex)))
+
+    def blocked(self, reason: BlockReason, rule: str, location: str,
+                detail: str) -> EvalAbort:
+        return EvalAbort(Outcome(OutcomeKind.BLOCKED, reason=reason,
+                                 rule=rule, location=location, detail=detail,
+                                 steps=self.steps))
+
+    def blackhole(self, x: str) -> EvalAbort:
+        return EvalAbort(Outcome(OutcomeKind.BLACKHOLE, location=x,
+                                 detail=f"'{x}' was forced during its own "
+                                        f"evaluation", steps=self.steps))
+
+    def drive(self, run: Callable[[], Term]) -> Outcome:
+        """Run one evaluation: its value, or the outcome it stopped with."""
+        try:
+            value = run()
+        except EvalAbort as abort:
+            return abort.outcome
+        return Outcome(OutcomeKind.VALUE, value=value, steps=self.steps)
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        return self.trace if self.trace is not None else []

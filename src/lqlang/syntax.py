@@ -1,7 +1,7 @@
 """Abstract syntax: multiplicity expressions, types, terms, datatype declarations.
 
 All nodes are immutable. Structural equality ignores the annotation slots
-(``loc``, ``ty``, ``mult_ann``, ``uid``) so that two terms compare equal
+(``loc``, ``ty``, ``mult_ann``) so that two terms compare equal
 regardless of source position or typechecker output.
 """
 
@@ -346,15 +346,6 @@ class ArrName(Term):
     name: str = ""
 
 
-_array_uid = 0
-
-
-def _next_uid() -> int:
-    global _array_uid
-    _array_uid += 1
-    return _array_uid
-
-
 @dataclass(frozen=True)
 class ArrayLit(Term):
     """An array value (element variables); created only by the pure evaluator."""
@@ -362,14 +353,6 @@ class ArrayLit(Term):
     elems: tuple[str, ...] = ()
     elem_ty: Type = INT
     frozen_tag: bool = False
-    uid: int = field(default=0, compare=False, repr=False, kw_only=True)
-
-
-def array_lit(elems: tuple[str, ...], elem_ty: Type, frozen_tag: bool,
-              ty: Optional[Type] = None) -> ArrayLit:
-    """Allocate an array value with a fresh identity tag."""
-    return ArrayLit(elems=elems, elem_ty=elem_ty, frozen_tag=frozen_tag,
-                    uid=_next_uid(), ty=ty)
 
 
 @dataclass(frozen=True)

@@ -659,26 +659,40 @@ def check_program(decls: list[DataDecl], defs: Defs,
         raise CheckError.single(Kind.MALFORMED_DECL,
                                 f"definition '{dup}' appears twice", None)
 
-    # First pass, for error aggregation: check every definition body against
-    # its declared type under the bindings visible at that point.
-    program = elaborate_defs(defs, main)
-    probe_env = env
+    try:
+        result = infer(env, elaborate_defs(defs, main))
+    except CheckError as exc:
+        errs = _probe_defs(env, defs)
+        known = {str(d) for d in errs}
+        errs.extend(d for d in exc.diagnostics if str(d) not in known)
+        raise CheckError(errs) from None
+    leftover = {x for x, u in result.usage.items() if u is not ZERO}
+    assert not leftover, f"closed program with residual usage: {leftover}"
+    return CheckedProgram(result.term, result.ty, env)
+
+
+def _probe_defs(env: TypeEnv, defs: Defs) -> list[Diagnostic]:
+    """For a rejected program: check every definition body against its
+    declared type under the bindings visible at that point, so that one
+    error per definition is reported, not only the first.  This is what the
+    Let rule checks on each right-hand side, so an accepted program needs
+    no probe."""
+    errs: list[Diagnostic] = []
     pending: Defs = list(defs)
     while pending:
-        name, ty, m, rhs = pending[0]
+        m = pending[0][2]
         group = [pending[0]]
         if mult_normalize(m) == NF_OMEGA:
             while (len(group) < len(pending)
                    and mult_normalize(pending[len(group)][2]) == NF_OMEGA):
                 group.append(pending[len(group)])
         pending = pending[len(group):]
-        rhs_env = probe_env
+        rhs_env = env
         if mult_normalize(m) == NF_OMEGA:
-            rhs_env = probe_env.bind_vars([(n, t_, OMEGA)
-                                           for n, t_, _, _ in group])
+            rhs_env = env.bind_vars([(n, t_, OMEGA) for n, t_, _, _ in group])
         for n, t_, gm, grhs in group:
             try:
-                check_type(probe_env, t_)
+                check_type(env, t_)
                 r = infer(rhs_env, grhs)
                 if not type_equiv(r.ty, t_):
                     errs.append(Diagnostic(
@@ -688,19 +702,8 @@ def check_program(decls: list[DataDecl], defs: Defs,
                         grhs.loc))
             except CheckError as exc:
                 errs.extend(exc.diagnostics)
-        probe_env = probe_env.bind_vars([(n, t_, gm)
-                                         for n, t_, gm, _ in group])
-    try:
-        result = infer(env, program)
-    except CheckError as exc:
-        known = {str(d) for d in errs}
-        errs.extend(d for d in exc.diagnostics if str(d) not in known)
-        raise CheckError(errs) from None
-    if errs:
-        raise CheckError(errs)
-    leftover = {x for x, u in result.usage.items() if u is not ZERO}
-    assert not leftover, f"closed program with residual usage: {leftover}"
-    return CheckedProgram(result.term, result.ty, env)
+        env = env.bind_vars([(n, t_, gm) for n, t_, gm, _ in group])
+    return errs
 
 
 # ---------------------------------------------------------------------------

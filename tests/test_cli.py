@@ -140,13 +140,33 @@ def test_trace_rule_names_match_figures(capsys):
             "linear variable", "shared variable"} <= rules
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(*args):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "lqlang", "check", str(CORPUS / "arith.lq")],
-        env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "lqlang", *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_module("check", str(CORPUS / "arith.lq"))
     assert proc.returncode == 0, proc.stderr
     assert "main" in proc.stdout
+
+
+def test_recursion_limit_is_an_internal_error_not_a_traceback(tmp_path):
+    """Evaluation deeper than Python's recursion limit exits with code 3
+    and one error line."""
+    text = (CORPUS / "recursion_int.lq").read_text("utf-8")
+    deep = tmp_path / "tri5000.lq"
+    deep.write_text(text.replace("main = tri 5", "main = tri 5000"),
+                    "utf-8")
+    proc = run_module("run", str(deep), "--fuel=10000000")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "RecursionError" in lines[0]

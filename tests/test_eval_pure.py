@@ -15,7 +15,7 @@ from lqlang.harness import GenConfig, gen_welltyped
 from lqlang.runtime import BlockReason, OutcomeKind
 from lqlang.syntax import (App, ArrayLit, Branch, Case, Con, INT, IntLit,
                            Lam, Let, LetBind, OMEGA, ONE, Prim, TArray,
-                           TData, TMArray, Var, array_lit)
+                           TData, TMArray, Var)
 from lqlang.translate import to_sharing
 from lqlang.typecheck import check_program, infer
 
@@ -47,7 +47,7 @@ def test_array_roundtrip_matches_ordinary(prelude_env):
 
 
 def test_write_produces_fresh_array_value(prelude_env):
-    """Identity-tag accounting: a write's result is a new array node."""
+    """A write's result is a new array node."""
     t = Case(ONE, Prim("newMArray",
                        (IntLit(1), IntLit(0),
                         Lam(ONE, "ma", TMArray(INT),
@@ -62,10 +62,10 @@ def test_write_produces_fresh_array_value(prelude_env):
     res = eval_pure(prepare(prelude_env, t), 100_000)
     assert res.outcome.value == IntLit(2)
     assert res.array_copies == 2
-    uids = {b.term.uid for b in res.state.env
-            if isinstance(b.term, ArrayLit)}
-    assert len(uids) == len([b for b in res.state.env
-                             if isinstance(b.term, ArrayLit)])
+    ids = {id(b.term) for b in res.state.env
+           if isinstance(b.term, ArrayLit)}
+    assert len(ids) == len([b for b in res.state.env
+                            if isinstance(b.term, ArrayLit)])
 
 
 def test_forcing_consumed_linear_binding_blocks(prelude_env):

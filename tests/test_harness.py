@@ -1,6 +1,7 @@
 """Generator soundness, differential agreement, and the fuzz loop."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -140,6 +141,36 @@ def test_fuzz_reports_disagreement(tmp_path, monkeypatch):
         summary.reproducers[0].split("/")[-1]).read_text("utf-8")
     sf = parse_program(text, base=parse_prelude())
     check_program(sf.decls, sf.defs, sf.main)
+
+
+@pytest.mark.parametrize("seed,starve", [(0, False), (1, False),
+                                         (2, False), (3, True)])
+def test_fuzz_checks_and_translates_each_program_once(seed, starve,
+                                                      tmp_path, monkeypatch):
+    """The generator's check and one sharing translation serve both
+    evaluators, the doubled-fuel retry and the instrumented run."""
+    import lqlang.harness as H
+    calls = Counter()
+    for name in ("check_program", "to_sharing"):
+        def counting(*args, _real=getattr(H, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(H, name, counting)
+    real_pure = H.eval_pure
+
+    def pure(state, fuel, **kwargs):
+        """With ``starve``, the first pure run runs out of fuel, so the
+        evaluators disagree and the program is retried."""
+        calls["eval_pure"] += 1
+        if starve and calls["eval_pure"] == 1:
+            fuel = 1
+        return real_pure(state, fuel, **kwargs)
+
+    monkeypatch.setattr(H, "eval_pure", pure)
+    summary = fuzz(GenConfig(seed=seed), 1, 100_000, repro_dir=str(tmp_path))
+    assert summary.clean and summary.generation_failures == 0
+    assert calls == {"check_program": 1, "to_sharing": 1,
+                     "eval_pure": 2 if starve else 1}
 
 
 def test_fuzz_json_and_table():

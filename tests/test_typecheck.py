@@ -1,6 +1,8 @@
 """The typing rules, their verdicts on the canonical examples, and the
 algorithmic contracts (usages as outputs, checked at binders)."""
 
+from collections import Counter
+
 import pytest
 
 from lqlang.diagnostics import CheckError, Kind
@@ -13,6 +15,8 @@ from lqlang.syntax import (App, Branch, Case, Con, ConDecl, DataDecl, INT,
 from lqlang.typecheck import (TypeEnv, annotations_equal, check_datadecl,
                               check_program, infer, strip_annotations,
                               type_equiv)
+
+from conftest import CORPUS
 
 P11 = TData("Pair", (ONE, ONE), (INT, INT))
 
@@ -325,6 +329,26 @@ def test_def_type_mismatch_aggregates(prelude):
         check_program(sf.decls, sf.defs, sf.main)
     kinds = [d.kind for d in e.value.diagnostics]
     assert kinds.count(Kind.TYPE_MISMATCH) >= 2
+
+
+def test_accepted_program_infers_each_definition_once(prelude, monkeypatch):
+    """On an accepted program the per-definition probe does not run, so
+    each definition body is inferred once, inside the whole program."""
+    import lqlang.typecheck as T
+    sf = parse_program((CORPUS / "mutual_recursion.lq").read_text("utf-8"),
+                       base=prelude)
+    rhs_ids = [id(rhs) for *_, rhs in sf.defs]
+    assert len(rhs_ids) >= 2
+    real = T.infer
+    calls = Counter()
+
+    def counting(env, t):
+        calls[id(t)] += 1
+        return real(env, t)
+
+    monkeypatch.setattr(T, "infer", counting)
+    T.check_program(sf.decls, sf.defs, sf.main)
+    assert [calls[i] for i in rhs_ids] == [1] * len(rhs_ids)
 
 
 def test_diagnostics_carry_locations(prelude):
