@@ -3,10 +3,19 @@
 The heap holds two kinds of bindings: suspensions (always unrestricted;
 forcing one overwrites it with its value, which is how sharing is
 modelled) and array cells, which are mutated in place by ``write`` and
-retagged from mutable to frozen by ``freeze``.  Typestate is checked
-dynamically here: ``write`` and ``freeze`` block on a frozen cell and
-``index`` blocks on a mutable one.  On well-typed programs these blocks
-never fire, which the harness checks empirically.
+retagged from mutable to frozen by ``freeze``.
+
+Terms are evaluated as closures (see ``runtime``): a term with an
+environment from its source binders to heap names.  Beta, case and let
+extend the environment instead of substituting into the body; a
+suspension stores its right-hand side with the environment cut down to
+that term's free variables, and a value is a closure too.  Heap names,
+steps and traces are those of substitution: a term is built from its
+closure only for a traced step, an abort and the final value.
+
+Typestate is checked dynamically here: ``write`` and ``freeze`` block on
+a frozen cell and ``index`` blocks on a mutable one.  On well-typed
+programs these blocks never fire, which the harness checks empirically.
 
 Evaluation is fuel-bounded.  Running out of fuel is not an error: it is a
 partial run that more fuel would extend, and is reported as its own
@@ -20,10 +29,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .pretty import summarize
-from .runtime import BlockReason, Machine, Outcome, TraceRecord
+from .runtime import (BlockReason, Continue, EMPTY_ENV, Env, Machine,
+                      Outcome, TraceRecord)
 from .syntax import (App, ArrName, ArrayLit, Case, Con, IntLit, Lam, Let,
                      LetBind, MultApp, MultLam, ONE, Prim, Term, Type, Var,
                      is_omega_mult, rename_vars, term_subst_mult)
+
+Value = tuple[Term, Env]  # a closure in weak-head normal form
 
 FRESH_PREFIX = "%h"
 CELL_PREFIX = "%a"
@@ -33,6 +45,7 @@ CELL_PREFIX = "%a"
 class Susp:
     term: Term
     ann: Optional[Type] = None
+    env: Env = field(default_factory=dict)
 
 
 @dataclass
@@ -89,7 +102,7 @@ def eval_term(heap: Heap, t: Term, fuel: int,
     The heap is owned and mutated by this evaluation.
     """
     st = _State(heap=heap, fuel=fuel, trace=[] if want_trace else None)
-    return _finish(st, lambda: _eval(st, t))
+    return _finish(st, lambda: rename_vars(*_eval(st, t, EMPTY_ENV)))
 
 
 def trace_eval(heap: Heap, t: Term, fuel: int) -> tuple[Outcome, list[TraceRecord]]:
@@ -102,38 +115,39 @@ def force_variable(prev: EvalResult, name: str, fuel: int) -> EvalResult:
     constructor fields out of a result).  Counters keep accumulating."""
     st = prev.state
     st.fuel = fuel
-    return _finish(st, lambda: _eval(st, Var(name)))
+    return _finish(st, lambda: rename_vars(*_eval(st, Var(name), EMPTY_ENV)))
 
 
-def _eval(st: _State, t: Term) -> Term:
+def _eval(st: _State, t: Term, env: Env) -> Value:
     heap = st.heap.bindings
     while True:
         match t:
             case Lam():
-                st.tick("abs", t)
-                return t
+                st.tick("abs", t, env)
+                return t, env
             case MultLam():
-                st.tick("m.abs", t)
-                return t
+                st.tick("m.abs", t, env)
+                return t, env
             case IntLit():
-                st.tick("int", t)
-                return t
+                st.tick("int", t, env)
+                return t, EMPTY_ENV
             case Con():
-                st.tick("constructor", t)
-                return t
+                st.tick("constructor", t, env)
+                return t, env
             case ArrayLit():
                 raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "value", "",
                                  "array values do not occur in this semantics")
 
             case ArrName(l):
-                st.tick("mutable cell", t)
+                st.tick("mutable cell", t, env)
                 if not isinstance(heap.get(l), Cell):
                     raise st.blocked(BlockReason.MISSING_LINEAR_BINDING,
                                      "mutable cell", l,
                                      f"no array cell named '{l}'")
-                return t
+                return t, EMPTY_ENV
 
             case Var(x):
+                x = env.get(x, x)
                 binding = heap.get(x)
                 if x in st.forcing:
                     raise st.blackhole(x)
@@ -145,29 +159,30 @@ def _eval(st: _State, t: Term) -> Term:
                     raise st.blocked(BlockReason.PRIMITIVE_MISUSE,
                                      "variable", x,
                                      "term variable resolved to an array cell")
-                st.tick("variable", t)
+                st.tick("variable", t, env)
                 st.forcing.add(x)
                 try:
-                    value = _eval(st, binding.term)
+                    value = _eval(st, binding.term, binding.env)
                 finally:
                     st.forcing.discard(x)
-                heap[x] = Susp(value, binding.ann)
+                heap[x] = Susp(value[0], binding.ann, value[1])
                 return value
 
             case App(fun, arg):
                 assert isinstance(arg, Var), "term must be in sharing form"
-                st.tick("application", t)
-                fv = _eval(st, fun)
+                st.tick("application", t, env)
+                fv, fenv = _eval(st, fun, env)
                 if not isinstance(fv, Lam):
                     raise st.blocked(BlockReason.PRIMITIVE_MISUSE,
                                      "application", "",
                                      "application head is not a function")
-                t = rename_vars(fv.body, {fv.var: arg.name})
+                t, env = fv.body, {**fenv, fv.var: env.get(arg.name,
+                                                            arg.name)}
                 continue
 
             case MultApp(fun, m):
-                st.tick("m.app", t)
-                fv = _eval(st, fun)
+                st.tick("m.app", t, env)
+                fv, env = _eval(st, fun, env)
                 if not isinstance(fv, MultLam):
                     raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "m.app",
                                      "", "multiplicity application head is "
@@ -176,20 +191,22 @@ def _eval(st: _State, t: Term) -> Term:
                 continue
 
             case Let(mult, binds, body):
-                st.tick("let", t)
-                ren = {b.var: st.fresh(FRESH_PREFIX) for b in binds}
+                st.tick("let", t, env)
+                inner = env.copy()
+                for b in binds:
+                    inner[b.var] = st.fresh(FRESH_PREFIX)
                 # only w-groups are recursive: a 1-group's right-hand side
                 # is outside the scope of its own binders
-                rhs_ren = ren if is_omega_mult(mult) else {}
+                rhs_env = inner if is_omega_mult(mult) else env
                 for b in binds:
-                    heap[ren[b.var]] = Susp(rename_vars(b.rhs, rhs_ren),
-                                            b.var_ty)
-                t = rename_vars(body, ren)
+                    heap[inner[b.var]] = Susp(b.rhs, b.var_ty,
+                                              st.trim(rhs_env, b.rhs))
+                t, env = body, inner
                 continue
 
             case Case(_, scrut, branches):
-                st.tick("case", t)
-                sv = _eval(st, scrut)
+                st.tick("case", t, env)
+                sv, senv = _eval(st, scrut, env)
                 if not isinstance(sv, Con):
                     raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case", "",
                                      "case scrutinee is not a constructor")
@@ -201,14 +218,18 @@ def _eval(st: _State, t: Term) -> Term:
                 if len(branch.binders) != len(sv.args):
                     raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case",
                                      sv.name, "branch arity mismatch")
-                mapping = {y: a.name for y, a in zip(branch.binders, sv.args)}  # type: ignore[union-attr]
-                t = rename_vars(branch.body, mapping)
+                if branch.binders:
+                    env = env.copy()
+                    for y, a in zip(branch.binders, sv.args):
+                        assert isinstance(a, Var)
+                        env[y] = senv.get(a.name, a.name)
+                t = branch.body
                 continue
 
             case Prim(name, args):
-                result = _eval_prim(st, t, name, args)
-                if isinstance(result, _Continue):
-                    t = result.term
+                result = _eval_prim(st, t, env, name, args)
+                if isinstance(result, Continue):
+                    t, env = result.term, result.env
                     continue
                 return result
 
@@ -216,25 +237,22 @@ def _eval(st: _State, t: Term) -> Term:
                 raise AssertionError(f"cannot evaluate {t!r}")
 
 
-@dataclass
-class _Continue:
-    term: Term
-
-
-def _force_int(st: _State, prim: str, arg: Term) -> int:
-    v = _eval(st, arg)
+def _force_int(st: _State, prim: str, arg: Term, env: Env) -> int:
+    v, venv = _eval(st, arg, env)
     if not isinstance(v, IntLit):
         raise st.blocked(BlockReason.PRIMITIVE_MISUSE, prim, "",
-                         f"'{prim}' needs an integer, got {summarize(v)}")
+                         f"'{prim}' needs an integer, got "
+                         f"{summarize(rename_vars(v, venv))}")
     return v.value
 
 
-def _force_cell(st: _State, prim: str, arg: Term,
+def _force_cell(st: _State, prim: str, arg: Term, env: Env,
                 want_frozen: bool) -> tuple[str, Cell]:
-    v = _eval(st, arg)
+    v, venv = _eval(st, arg, env)
     if not isinstance(v, ArrName):
         raise st.blocked(BlockReason.PRIMITIVE_MISUSE, prim, "",
-                         f"'{prim}' needs an array, got {summarize(v)}")
+                         f"'{prim}' needs an array, got "
+                         f"{summarize(rename_vars(v, venv))}")
     cell = st.heap.bindings.get(v.name)
     if not isinstance(cell, Cell):
         raise st.blocked(BlockReason.MISSING_LINEAR_BINDING, prim, v.name,
@@ -254,77 +272,82 @@ def _check_bounds(st: _State, prim: str, name: str, cell: Cell,
                          f"{len(cell.elems)}")
 
 
-def _eval_prim(st: _State, t: Prim, name: str,
-               args: tuple[Term, ...]) -> Term | _Continue:
+def _eval_prim(st: _State, t: Prim, env: Env, name: str,
+               args: tuple[Term, ...]) -> Value | Continue:
     heap = st.heap.bindings
     match name:
         case "newMArray":
-            st.tick("newMArray", t)
+            st.tick("newMArray", t, env)
             st.newmarray_count += 1
-            size = _force_int(st, name, args[0])
+            size = _force_int(st, name, args[0], env)
             if size < 0:
                 raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
                                  f"negative array size {size}")
             assert isinstance(args[1], Var) and isinstance(args[2], Var)
             cell_name = st.fresh(CELL_PREFIX)
-            heap[cell_name] = Cell(False, [args[1].name] * size)
+            heap[cell_name] = Cell(False, [env.get(args[1].name,
+                                                   args[1].name)] * size)
             st.cell_allocs += 1
             x = st.fresh(FRESH_PREFIX)
             inner: Term = Let(
                 mult=ONE,
                 binds=(LetBind(x, None, ArrName(cell_name)),),  # type: ignore[arg-type]
                 body=App(args[2], Var(x)))
-            result = _eval(st, inner)
-            if not (isinstance(result, Con) and result.name == "Unrestricted"
-                    and len(result.args) == 1):
+            result = _eval(st, inner, env)
+            value = result[0]
+            if not (isinstance(value, Con) and value.name == "Unrestricted"
+                    and len(value.args) == 1):
                 raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
                                  "array continuation did not return an "
                                  "Unrestricted value")
             return result
 
         case "write":
-            st.tick("write", t)
+            st.tick("write", t, env)
             st.write_count += 1
-            i = _force_int(st, name, args[1])
-            cell_name, cell = _force_cell(st, name, args[0],
+            i = _force_int(st, name, args[1], env)
+            cell_name, cell = _force_cell(st, name, args[0], env,
                                           want_frozen=False)
             _check_bounds(st, name, cell_name, cell, i)
             assert isinstance(args[2], Var)
-            cell.elems[i] = args[2].name  # in place; no allocation
-            return ArrName(cell_name)
+            # in place; no allocation
+            cell.elems[i] = env.get(args[2].name, args[2].name)
+            return ArrName(cell_name), EMPTY_ENV
 
         case "freeze":
-            st.tick("freeze", t)
-            cell_name, cell = _force_cell(st, name, args[0],
+            st.tick("freeze", t, env)
+            cell_name, cell = _force_cell(st, name, args[0], env,
                                           want_frozen=False)
             cell.frozen = True  # retag in place
             alias = st.fresh(FRESH_PREFIX)
             heap[alias] = Susp(ArrName(cell_name), None)
-            return Con("Unrestricted", (), (), (Var(alias),))
+            return Con("Unrestricted", (), (), (Var(alias),)), EMPTY_ENV
 
         case "index":
-            st.tick("index", t)
-            i = _force_int(st, name, args[1])
-            cell_name, cell = _force_cell(st, name, args[0],
+            st.tick("index", t, env)
+            i = _force_int(st, name, args[1], env)
+            cell_name, cell = _force_cell(st, name, args[0], env,
                                           want_frozen=True)
             _check_bounds(st, name, cell_name, cell, i)
-            return _Continue(Var(cell.elems[i]))
+            return Continue(Var(cell.elems[i]), EMPTY_ENV)
 
         case "add" | "sub" | "mul" | "eq" | "lt":
-            st.tick("prim", t)
-            a = _force_int(st, name, args[0])
-            b = _force_int(st, name, args[1])
+            st.tick("prim", t, env)
+            a = _force_int(st, name, args[0], env)
+            b = _force_int(st, name, args[1], env)
             match name:
                 case "add":
-                    return IntLit(a + b)
+                    return IntLit(a + b), EMPTY_ENV
                 case "sub":
-                    return IntLit(a - b)
+                    return IntLit(a - b), EMPTY_ENV
                 case "mul":
-                    return IntLit(a * b)
+                    return IntLit(a * b), EMPTY_ENV
                 case "eq":
-                    return Con("True" if a == b else "False", (), (), ())
+                    return Con("True" if a == b else "False", (), (),
+                               ()), EMPTY_ENV
                 case "lt":
-                    return Con("True" if a < b else "False", (), (), ())
+                    return Con("True" if a < b else "False", (), (),
+                               ()), EMPTY_ENV
 
         case _:
             raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "prim", "",

@@ -7,6 +7,16 @@ which it is being consumed, and a stack describing the rest of the
 computation.  Arrays are plain values here: ``write`` returns a fresh
 copy, ``freeze`` retags, and nothing is mutated in place.
 
+The machine evaluates closures (see ``runtime``) rather than substituting:
+environment bindings, stack entries, the focus and values are terms under
+an environment from source binders to environment names, and beta, case
+and let extend that environment.  Its environment is a dict plus a linked
+list in state order, and its stack is a linked list, so inserting a
+binding before the one being forced, removing a consumed one and pushing
+an entry are O(1).  ``snapshot`` reads an ``AnnState`` off them, with each
+closure built into a term once; names, steps and traces are those of
+substitution.
+
 Linear bindings are removed from the environment when forced and forcing
 them at demand w blocks; on well-typed programs neither a removed binding
 nor a w-demanded linear binding is ever encountered, which is exactly what
@@ -41,19 +51,21 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .diagnostics import CheckError
 from .multiplicity import (NF_OMEGA, NF_ONE, ZERO, Usage, mult_normalize,
                            sub_usage, usage_add, usage_scale)
 from .pretty import summarize
-from .runtime import BlockReason, Machine, Outcome, TraceRecord
+from .runtime import (BlockReason, Clo, Continue, EMPTY_ENV, Env, Machine,
+                      Outcome, TraceRecord)
 from .syntax import (App, ArrayLit, Case, Con, ConDecl, DataDecl, IntLit,
-                     Lam, Let, LetBind, MProd, MVar, MultApp, MultExpr,
-                     MultLam, OMEGA, ONE, Prim, TArray, TArrow, TData, TInt,
+                     Lam, Let, LetBind, MVar, MultApp, MultExpr, MultLam,
+                     OMEGA, ONE, Omega, One, Prim, TArray, TArrow, TData, TInt,
                      TMArray, TVar, Term, Type, Var,
                      is_omega_mult, mult_vars, rename_vars, term_subst_mult)
-from .typecheck import TypeEnv, check_type, infer, type_equiv
+from .typecheck import (PRIM_ARG_MULTS, TypeEnv, check_type, infer,
+                        type_equiv)
 
 FRESH_PREFIX = "%p"
 
@@ -284,13 +296,43 @@ def _fits_cache(s: AnnState, live: list[EnvBind], cache: CheckCache) -> bool:
 # ---------------------------------------------------------------------------
 # The machine
 
+class _Bind:
+    """A binding of the machine's environment, with its right-hand side as
+    a closure.  Bindings form a doubly linked list in state order, so that
+    inserting before an anchor and removing are O(1); a new binding is a
+    list of its own."""
+
+    __slots__ = ("name", "linear", "ty", "clo", "group", "forcing", "prev",
+                 "next")
+
+    def __init__(self, name: str, linear: bool, ty: Type, clo: Clo,
+                 group: int, forcing: bool = False) -> None:
+        self.name, self.linear, self.ty = name, linear, ty
+        self.clo, self.group, self.forcing = clo, group, forcing
+        self.prev: _Bind = self
+        self.next: _Bind = self
+
+
+class _Frame:
+    """A stack entry: a closure consumed at ``demand`` once the focus is
+    done.  ``below`` is the rest of the stack, so a push is O(1)."""
+
+    __slots__ = ("clo", "demand", "ty", "below")
+
+    def __init__(self, clo: Optional[Clo], demand: MultExpr, ty: Type,
+                 below: Optional[_Frame]) -> None:
+        self.clo, self.demand, self.ty, self.below = clo, demand, ty, below
+
+
 @dataclass
 class _PState(Machine):
     base: TypeEnv  # declarations only; term bindings live in xi/env
     xi: dict[str, Type] = field(default_factory=dict)
-    env: list[EnvBind] = field(default_factory=list)
-    by_name: dict[str, EnvBind] = field(default_factory=dict)
-    anchors: list[EnvBind] = field(default_factory=list)
+    binds: dict[str, _Bind] = field(default_factory=dict)
+    # sentinel of the binding list: end.next is the first binding
+    end: _Bind = field(default_factory=lambda: _Bind("", False, TInt(),
+                                                     Clo(UNIT_VAL), 0))
+    anchors: list[_Bind] = field(default_factory=list)
     group_counter: int = 0
     array_allocs: int = 0
     array_copies: int = 0
@@ -302,25 +344,41 @@ class _PState(Machine):
         self.group_counter += 1
         return self.group_counter
 
-    def insert(self, bind: EnvBind) -> None:
+    def insert(self, bind: _Bind) -> None:
         """New bindings go just before the innermost binding being forced,
         so that the updated binding can refer to them."""
-        if self.anchors:
-            self.env.insert(self.env.index(self.anchors[-1]), bind)
-        else:
-            self.env.append(bind)
-        self.by_name[bind.name] = bind
+        at = self.anchors[-1] if self.anchors else self.end
+        bind.prev, bind.next = at.prev, at
+        at.prev.next = at.prev = bind
+        self.binds[bind.name] = bind
 
-    def remove(self, bind: EnvBind) -> None:
-        self.env.remove(bind)
-        del self.by_name[bind.name]
+    def remove(self, bind: _Bind) -> None:
+        bind.prev.next, bind.next.prev = bind.next, bind.prev
+        del self.binds[bind.name]
 
-    def snapshot(self, focus: Term, demand: MultExpr, ty: Type,
-                 stack: tuple[SEntry, ...]) -> AnnState:
+    def ordered(self) -> Iterator[_Bind]:
+        b = self.end.next
+        while b is not self.end:
+            yield b
+            b = b.next
+
+    @property
+    def env(self) -> tuple[EnvBind, ...]:
+        """The environment in state order, each closure built."""
+        return tuple(EnvBind(b.name, b.linear, b.ty, b.clo.built(), b.group,
+                             b.forcing) for b in self.ordered())
+
+    def snapshot(self, focus: Clo, demand: MultExpr, ty: Type,
+                 stack: Optional[_Frame]) -> AnnState:
         xi = dataclasses.replace(
             self.base, vars={x: (t, OMEGA) for x, t in self.xi.items()})
-        return AnnState(xi=xi, env=tuple(self.env), focus=focus,
-                        demand=demand, focus_ty=ty, stack=stack)
+        entries = []
+        while stack is not None:
+            entries.append(SEntry(stack.clo.built(), stack.demand, stack.ty))
+            stack = stack.below
+        return AnnState(xi=xi, env=self.env, focus=focus.built(),
+                        demand=demand, focus_ty=ty,
+                        stack=tuple(reversed(entries)))
 
 
 @dataclass
@@ -334,7 +392,7 @@ class PureResult:
     state: "_PState" = field(repr=False, default=None)  # type: ignore[assignment]
 
     def linear_bindings(self) -> list[str]:
-        return [b.name for b in self.state.env if b.linear]
+        return [b.name for b in self.state.ordered() if b.linear]
 
 
 def _load(s: AnnState, fuel: int, check: bool,
@@ -345,22 +403,28 @@ def _load(s: AnnState, fuel: int, check: bool,
                  trace=[] if want_trace else None)
     st.xi = {x: ty for x, (ty, _) in s.xi.vars.items()}
     for b in s.env:
-        copy = dataclasses.replace(b)
-        st.env.append(copy)
-        st.by_name[copy.name] = copy
-        st.group_counter = max(st.group_counter, copy.group)
+        st.insert(_Bind(b.name, b.linear, b.ty, Clo(b.term), b.group,
+                        b.forcing))
+        st.group_counter = max(st.group_counter, b.group)
     return st
 
 
+def _run(st: _PState, s: AnnState) -> PureResult:
+    stack = None
+    for e in s.stack:  # oldest first
+        stack = _Frame(Clo(e.term), e.demand, e.ty, stack)
+    return _finish(st, lambda: _eval(st, Clo(s.focus), s.demand, s.focus_ty,
+                                     stack))
+
+
 def _finish(st: _PState, run) -> PureResult:
-    return PureResult(st.drive(run), st.steps, st.array_allocs,
-                      st.array_copies, st.check_count, st.records, st)
+    return PureResult(st.drive(lambda: run().built()), st.steps,
+                      st.array_allocs, st.array_copies, st.check_count,
+                      st.records, st)
 
 
 def eval_pure(s: AnnState, fuel: int, want_trace: bool = False) -> PureResult:
-    st = _load(s, fuel, check=False, want_trace=want_trace)
-    return _finish(st, lambda: _eval(st, s.focus, s.demand, s.focus_ty,
-                                     s.stack))
+    return _run(_load(s, fuel, check=False, want_trace=want_trace), s)
 
 
 def instrumented_eval(s: AnnState, fuel: int) -> PureResult:
@@ -371,8 +435,7 @@ def instrumented_eval(s: AnnState, fuel: int) -> PureResult:
     if not state_welltyped(s, st.cache):
         raise ValueError("instrumented_eval requires a well-typed "
                          "initial state")
-    return _finish(st, lambda: _eval(st, s.focus, s.demand, s.focus_ty,
-                                     s.stack))
+    return _run(st, s)
 
 
 def force_pure_variable(prev: PureResult, name: str, demand: MultExpr,
@@ -381,15 +444,21 @@ def force_pure_variable(prev: PureResult, name: str, demand: MultExpr,
     fields out of a result).  Counters keep accumulating."""
     st = prev.state
     st.fuel = fuel
-    b = st.by_name.get(name)
+    b = st.binds.get(name)
     ty = b.ty if b is not None else TInt()
-    return _finish(st, lambda: _eval(st, Var(name, ty=ty), demand, ty, ()))
+    return _finish(st, lambda: _eval(st, Clo(Var(name, ty=ty)), demand, ty,
+                                     None))
 
 
 # ---------------------------------------------------------------------------
 # Rules
 
 def _concrete(st: _PState, m: MultExpr) -> MultExpr:
+    match m:
+        case One():
+            return ONE
+        case Omega():
+            return OMEGA
     nf = mult_normalize(m)
     if nf == NF_ONE:
         return ONE
@@ -400,44 +469,50 @@ def _concrete(st: _PState, m: MultExpr) -> MultExpr:
 
 
 def _dmul(st: _PState, a: MultExpr, b: MultExpr) -> MultExpr:
-    return _concrete(st, MProd(a, b))
+    """The concrete product of two multiplicities.  No law removes a
+    variable, so a factor that is not concrete blocks as the product
+    would."""
+    a, b = _concrete(st, a), _concrete(st, b)
+    return OMEGA if a is OMEGA or b is OMEGA else ONE
 
 
-def _ret(st: _PState, rule: str, value: Term, demand: MultExpr, ty: Type,
-         stack: tuple[SEntry, ...]) -> Term:
+def _ret(st: _PState, rule: str, value: Clo, demand: MultExpr, ty: Type,
+         stack: Optional[_Frame]) -> Clo:
     if st.check:
         st.check_count += 1
         ann = st.snapshot(value, demand, ty, stack)
         if not state_welltyped(ann, st.cache):
             raise PreservationViolation(
-                rule, f"value {summarize(value)} at demand "
+                rule, f"value {summarize(ann.focus)} at demand "
                       f"{'1' if demand == ONE else 'w'} with "
-                      f"{len(st.env)} bindings")
+                      f"{len(st.binds)} bindings")
     return value
 
 
-def _eval(st: _PState, t: Term, demand: MultExpr, ty: Type,
-          stack: tuple[SEntry, ...]) -> Term:
+def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
+          stack: Optional[_Frame]) -> Clo:
     while True:
+        t, env = c.term, c.env
         match t:
             case Lam():
-                st.tick("abs", t)
-                return _ret(st, "abs", t, demand, ty, stack)
+                st.tick("abs", t, env)
+                return _ret(st, "abs", c, demand, ty, stack)
             case MultLam():
-                st.tick("m.abs", t)
-                return _ret(st, "m.abs", t, demand, ty, stack)
+                st.tick("m.abs", t, env)
+                return _ret(st, "m.abs", c, demand, ty, stack)
             case IntLit():
-                st.tick("int", t)
-                return _ret(st, "int", t, demand, ty, stack)
+                st.tick("int", t, env)
+                return _ret(st, "int", c, demand, ty, stack)
             case Con():
-                st.tick("constructor", t)
-                return _ret(st, "constructor", t, demand, ty, stack)
+                st.tick("constructor", t, env)
+                return _ret(st, "constructor", c, demand, ty, stack)
             case ArrayLit():
-                st.tick("array value", t)
-                return _ret(st, "array value", t, demand, ty, stack)
+                st.tick("array value", t, env)
+                return _ret(st, "array value", c, demand, ty, stack)
 
             case Var(x):
-                b = st.by_name.get(x)
+                x = env.get(x, x)
+                b = st.binds.get(x)
                 if b is None:
                     raise st.blocked(
                         BlockReason.MISSING_LINEAR_BINDING,
@@ -451,111 +526,119 @@ def _eval(st: _PState, t: Term, demand: MultExpr, ty: Type,
                             BlockReason.MISSING_LINEAR_BINDING,
                             "linear variable", x,
                             f"linear binding '{x}' demanded non-linearly")
-                    st.tick("linear variable", t)
+                    st.tick("linear variable", t, env)
                     st.remove(b)
-                    t = b.term
+                    c = b.clo
                     continue  # single tail premise at demand 1
-                st.tick("shared variable", t)
+                st.tick("shared variable", t, env)
                 b.forcing = True
                 st.xi[x] = b.ty  # ambient context grows, never pruned
                 st.anchors.append(b)
                 try:
-                    z = _eval(st, b.term, demand, ty, stack)
+                    z = _eval(st, b.clo, demand, ty, stack)
                 finally:
                     st.anchors.pop()
                     b.forcing = False
-                b.term = z
+                b.clo = z
                 return _ret(st, "shared variable", z, demand, ty, stack)
 
             case App(fun, arg):
                 assert isinstance(arg, Var), "term must be in sharing form"
-                st.tick("app", t)
+                st.tick("app", t, env)
                 fun_ty = fun.ty
                 assert isinstance(fun_ty, TArrow), \
                     "pure evaluation needs annotated terms"
                 pi = t.mult_ann if t.mult_ann is not None else fun_ty.mult
-                entry = SEntry(arg, _dmul(st, pi, demand), fun_ty.dom)
-                fv = _eval(st, fun, demand, fun_ty, stack + (entry,))
-                if not isinstance(fv, Lam):
+                entry = _Frame(Clo(arg, env), _dmul(st, pi, demand),
+                               fun_ty.dom, stack)
+                fv = _eval(st, Clo(fun, env), demand, fun_ty, entry)
+                lam = fv.term
+                if not isinstance(lam, Lam):
                     raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "app", "",
                                      "application head is not a function")
-                t = rename_vars(fv.body, {fv.var: arg.name})
+                c = Clo(lam.body, {**fv.env,
+                                   lam.var: env.get(arg.name, arg.name)})
                 continue
 
             case MultApp(fun, m):
-                st.tick("m.app", t)
+                st.tick("m.app", t, env)
                 fun_ty = fun.ty
                 assert fun_ty is not None, \
                     "pure evaluation needs annotated terms"
-                fv = _eval(st, fun, demand, fun_ty, stack)
-                if not isinstance(fv, MultLam):
+                fv = _eval(st, Clo(fun, env), demand, fun_ty, stack)
+                mlam = fv.term
+                if not isinstance(mlam, MultLam):
                     raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "m.app",
                                      "", "multiplicity application head is "
                                          "not a multiplicity abstraction")
-                t = term_subst_mult(fv.body, fv.param, m)
+                c = Clo(term_subst_mult(mlam.body, mlam.param, m), fv.env)
                 continue
 
             case Let(m, binds, body):
-                st.tick("let", t)
+                st.tick("let", t, env)
                 bind_mult = _dmul(st, demand, m)
                 group = st.new_group()
-                ren = {b.var: st.fresh(FRESH_PREFIX) for b in binds}
+                inner = env.copy()
+                for b in binds:
+                    inner[b.var] = st.fresh(FRESH_PREFIX)
                 # only w-groups are recursive (see the ordinary let rule)
-                rhs_ren = ren if is_omega_mult(m) else {}
+                rhs_env = inner if is_omega_mult(m) else env
                 for b in binds:
                     assert b.var_ty is not None
-                    st.insert(EnvBind(ren[b.var], bind_mult == ONE,
-                                      b.var_ty, rename_vars(b.rhs, rhs_ren),
-                                      group))
-                t = rename_vars(body, ren)
+                    st.insert(_Bind(inner[b.var], bind_mult == ONE,
+                                    b.var_ty,
+                                    Clo(b.rhs, st.trim(rhs_env, b.rhs)),
+                                    group))
+                c = Clo(body, inner)
                 continue
 
             case Case(m, scrut, branches):
-                st.tick("case", t)
+                st.tick("case", t, env)
                 scrut_ty = scrut.ty
                 assert scrut_ty is not None, \
                     "pure evaluation needs annotated terms"
                 frame_ty = TArrow(scrut_ty, m, ty)
                 hole = st.fresh(FRESH_PREFIX)
-                frame = Lam(m, hole, scrut_ty,
-                            dataclasses.replace(t, scrut=Var(hole,
-                                                             ty=scrut_ty)),
-                            ty=frame_ty)
-                entry = SEntry(frame, demand, frame_ty)
-                sv = _eval(st, scrut, _dmul(st, m, demand), scrut_ty,
-                           stack + (entry,))
-                if not isinstance(sv, Con):
+                # the pending branches, as a function of the scrutinee; only
+                # a state check reads them
+                frame = Clo(Lam(m, hole, scrut_ty, dataclasses.replace(
+                    t, scrut=Var(hole, ty=scrut_ty)), ty=frame_ty),
+                    env) if st.check else None
+                entry = _Frame(frame, demand, frame_ty, stack)
+                sv = _eval(st, Clo(scrut, env), _dmul(st, m, demand),
+                           scrut_ty, entry)
+                con = sv.term
+                if not isinstance(con, Con):
                     raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case", "",
                                      "case scrutinee is not a constructor")
-                branch = next((b for b in branches if b.con == sv.name), None)
+                branch = next((b for b in branches if b.con == con.name),
+                              None)
                 if branch is None:
                     raise st.blocked(BlockReason.MISSING_BRANCH, "case",
-                                     sv.name,
-                                     f"no branch for constructor '{sv.name}'")
-                if len(branch.binders) != len(sv.args):
+                                     con.name,
+                                     f"no branch for constructor "
+                                     f"'{con.name}'")
+                if len(branch.binders) != len(con.args):
                     raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case",
-                                     sv.name, "branch arity mismatch")
-                mapping = {y: a.name  # type: ignore[union-attr]
-                           for y, a in zip(branch.binders, sv.args)}
-                t = rename_vars(branch.body, mapping)
+                                     con.name, "branch arity mismatch")
+                if branch.binders:
+                    env = env.copy()
+                    for y, a in zip(branch.binders, con.args):
+                        assert isinstance(a, Var)
+                        env[y] = sv.env.get(a.name, a.name)
+                c = Clo(branch.body, env)
                 continue
 
             case Prim(name, args):
-                result = _eval_prim(st, t, name, args, demand, ty, stack)
-                if isinstance(result, _Continue):
-                    t, demand, ty = result.term, result.demand, result.ty
+                result = _eval_prim(st, t, env, name, args, demand, ty,
+                                    stack)
+                if isinstance(result, Continue):
+                    c, ty = Clo(result.term, result.env), result.ty
                     continue
                 return result
 
             case _:
                 raise AssertionError(f"cannot evaluate {t!r}")
-
-
-@dataclass
-class _Continue:
-    term: Term
-    demand: MultExpr
-    ty: Type
 
 
 # Premise evaluation order per primitive (indices into the argument list),
@@ -573,63 +656,63 @@ _PRIM_ORDER: dict[str, list[int]] = {
     "lt": [0, 1],
 }
 
+# The arguments still unconsumed while each premise runs, ascending.
+_PENDING: dict[str, list[list[int]]] = {
+    name: [sorted(set(order[k + 1:])
+                  | (set(range(len(PRIM_ARG_MULTS[name]))) - set(order)))
+           for k in range(len(order))]
+    for name, order in _PRIM_ORDER.items()}
 
-def _pending_entries(st: _PState, name: str, args: tuple[Term, ...],
-                     stage: int, demand: MultExpr) -> tuple[SEntry, ...]:
-    """Stack entries for arguments still unconsumed while premise ``stage``
-    runs: each pending argument variable at its signature multiplicity
-    scaled by the demand."""
-    from .typecheck import PRIM_ARG_MULTS
-    order = _PRIM_ORDER[name]
-    pending = set(order[stage + 1:]) | (set(range(len(args))) - set(order))
-    entries = []
-    for j in sorted(pending):
+
+def _prim_arg(st: _PState, name: str, args: tuple[Clo, ...], stage: int,
+              demand: MultExpr, stack: Optional[_Frame]) -> Clo:
+    """Premise ``stage`` of a primitive.  Each argument still unconsumed
+    meanwhile is on the stack at its signature multiplicity scaled by the
+    demand."""
+    mults = PRIM_ARG_MULTS[name]
+    for j in _PENDING[name][stage]:
         arg = args[j]
-        assert isinstance(arg, Var) and arg.ty is not None
-        entries.append(SEntry(arg, _dmul(st, PRIM_ARG_MULTS[name][j], demand),
-                              arg.ty))
-    return tuple(entries)
-
-
-def _prim_arg(st: _PState, name: str, args: tuple[Term, ...], stage: int,
-              demand: MultExpr, stack: tuple[SEntry, ...]) -> Term:
-    from .typecheck import PRIM_ARG_MULTS
-    order = _PRIM_ORDER[name]
-    i = order[stage]
+        assert isinstance(arg.term, Var) and arg.term.ty is not None
+        stack = _Frame(arg, _dmul(st, mults[j], demand), arg.term.ty, stack)
+    i = _PRIM_ORDER[name][stage]
     arg = args[i]
-    assert isinstance(arg, Var) and arg.ty is not None
-    arg_demand = _dmul(st, PRIM_ARG_MULTS[name][i], demand)
-    entries = _pending_entries(st, name, args, stage, demand)
-    return _eval(st, arg, arg_demand, arg.ty, stack + entries)
+    assert isinstance(arg.term, Var) and arg.term.ty is not None
+    return _eval(st, arg, _dmul(st, mults[i], demand), arg.term.ty, stack)
 
 
-def _want_int(st: _PState, name: str, v: Term) -> int:
-    if not isinstance(v, IntLit):
+def _want_int(st: _PState, name: str, v: Clo) -> int:
+    if not isinstance(v.term, IntLit):
         raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
-                         f"'{name}' needs an integer, got {summarize(v)}")
-    return v.value
+                         f"'{name}' needs an integer, got "
+                         f"{summarize(v.built())}")
+    return v.term.value
 
 
-def _want_array(st: _PState, name: str, v: Term,
+def _want_array(st: _PState, name: str, v: Clo,
                 want_frozen: bool) -> ArrayLit:
-    if not isinstance(v, ArrayLit):
+    arr = v.term
+    if not isinstance(arr, ArrayLit):
         raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
-                         f"'{name}' needs an array, got {summarize(v)}")
-    if v.frozen_tag != want_frozen:
-        state = "frozen" if v.frozen_tag else "mutable"
+                         f"'{name}' needs an array, got "
+                         f"{summarize(v.built())}")
+    if arr.frozen_tag != want_frozen:
+        state = "frozen" if arr.frozen_tag else "mutable"
         raise st.blocked(BlockReason.TYPESTATE_VIOLATION, name, "",
                          f"'{name}' applied to a {state} array")
-    return v
+    return arr
 
 
-def _eval_prim(st: _PState, t: Prim, name: str, args: tuple[Term, ...],
-               demand: MultExpr, ty: Type,
-               stack: tuple[SEntry, ...]) -> Term | _Continue:
+def _eval_prim(st: _PState, t: Prim, env: Env, name: str,
+               args: tuple[Term, ...], demand: MultExpr, ty: Type,
+               stack: Optional[_Frame]) -> Clo | Continue:
+    # one closure per argument, so an argument pending in several premises
+    # is one term to the state check
+    cargs = tuple(Clo(a, env) for a in args)
     match name:
         case "newMArray":
-            st.tick("newMArray", t)
-            size = _want_int(st, name,
-                             _prim_arg(st, name, args, 0, demand, stack))
+            st.tick("newMArray", t, env)
+            size = _want_int(st, name, _prim_arg(st, name, cargs, 0,
+                                                 demand, stack))
             if size < 0:
                 raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
                                  f"negative array size {size}")
@@ -640,8 +723,8 @@ def _eval_prim(st: _PState, t: Prim, name: str, args: tuple[Term, ...],
             assert elem_ty is not None and isinstance(cont_ty, TArrow)
             st.array_allocs += 1
             arr_ty = TMArray(elem_ty)
-            lit = ArrayLit((elem_var.name,) * size, elem_ty, False,
-                           ty=arr_ty)
+            lit = ArrayLit((env.get(elem_var.name, elem_var.name),) * size,
+                           elem_ty, False, ty=arr_ty)
             x = st.fresh(FRESH_PREFIX)
             inner: Term = Let(
                 mult=ONE,
@@ -649,20 +732,20 @@ def _eval_prim(st: _PState, t: Prim, name: str, args: tuple[Term, ...],
                 body=App(cont, Var(x, ty=arr_ty), mult_ann=ONE,
                          ty=cont_ty.cod),
                 ty=cont_ty.cod)
-            z = _eval(st, inner, ONE, cont_ty.cod, stack)
-            if not (isinstance(z, Con) and z.name == "Unrestricted"
-                    and len(z.args) == 1):
+            z = _eval(st, Clo(inner, env), ONE, cont_ty.cod, stack)
+            if not (isinstance(z.term, Con) and z.term.name == "Unrestricted"
+                    and len(z.term.args) == 1):
                 raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
                                  "array continuation did not return an "
                                  "Unrestricted value")
             return _ret(st, "newMArray", z, demand, ty, stack)
 
         case "write":
-            st.tick("write", t)
-            i = _want_int(st, name,
-                          _prim_arg(st, name, args, 0, demand, stack))
-            arr = _want_array(st, name,
-                              _prim_arg(st, name, args, 1, demand, stack),
+            st.tick("write", t, env)
+            i = _want_int(st, name, _prim_arg(st, name, cargs, 0,
+                                              demand, stack))
+            arr = _want_array(st, name, _prim_arg(st, name, cargs, 1,
+                                                  demand, stack),
                               want_frozen=False)
             if not 0 <= i < len(arr.elems):
                 raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
@@ -670,47 +753,48 @@ def _eval_prim(st: _PState, t: Prim, name: str, args: tuple[Term, ...],
                                  f"size {len(arr.elems)}")
             elem = args[2]
             assert isinstance(elem, Var)
-            elems = arr.elems[:i] + (elem.name,) + arr.elems[i + 1:]
+            elems = (arr.elems[:i] + (env.get(elem.name, elem.name),)
+                     + arr.elems[i + 1:])
             st.array_copies += 1  # a structurally fresh array every write
             fresh_arr = ArrayLit(elems, arr.elem_ty, False, ty=arr.ty)
-            return _ret(st, "write", fresh_arr, demand, ty, stack)
+            return _ret(st, "write", Clo(fresh_arr), demand, ty, stack)
 
         case "freeze":
-            st.tick("freeze", t)
-            arr = _want_array(st, name,
-                              _prim_arg(st, name, args, 0, demand, stack),
+            st.tick("freeze", t, env)
+            arr = _want_array(st, name, _prim_arg(st, name, cargs, 0,
+                                                  demand, stack),
                               want_frozen=False)
             frozen = ArrayLit(arr.elems, arr.elem_ty, True,
                               ty=TArray(arr.elem_ty))
             x = st.fresh(FRESH_PREFIX)
-            st.insert(EnvBind(x, False, TArray(arr.elem_ty), frozen,
-                              st.new_group()))
+            st.insert(_Bind(x, False, TArray(arr.elem_ty), Clo(frozen),
+                            st.new_group()))
             value = Con("Unrestricted", (TArray(arr.elem_ty),), (),
                         (Var(x, ty=TArray(arr.elem_ty)),), ty=ty)
-            return _ret(st, "freeze", value, demand, ty, stack)
+            return _ret(st, "freeze", Clo(value), demand, ty, stack)
 
         case "index":
-            st.tick("index", t)
-            i = _want_int(st, name,
-                          _prim_arg(st, name, args, 0, demand, stack))
-            arr = _want_array(st, name,
-                              _prim_arg(st, name, args, 1, demand, stack),
+            st.tick("index", t, env)
+            i = _want_int(st, name, _prim_arg(st, name, cargs, 0,
+                                              demand, stack))
+            arr = _want_array(st, name, _prim_arg(st, name, cargs, 1,
+                                                  demand, stack),
                               want_frozen=True)
             if not 0 <= i < len(arr.elems):
                 raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
                                  f"index {i} out of bounds for array of "
                                  f"size {len(arr.elems)}")
             elem_name = arr.elems[i]
-            b = st.by_name.get(elem_name)
+            b = st.binds.get(elem_name)
             elem_ty = b.ty if b is not None else arr.elem_ty
-            return _Continue(Var(elem_name, ty=elem_ty), demand, elem_ty)
+            return Continue(Var(elem_name, ty=elem_ty), EMPTY_ENV, elem_ty)
 
         case "add" | "sub" | "mul" | "eq" | "lt":
-            st.tick("prim", t)
-            a = _want_int(st, name,
-                          _prim_arg(st, name, args, 0, demand, stack))
-            b = _want_int(st, name,
-                          _prim_arg(st, name, args, 1, demand, stack))
+            st.tick("prim", t, env)
+            a = _want_int(st, name, _prim_arg(st, name, cargs, 0,
+                                              demand, stack))
+            b = _want_int(st, name, _prim_arg(st, name, cargs, 1,
+                                              demand, stack))
             match name:
                 case "add":
                     value: Term = IntLit(a + b, ty=TInt())
@@ -726,7 +810,7 @@ def _eval_prim(st: _PState, t: Prim, name: str, args: tuple[Term, ...],
                                 ty=TData("Bool"))
                 case _:
                     raise AssertionError(name)
-            return _ret(st, "prim", value, demand, ty, stack)
+            return _ret(st, "prim", Clo(value), demand, ty, stack)
 
         case _:
             raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "prim", "",

@@ -18,7 +18,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .diagnostics import CheckError
 from .eval_ordinary import EvalResult, Heap, eval_term, force_variable
@@ -27,7 +27,7 @@ from .eval_pure import (PreservationViolation, PureResult, eval_pure,
 from .multiplicity import NF_ONE, mult_normalize
 from .parser import parse_prelude
 from .pretty import show_program
-from .runtime import OutcomeKind
+from .runtime import Outcome, OutcomeKind
 from .syntax import (App, Branch, Case, Con, DataDecl, INT, IntLit, Lam, Let,
                      LetBind, MVar, MultApp, MultExpr, MultLam, OMEGA, ONE,
                      Prim, TArrow, TData, TForall, TMArray, Term, Type, Var)
@@ -443,49 +443,52 @@ def is_ground_type(ty: Type, env: TypeEnv,
             return False
 
 
-def deep_force_ordinary(res: EvalResult, value: Term,
-                        fuel: int) -> tuple[ValueTree, bool]:
-    """Fully force a ground result; returns (tree, ok)."""
+def deep_force(value: Term,
+               force_field: Callable[[Con, int], Outcome]
+               ) -> tuple[ValueTree, bool]:
+    """Fully force a ground result; returns (tree, ok).  ``force_field``
+    forces field ``i`` of a constructor value in its evaluator."""
     match value:
         case IntLit(n):
             return ("int", n), True
         case Con(name, _, _, args):
             children = []
-            for a in args:
-                assert isinstance(a, Var)
-                sub = force_variable(res, a.name, fuel)
-                if not sub.outcome.is_value:
-                    return ("opaque", sub.outcome.kind.value), False
-                tree, ok = deep_force_ordinary(sub, sub.outcome.value, fuel)
+            for i in range(len(args)):
+                out = force_field(value, i)
+                if not out.is_value:
+                    return ("opaque", out.kind.value), False
+                tree, ok = deep_force(out.value, force_field)
                 if not ok:
                     return tree, False
                 children.append(tree)
             return ("con", name, tuple(children)), True
         case _:
             return ("opaque", type(value).__name__), False
+
+
+def _field_name(con: Con, i: int) -> str:
+    arg = con.args[i]
+    assert isinstance(arg, Var)
+    return arg.name
+
+
+def deep_force_ordinary(res: EvalResult, value: Term,
+                        fuel: int) -> tuple[ValueTree, bool]:
+    return deep_force(value, lambda con, i: force_variable(
+        res, _field_name(con, i), fuel).outcome)
 
 
 def deep_force_pure(res: PureResult, value: Term, env: TypeEnv,
                     fuel: int) -> tuple[ValueTree, bool]:
-    match value:
-        case IntLit(n):
-            return ("int", n), True
-        case Con(name, targs, margs, args):
-            fields, _ = instantiate_con(env, name, targs, margs)
-            children = []
-            for a, (_, fmult) in zip(args, fields):
-                assert isinstance(a, Var)
-                demand = ONE if mult_normalize(fmult) == NF_ONE else OMEGA
-                sub = force_pure_variable(res, a.name, demand, fuel)
-                if not sub.outcome.is_value:
-                    return ("opaque", sub.outcome.kind.value), False
-                tree, ok = deep_force_pure(sub, sub.outcome.value, env, fuel)
-                if not ok:
-                    return tree, False
-                children.append(tree)
-            return ("con", name, tuple(children)), True
-        case _:
-            return ("opaque", type(value).__name__), False
+    """As ``deep_force_ordinary``; each field is forced at the demand of
+    its declared multiplicity."""
+    def force_field(con: Con, i: int) -> Outcome:
+        fields, _ = instantiate_con(env, con.name, con.type_args,
+                                    con.mult_args)
+        demand = ONE if mult_normalize(fields[i][1]) == NF_ONE else OMEGA
+        return force_pure_variable(res, _field_name(con, i), demand,
+                                   fuel).outcome
+    return deep_force(value, force_field)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +551,8 @@ def _bisim(checked: CheckedProgram, sharing: Term, fuel: int,
     elif (ores.outcome.kind is OutcomeKind.OUT_OF_FUEL
           and pres.outcome.kind is OutcomeKind.OUT_OF_FUEL):
         report.agree = True
+    # the two semantics apply their rules in step: equal step counts
+    report.agree = report.agree and ores.steps == pres.steps
     return report
 
 
@@ -618,8 +623,7 @@ def fuzz(cfg: GenConfig, count: int, fuel: int,
          repro_dir: Optional[str] = None) -> FuzzSummary:
     """Generate ``count`` programs; check progress, preservation and
     agreement on each.  Violations are counted and dumped; blackholes and
-    fuel exhaustion are tracked separately (a fuel-out is retried once with
-    doubled fuel before being counted)."""
+    fuel exhaustion are tracked separately."""
     if count < 1:
         raise ValueError("count must be >= 1")
     cfg.validate()
@@ -636,9 +640,6 @@ def fuzz(cfg: GenConfig, count: int, fuel: int,
         sharing = to_sharing(checked.term, checked.env)
         program_id = f"fuzz-{cfg.seed}-{i}"
         report = _bisim(checked, sharing, fuel, program_id)
-        if not report.agree and OutcomeKind.OUT_OF_FUEL.value in (
-                report.ordinary_outcome, report.pure_outcome):
-            report = _bisim(checked, sharing, 2 * fuel, program_id)
         blocked = OutcomeKind.BLOCKED.value
         if report.ordinary_outcome == blocked or report.pure_outcome == blocked:
             summary.progress_violations += 1
@@ -648,13 +649,12 @@ def fuzz(cfg: GenConfig, count: int, fuel: int,
             if (report.ordinary_outcome == report.pure_outcome
                     == OutcomeKind.BLACKHOLE.value):
                 summary.blackholes += 1
-            elif OutcomeKind.OUT_OF_FUEL.value in (report.ordinary_outcome,
-                                                   report.pure_outcome):
-                summary.fuel_outs += 1
-            else:
+            else:  # one running out of fuel alone is a step mismatch too
                 summary.disagreements += 1
                 summary.reproducers.append(
                     _dump_reproducer(prog, directory, cfg.seed, i))
+        elif report.ordinary_outcome == OutcomeKind.OUT_OF_FUEL.value:
+            summary.fuel_outs += 1
         try:
             pres = instrumented_eval(
                 initial_state(sharing, checked.ty, checked.env), fuel)

@@ -1,4 +1,12 @@
-"""Outcomes, traces and the machine plumbing shared by both evaluators.
+"""Outcomes, traces, closures and the machine plumbing shared by both
+evaluators.
+
+Both evaluators work on closures instead of substituting: a term is paired
+with an environment (``Env``) from its free source binders to the names
+they stand for, and a beta, case or let step extends the environment
+rather than copying the body.  A closure becomes a term again
+(``rename_vars``) only where a term is observed: a traced or aborted step,
+a final value, or a state that the pure evaluator checks.
 
 ``Machine`` holds what the two semantics have in common: fuel, the step
 count, fresh names, the rule trace, the aborts (fuel, blocked, blackhole)
@@ -10,11 +18,45 @@ differential test still compares two independent semantics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .pretty import show_term, summarize
-from .syntax import Term
+from .syntax import Term, Type, free_vars, rename_vars
+
+# Source binder -> the heap or environment name it stands for.  An
+# environment is never changed once built; extending one copies it.  A name
+# that is not in the environment stands for itself.
+Env = dict[str, str]
+EMPTY_ENV: Env = {}
+
+
+class Clo:
+    """A closure whose built term (``rename_vars`` of the term under the
+    environment) is made once, on first use, and kept."""
+
+    __slots__ = ("term", "env", "_built")
+
+    def __init__(self, term: Term, env: Env = EMPTY_ENV) -> None:
+        self.term = term
+        self.env = env
+        self._built: Optional[Term] = None
+
+    def built(self) -> Term:
+        if self._built is None:
+            self._built = rename_vars(self.term, self.env)
+        return self._built
+
+
+class Continue:
+    """A primitive's result that is not a value yet: evaluation goes on
+    with ``term`` under ``env``, at type ``ty`` in the pure semantics."""
+
+    __slots__ = ("term", "env", "ty")
+
+    def __init__(self, term: Term, env: Env,
+                 ty: Optional[Type] = None) -> None:
+        self.term, self.env, self.ty = term, env, ty
 
 
 class OutcomeKind(enum.Enum):
@@ -85,21 +127,34 @@ class Machine:
     steps: int = 0
     fresh_counter: int = 0
     trace: Optional[list[TraceRecord]] = None
+    # free variables of the terms seen so far, by id (``free_vars``)
+    fv_memo: dict[int, tuple[Term, frozenset[str]]] = field(
+        default_factory=dict)
 
     def fresh(self, prefix: str) -> str:
         name = f"{prefix}{self.fresh_counter}"
         self.fresh_counter += 1
         return name
 
-    def tick(self, rule: str, redex: Term) -> None:
+    def trim(self, env: Env, term: Term) -> Env:
+        """``env`` cut down to the free variables of ``term``, so that a
+        stored closure keeps only the names it can reach."""
+        if not env:
+            return env
+        return {x: env[x] for x in free_vars(term, self.fv_memo)
+                if x in env}
+
+    def tick(self, rule: str, redex: Term, env: Env) -> None:
+        """Count one rule application to the closure ``redex``/``env``."""
         if self.fuel <= 0:
             raise EvalAbort(Outcome(OutcomeKind.OUT_OF_FUEL,
-                                    detail=summarize(redex),
+                                    detail=summarize(rename_vars(redex, env)),
                                     steps=self.steps))
         self.fuel -= 1
         self.steps += 1
         if self.trace is not None:
-            self.trace.append(TraceRecord(rule, summarize(redex)))
+            self.trace.append(TraceRecord(rule,
+                                          summarize(rename_vars(redex, env))))
 
     def blocked(self, reason: BlockReason, rule: str, location: str,
                 detail: str) -> EvalAbort:

@@ -397,39 +397,50 @@ def subterms(t: Term) -> Iterator[Term]:
             pass
 
 
-def free_vars(t: Term) -> frozenset[str]:
+def free_vars(t: Term, memo: Optional[dict[int, tuple[Term, frozenset[str]]]]
+              = None) -> frozenset[str]:
+    """The free variables of ``t``.  ``memo``, if given, maps the id of
+    each term already walked to the term and its free variables; the walk
+    reads it and fills it in, so a term is walked once per memo."""
+    if memo is not None:
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
+
+    def fv(s: Term) -> frozenset[str]:
+        return free_vars(s, memo)
+
+    out: frozenset[str]
     match t:
         case Var(name):
-            return frozenset((name,))
+            out = frozenset((name,))
         case Lam(_, x, _, body):
-            return free_vars(body) - {x}
+            out = fv(body) - {x}
         case App(fun, arg):
-            return free_vars(fun) | free_vars(arg)
-        case MultApp(fun, _):
-            return free_vars(fun)
-        case MultLam(_, body):
-            return free_vars(body)
+            out = fv(fun) | fv(arg)
+        case MultApp(fun, _) | MultLam(_, fun):
+            out = fv(fun)
         case Con(_, _, _, args) | Prim(_, args):
-            out: frozenset[str] = frozenset()
+            out = frozenset()
             for a in args:
-                out |= free_vars(a)
-            return out
+                out |= fv(a)
         case Case(_, scrut, branches):
-            out = free_vars(scrut)
+            out = fv(scrut)
             for b in branches:
-                out |= free_vars(b.body) - frozenset(b.binders)
-            return out
+                out |= fv(b.body) - frozenset(b.binders)
         case Let(mult, binds, body):
             bound = frozenset(b.var for b in binds)
             rhs_bound = bound if is_omega_mult(mult) else frozenset()
-            out = free_vars(body) - bound
+            out = fv(body) - bound
             for b in binds:
-                out |= free_vars(b.rhs) - rhs_bound
-            return out
+                out |= fv(b.rhs) - rhs_bound
         case ArrayLit(elems):
-            return frozenset(elems)
+            out = frozenset(elems)
         case _:
-            return frozenset()
+            out = frozenset()
+    if memo is not None:
+        memo[id(t)] = (t, out)
+    return out
 
 
 def rename_vars(t: Term, mapping: dict[str, str]) -> Term:
@@ -445,44 +456,58 @@ def rename_vars(t: Term, mapping: dict[str, str]) -> Term:
     match t:
         case Var(name):
             new = mapping.get(name)
-            return dataclasses.replace(t, name=new) if new else t
+            return _with(t, name=new) if new else t
         case Lam(_, x, _, body):
-            inner = {k: v for k, v in mapping.items() if k != x}
-            return dataclasses.replace(t, body=rename_vars(body, inner))
+            inner = _without(mapping, (x,))
+            return _with(t, body=rename_vars(body, inner))
         case App(fun, arg):
-            return dataclasses.replace(t, fun=rename_vars(fun, mapping),
-                                       arg=rename_vars(arg, mapping))
+            return _with(t, fun=rename_vars(fun, mapping),
+                         arg=rename_vars(arg, mapping))
         case MultApp(fun, _):
-            return dataclasses.replace(t, fun=rename_vars(fun, mapping))
+            return _with(t, fun=rename_vars(fun, mapping))
         case MultLam(_, body):
-            return dataclasses.replace(t, body=rename_vars(body, mapping))
+            return _with(t, body=rename_vars(body, mapping))
         case Con(_, _, _, args):
-            return dataclasses.replace(
-                t, args=tuple(rename_vars(a, mapping) for a in args))
+            return _with(t, args=tuple(rename_vars(a, mapping)
+                                       for a in args))
         case Prim(_, args):
-            return dataclasses.replace(
-                t, args=tuple(rename_vars(a, mapping) for a in args))
+            return _with(t, args=tuple(rename_vars(a, mapping)
+                                       for a in args))
         case Case(_, scrut, branches):
             new_branches = []
             for b in branches:
-                inner = {k: v for k, v in mapping.items() if k not in b.binders}
-                new_branches.append(dataclasses.replace(
-                    b, body=rename_vars(b.body, inner)))
-            return dataclasses.replace(t, scrut=rename_vars(scrut, mapping),
-                                       branches=tuple(new_branches))
+                inner = _without(mapping, b.binders)
+                new_branches.append(_with(b, body=rename_vars(b.body,
+                                                              inner)))
+            return _with(t, scrut=rename_vars(scrut, mapping),
+                         branches=tuple(new_branches))
         case Let(mult, binds, body):
-            bound = frozenset(b.var for b in binds)
-            inner = {k: v for k, v in mapping.items() if k not in bound}
+            inner = _without(mapping, [b.var for b in binds])
             rhs_map = inner if is_omega_mult(mult) else mapping
-            new_binds = tuple(dataclasses.replace(b, rhs=rename_vars(b.rhs, rhs_map))
+            new_binds = tuple(_with(b, rhs=rename_vars(b.rhs, rhs_map))
                               for b in binds)
-            return dataclasses.replace(t, binds=new_binds,
-                                       body=rename_vars(body, inner))
+            return _with(t, binds=new_binds, body=rename_vars(body, inner))
         case ArrayLit(elems):
-            return dataclasses.replace(
-                t, elems=tuple(mapping.get(e, e) for e in elems))
+            return _with(t, elems=tuple(mapping.get(e, e) for e in elems))
         case _:
             return t
+
+
+def _with(t, **changes):
+    """A copy of the frozen node ``t`` with ``changes`` to its fields.
+    Unlike ``dataclasses.replace`` it does not re-run ``__init__``; terms
+    have no ``__post_init__``, and this is the hot path of renaming."""
+    new = object.__new__(type(t))
+    new.__dict__.update(t.__dict__)
+    new.__dict__.update(changes)
+    return new
+
+
+def _without(mapping: dict[str, str], names) -> dict[str, str]:
+    """``mapping`` minus ``names``; ``mapping`` itself when none is in it."""
+    if not any(x in mapping for x in names):
+        return mapping
+    return {k: v for k, v in mapping.items() if k not in names}
 
 
 def term_subst_mult(t: Term, var: str, by: MultExpr) -> Term:

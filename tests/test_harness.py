@@ -1,6 +1,7 @@
 """Generator soundness, differential agreement, and the fuzz loop."""
 
 import dataclasses
+import time
 from collections import Counter
 
 import pytest
@@ -148,7 +149,8 @@ def test_fuzz_reports_disagreement(tmp_path, monkeypatch):
 def test_fuzz_checks_and_translates_each_program_once(seed, starve,
                                                       tmp_path, monkeypatch):
     """The generator's check and one sharing translation serve both
-    evaluators, the doubled-fuel retry and the instrumented run."""
+    evaluators and the instrumented run.  A program whose pure run alone
+    runs out of fuel is not retried: it is a disagreement."""
     import lqlang.harness as H
     calls = Counter()
     for name in ("check_program", "to_sharing"):
@@ -159,18 +161,53 @@ def test_fuzz_checks_and_translates_each_program_once(seed, starve,
     real_pure = H.eval_pure
 
     def pure(state, fuel, **kwargs):
-        """With ``starve``, the first pure run runs out of fuel, so the
-        evaluators disagree and the program is retried."""
+        """With ``starve``, the pure run runs out of fuel."""
         calls["eval_pure"] += 1
-        if starve and calls["eval_pure"] == 1:
-            fuel = 1
-        return real_pure(state, fuel, **kwargs)
+        return real_pure(state, 1 if starve else fuel, **kwargs)
 
     monkeypatch.setattr(H, "eval_pure", pure)
     summary = fuzz(GenConfig(seed=seed), 1, 100_000, repro_dir=str(tmp_path))
-    assert summary.clean and summary.generation_failures == 0
-    assert calls == {"check_program": 1, "to_sharing": 1,
-                     "eval_pure": 2 if starve else 1}
+    assert summary.generation_failures == summary.fuel_outs == 0
+    assert summary.disagreements == (1 if starve else 0)
+    assert calls == {"check_program": 1, "to_sharing": 1, "eval_pure": 1}
+
+
+def test_fuzz_counts_a_step_mismatch_as_disagreement(tmp_path, monkeypatch):
+    """The two semantics take the same number of steps; a planted extra
+    pure step is reported even though the values agree."""
+    import lqlang.harness as H
+    real_pure = H.eval_pure
+
+    def one_step_more(state, fuel, **kwargs):
+        res = real_pure(state, fuel, **kwargs)
+        res.steps += 1
+        return res
+
+    monkeypatch.setattr(H, "eval_pure", one_step_more)
+    summary = fuzz(GenConfig(seed=0), 2, 100_000, repro_dir=str(tmp_path))
+    assert summary.disagreements == 2 and len(summary.reproducers) == 2
+    assert summary.progress_violations == summary.fuel_outs == 0
+
+
+def test_fuzz_counts_a_shared_fuel_out(tmp_path):
+    """A program both semantics run out of fuel on agrees; it is counted
+    as a fuel exhaustion, not a violation."""
+    summary = fuzz(GenConfig(seed=0), 2, 3, repro_dir=str(tmp_path))
+    assert summary.fuel_outs == 2 and summary.clean
+
+
+def test_nested_add_runs_in_linear_time(prelude):
+    """``add(1, add(1, ...))`` nested 1000 deep: each step costs the same
+    at any depth, so both semantics finish well inside the ceiling (with
+    substitution this took about 50 s per evaluator)."""
+    src = "main = " + "add(1, " * 1000 + "0" + ")" * 1000
+    sf = parse_program(src, base=prelude)
+    start = time.perf_counter()
+    r = bisim_run(sf.decls, sf.defs, sf.main, 100_000, "add-1000")
+    elapsed = time.perf_counter() - start
+    assert r.agree and r.ordinary_value == r.pure_value == ("int", 1000)
+    assert r.ordinary_steps == r.pure_steps == 6001
+    assert elapsed < 10.0, f"took {elapsed:.1f} s"
 
 
 def test_fuzz_json_and_table():
