@@ -26,13 +26,13 @@ blackhole (ill-founded recursion through unrestricted bindings).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 from .pretty import summarize
 from .runtime import (BlockReason, Continue, EMPTY_ENV, Env, Machine,
-                      Outcome, TraceRecord)
+                      Outcome, TraceRecord, arith)
 from .syntax import (App, ArrName, ArrayLit, Case, Con, IntLit, Lam, Let,
-                     LetBind, MultApp, MultLam, ONE, Prim, Term, Type, Var,
+                     LetBind, MultApp, MultLam, ONE, Prim, Term, Var,
                      is_omega_mult, rename_vars, term_subst_mult)
 
 Value = tuple[Term, Env]  # a closure in weak-head normal form
@@ -44,7 +44,6 @@ CELL_PREFIX = "%a"
 @dataclass
 class Susp:
     term: Term
-    ann: Optional[Type] = None
     env: Env = field(default_factory=dict)
 
 
@@ -165,7 +164,7 @@ def _eval(st: _State, t: Term, env: Env) -> Value:
                     value = _eval(st, binding.term, binding.env)
                 finally:
                     st.forcing.discard(x)
-                heap[x] = Susp(value[0], binding.ann, value[1])
+                heap[x] = Susp(value[0], value[1])
                 return value
 
             case App(fun, arg):
@@ -199,8 +198,7 @@ def _eval(st: _State, t: Term, env: Env) -> Value:
                 # is outside the scope of its own binders
                 rhs_env = inner if is_omega_mult(mult) else env
                 for b in binds:
-                    heap[inner[b.var]] = Susp(b.rhs, b.var_ty,
-                                              st.trim(rhs_env, b.rhs))
+                    heap[inner[b.var]] = Susp(b.rhs, st.trim(rhs_env, b.rhs))
                 t, env = body, inner
                 continue
 
@@ -320,7 +318,7 @@ def _eval_prim(st: _State, t: Prim, env: Env, name: str,
                                           want_frozen=False)
             cell.frozen = True  # retag in place
             alias = st.fresh(FRESH_PREFIX)
-            heap[alias] = Susp(ArrName(cell_name), None)
+            heap[alias] = Susp(ArrName(cell_name))
             return Con("Unrestricted", (), (), (Var(alias),)), EMPTY_ENV
 
         case "index":
@@ -335,21 +333,8 @@ def _eval_prim(st: _State, t: Prim, env: Env, name: str,
             st.tick("prim", t, env)
             a = _force_int(st, name, args[0], env)
             b = _force_int(st, name, args[1], env)
-            match name:
-                case "add":
-                    return IntLit(a + b), EMPTY_ENV
-                case "sub":
-                    return IntLit(a - b), EMPTY_ENV
-                case "mul":
-                    return IntLit(a * b), EMPTY_ENV
-                case "eq":
-                    return Con("True" if a == b else "False", (), (),
-                               ()), EMPTY_ENV
-                case "lt":
-                    return Con("True" if a < b else "False", (), (),
-                               ()), EMPTY_ENV
+            return arith(name, a, b), EMPTY_ENV
 
         case _:
             raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "prim", "",
                              f"unknown primitive '{name}'")
-    raise AssertionError("unreachable")

@@ -58,11 +58,11 @@ from .multiplicity import (NF_OMEGA, NF_ONE, ZERO, Usage, mult_normalize,
                            sub_usage, usage_add, usage_scale)
 from .pretty import summarize
 from .runtime import (BlockReason, Clo, Continue, EMPTY_ENV, Env, Machine,
-                      Outcome, TraceRecord)
+                      Outcome, TraceRecord, arith)
 from .syntax import (App, ArrayLit, Case, Con, ConDecl, DataDecl, IntLit,
                      Lam, Let, LetBind, MVar, MultApp, MultExpr, MultLam,
                      OMEGA, ONE, Omega, One, Prim, TArray, TArrow, TData, TInt,
-                     TMArray, TVar, Term, Type, Var,
+                     TMArray, TVar, Term, Type, Var, _with,
                      is_omega_mult, mult_vars, rename_vars, term_subst_mult)
 from .typecheck import (PRIM_ARG_MULTS, TypeEnv, check_type, infer,
                         type_equiv)
@@ -601,9 +601,9 @@ def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
                 hole = st.fresh(FRESH_PREFIX)
                 # the pending branches, as a function of the scrutinee; only
                 # a state check reads them
-                frame = Clo(Lam(m, hole, scrut_ty, dataclasses.replace(
-                    t, scrut=Var(hole, ty=scrut_ty)), ty=frame_ty),
-                    env) if st.check else None
+                frame = Clo(Lam(m, hole, scrut_ty,
+                                _with(t, scrut=Var(hole, ty=scrut_ty)),
+                                ty=frame_ty), env) if st.check else None
                 entry = _Frame(frame, demand, frame_ty, stack)
                 sv = _eval(st, Clo(scrut, env), _dmul(st, m, demand),
                            scrut_ty, entry)
@@ -795,22 +795,8 @@ def _eval_prim(st: _PState, t: Prim, env: Env, name: str,
                                               demand, stack))
             b = _want_int(st, name, _prim_arg(st, name, cargs, 1,
                                               demand, stack))
-            match name:
-                case "add":
-                    value: Term = IntLit(a + b, ty=TInt())
-                case "sub":
-                    value = IntLit(a - b, ty=TInt())
-                case "mul":
-                    value = IntLit(a * b, ty=TInt())
-                case "eq":
-                    value = Con("True" if a == b else "False", (), (), (),
-                                ty=TData("Bool"))
-                case "lt":
-                    value = Con("True" if a < b else "False", (), (), (),
-                                ty=TData("Bool"))
-                case _:
-                    raise AssertionError(name)
-            return _ret(st, "prim", Clo(value), demand, ty, stack)
+            return _ret(st, "prim", Clo(arith(name, a, b)), demand, ty,
+                        stack)
 
         case _:
             raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "prim", "",

@@ -64,6 +64,9 @@ class GenerationExhausted(Exception):
     pass
 
 
+MAX_RETRIES = 20  # generation attempts per program
+
+
 @dataclass
 class GenConfig:
     seed: int = 0
@@ -71,7 +74,6 @@ class GenConfig:
     weights: tuple[float, float, float] = (2.0, 2.0, 1.0)  # 1 / w / variable
     array_prob: float = 0.3
     target: str = "Int"  # "Int" or "Bool"
-    max_retries: int = 20
 
     def validate(self) -> None:
         if self.max_depth < 1:
@@ -400,7 +402,7 @@ def gen_welltyped(cfg: GenConfig) -> GenProgram:
     cfg.validate()
     rng = random.Random(f"lq:{cfg.seed}")
     last_error: Optional[CheckError] = None
-    for _ in range(cfg.max_retries):
+    for _ in range(MAX_RETRIES):
         gen = _Gen(rng, cfg)
         prog = gen.program()
         try:
@@ -409,7 +411,7 @@ def gen_welltyped(cfg: GenConfig) -> GenProgram:
         except CheckError as exc:  # pragma: no cover - generator soundness
             last_error = exc
     raise GenerationExhausted(
-        f"no well-typed program after {cfg.max_retries} attempts: "
+        f"no well-typed program after {MAX_RETRIES} attempts: "
         f"{last_error}")
 
 

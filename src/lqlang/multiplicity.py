@@ -35,15 +35,6 @@ class MultNF:
     def __post_init__(self) -> None:
         assert self.terms, "the multiplicity semiring has no zero"
 
-    def is_concrete(self) -> bool:
-        return all(not mono for mono, _ in self.terms)
-
-    def variables(self) -> frozenset[str]:
-        out: set[str] = set()
-        for mono, _ in self.terms:
-            out.update(mono)
-        return frozenset(out)
-
 
 NF_ONE = MultNF((((), _1),))
 NF_OMEGA = MultNF((((), _W),))
@@ -129,10 +120,6 @@ def nf_render(nf: MultNF) -> MultExpr:
     for p in parts[1:]:
         out = MSum(out, p)
     return out
-
-
-def is_omega(u: UsageMult) -> bool:
-    return isinstance(u, MultNF) and u == NF_OMEGA
 
 
 def mult_add(a: UsageMult, b: UsageMult) -> UsageMult:

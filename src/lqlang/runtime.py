@@ -10,19 +10,22 @@ a final value, or a state that the pure evaluator checks.
 
 ``Machine`` holds what the two semantics have in common: fuel, the step
 count, fresh names, the rule trace, the aborts (fuel, blocked, blackhole)
-and the driver that turns a run into an outcome.  Every rule that decides
-mutation, linear consumption or typestate stays in its evaluator, so the
-differential test still compares two independent semantics.
+and the driver that turns a run into an outcome; ``arith`` computes the
+integer primitives for both.  Every rule that decides mutation, linear
+consumption or typestate stays in its evaluator, so the differential test
+still compares two independent semantics.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .pretty import show_term, summarize
-from .syntax import Term, Type, free_vars, rename_vars
+from .syntax import (Con, INT, IntLit, TData, Term, Type, free_vars,
+                     rename_vars)
 
 # Source binder -> the heap or environment name it stands for.  An
 # environment is never changed once built; extending one copies it.  A name
@@ -57,6 +60,21 @@ class Continue:
     def __init__(self, term: Term, env: Env,
                  ty: Optional[Type] = None) -> None:
         self.term, self.env, self.ty = term, env, ty
+
+
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+          "eq": operator.eq, "lt": operator.lt}
+_BOOL = TData("Bool")
+
+
+def arith(name: str, a: int, b: int) -> Term:
+    """The typed value of the primitive ``name`` (``add``, ``sub``, ``mul``,
+    ``eq`` or ``lt``) on ``a`` and ``b``: an integer, or ``True``/``False``
+    for a comparison."""
+    result = _ARITH[name](a, b)
+    if isinstance(result, bool):
+        return Con("True" if result else "False", (), (), (), ty=_BOOL)
+    return IntLit(result, ty=INT)
 
 
 class OutcomeKind(enum.Enum):

@@ -7,9 +7,8 @@ regardless of source position or typechecker output.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -371,30 +370,73 @@ class ConDecl:
     loc: Optional[Loc] = field(**_ANN)
 
 
+def children(t: Term) -> tuple[Term, ...]:
+    """The direct subterms of ``t``: ``fun`` before ``arg``, ``scrut``
+    before the branch bodies, right-hand sides before a let body."""
+    match t:
+        case Lam() | MultLam():
+            return (t.body,)
+        case App():
+            return (t.fun, t.arg)
+        case MultApp():
+            return (t.fun,)
+        case Con() | Prim():
+            return t.args
+        case Case():
+            return (t.scrut, *(b.body for b in t.branches))
+        case Let():
+            return (*(b.rhs for b in t.binds), t.body)
+        case _:
+            return ()
+
+
+def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
+    """``t`` rebuilt with ``f`` applied to each direct subterm, in the
+    order of ``children``.  A node with no subterms comes back as itself.
+    With ``children``, this is the one place that knows which fields of a
+    node hold subterms; every other walk handles only the nodes where it
+    differs and leaves the rest to these two."""
+    match t:
+        case Lam() | MultLam():
+            return _with(t, body=f(t.body))
+        case App():
+            return _with(t, fun=f(t.fun), arg=f(t.arg))
+        case MultApp():
+            return _with(t, fun=f(t.fun))
+        case Con() | Prim():
+            return _with(t, args=tuple(map(f, t.args))) if t.args else t
+        case Case():
+            return _with(t, scrut=f(t.scrut),
+                         branches=tuple(_with(b, body=f(b.body))
+                                        for b in t.branches))
+        case Let():
+            return _with(t, binds=tuple(_with(b, rhs=f(b.rhs))
+                                        for b in t.binds),
+                         body=f(t.body))
+        case _:
+            return t
+
+
+def _with(t, **changes):
+    """A copy of the frozen node ``t`` (a term, branch or let binding) with
+    ``changes`` to its fields.  Unlike ``dataclasses.replace`` it does not
+    re-run ``__init__``; these nodes have no ``__post_init__``, and copying
+    is the hot path of renaming and inference.  Fields are set one by one,
+    not through ``__dict__``: touching an instance's ``__dict__`` makes
+    CPython give it a separate dict, which doubles the node's size."""
+    new = object.__new__(type(t))
+    for name in t.__dataclass_fields__:
+        object.__setattr__(new, name,
+                           changes[name] if name in changes
+                           else getattr(t, name))
+    return new
+
+
 def subterms(t: Term) -> Iterator[Term]:
     """The term and all of its descendants, pre-order."""
     yield t
-    match t:
-        case Lam(_, _, _, body) | MultLam(_, body):
-            yield from subterms(body)
-        case App(fun, arg):
-            yield from subterms(fun)
-            yield from subterms(arg)
-        case MultApp(fun, _):
-            yield from subterms(fun)
-        case Con(_, _, _, args) | Prim(_, args):
-            for a in args:
-                yield from subterms(a)
-        case Case(_, scrut, branches):
-            yield from subterms(scrut)
-            for b in branches:
-                yield from subterms(b.body)
-        case Let(_, binds, body):
-            for b in binds:
-                yield from subterms(b.rhs)
-            yield from subterms(body)
-        case _:
-            pass
+    for c in children(t):
+        yield from subterms(c)
 
 
 def free_vars(t: Term, memo: Optional[dict[int, tuple[Term, frozenset[str]]]]
@@ -416,14 +458,6 @@ def free_vars(t: Term, memo: Optional[dict[int, tuple[Term, frozenset[str]]]]
             out = frozenset((name,))
         case Lam(_, x, _, body):
             out = fv(body) - {x}
-        case App(fun, arg):
-            out = fv(fun) | fv(arg)
-        case MultApp(fun, _) | MultLam(_, fun):
-            out = fv(fun)
-        case Con(_, _, _, args) | Prim(_, args):
-            out = frozenset()
-            for a in args:
-                out |= fv(a)
         case Case(_, scrut, branches):
             out = fv(scrut)
             for b in branches:
@@ -437,7 +471,7 @@ def free_vars(t: Term, memo: Optional[dict[int, tuple[Term, frozenset[str]]]]
         case ArrayLit(elems):
             out = frozenset(elems)
         case _:
-            out = frozenset()
+            out = frozenset().union(*map(fv, children(t)))
     if memo is not None:
         memo[id(t)] = (t, out)
     return out
@@ -460,19 +494,6 @@ def rename_vars(t: Term, mapping: dict[str, str]) -> Term:
         case Lam(_, x, _, body):
             inner = _without(mapping, (x,))
             return _with(t, body=rename_vars(body, inner))
-        case App(fun, arg):
-            return _with(t, fun=rename_vars(fun, mapping),
-                         arg=rename_vars(arg, mapping))
-        case MultApp(fun, _):
-            return _with(t, fun=rename_vars(fun, mapping))
-        case MultLam(_, body):
-            return _with(t, body=rename_vars(body, mapping))
-        case Con(_, _, _, args):
-            return _with(t, args=tuple(rename_vars(a, mapping)
-                                       for a in args))
-        case Prim(_, args):
-            return _with(t, args=tuple(rename_vars(a, mapping)
-                                       for a in args))
         case Case(_, scrut, branches):
             new_branches = []
             for b in branches:
@@ -490,17 +511,7 @@ def rename_vars(t: Term, mapping: dict[str, str]) -> Term:
         case ArrayLit(elems):
             return _with(t, elems=tuple(mapping.get(e, e) for e in elems))
         case _:
-            return t
-
-
-def _with(t, **changes):
-    """A copy of the frozen node ``t`` with ``changes`` to its fields.
-    Unlike ``dataclasses.replace`` it does not re-run ``__init__``; terms
-    have no ``__post_init__``, and this is the hot path of renaming."""
-    new = object.__new__(type(t))
-    new.__dict__.update(t.__dict__)
-    new.__dict__.update(changes)
-    return new
+            return map_children(t, lambda s: rename_vars(s, mapping))
 
 
 def _without(mapping: dict[str, str], names) -> dict[str, str]:
@@ -520,44 +531,28 @@ def term_subst_mult(t: Term, var: str, by: MultExpr) -> Term:
         return type_subst_mult(a, var, by) if a is not None else None
 
     def go(t: Term) -> Term:
-        t = dataclasses.replace(t, ty=st(t.ty))
+        changes = {"ty": st(t.ty)}
         match t:
-            case Var() | IntLit() | ArrName():
-                return t
-            case Lam(m, _, a, body):
-                return dataclasses.replace(t, mult=sm(m), var_ty=st(a),
-                                           body=go(body))
-            case App(fun, arg):
-                return dataclasses.replace(t, fun=go(fun), arg=go(arg),
-                                           mult_ann=sm(t.mult_ann))
-            case MultLam(p, body):
-                if p == var:
-                    return t
-                # Runtime substitutions are closed, so `by` cannot capture p.
-                return dataclasses.replace(t, body=go(body))
-            case MultApp(fun, m):
-                return dataclasses.replace(t, fun=go(fun), mult=sm(m))
-            case Con(_, targs, margs, args):
-                return dataclasses.replace(
-                    t, type_args=tuple(st(a) for a in targs),
-                    mult_args=tuple(sm(m) for m in margs),
-                    args=tuple(go(a) for a in args))
-            case Prim(_, args):
-                return dataclasses.replace(t, args=tuple(go(a) for a in args))
-            case Case(m, scrut, branches):
-                return dataclasses.replace(
-                    t, mult=sm(m), scrut=go(scrut),
-                    branches=tuple(dataclasses.replace(b, body=go(b.body))
-                                   for b in branches))
-            case Let(m, binds, body):
-                new_binds = tuple(
-                    dataclasses.replace(b, var_ty=st(b.var_ty), rhs=go(b.rhs))
-                    for b in binds)
-                return dataclasses.replace(t, mult=sm(m), binds=new_binds,
-                                           body=go(body))
+            case MultLam(p) if p == var:
+                # shadowed; another MultLam's body is substituted as usual,
+                # since runtime substitutions are closed and `by` cannot
+                # capture its parameter
+                return _with(t, **changes)
+            case Lam(m, _, a):
+                changes.update(mult=sm(m), var_ty=st(a))
+            case App():
+                changes.update(mult_ann=sm(t.mult_ann))
+            case MultApp(_, m) | Case(m):
+                changes.update(mult=sm(m))
+            case Con(_, targs, margs):
+                changes.update(type_args=tuple(map(st, targs)),
+                               mult_args=tuple(map(sm, margs)))
+            case Let(m, binds):
+                changes.update(mult=sm(m),
+                               binds=tuple(_with(b, var_ty=st(b.var_ty))
+                                           for b in binds))
             case ArrayLit():
-                return dataclasses.replace(t, elem_ty=st(t.elem_ty))
-            case _:
-                raise AssertionError(f"unknown term {t!r}")
+                changes.update(elem_ty=st(t.elem_ty))
+        return map_children(_with(t, **changes), go)
 
     return go(t)

@@ -11,10 +11,8 @@ idempotent.
 
 from __future__ import annotations
 
-import dataclasses
-
-from .syntax import (App, Case, Con, Lam, Let, LetBind, MultApp, MultExpr,
-                     MultLam, Prim, Term, Var, subterms)
+from .syntax import (App, Con, Let, LetBind, MultExpr, Prim, Term, Var,
+                     _with, map_children, subterms)
 from .typecheck import PRIM_ARG_MULTS, TypeEnv, instantiate_con
 
 FRESH_PREFIX = "%s"  # unutterable in surface syntax
@@ -50,7 +48,7 @@ def to_sharing(t: Term, env: TypeEnv,
                 y = fresh()
                 lets.append((y, go(arg), mult))
                 new_args.append(Var(y, ty=arg.ty))
-        core = dataclasses.replace(t, args=tuple(new_args))
+        core = _with(t, args=tuple(new_args))
         for y, rhs, mult in reversed(lets):
             core = Let(mult=mult, binds=(LetBind(y, rhs.ty, rhs),),
                        body=core, ty=t.ty)
@@ -58,46 +56,24 @@ def to_sharing(t: Term, env: TypeEnv,
 
     def go(t: Term) -> Term:
         match t:
-            case Var():
-                return t
-            case Lam():
-                return dataclasses.replace(t, body=go(t.body))
-            case MultLam():
-                return dataclasses.replace(t, body=go(t.body))
-            case MultApp():
-                return dataclasses.replace(t, fun=go(t.fun))
-            case App(fun, arg):
-                fun2 = go(fun)
-                if isinstance(arg, Var):
-                    return dataclasses.replace(t, fun=fun2)
+            case App(fun, arg) if not isinstance(arg, Var):
+                fun2 = go(fun)  # before the argument draws its fresh name
                 mult = t.mult_ann if t.mult_ann is not None \
                     else untyped_arrow_mult
                 assert mult is not None, "translation needs a typed term"
                 y = fresh()
                 rhs = go(arg)
-                app = dataclasses.replace(t, fun=fun2, arg=Var(y, ty=arg.ty))
+                app = _with(t, fun=fun2, arg=Var(y, ty=arg.ty))
                 return Let(mult=mult,
                            binds=(LetBind(y, arg.ty, rhs),),
                            body=app, ty=t.ty)
-            case Con(name, targs, margs, args):
-                if not args:
-                    return t
+            case Con(name, targs, margs, args) if args:
                 fields, _ = instantiate_con(env, name, targs, margs, t.loc)
                 return saturate(t, args, [fm for _, fm in fields])
             case Prim(name, args):
                 return saturate(t, args, list(PRIM_ARG_MULTS[name]))
-            case Case():
-                return dataclasses.replace(
-                    t, scrut=go(t.scrut),
-                    branches=tuple(dataclasses.replace(b, body=go(b.body))
-                                   for b in t.branches))
-            case Let():
-                return dataclasses.replace(
-                    t, binds=tuple(dataclasses.replace(b, rhs=go(b.rhs))
-                                   for b in t.binds),
-                    body=go(t.body))
             case _:
-                return t
+                return map_children(t, go)
 
     return go(t)
 

@@ -23,7 +23,8 @@ from .syntax import (App, ArrName, ArrayLit, Case, Con, DataDecl, INT,
                      IntLit, Lam, Let, LetBind, Loc, MProd, MultApp,
                      MultExpr, MultLam, OMEGA, ONE, Prim, TArray, TArrow,
                      TData, TForall, TInt, TMArray, TVar, Term, Type, Var,
-                     mult_subst, mult_vars, type_mult_vars, type_subst_mult,
+                     _with, is_omega_mult, map_children, mult_subst,
+                     mult_vars, subterms, type_mult_vars, type_subst_mult,
                      type_subst_tvars)
 
 BUILTIN_TYPE_NAMES = frozenset({"Int", "MArray", "Array"})
@@ -227,11 +228,10 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                 raise _fail(Kind.UNBOUND_VARIABLE,
                             f"variable '{name}' is not in scope", t.loc)
             ty = binding[0]
-            return InferResult(dataclasses.replace(t, ty=ty), ty,
-                               {name: NF_ONE})
+            return InferResult(_with(t, ty=ty), ty, {name: NF_ONE})
 
         case IntLit():
-            return InferResult(dataclasses.replace(t, ty=INT), INT, {})
+            return InferResult(_with(t, ty=INT), INT, {})
 
         case Lam(m, x, a, body):
             check_type(env, a, loc=t.loc)
@@ -242,7 +242,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
             _require_usage(x, ux, m, t.loc)
             ty = TArrow(a, m, r.ty)
             return InferResult(
-                dataclasses.replace(t, body=r.term, ty=ty), ty, usage)
+                _with(t, body=r.term, ty=ty), ty, usage)
 
         case App(fun, arg):
             rf = infer(env, fun)
@@ -260,15 +260,15 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
             usage = usage_add(rf.usage, usage_scale(pi, ra.usage))
             ty = rf.ty.cod
             return InferResult(
-                dataclasses.replace(t, fun=rf.term, arg=ra.term, ty=ty,
-                                    mult_ann=pi), ty, usage)
+                _with(t, fun=rf.term, arg=ra.term, ty=ty, mult_ann=pi),
+                ty, usage)
 
         case MultLam(p, body):
             _check_fresh(env, p, t.loc)
             r = infer(env.bind_mult(p), body)
             ty = TForall(p, r.ty)
             return InferResult(
-                dataclasses.replace(t, body=r.term, ty=ty), ty, r.usage)
+                _with(t, body=r.term, ty=ty), ty, r.usage)
 
         case MultApp(fun, m):
             _check_mult_scope(env, m, t.loc)
@@ -280,7 +280,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
             ty = type_subst_mult(rf.ty.body, rf.ty.var, m)
             usage = usage_subst(rf.usage, rf.ty.var, m)
             return InferResult(
-                dataclasses.replace(t, fun=rf.term, ty=ty), ty, usage)
+                _with(t, fun=rf.term, ty=ty), ty, usage)
 
         case Con(name, targs, margs, args):
             for a in targs:
@@ -304,7 +304,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                 usage = usage_add(usage, usage_scale(fmult, ra.usage))
                 new_args.append(ra.term)
             return InferResult(
-                dataclasses.replace(t, args=tuple(new_args), ty=result),
+                _with(t, args=tuple(new_args), ty=result),
                 result, usage)
 
         case Case(m, scrut, branches):
@@ -362,13 +362,12 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                                 f"variable '{exc.var}' is used at "
                                 f"incompatible multiplicities across case "
                                 f"branches", br.loc or t.loc) from None
-                new_branches.append(dataclasses.replace(br, body=rb.term))
+                new_branches.append(_with(br, body=rb.term))
             assert result_ty is not None and joined is not None
             usage = usage_add(usage_scale(m, rs.usage), joined)
             return InferResult(
-                dataclasses.replace(t, scrut=rs.term,
-                                    branches=tuple(new_branches),
-                                    ty=result_ty),
+                _with(t, scrut=rs.term, branches=tuple(new_branches),
+                      ty=result_ty),
                 result_ty, usage)
 
         case Let(m, binds, body):
@@ -399,7 +398,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                     for x in names:
                         u.pop(x, None)  # recursive refs sit under an w binder
                 rhs_usage = usage_add(rhs_usage, u)
-                new_binds.append(dataclasses.replace(b, rhs=rb.term))
+                new_binds.append(_with(b, rhs=rb.term))
             benv = env.bind_vars([(b.var, b.var_ty, m) for b in binds])
             rb_body = infer(benv, body)
             usage = dict(rb_body.usage)
@@ -408,8 +407,8 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                 _require_usage(x, ux, m, t.loc)
             usage = usage_add(usage, usage_scale(m, rhs_usage))
             return InferResult(
-                dataclasses.replace(t, binds=tuple(new_binds),
-                                    body=rb_body.term, ty=rb_body.ty),
+                _with(t, binds=tuple(new_binds), body=rb_body.term,
+                      ty=rb_body.ty),
                 rb_body.ty, usage)
 
         case Prim(name, args):
@@ -429,7 +428,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                                 f"'{show_type(elem_ty)}'", t.loc)
                 usage = usage_add(usage, {e: NF_OMEGA})
             ty: Type = TArray(elem_ty) if frozen_tag else TMArray(elem_ty)
-            return InferResult(dataclasses.replace(t, ty=ty), ty, usage)
+            return InferResult(_with(t, ty=ty), ty, usage)
 
         case ArrName():
             raise _fail(Kind.TYPE_MISMATCH,
@@ -554,7 +553,7 @@ def _infer_prim(env: TypeEnv, t: Term, name: str,
     for r, m in zip(rs, mults):
         usage = usage_add(usage, usage_scale(m, r.usage))
     return InferResult(
-        dataclasses.replace(t, args=tuple(r.term for r in rs), ty=result),
+        _with(t, args=tuple(r.term for r in rs), ty=result),
         result, usage)
 
 
@@ -607,22 +606,24 @@ class CheckedProgram:
 Defs = list[tuple[str, Type, MultExpr, Term]]
 
 
-def elaborate_defs(defs: Defs, main: Term) -> Term:
-    """Wrap ``main`` in nested lets.  Consecutive w definitions form a
-    single (mutually recursive) group; a 1 definition is its own
-    non-recursive binding."""
-    groups: list[tuple[MultExpr, list[tuple[str, Type, Term]]]] = []
-    for name, ty, m, rhs in defs:
-        is_omega = mult_normalize(m) == NF_OMEGA
-        if (groups and is_omega
-                and mult_normalize(groups[-1][0]) == NF_OMEGA):
-            groups[-1][1].append((name, ty, rhs))
+def def_groups(defs: Defs) -> list[Defs]:
+    """Consecutive w definitions form one (mutually recursive) group; any
+    other definition is a non-recursive group of its own."""
+    groups: list[Defs] = []
+    for d in defs:
+        if groups and is_omega_mult(d[2]) and is_omega_mult(groups[-1][0][2]):
+            groups[-1].append(d)
         else:
-            groups.append((m, [(name, ty, rhs)]))
+            groups.append([d])
+    return groups
+
+
+def elaborate_defs(defs: Defs, main: Term) -> Term:
+    """Wrap ``main`` in nested lets, one per group of ``def_groups``."""
     term = main
-    for m, group in reversed(groups):
-        binds = tuple(LetBind(n, ty, rhs) for n, ty, rhs in group)
-        term = Let(mult=m, binds=binds, body=term)
+    for group in reversed(def_groups(defs)):
+        binds = tuple(LetBind(n, ty, rhs) for n, ty, _, rhs in group)
+        term = Let(mult=group[0][2], binds=binds, body=term)
     return term
 
 
@@ -678,19 +679,11 @@ def _probe_defs(env: TypeEnv, defs: Defs) -> list[Diagnostic]:
     Let rule checks on each right-hand side, so an accepted program needs
     no probe."""
     errs: list[Diagnostic] = []
-    pending: Defs = list(defs)
-    while pending:
-        m = pending[0][2]
-        group = [pending[0]]
-        if mult_normalize(m) == NF_OMEGA:
-            while (len(group) < len(pending)
-                   and mult_normalize(pending[len(group)][2]) == NF_OMEGA):
-                group.append(pending[len(group)])
-        pending = pending[len(group):]
+    for group in def_groups(defs):
         rhs_env = env
-        if mult_normalize(m) == NF_OMEGA:
+        if is_omega_mult(group[0][2]):
             rhs_env = env.bind_vars([(n, t_, OMEGA) for n, t_, _, _ in group])
-        for n, t_, gm, grhs in group:
+        for n, t_, _, grhs in group:
             try:
                 check_type(env, t_)
                 r = infer(rhs_env, grhs)
@@ -710,40 +703,13 @@ def _probe_defs(env: TypeEnv, defs: Defs) -> list[Diagnostic]:
 # Annotation helpers, mostly for tests
 
 def strip_annotations(t: Term) -> Term:
-    def go(t: Term) -> Term:
-        t = dataclasses.replace(t, ty=None)
-        match t:
-            case Lam():
-                return dataclasses.replace(t, body=go(t.body))
-            case App():
-                return dataclasses.replace(t, fun=go(t.fun), arg=go(t.arg),
-                                           mult_ann=None)
-            case MultLam():
-                return dataclasses.replace(t, body=go(t.body))
-            case MultApp():
-                return dataclasses.replace(t, fun=go(t.fun))
-            case Con() | Prim():
-                return dataclasses.replace(
-                    t, args=tuple(go(a) for a in t.args))
-            case Case():
-                return dataclasses.replace(
-                    t, scrut=go(t.scrut),
-                    branches=tuple(dataclasses.replace(b, body=go(b.body))
-                                   for b in t.branches))
-            case Let():
-                return dataclasses.replace(
-                    t, binds=tuple(dataclasses.replace(b, rhs=go(b.rhs))
-                                   for b in t.binds),
-                    body=go(t.body))
-            case _:
-                return t
-
-    return go(t)
+    """``t`` without the typechecker's ``ty`` and ``mult_ann`` fields."""
+    changes = {"mult_ann": None} if isinstance(t, App) else {}
+    return map_children(_with(t, ty=None, **changes), strip_annotations)
 
 
 def annotations_equal(a: Term, b: Term) -> bool:
     """Do two structurally equal terms carry identical annotations?"""
-    from .syntax import subterms
     subs_a, subs_b = list(subterms(a)), list(subterms(b))
     if len(subs_a) != len(subs_b):
         return False
