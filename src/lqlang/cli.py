@@ -69,6 +69,11 @@ def _json_outcome(outcome: Outcome, semantics: str, value_text: Optional[str],
     }
     if value_text is not None:
         out["value"] = value_text
+    if not outcome.is_value:
+        out["reason"] = outcome.reason.value if outcome.reason else None
+        out["rule"] = outcome.rule
+        out["location"] = outcome.location
+        out["detail"] = outcome.detail
     if trace is not None:
         out["trace"] = [{"rule": r.rule, "redex": r.redex} for r in trace]
     return out

@@ -63,7 +63,7 @@ from .syntax import (App, ArrayLit, Case, Con, ConDecl, DataDecl, IntLit,
                      Lam, Let, LetBind, MVar, MultApp, MultExpr, MultLam,
                      OMEGA, ONE, Omega, One, Prim, TArray, TArrow, TData, TInt,
                      TMArray, TVar, Term, Type, Var, _with,
-                     is_omega_mult, mult_vars, rename_vars, term_subst_mult)
+                     is_omega_mult, mult_vars, term_subst_mult)
 from .typecheck import (PRIM_ARG_MULTS, TypeEnv, check_type, infer,
                         type_equiv)
 

@@ -61,11 +61,21 @@ Usage = dict[str, UsageMult]
 
 
 def _make_nf(acc: dict[Monomial, bool]) -> MultNF:
+    """The normal form of ``acc``; 1 and w are the shared ``NF_ONE`` and
+    ``NF_OMEGA``."""
+    if len(acc) == 1 and () in acc:
+        return NF_OMEGA if acc[()] else NF_ONE
     return MultNF(tuple(sorted(acc.items())))
+
+
+def _is_concrete(a: MultNF) -> bool:
+    return a is NF_ONE or a is NF_OMEGA
 
 
 def nf_add(a: MultNF, b: MultNF) -> MultNF:
     """Sum of normal forms; colliding monomials get coefficient w (1+1=w)."""
+    if _is_concrete(a) and _is_concrete(b):
+        return NF_OMEGA
     acc = dict(a.terms)
     for mono, coeff in b.terms:
         acc[mono] = _W if mono in acc else coeff
@@ -73,6 +83,10 @@ def nf_add(a: MultNF, b: MultNF) -> MultNF:
 
 
 def nf_mul(a: MultNF, b: MultNF) -> MultNF:
+    if a is NF_ONE:
+        return b
+    if b is NF_ONE:
+        return a
     acc: dict[Monomial, bool] = {}
     for mono_a, ca in a.terms:
         for mono_b, cb in b.terms:
@@ -145,7 +159,11 @@ def usage_add(u1: Usage, u2: Usage) -> Usage:
 
 
 def usage_scale(pi: MultExpr, u: Usage) -> Usage:
+    """``pi`` times every entry of ``u``.  Scaling by 1 returns ``u`` itself,
+    so callers must not mutate the result."""
     nf = mult_normalize(pi)
+    if nf is NF_ONE:
+        return u
     return {x: mult_mul(nf, m) for x, m in u.items()}
 
 

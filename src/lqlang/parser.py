@@ -23,7 +23,8 @@ to the parser; a light pre-scan of the file collects them first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Optional
 
 from .diagnostics import CheckError, Kind
@@ -36,43 +37,58 @@ from .typecheck import PRIM_NAMES
 KEYWORDS = frozenset({"def", "data", "where", "main", "case", "of", "let",
                       "in", "forall", "Int", "MArray", "Array"}) | PRIM_NAMES
 
+# Whitespace and comments form one unnamed group (``lastgroup`` is None);
+# any other character falls through to ``bad``, which must come last.  No
+# text can start a match of two other alternatives, so their order affects
+# only speed.
 _TOKEN_RE = re.compile(r"""
-    (?P<comment>--[^\n]*)
-  | (?P<ws>\s+)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+    (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+  | (?:--[^\n]*|\s+)+
   | (?P<op>/\\|->|-o|[\\@\[\](){}:.,;=+*])
-""", re.VERBOSE)
+  | (?P<int>\d+)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+
+# ``Parser.peek(1)`` at the first eof token still reads an eof token.
+_EOF_PADDING = 2
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "int" | "ident" | "op" | "eof"
-    text: str
-    loc: Loc
+    """A token and its offset into the text; ``loc`` is computed on demand
+    from the file's table of line starts (offsets just after each newline)."""
+
+    __slots__ = ("kind", "text", "pos", "line_starts")
+
+    def __init__(self, kind: str, text: str, pos: int,
+                 line_starts: list[int]) -> None:
+        self.kind = kind  # "int" | "ident" | "op" | "eof"
+        self.text = text
+        self.pos = pos
+        self.line_starts = line_starts
+
+    @property
+    def loc(self) -> Loc:
+        line = bisect_right(self.line_starts, self.pos)
+        return Loc(line, self.pos - self.line_starts[line - 1] + 1)
 
 
 def tokenize(text: str, source: str = "<input>") -> list[Token]:
+    """The tokens of ``text``, followed by ``_EOF_PADDING`` eof tokens."""
+    line_starts = [0]
+    line_starts.extend(m.end() for m in re.finditer("\n", text))
     tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise CheckError.single(Kind.SYNTAX,
-                                    f"unexpected character {text[pos]!r}",
-                                    Loc(line, col))
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, lexeme, Loc(line, col)))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", Loc(line, col)))
+        if kind is None:
+            continue
+        tok = Token(kind, m.group(), m.start(), line_starts)
+        if kind == "bad":
+            raise CheckError.single(Kind.SYNTAX,
+                                    f"unexpected character {tok.text!r}",
+                                    tok.loc)
+        append(tok)
+    tokens.extend([Token("eof", "", len(text), line_starts)] * _EOF_PADDING)
     return tokens
 
 
@@ -158,32 +174,35 @@ class Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        tok = self.tokens[self.pos]
+        return tok.text == text and tok.kind != "eof"
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.text != text or tok.kind == "eof":
             got = tok.text if tok.kind != "eof" else "end of input"
             raise CheckError.single(Kind.SYNTAX,
                                     f"expected '{text}', found '{got}'",
                                     tok.loc)
-        return self.next()
+        self.pos += 1
+        return tok
 
     def ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "ident" or tok.text in KEYWORDS:
             raise CheckError.single(Kind.SYNTAX,
                                     f"expected {what}, found '{tok.text}'",
                                     tok.loc)
-        return self.next()
+        self.pos += 1
+        return tok
 
     # -- multiplicities ----------------------------------------------------
 
@@ -309,9 +328,9 @@ class Parser:
     # -- terms ---------------------------------------------------------------
 
     def term(self) -> Term:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.text == "\\":
-            self.next()
+            self.pos += 1
             m = self.bracket_mult()
             x = self.ident("binder").text
             self.expect(":")
@@ -319,30 +338,30 @@ class Parser:
             self.expect(".")
             return Lam(m, x, ty, self.term(), loc=tok.loc)
         if tok.text == "/\\":
-            self.next()
+            self.pos += 1
             p = self.ident("multiplicity variable").text
             self.expect(".")
             return MultLam(p, self.term(), loc=tok.loc)
         if tok.text == "case":
-            self.next()
+            self.pos += 1
             m = self.bracket_mult()
             scrut = self.app()
             self.expect("of")
             self.expect("{")
             branches = [self.branch()]
             while self.at(";"):
-                self.next()
+                self.pos += 1
                 if self.at("}"):
                     break
                 branches.append(self.branch())
             self.expect("}")
             return Case(m, scrut, tuple(branches), loc=tok.loc)
         if tok.text == "let":
-            self.next()
+            self.pos += 1
             m = self.bracket_mult()
             binds = [self.let_bind()]
             while self.at(","):
-                self.next()
+                self.pos += 1
                 binds.append(self.let_bind())
             self.expect("in")
             return Let(m, tuple(binds), self.term(), loc=tok.loc)
@@ -375,21 +394,20 @@ class Parser:
         return head
 
     def starts_atom(self) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return (tok.kind == "int"
                 or tok.text == "("
                 or tok.text in PRIM_NAMES
                 or (tok.kind == "ident" and tok.text not in KEYWORDS))
 
     def element(self, spine_head: bool) -> Term:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if (tok.kind == "ident" and tok.text in self.cons
                 and tok.text not in KEYWORDS):
             return self.constructor(spine_head)
         atom = self.atom()
         while self.at("@") and self.peek(1).text == "[":
-            self.next()
-            self.next()
+            self.pos += 2
             m = self.mult()
             self.expect("]")
             atom = MultApp(atom, m, loc=atom.loc)
@@ -404,20 +422,20 @@ class Parser:
         targs: tuple[Type, ...] = ()
         margs: tuple[MultExpr, ...] = ()
         if info.n_type and self.at("@"):
-            self.next()
+            self.pos += 1
             self.expect("[")
             ts = [self.type_()]
             while self.at(","):
-                self.next()
+                self.pos += 1
                 ts.append(self.type_())
             self.expect("]")
             targs = tuple(ts)
         if info.n_mult and self.at("@"):
-            self.next()
+            self.pos += 1
             self.expect("[")
             ms = [self.mult()]
             while self.at(","):
-                self.next()
+                self.pos += 1
                 ms.append(self.mult())
             self.expect("]")
             margs = tuple(ms)
@@ -441,28 +459,28 @@ class Parser:
         return self._con_owner.get(con)
 
     def atom(self) -> Term:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "int":
-            self.next()
+            self.pos += 1
             return IntLit(int(tok.text), loc=tok.loc)
         if tok.text in PRIM_NAMES:
-            self.next()
+            self.pos += 1
             self.expect("(")
             args = []
             if not self.at(")"):
                 args.append(self.term())
                 while self.at(","):
-                    self.next()
+                    self.pos += 1
                     args.append(self.term())
             self.expect(")")
             return Prim(tok.text, tuple(args), loc=tok.loc)
         if tok.text == "(":
-            self.next()
+            self.pos += 1
             t = self.term()
             self.expect(")")
             return t
         if tok.kind == "ident" and tok.text not in KEYWORDS:
-            self.next()
+            self.pos += 1
             return Var(tok.text, loc=tok.loc)
         raise CheckError.single(Kind.SYNTAX,
                                 f"expected a term, found '{tok.text}'",

@@ -121,7 +121,7 @@ def _type_eq(a: Type, b: Type, ra: dict[str, str], rb: dict[str, str],
 
 
 def type_equiv(a: Type, b: Type) -> bool:
-    return _type_eq(a, b, {}, {}, 0)
+    return a is b or _type_eq(a, b, {}, {}, 0)
 
 
 # ---------------------------------------------------------------------------

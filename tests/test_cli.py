@@ -101,6 +101,23 @@ def test_no_typecheck_typestate_block(capsys):
     assert blob["outcome"] == "blocked"
 
 
+def test_run_json_keeps_what_the_text_line_says(capsys):
+    """A non-value outcome in ``--json`` carries the reason, rule, location
+    and detail that the text line prints."""
+    path = str(CORPUS / "reject" / "write_after_freeze.lq")
+    code, out, err = run_cli(capsys, "run", path, "--no-typecheck", "--json")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob == {"outcome": "blocked", "steps": blob["steps"],
+                    "semantics": "ordinary", "reason": "TypestateViolation",
+                    "rule": "write", "location": "%a3",
+                    "detail": "'write' applied to a frozen array"}
+    code, text, err = run_cli(capsys, "run", path, "--no-typecheck")
+    assert text.strip() == (f"blocked ({blob['reason']}) in rule "
+                            f"'{blob['rule']}' at {blob['location']}: "
+                            f"{blob['detail']}")
+
+
 def test_no_prelude(tmp_path, capsys):
     f = tmp_path / "standalone.lq"
     f.write_text("data B where { T : B ; F : B }\nmain = T\n")

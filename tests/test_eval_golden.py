@@ -3,7 +3,6 @@ outcomes, steps, forced values, rule traces and state-check counts on the
 corpus and on generated programs, as recorded in ``data/eval_golden.json``.
 """
 
-import importlib
 import json
 
 from lqlang.eval_ordinary import Heap, eval_term
@@ -34,8 +33,7 @@ def test_untraced_runs_build_only_the_final_value(prelude, monkeypatch):
         built.append(t)
         return real(t, env)
 
-    for module in (lqlang.runtime, lqlang.eval_ordinary,
-                   importlib.import_module("lqlang.eval_pure")):
+    for module in (lqlang.runtime, lqlang.eval_ordinary):
         monkeypatch.setattr(module, "rename_vars", counting)
     checked = check_corpus(CORPUS / "list_sum.lq", prelude)
     sh = to_sharing(checked.term, checked.env)

@@ -5,13 +5,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from lqlang.multiplicity import (NF_OMEGA, NF_ONE, ZERO, UnjoinableUsage,
-                                 join_mult, mult_add, mult_equiv, mult_mul,
-                                 mult_normalize, nf_render, sub_usage,
-                                 usage_add, usage_join, usage_scale,
-                                 usage_subst)
-from lqlang.syntax import (MProd, MSum, MVar, OMEGA, ONE, mult_subst,
-                           mult_vars)
+from lqlang.multiplicity import (NF_OMEGA, NF_ONE, ZERO, MultNF,
+                                 UnjoinableUsage, join_mult, mult_add,
+                                 mult_equiv, mult_mul, mult_normalize, nf_add,
+                                 nf_mul, nf_render, sub_usage, usage_add,
+                                 usage_join, usage_scale, usage_subst)
+from lqlang.syntax import (MProd, MSum, MVar, OMEGA, ONE, One, Omega,
+                           mult_subst, mult_vars)
 
 from conftest import rand_mult
 
@@ -113,6 +113,68 @@ def test_semiring_laws(a, b, c):
     assert nf(MProd(ONE, a)) == nf(a)
     assert nf(MProd(a, MSum(b, c))) == nf(MSum(MProd(a, b), MProd(a, c)))
     assert nf(MSum(a, a)) == nf(MProd(OMEGA, a))
+
+
+def reference_nf(m) -> MultNF:
+    """The normal form by direct expansion into monomials, with none of the
+    library's shortcuts for 1 and w: a repeated monomial, or one with a w
+    factor, gets coefficient w (True)."""
+    def expand(m) -> dict:
+        match m:
+            case One():
+                return {(): False}
+            case Omega():
+                return {(): True}
+            case MVar(name):
+                return {(name,): False}
+            case MSum(x, y):
+                out = expand(x)
+                for mono, c in expand(y).items():
+                    out[mono] = True if mono in out else c
+                return out
+            case MProd(x, y):
+                out = {}
+                for mx, cx in expand(x).items():
+                    for my, cy in expand(y).items():
+                        mono = tuple(sorted(mx + my))
+                        out[mono] = True if mono in out else (cx or cy)
+                return out
+    return MultNF(tuple(sorted(expand(m).items())))
+
+
+def assert_shared_if_concrete(result):
+    if result == NF_ONE:
+        assert result is NF_ONE
+    if result == NF_OMEGA:
+        assert result is NF_OMEGA
+
+
+fast_mults = st.recursive(
+    st.sampled_from([ONE, OMEGA, P, Q]),
+    lambda inner: st.builds(MSum, inner, inner) | st.builds(MProd, inner, inner),
+    max_leaves=6)
+
+
+@given(fast_mults, fast_mults, st.dictionaries(
+    st.sampled_from("xyz"), st.none() | fast_mults))
+def test_fast_paths_agree_with_the_general_normal_form(a, b, usage):
+    """``nf_add``, ``nf_mul`` and ``usage_scale`` short-cut 1 and w; their
+    results equal the general normal form, and a concrete result is the
+    shared ``NF_ONE``/``NF_OMEGA`` object."""
+    for result, expected in [(nf(a), reference_nf(a)),
+                             (nf_add(nf(a), nf(b)), reference_nf(MSum(a, b))),
+                             (nf_mul(nf(a), nf(b)), reference_nf(MProd(a, b)))]:
+        assert result == expected
+        assert_shared_if_concrete(result)
+    u = {x: ZERO if m is None else nf(m) for x, m in usage.items()}
+    scaled = usage_scale(a, u)
+    assert scaled.keys() == u.keys()
+    for x, m in usage.items():
+        if m is None:
+            assert scaled[x] is ZERO
+        else:
+            assert scaled[x] == reference_nf(MProd(a, m))
+            assert_shared_if_concrete(scaled[x])
 
 
 @given(mults)

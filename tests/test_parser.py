@@ -3,11 +3,15 @@
 import pytest
 
 from lqlang.diagnostics import CheckError, Kind
-from lqlang.parser import parse_prelude, parse_program, tokenize
+from lqlang.eval_ordinary import Heap, eval_term
+from lqlang.eval_pure import eval_pure, initial_state
+from lqlang.parser import parse_prelude, parse_program, prelude_source, tokenize
 from lqlang.pretty import show_datadecl, show_program, show_term
-from lqlang.syntax import (App, Case, Con, INT, IntLit, Lam, Let, MProd,
+from lqlang.syntax import (App, Case, Con, INT, IntLit, Lam, Let, Loc, MProd,
                            MSum, MVar, MultApp, MultLam, OMEGA, ONE, Prim,
                            TArrow, TData, TForall, Var)
+from lqlang.translate import to_sharing
+from lqlang.typecheck import check_program
 
 from conftest import corpus_files, load_corpus, reject_files, special_files
 
@@ -168,3 +172,51 @@ def test_tokenizer_locations():
     toks = tokenize("main =\n  5")
     assert toks[0].loc.line == 1 and toks[0].loc.col == 1
     assert toks[2].loc.line == 2 and toks[2].loc.col == 3
+
+
+def test_token_locations_match_their_offsets():
+    """Every token's lazily computed location agrees with one counted
+    directly from its offset, on the prelude and the whole corpus."""
+    texts = [prelude_source()] + [
+        path.read_text(encoding="utf-8")
+        for path in corpus_files() + reject_files() + special_files()]
+    for text in texts:
+        tokens = tokenize(text)
+        assert tokens[-1].kind == "eof" and tokens[-1].pos == len(text)
+        for tok in tokens:
+            assert text[tok.pos:tok.pos + len(tok.text)] == tok.text
+            line = text.count("\n", 0, tok.pos) + 1
+            col = tok.pos - (text.rfind("\n", 0, tok.pos) + 1) + 1
+            assert tok.loc == Loc(line, col), (tok.text, tok.pos)
+
+
+@pytest.mark.parametrize("src, message, line, col", [
+    ("main =\t$", "unexpected character '$'", 1, 8),
+    ("-- a comment\nmain = add(1, $)\n", "unexpected character '$'", 2, 15),
+    ("main =\n  add(1, 2) $", "unexpected character '$'", 2, 13),
+    ("main = (1", "expected ')', found 'end of input'", 1, 10),
+    ("main = (1\n", "expected ')', found 'end of input'", 2, 1),
+    ("main =\r\n  $\r\n", "unexpected character '$'", 2, 3),
+    ("main = add(1,\r\n  2) $", "unexpected character '$'", 2, 6),
+    ("main = (1\r\n", "expected ')', found 'end of input'", 2, 1),
+])
+def test_syntax_error_locations(prelude, src, message, line, col):
+    with pytest.raises(CheckError) as e:
+        parse_program(src, base=prelude)
+    [d] = e.value.diagnostics
+    assert (d.kind, d.message, d.loc) == (Kind.SYNTAX, message, Loc(line, col))
+
+
+def test_nesting_depth_budget(prelude):
+    """A 4,500-deep nested ``add`` parses, checks and runs under the
+    20,000-frame limit this suite sets: parsing takes four frames per
+    level, and a change that adds one more fails here."""
+    depth = 4500
+    src = "main = " + "add(1, " * depth + "0" + ")" * depth
+    sf = parse_program(src, base=prelude)
+    checked = check_program(sf.decls, sf.defs, sf.main)
+    sharing = to_sharing(checked.term, checked.env)
+    ores = eval_term(Heap(), sharing, 100_000)
+    pres = eval_pure(initial_state(sharing, checked.ty, checked.env), 100_000)
+    assert show_term(ores.outcome.value) == show_term(pres.outcome.value) \
+        == str(depth)
