@@ -24,23 +24,47 @@ from .pretty import show_term, show_type
 from .runtime import Outcome, OutcomeKind, TraceRecord
 from .syntax import OMEGA
 from .translate import to_sharing
-from .typecheck import TypeEnv, check_program, elaborate_defs
+from .typecheck import (CheckedProgram, TypeEnv, check_program,
+                        elaborate_defs)
 
 DEFAULT_FUEL = 100_000
+
+
+class Rejected(Exception):
+    """The diagnostics of a rejected source file; ``main`` prints each as
+    ``FILE:LINE:COL: Kind: message`` and exits with 1."""
+
+    def __init__(self, source: str, exc: CheckError) -> None:
+        super().__init__(str(exc))
+        self.source = source
+        self.diagnostics = exc.diagnostics
+
+
+def _parse(path: str, **kwargs) -> SourceFile:
+    text = open(path, "r", encoding="utf-8").read()
+    try:
+        return parse_program(text, source=path, **kwargs)
+    except CheckError as exc:
+        raise Rejected(path, exc) from None
+
+
+def _check(sf: SourceFile) -> CheckedProgram:
+    try:
+        return check_program(sf.decls, sf.defs, sf.main)
+    except CheckError as exc:
+        raise Rejected(sf.source, exc) from None
 
 
 def _load_prelude() -> SourceFile:
     override = os.environ.get("LLQ_PRELUDE")
     if override:
-        text = open(override, "r", encoding="utf-8").read()
-        return parse_program(text, source=override, require_main=False)
+        return _parse(override, require_main=False)
     return parse_prelude(prelude_source())
 
 
 def _load(path: str, no_prelude: bool) -> SourceFile:
-    text = open(path, "r", encoding="utf-8").read()
     base = None if no_prelude else _load_prelude()
-    return parse_program(text, source=path, base=base)
+    return _parse(path, base=base)
 
 
 def _tree_text(tree) -> str:
@@ -80,13 +104,7 @@ def _json_outcome(outcome: Outcome, semantics: str, value_text: Optional[str],
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    sf = _load(args.file, args.no_prelude)
-    try:
-        checked = check_program(sf.decls, sf.defs, sf.main)
-    except CheckError as exc:
-        for d in exc.diagnostics:
-            print(f"{sf.source}:{d}", file=sys.stderr)
-        return 1
+    checked = _check(_load(args.file, args.no_prelude))
     print(f"main : {show_type(checked.ty)}")
     return 0
 
@@ -106,12 +124,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         checked_ty = None
         checked_env = env
     else:
-        try:
-            checked = check_program(sf.decls, sf.defs, sf.main)
-        except CheckError as exc:
-            for d in exc.diagnostics:
-                print(f"{sf.source}:{d}", file=sys.stderr)
-            return 1
+        checked = _check(sf)
         sharing = to_sharing(checked.term, checked.env)
         checked_ty = checked.ty
         checked_env = checked.env
@@ -227,9 +240,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except CheckError as exc:
+    except Rejected as exc:
         for d in exc.diagnostics:
-            print(str(d), file=sys.stderr)
+            print(f"{exc.source}:{d}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

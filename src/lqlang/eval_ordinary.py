@@ -34,6 +34,7 @@ from .runtime import (BlockReason, Continue, EMPTY_ENV, Env, Machine,
 from .syntax import (App, ArrName, ArrayLit, Case, Con, IntLit, Lam, Let,
                      LetBind, MultApp, MultLam, ONE, Prim, Term, Var,
                      is_omega_mult, rename_vars, term_subst_mult)
+from .typecheck import PRIM_ARG_MULTS
 
 Value = tuple[Term, Env]  # a closure in weak-head normal form
 
@@ -273,6 +274,11 @@ def _check_bounds(st: _State, prim: str, name: str, cell: Cell,
 def _eval_prim(st: _State, t: Prim, env: Env, name: str,
                args: tuple[Term, ...]) -> Value | Continue:
     heap = st.heap.bindings
+    arity = len(PRIM_ARG_MULTS.get(name, ()))
+    if len(args) < arity:  # reachable only without the typechecker
+        raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "prim", "",
+                         f"primitive '{name}' expects {arity} arguments, "
+                         f"got {len(args)}")
     match name:
         case "newMArray":
             st.tick("newMArray", t, env)

@@ -28,14 +28,19 @@ stack become a chain of left-weighted pairs whose constructor consumes its
 left component at the entry's demand (``encode_state``).
 ``reference_welltyped`` is that definition, run from scratch.
 ``state_welltyped`` gives the same verdict without re-typing the whole
-state: a ``CheckCache`` keeps the type and usage of every term it has
-inferred, keyed by identity, so each binding, focus and stack term of a run
-is inferred once.  Per check it compares each cached type with the
-expected one, checks scope from the usage keys, and replays the let rule
-over the binding groups, innermost first, on the cached usages.
-``instrumented_eval`` runs this check, with one cache per run, at the
-conclusion of every rule application; in a tail chain of rules the
-conclusion states coincide, so one check covers the chain.
+state: a ``CheckCache`` keeps the type and usage of every state term it
+has inferred, keyed by identity, so each binding, focus and stack term of a
+run is inferred once.  A term ``snapshot`` built from a closure is typed as
+the closure's source term, each binder at the type of the name it stands
+for, and its usage renamed back.  The cache is also ``infer``'s memo for
+the run, keyed by source subterm, so a subterm of the program is typed
+again only when one of its free variables has another type; each case node
+has one frame per run for the same reason.  Per check it compares each
+cached type with the expected one, checks scope from the usage keys, and
+replays the let rule over the binding groups, innermost first, on the
+cached usages.  ``instrumented_eval`` runs this check, with one cache per
+run, at the conclusion of every rule application; in a tail chain of rules
+the conclusion states coincide, so one check covers the chain.
 
 Two readings of the array rules are fixed here and documented in the
 README: the continuation of ``newMArray`` is run at demand 1 expecting an
@@ -55,7 +60,7 @@ from typing import Iterator, Optional
 
 from .diagnostics import CheckError
 from .multiplicity import (NF_OMEGA, NF_ONE, ZERO, Usage, mult_normalize,
-                           sub_usage, usage_add, usage_scale)
+                           sub_usage, usage_add_into, usage_scale)
 from .pretty import summarize
 from .runtime import (BlockReason, Clo, Continue, EMPTY_ENV, Env, Machine,
                       Outcome, TraceRecord, arith)
@@ -64,10 +69,13 @@ from .syntax import (App, ArrayLit, Case, Con, ConDecl, DataDecl, IntLit,
                      OMEGA, ONE, Omega, One, Prim, TArray, TArrow, TData, TInt,
                      TMArray, TVar, Term, Type, Var, _with,
                      is_omega_mult, mult_vars, term_subst_mult)
-from .typecheck import (PRIM_ARG_MULTS, TypeEnv, check_type, infer,
-                        type_equiv)
+from .typecheck import (PRIM_ARG_MULTS, InferMemo, TypeEnv, check_type,
+                        infer, type_equiv)
 
 FRESH_PREFIX = "%p"
+# The binder of every case frame: neither a translated binder ("%s...") nor
+# a heap name ("%p...").
+HOLE = "%hole"
 
 # Internal datatypes for the state encoding: a unit type and left-weighted
 # pairs, whose constructor consumes the left component at multiplicity p
@@ -183,19 +191,20 @@ def reference_welltyped(s: AnnState) -> bool:
 
 
 @dataclass
-class CheckCache:
-    """What ``state_welltyped`` keeps between the states of one run.
+class CheckCache(InferMemo):
+    """What ``state_welltyped`` keeps between the states of one run; it is
+    also the run's memo for ``infer`` (``InferMemo``).
 
-    ``inferred`` maps a term's id to the term, its type and its usage.
-    ``types`` holds the types that passed ``check_type`` and ``equal`` the
-    pairs found equivalent, by id.  Each entry holds its objects, so their
-    ids cannot be reused.  ``names`` keeps the first type seen for each
+    ``inferred`` maps a state term's id to the term, its type and its
+    usage.  ``sources`` maps a term that ``snapshot`` built and no check
+    has inferred yet to its closure.  ``types`` holds the types that passed
+    ``check_type``, by id.  Each entry holds its objects, so their ids
+    cannot be reused.  ``names`` keeps the first type seen for each
     variable."""
     inferred: dict[int, tuple[Term, Type, Usage]] = field(
         default_factory=dict)
+    sources: dict[int, Clo] = field(default_factory=dict)
     types: dict[int, Type] = field(default_factory=dict)
-    equal: dict[tuple[int, int], tuple[Type, Type]] = field(
-        default_factory=dict)
     names: dict[str, Type] = field(default_factory=dict)
 
 
@@ -215,13 +224,16 @@ def state_welltyped(s: AnnState, cache: Optional[CheckCache] = None) -> bool:
     if missing:
         # sound in one environment: each name has one type (_fits_cache),
         # and scope is checked below from the usage keys
-        env = xi.bind_vars([(b.name, b.ty, OMEGA) for b in live])
+        vars_ = dict(xi.vars)
+        for b in live:
+            vars_[b.name] = (b.ty, OMEGA)
+        env = TypeEnv(xi.decls, xi.cons, vars_, xi.mult_vars, cache)
         for key, t in missing.items():
             try:
-                r = infer(env, t)
+                inferred[key] = (t, *_infer_built(
+                    env, t, cache.sources.pop(key, None)))
             except CheckError:
                 return False
-            inferred[key] = (t, r.ty, r.usage)
 
     groups = _group_runs(live)
     level = {b.name: i for i, group in enumerate(groups) for b in group}
@@ -230,10 +242,8 @@ def state_welltyped(s: AnnState, cache: Optional[CheckCache] = None) -> bool:
         """The usage of ``t`` if it has type ``ty`` and every free variable
         is in ``xi`` or bound by a group before ``limit``."""
         _, t_ty, u = inferred[id(t)]
-        if t_ty is not ty and (id(t_ty), id(ty)) not in cache.equal:
-            if not type_equiv(t_ty, ty):
-                return None
-            cache.equal[id(t_ty), id(ty)] = (t_ty, ty)
+        if not cache.same_type(t_ty, ty):
+            return None
         if id(ty) not in cache.types:
             try:
                 check_type(xi, ty)
@@ -252,7 +262,7 @@ def state_welltyped(s: AnnState, cache: Optional[CheckCache] = None) -> bool:
         u = use(e.term, e.ty, len(groups))
         if u is None or mult_vars(e.demand):
             return False
-        acc = usage_add(acc, usage_scale(e.demand, u))
+        usage_add_into(acc, usage_scale(e.demand, u))
     # the Let rule, innermost group first; only w groups are recursive
     for i in reversed(range(len(groups))):
         group = groups[i]
@@ -266,12 +276,48 @@ def state_welltyped(s: AnnState, cache: Optional[CheckCache] = None) -> bool:
                 return False
             if rec:
                 u = {x: v for x, v in u.items() if x not in names}
-            rhs = usage_add(rhs, u)
+            usage_add_into(rhs, u)
         for x in names:
             if not sub_usage(acc.pop(x, ZERO), m):
                 return False
-        acc = usage_add(acc, usage_scale(m, rhs))
+        usage_add_into(acc, usage_scale(m, rhs))
     return True
+
+
+def _infer_built(env: TypeEnv, t: Term,
+                 clo: Optional[Clo]) -> tuple[Type, Usage]:
+    """Type and usage of the state term ``t``, built from ``clo`` if given.
+
+    The closure's source term is inferred instead, each of its binders
+    typed as the name it stands for, so that the memo in ``env`` meets the
+    program's own subterms; its usage is then renamed through the closure's
+    environment.  ``t`` itself is inferred when the closure has no
+    environment (``t`` is then its source term), when the source term
+    fails, when a binder's name is not in scope (``t`` then fails), and
+    when two binders name one heap name: merging their usages would not be
+    exact, since a case join is not additive."""
+    if clo is not None and clo.env:
+        vars_ = dict(env.vars)
+        for x, y in clo.env.items():
+            bound = env.vars.get(y)
+            if bound is not None:
+                vars_[x] = bound
+        try:
+            r = infer(TypeEnv(env.decls, env.cons, vars_, env.mult_vars,
+                              env.memo), clo.term)
+        except CheckError:
+            r = None
+        if r is not None:
+            usage: Usage = {}
+            for x, u in r.usage.items():
+                y = clo.env.get(x, x)
+                if y in usage or y not in env.vars:
+                    break
+                usage[y] = u
+            else:
+                return r.ty, usage
+    r = infer(env, t)
+    return r.ty, r.usage
 
 
 def _fits_cache(s: AnnState, live: list[EnvBind], cache: CheckCache) -> bool:
@@ -303,7 +349,7 @@ class _Bind:
     list of its own."""
 
     __slots__ = ("name", "linear", "ty", "clo", "group", "forcing", "prev",
-                 "next")
+                 "next", "snap")
 
     def __init__(self, name: str, linear: bool, ty: Type, clo: Clo,
                  group: int, forcing: bool = False) -> None:
@@ -311,6 +357,8 @@ class _Bind:
         self.clo, self.group, self.forcing = clo, group, forcing
         self.prev: _Bind = self
         self.next: _Bind = self
+        # the EnvBind last read off this binding (``_PState.env``)
+        self.snap: Optional[EnvBind] = None
 
 
 class _Frame:
@@ -339,6 +387,8 @@ class _PState(Machine):
     check: bool = False
     check_count: int = 0
     cache: Optional[CheckCache] = None
+    # each case node's frame, by id (``case_frame``)
+    frames: dict[int, tuple[Case, Lam]] = field(default_factory=dict)
 
     def new_group(self) -> int:
         self.group_counter += 1
@@ -364,9 +414,36 @@ class _PState(Machine):
 
     @property
     def env(self) -> tuple[EnvBind, ...]:
-        """The environment in state order, each closure built."""
-        return tuple(EnvBind(b.name, b.linear, b.ty, b.clo.built(), b.group,
-                             b.forcing) for b in self.ordered())
+        """The environment in state order, each closure built.  A binding's
+        ``EnvBind`` is reused until its closure or ``forcing`` changes."""
+        binds = []
+        for b in self.ordered():
+            term = self.built(b.clo)
+            e = b.snap
+            if e is None or e.term is not term or e.forcing != b.forcing:
+                e = b.snap = EnvBind(b.name, b.linear, b.ty, term, b.group,
+                                     b.forcing)
+            binds.append(e)
+        return tuple(binds)
+
+    def built(self, clo: Clo) -> Term:
+        """The built term of ``clo``; a check cache that has not inferred
+        it yet learns which closure it came from."""
+        t = clo.built()
+        if self.cache is not None and id(t) not in self.cache.inferred:
+            self.cache.sources[id(t)] = clo
+        return t
+
+    def case_frame(self, t: Case) -> Lam:
+        """The pending branches of ``t`` as a function of its scrutinee,
+        ``\\%hole. case %hole of ...``: one per case node and run, so that
+        the memo in the check cache sees the same term each time."""
+        hit = self.frames.get(id(t))
+        if hit is None:
+            scrut_ty = t.scrut.ty
+            body = _with(t, scrut=Var(HOLE, ty=scrut_ty))
+            hit = self.frames[id(t)] = (t, Lam(t.mult, HOLE, scrut_ty, body))
+        return hit[1]
 
     def snapshot(self, focus: Clo, demand: MultExpr, ty: Type,
                  stack: Optional[_Frame]) -> AnnState:
@@ -374,9 +451,10 @@ class _PState(Machine):
             self.base, vars={x: (t, OMEGA) for x, t in self.xi.items()})
         entries = []
         while stack is not None:
-            entries.append(SEntry(stack.clo.built(), stack.demand, stack.ty))
+            entries.append(SEntry(self.built(stack.clo), stack.demand,
+                                  stack.ty))
             stack = stack.below
-        return AnnState(xi=xi, env=self.env, focus=focus.built(),
+        return AnnState(xi=xi, env=self.env, focus=self.built(focus),
                         demand=demand, focus_ty=ty,
                         stack=tuple(reversed(entries)))
 
@@ -598,12 +676,12 @@ def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
                 assert scrut_ty is not None, \
                     "pure evaluation needs annotated terms"
                 frame_ty = TArrow(scrut_ty, m, ty)
-                hole = st.fresh(FRESH_PREFIX)
+                # drawn but unused, so that heap names and traces stay as
+                # tests/data/eval_golden.json records them
+                st.fresh(FRESH_PREFIX)
                 # the pending branches, as a function of the scrutinee; only
                 # a state check reads them
-                frame = Clo(Lam(m, hole, scrut_ty,
-                                _with(t, scrut=Var(hole, ty=scrut_ty)),
-                                ty=frame_ty), env) if st.check else None
+                frame = Clo(st.case_frame(t), env) if st.check else None
                 entry = _Frame(frame, demand, frame_ty, stack)
                 sv = _eval(st, Clo(scrut, env), _dmul(st, m, demand),
                            scrut_ty, entry)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import random
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -574,6 +575,7 @@ class FuzzSummary:
     generation_failures: int = 0
     state_checks: int = 0
     reproducers: list[str] = field(default_factory=list)
+    elapsed_s: float = 0.0  # wall time of the whole loop
 
     @property
     def clean(self) -> bool:
@@ -609,6 +611,9 @@ class FuzzSummary:
             "generation_failures": self.generation_failures,
             "state_checks": self.state_checks,
             "reproducers": list(self.reproducers),
+            "elapsed_s": self.elapsed_s,
+            "programs_per_s": self.count / self.elapsed_s,
+            "state_checks_per_s": self.state_checks / self.elapsed_s,
         }
 
 
@@ -631,6 +636,7 @@ def fuzz(cfg: GenConfig, count: int, fuel: int,
     cfg.validate()
     summary = FuzzSummary(count=count, fuel=fuel, seed=cfg.seed)
     directory = Path(repro_dir) if repro_dir else Path.cwd()
+    start = time.perf_counter()
     for i in range(count):
         sub_cfg = dataclasses.replace(cfg, seed=hash((cfg.seed, i)) & 0xFFFFFFFF)
         try:
@@ -665,4 +671,5 @@ def fuzz(cfg: GenConfig, count: int, fuel: int,
             summary.preservation_violations += 1
             summary.reproducers.append(
                 _dump_reproducer(prog, directory, cfg.seed, i))
+    summary.elapsed_s = time.perf_counter() - start
     return summary

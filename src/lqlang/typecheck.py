@@ -6,12 +6,18 @@ binders with ``sub_usage``.  ``infer`` returns the fully annotated term,
 its type, and the usage of every free variable; ``check_program``
 elaborates top-level definitions into nested lets around ``main`` and
 checks the whole program.
+
+An environment may carry an ``InferMemo``, which the pure evaluator's
+state check keeps for one run: ``infer`` then returns the recorded type and
+usage of a subterm it has seen, by identity, whenever its free variables
+still have the types they had.  Without a memo every call infers afresh.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from .diagnostics import CheckError, Diagnostic, Kind
 from .multiplicity import (NF_OMEGA, NF_ONE, ZERO, Usage, UsageMult,
@@ -50,6 +56,7 @@ class TypeEnv:
     cons: dict[str, tuple[DataDecl, ConDecl]]
     vars: dict[str, tuple[Type, MultExpr]]
     mult_vars: frozenset[str]
+    memo: Optional["InferMemo"] = field(default=None, compare=False)
 
     @staticmethod
     def from_decls(decls: list[DataDecl]) -> "TypeEnv":
@@ -132,55 +139,51 @@ def check_type(env: TypeEnv, ty: Type, tvars: frozenset[str] = frozenset(),
                loc: Loc | None = None) -> None:
     """Reject types with unknown datatypes, wrong arities, or out-of-scope
     variables.  ``tvars`` is nonempty only inside datatype declarations."""
+    # recursion with arguments, not through a nested closure: a recursive
+    # closure is a reference cycle, and would keep ``env`` and its memo
+    # alive until the next garbage collection
     scope = env.mult_vars if mvars is None else mvars
+    match ty:
+        case TInt():
+            pass
+        case TVar(name):
+            if name not in tvars:
+                raise _fail(Kind.MALFORMED_DECL,
+                            f"type variable '{name}' is not in scope", loc)
+        case TMArray(elem) | TArray(elem):
+            check_type(env, elem, tvars, scope, loc)
+        case TArrow(dom, m, cod):
+            _check_mult_in(m, scope, tvars, loc)
+            check_type(env, dom, tvars, scope, loc)
+            check_type(env, cod, tvars, scope, loc)
+        case TForall(p, body):
+            check_type(env, body, tvars, scope | {p}, loc)
+        case TData(name, margs, targs):
+            decl = env.decls.get(name)
+            if decl is None:
+                raise _fail(Kind.UNBOUND_VARIABLE,
+                            f"unknown datatype '{name}'", loc)
+            if (len(margs) != len(decl.mult_params)
+                    or len(targs) != len(decl.type_params)):
+                raise _fail(
+                    Kind.ARITY_MISMATCH,
+                    f"datatype '{name}' expects {len(decl.mult_params)} "
+                    f"multiplicity and {len(decl.type_params)} type "
+                    f"arguments, got {len(margs)} and {len(targs)}", loc)
+            for m in margs:
+                _check_mult_in(m, scope, tvars, loc)
+            for a in targs:
+                check_type(env, a, tvars, scope, loc)
+        case _:
+            raise AssertionError(ty)
 
-    def go_mult(m: MultExpr) -> None:
-        for v in mult_vars(m):
-            if v not in scope:
-                raise _fail(Kind.MALFORMED_DECL if tvars else Kind.UNBOUND_VARIABLE,
-                            f"multiplicity variable '{v}' is not in scope", loc)
 
-    def go(ty: Type, scope_mvars: frozenset[str]) -> None:
-        nonlocal scope
-        saved, scope = scope, scope_mvars
-        try:
-            match ty:
-                case TInt():
-                    pass
-                case TVar(name):
-                    if name not in tvars:
-                        raise _fail(Kind.MALFORMED_DECL,
-                                    f"type variable '{name}' is not in scope", loc)
-                case TMArray(elem) | TArray(elem):
-                    go(elem, scope_mvars)
-                case TArrow(dom, m, cod):
-                    go_mult(m)
-                    go(dom, scope_mvars)
-                    go(cod, scope_mvars)
-                case TForall(p, body):
-                    go(body, scope_mvars | {p})
-                case TData(name, margs, targs):
-                    decl = env.decls.get(name)
-                    if decl is None:
-                        raise _fail(Kind.UNBOUND_VARIABLE,
-                                    f"unknown datatype '{name}'", loc)
-                    if (len(margs) != len(decl.mult_params)
-                            or len(targs) != len(decl.type_params)):
-                        raise _fail(
-                            Kind.ARITY_MISMATCH,
-                            f"datatype '{name}' expects {len(decl.mult_params)} "
-                            f"multiplicity and {len(decl.type_params)} type "
-                            f"arguments, got {len(margs)} and {len(targs)}", loc)
-                    for m in margs:
-                        go_mult(m)
-                    for a in targs:
-                        go(a, scope_mvars)
-                case _:
-                    raise AssertionError(ty)
-        finally:
-            scope = saved
-
-    go(ty, scope)
+def _check_mult_in(m: MultExpr, scope: frozenset[str], tvars: frozenset[str],
+                   loc: Loc | None) -> None:
+    for v in mult_vars(m):
+        if v not in scope:
+            raise _fail(Kind.MALFORMED_DECL if tvars else Kind.UNBOUND_VARIABLE,
+                        f"multiplicity variable '{v}' is not in scope", loc)
 
 
 def instantiate_con(env: TypeEnv, con_name: str, type_args: tuple[Type, ...],
@@ -220,7 +223,59 @@ def instantiate_con(env: TypeEnv, con_name: str, type_args: tuple[Type, ...],
 # ---------------------------------------------------------------------------
 # Inference
 
+FreeTypes = tuple[tuple[str, Type], ...]
+
+
+@dataclass
+class InferMemo:
+    """What ``infer`` keeps between the calls of one run.
+
+    ``entries`` maps a subterm's id to the subterm, its type, its usage and
+    the type each of its free variables (the usage keys) had.  ``equal``
+    holds the pairs of types found equivalent, by id.  Each entry holds its
+    objects, so their ids cannot be reused.  A memo assumes the datatype
+    declarations stay the same."""
+    entries: dict[int, tuple[Term, Type, Usage, FreeTypes]] = field(
+        default_factory=dict)
+    equal: dict[tuple[int, int], tuple[Type, Type]] = field(
+        default_factory=dict)
+
+    def same_type(self, a: Type, b: Type) -> bool:
+        if a is b or (id(a), id(b)) in self.equal:
+            return True
+        if not type_equiv(a, b):
+            return False
+        self.equal[id(a), id(b)] = (a, b)
+        return True
+
+    def hit(self, env: TypeEnv, t: Term) -> Optional[InferResult]:
+        entry = self.entries.get(id(t))
+        if entry is None:
+            return None
+        for x, ty in entry[3]:
+            bound = env.vars.get(x)
+            if bound is None or not self.same_type(bound[0], ty):
+                return None
+        return InferResult(t, entry[1], entry[2])
+
+    def record(self, env: TypeEnv, t: Term, r: InferResult) -> None:
+        self.entries[id(t)] = (t, r.ty, r.usage, tuple(
+            (x, env.vars[x][0]) for x in r.usage))
+
+
 def infer(env: TypeEnv, t: Term) -> InferResult:
+    """Type and usage of ``t``.  With a memo in ``env`` and no multiplicity
+    variable in scope, a subterm seen before whose free variables keep
+    their types is not inferred again: the result is the recorded type and
+    usage with ``t`` itself, unannotated, as its term."""
+    memo = env.memo
+    if memo is not None:
+        if env.mult_vars:
+            memo = None  # no hit and no entry under a multiplicity binder
+        else:
+            hit = memo.hit(env, t)
+            if hit is not None:
+                return hit
     match t:
         case Var(name):
             binding = env.vars.get(name)
@@ -228,10 +283,10 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                 raise _fail(Kind.UNBOUND_VARIABLE,
                             f"variable '{name}' is not in scope", t.loc)
             ty = binding[0]
-            return InferResult(_with(t, ty=ty), ty, {name: NF_ONE})
+            out = InferResult(_with(t, ty=ty), ty, {name: NF_ONE})
 
         case IntLit():
-            return InferResult(_with(t, ty=INT), INT, {})
+            out = InferResult(_with(t, ty=INT), INT, {})
 
         case Lam(m, x, a, body):
             check_type(env, a, loc=t.loc)
@@ -241,7 +296,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
             ux = usage.pop(x, ZERO)
             _require_usage(x, ux, m, t.loc)
             ty = TArrow(a, m, r.ty)
-            return InferResult(
+            out = InferResult(
                 _with(t, body=r.term, ty=ty), ty, usage)
 
         case App(fun, arg):
@@ -259,7 +314,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
             pi = rf.ty.mult
             usage = usage_add(rf.usage, usage_scale(pi, ra.usage))
             ty = rf.ty.cod
-            return InferResult(
+            out = InferResult(
                 _with(t, fun=rf.term, arg=ra.term, ty=ty, mult_ann=pi),
                 ty, usage)
 
@@ -267,7 +322,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
             _check_fresh(env, p, t.loc)
             r = infer(env.bind_mult(p), body)
             ty = TForall(p, r.ty)
-            return InferResult(
+            out = InferResult(
                 _with(t, body=r.term, ty=ty), ty, r.usage)
 
         case MultApp(fun, m):
@@ -279,7 +334,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                             f"type '{show_type(rf.ty)}'", t.loc)
             ty = type_subst_mult(rf.ty.body, rf.ty.var, m)
             usage = usage_subst(rf.usage, rf.ty.var, m)
-            return InferResult(
+            out = InferResult(
                 _with(t, fun=rf.term, ty=ty), ty, usage)
 
         case Con(name, targs, margs, args):
@@ -303,7 +358,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                                 f"declares '{show_type(fty)}'", t.loc)
                 usage = usage_add(usage, usage_scale(fmult, ra.usage))
                 new_args.append(ra.term)
-            return InferResult(
+            out = InferResult(
                 _with(t, args=tuple(new_args), ty=result),
                 result, usage)
 
@@ -365,7 +420,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                 new_branches.append(_with(br, body=rb.term))
             assert result_ty is not None and joined is not None
             usage = usage_add(usage_scale(m, rs.usage), joined)
-            return InferResult(
+            out = InferResult(
                 _with(t, scrut=rs.term, branches=tuple(new_branches),
                       ty=result_ty),
                 result_ty, usage)
@@ -406,13 +461,13 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                 ux = usage.pop(x, ZERO)
                 _require_usage(x, ux, m, t.loc)
             usage = usage_add(usage, usage_scale(m, rhs_usage))
-            return InferResult(
+            out = InferResult(
                 _with(t, binds=tuple(new_binds), body=rb_body.term,
                       ty=rb_body.ty),
                 rb_body.ty, usage)
 
         case Prim(name, args):
-            return _infer_prim(env, t, name, args)
+            out = _infer_prim(env, t, name, args)
 
         case ArrayLit(elems, elem_ty, frozen_tag):
             usage = {}
@@ -428,7 +483,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                                 f"'{show_type(elem_ty)}'", t.loc)
                 usage = usage_add(usage, {e: NF_OMEGA})
             ty: Type = TArray(elem_ty) if frozen_tag else TMArray(elem_ty)
-            return InferResult(_with(t, ty=ty), ty, usage)
+            out = InferResult(_with(t, ty=ty), ty, usage)
 
         case ArrName():
             raise _fail(Kind.TYPE_MISMATCH,
@@ -436,6 +491,9 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
 
         case _:
             raise AssertionError(f"unknown term {t!r}")
+    if memo is not None:
+        memo.record(env, t, out)
+    return out
 
 
 def _require_usage(x: str, u: UsageMult, declared: MultExpr,
@@ -663,10 +721,7 @@ def check_program(decls: list[DataDecl], defs: Defs,
     try:
         result = infer(env, elaborate_defs(defs, main))
     except CheckError as exc:
-        errs = _probe_defs(env, defs)
-        known = {str(d) for d in errs}
-        errs.extend(d for d in exc.diagnostics if str(d) not in known)
-        raise CheckError(errs) from None
+        raise CheckError(_probe_defs(env, defs) or exc.diagnostics) from None
     leftover = {x for x, u in result.usage.items() if u is not ZERO}
     assert not leftover, f"closed program with residual usage: {leftover}"
     return CheckedProgram(result.term, result.ty, env)
@@ -677,7 +732,9 @@ def _probe_defs(env: TypeEnv, defs: Defs) -> list[Diagnostic]:
     declared type under the bindings visible at that point, so that one
     error per definition is reported, not only the first.  This is what the
     Let rule checks on each right-hand side, so an accepted program needs
-    no probe."""
+    no probe; and the definitions come before ``main`` and before every
+    usage check, so when the probe finds an error, the whole program's
+    first error is one of these."""
     errs: list[Diagnostic] = []
     for group in def_groups(defs):
         rhs_env = env

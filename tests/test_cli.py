@@ -118,6 +118,30 @@ def test_run_json_keeps_what_the_text_line_says(capsys):
                             f"{blob['detail']}")
 
 
+@pytest.mark.parametrize("call", ["newMArray(2, 0)", "write(1, 2)",
+                                  "freeze()", "index(1)", "add(1)"])
+def test_no_typecheck_primitive_with_too_few_arguments_blocks(
+        tmp_path, capsys, call):
+    f = tmp_path / "prim.lq"
+    f.write_text(f"main = {call}\n")
+    code, out, err = run_cli(capsys, "run", str(f), "--no-typecheck",
+                             "--json")
+    assert code == 1
+    assert "Traceback" not in err
+    blob = json.loads(out)
+    assert (blob["outcome"], blob["reason"]) == ("blocked", "PrimitiveMisuse")
+    assert "arguments, got" in blob["detail"]
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_syntax_errors_name_the_file(tmp_path, capsys, command):
+    f = tmp_path / "bad.lq"
+    f.write_text("main =\t$\n")
+    code, out, err = run_cli(capsys, command, str(f))
+    assert code == 1
+    assert err == f"{f}:1:8: Syntax: unexpected character '$'\n"
+
+
 def test_no_prelude(tmp_path, capsys):
     f = tmp_path / "standalone.lq"
     f.write_text("data B where { T : B ; F : B }\nmain = T\n")
@@ -142,6 +166,8 @@ def test_fuzz_subcommand(tmp_path, capsys):
     blob = json.loads(out)
     assert blob["count"] == 3
     assert blob["disagreements"] == 0
+    for key in ("elapsed_s", "programs_per_s", "state_checks_per_s"):
+        assert blob[key] > 0, key
 
 
 def test_trace_rule_names_match_figures(capsys):

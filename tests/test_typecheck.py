@@ -2,6 +2,7 @@
 algorithmic contracts (usages as outputs, checked at binders)."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -12,11 +13,11 @@ from lqlang.syntax import (App, Branch, Case, Con, ConDecl, DataDecl, INT,
                            IntLit, Lam, Let, LetBind, MProd, MVar, MultApp,
                            MultLam, OMEGA, ONE, Prim, TArray, TArrow, TData,
                            TForall, TMArray, TVar, Var)
-from lqlang.typecheck import (TypeEnv, annotations_equal, check_datadecl,
-                              check_program, infer, strip_annotations,
-                              type_equiv)
+from lqlang.typecheck import (InferMemo, TypeEnv, annotations_equal,
+                              check_datadecl, check_program, infer,
+                              strip_annotations, type_equiv)
 
-from conftest import CORPUS
+from conftest import CORPUS, check_corpus, corpus_files
 
 P11 = TData("Pair", (ONE, ONE), (INT, INT))
 
@@ -331,6 +332,16 @@ def test_def_type_mismatch_aggregates(prelude):
     assert kinds.count(Kind.TYPE_MISMATCH) >= 2
 
 
+def test_bad_definition_type_is_reported_once_at_the_definition(prelude):
+    sf = parse_program("def f : Int =[w] \\[1] x : Int . x\nmain = 0\n",
+                       base=prelude)
+    with pytest.raises(CheckError) as e:
+        check_program(sf.decls, sf.defs, sf.main)
+    assert [str(d) for d in e.value.diagnostics] == [
+        "1:18: TypeMismatch: definition 'f' declares type 'Int' but its "
+        "body has type 'Int ->[1] Int'"]
+
+
 def test_accepted_program_infers_each_definition_once(prelude, monkeypatch):
     """On an accepted program the per-definition probe does not run, so
     each definition body is inferred once, inside the whole program."""
@@ -356,3 +367,77 @@ def test_diagnostics_carry_locations(prelude):
     with pytest.raises(CheckError) as e:
         check_program(sf.decls, sf.defs, sf.main)
     assert all(d.loc is not None for d in e.value.diagnostics)
+
+
+# --- the per-run memo ----------------------------------------------------------
+
+def test_usage_keys_are_the_free_variables(prelude, monkeypatch):
+    """A memo entry records the types of a subterm's usage keys as the
+    types of its free variables, so the two sets must be the same: here on
+    every subterm of the sharing forms of the corpus and gen seeds 0-199."""
+    import lqlang.typecheck as T
+    from lqlang.harness import GenConfig, gen_welltyped
+    from lqlang.syntax import free_vars
+    from lqlang.translate import to_sharing
+    programs = [check_corpus(path, prelude) for path in corpus_files()]
+    programs += [gen_welltyped(GenConfig(seed=s)).checked
+                 for s in range(200)]
+    real = T.infer
+    tally = Counter()
+    fv_memo = {}
+
+    def spy(env, t):
+        r = real(env, t)
+        tally["calls"] += 1
+        tally["mismatches"] += set(r.usage) != free_vars(t, fv_memo)
+        return r
+
+    monkeypatch.setattr(T, "infer", spy)
+    for checked in programs:
+        fv_memo.clear()
+        T.infer(checked.env, to_sharing(checked.term, checked.env))
+    assert tally["mismatches"] == 0
+    assert tally["calls"] > 20_000
+
+
+def test_memo_reinfers_when_a_free_variable_changes_type(prelude_env):
+    env = replace(prelude_env, memo=InferMemo())
+    as_int = env.bind_var("x", INT, OMEGA)
+    as_bool = env.bind_var("x", TData("Bool"), OMEGA)
+    lam = Lam(OMEGA, "y", INT, Var("x"))
+    assert type_equiv(infer(as_int, lam).ty, TArrow(INT, OMEGA, INT))
+    assert infer(as_int, lam).term is lam  # a hit returns the term itself
+    again = infer(as_bool, lam)
+    assert again.term is not lam
+    assert type_equiv(again.ty, TArrow(INT, OMEGA, TData("Bool")))
+    add = Prim("add", (Var("x"), IntLit(1)))
+    infer(as_int, add)
+    with pytest.raises(CheckError):
+        infer(as_bool, add)
+    with pytest.raises(CheckError):
+        infer(env, add)  # x is not in scope at all
+
+
+def test_memo_never_hits_under_a_mult_lambda(prelude_env, monkeypatch):
+    """Under a multiplicity binder a subterm is inferred every time, and
+    nothing under it is recorded."""
+    import lqlang.typecheck as T
+    real = T.infer
+    hits = Counter()
+
+    def spy(env, t):
+        r = real(env, t)
+        hits["under" if env.mult_vars else "outside"] += r.term is t
+        return r
+
+    monkeypatch.setattr(T, "infer", spy)
+    memo = InferMemo()
+    env = replace(prelude_env, memo=memo)
+    # /\p. \[1] f : Int ->[p] Int . \[p] x : Int . f x
+    body = Lam(ONE, "f", TArrow(INT, MVar("p"), INT),
+               Lam(MVar("p"), "x", INT, App(Var("f"), Var("x"))))
+    first, second = MultLam("p", body), MultLam("p", body)
+    for t in (first, second, first):
+        assert isinstance(T.infer(env, t).ty, TForall)
+    assert hits == Counter(under=0, outside=1)  # the second `first`
+    assert not memo.entries.keys() & {id(body), id(body.body)}
