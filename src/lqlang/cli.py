@@ -120,7 +120,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             return 2
         env = TypeEnv.from_decls(sf.decls)
         program = elaborate_defs(sf.defs, sf.main)
-        sharing = to_sharing(program, env, untyped_arrow_mult=OMEGA)
+        try:
+            sharing = to_sharing(program, env, untyped_arrow_mult=OMEGA)
+        except CheckError as exc:
+            raise Rejected(sf.source, exc) from None
         checked_ty = None
         checked_env = env
     else:

@@ -72,17 +72,12 @@ MAX_RETRIES = 20  # generation attempts per program
 class GenConfig:
     seed: int = 0
     max_depth: int = 5
-    weights: tuple[float, float, float] = (2.0, 2.0, 1.0)  # 1 / w / variable
     array_prob: float = 0.3
     target: str = "Int"  # "Int" or "Bool"
 
     def validate(self) -> None:
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if len(self.weights) != 3 or any(w < 0 for w in self.weights) \
-                or not any(self.weights):
-            raise ValueError("weights must be three nonnegative numbers, "
-                             "not all zero")
         if not 0.0 <= self.array_prob <= 1.0:
             raise ValueError("array_prob must lie in [0, 1]")
         if self.target not in ("Int", "Bool"):
@@ -122,8 +117,7 @@ class _Gen:
         return dict(items[:cut]), dict(items[cut:])
 
     def pick_mult(self) -> MultExpr:
-        w1, ww, _ = self.cfg.weights
-        return self.rng.choices([ONE, OMEGA], weights=[w1 or 1, ww or 1])[0]
+        return self.rng.choices([ONE, OMEGA], weights=[2.0, 2.0])[0]
 
     # -- leaf discharging ---------------------------------------------------
 
@@ -199,8 +193,7 @@ class _Gen:
                        "pair_elim", "list_sum"]
         if rng.random() < self.cfg.array_prob:
             productions.append("array")
-        if self.cfg.weights[2] > 0 and rng.random() < min(
-                1.0, self.cfg.weights[2] / max(1.0, sum(self.cfg.weights))):
+        if rng.random() < 0.2:
             productions.append("poly")
         match rng.choice(productions):
             case "arith":

@@ -1,4 +1,5 @@
-"""The multiplicity semiring and the usage algebra built on it.
+"""Multiplicity expressions, the semiring they denote, and the usage
+algebra built on it.
 
 Multiplicity expressions are quotiented by: associativity/commutativity of
 + and *, unit 1 for *, distributivity of * over +, w*w = w, and
@@ -15,8 +16,72 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .syntax import (MSum, MProd, MVar, MultExpr, ONE, OMEGA, One, Omega,
-                     mult_subst)
+
+# ---------------------------------------------------------------------------
+# Multiplicity expressions
+
+class MultExpr:
+    """One of: 1, w, a variable, a sum, or a product."""
+
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class One(MultExpr):
+    pass
+
+
+@dataclass(frozen=True)
+class Omega(MultExpr):
+    pass
+
+
+@dataclass(frozen=True)
+class MVar(MultExpr):
+    name: str
+
+
+@dataclass(frozen=True)
+class MSum(MultExpr):
+    left: MultExpr
+    right: MultExpr
+
+
+@dataclass(frozen=True)
+class MProd(MultExpr):
+    left: MultExpr
+    right: MultExpr
+
+
+ONE = One()
+OMEGA = Omega()
+
+
+def mult_vars(m: MultExpr) -> frozenset[str]:
+    match m:
+        case MVar(name):
+            return frozenset((name,))
+        case MSum(a, b) | MProd(a, b):
+            return mult_vars(a) | mult_vars(b)
+        case _:
+            return frozenset()
+
+
+def mult_subst(m: MultExpr, var: str, by: MultExpr) -> MultExpr:
+    """Substitute ``by`` for the multiplicity variable ``var`` in ``m``."""
+    match m:
+        case MVar(name) if name == var:
+            return by
+        case MSum(a, b):
+            return MSum(mult_subst(a, var, by), mult_subst(b, var, by))
+        case MProd(a, b):
+            return MProd(mult_subst(a, var, by), mult_subst(b, var, by))
+        case _:
+            return m
+
+
+# ---------------------------------------------------------------------------
+# Normal forms
 
 # A monomial is a sorted tuple of variable names (a multiset).
 Monomial = tuple[str, ...]
@@ -116,6 +181,13 @@ def mult_equiv(a: MultExpr, b: MultExpr) -> bool:
     return mult_normalize(a) == mult_normalize(b)
 
 
+def is_omega_mult(m: MultExpr) -> bool:
+    """Does ``m`` normalize to exactly w?  Only w let-groups are
+    recursive, so this decides binder scoping inside let right-hand
+    sides."""
+    return mult_normalize(m) is NF_OMEGA
+
+
 def nf_render(nf: MultNF) -> MultExpr:
     """Turn a normal form back into an expression; normalizing the result
     gives back the same normal form."""
@@ -199,8 +271,11 @@ def join_mult(var: str, a: UsageMult, b: UsageMult) -> UsageMult:
 
 
 def usage_join(u1: Usage, u2: Usage) -> Usage:
+    """Pointwise ``join_mult``, over ``u1``'s variables in order and then
+    ``u2``'s others, so the variable an ``UnjoinableUsage`` names does not
+    depend on string hashing."""
     out: Usage = {}
-    for x in set(u1) | set(u2):
+    for x in {**u1, **u2}:
         joined = join_mult(x, u1.get(x, ZERO), u2.get(x, ZERO))
         if joined is not ZERO:
             out[x] = joined

@@ -17,7 +17,8 @@ Application is left-associative, arrows are right-associative, and @[...]
 binds to the atom it follows.  Multiplicity and type arguments of a
 constructor are read according to the datatype's declared arities, so all
 datatype declarations (including an auto-prepended prelude) must be known
-to the parser; a light pre-scan of the file collects them first.
+to the parser; a light pre-scan of the file collects them first, so a
+datatype or constructor may be used before its declaration.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .diagnostics import CheckError, Kind
 from .syntax import (App, Branch, Case, Con, ConDecl, DataDecl, INT, IntLit,
@@ -100,18 +101,23 @@ class SourceFile:
     source: str = "<input>"
 
 
-@dataclass
-class _DeclInfo:
-    n_mult: int
-    n_type: int
+# The parser's declaration table: each datatype's numbers of multiplicity
+# and type parameters, and each constructor's datatype and field count.
+DeclArities = dict[str, tuple[int, int]]
+ConArities = dict[str, tuple[str, int]]
 
 
-def _prescan(tokens: list[Token]) -> tuple[dict[str, _DeclInfo],
-                                           dict[str, int]]:
-    """Collect datatype arities and constructor field counts, which the
-    full parse needs for datatype application and constructor saturation."""
-    decls: dict[str, _DeclInfo] = {}
-    cons: dict[str, int] = {}
+def _prescan(tokens: list[Token],
+             base: Optional[SourceFile]) -> tuple[DeclArities, ConArities]:
+    """The declaration table that datatype application and constructor
+    saturation need, from ``base`` and then from the file's own
+    declarations, which override it wherever in the file they stand."""
+    decls: DeclArities = {}
+    cons: ConArities = {}
+    for d in base.decls if base is not None else ():
+        decls[d.name] = (len(d.mult_params), len(d.type_params))
+        for c in d.constructors:
+            cons[c.name] = (d.name, len(c.fields))
     i = 0
     n = len(tokens)
     while i < n:
@@ -135,7 +141,7 @@ def _prescan(tokens: list[Token]) -> tuple[dict[str, _DeclInfo],
                 i += 1
             if tokens[i].text == ")":
                 i += 1
-        decls[name] = _DeclInfo(n_mult, n_type)
+        decls[name] = (n_mult, n_type)
         if not (tokens[i].text == "where" and tokens[i + 1].text == "{"):
             continue
         i += 2
@@ -153,7 +159,7 @@ def _prescan(tokens: list[Token]) -> tuple[dict[str, _DeclInfo],
                     elif depth == 0 and tokens[i].text in ("->", "-o"):
                         arrows += 1
                     i += 1
-                cons[con_name] = arrows
+                cons[con_name] = (name, arrows)
             else:
                 i += 1
         # leave the closing brace to the main parse
@@ -161,14 +167,12 @@ def _prescan(tokens: list[Token]) -> tuple[dict[str, _DeclInfo],
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], decls: dict[str, _DeclInfo],
-                 cons: dict[str, int],
-                 con_owner: Optional[dict[str, str]] = None) -> None:
+    def __init__(self, tokens: list[Token], decls: DeclArities,
+                 cons: ConArities) -> None:
         self.tokens = tokens
         self.pos = 0
         self.decls = decls
         self.cons = cons
-        self._con_owner: dict[str, str] = dict(con_owner or {})
         self.type_params: frozenset[str] = frozenset()
 
     # -- token plumbing ----------------------------------------------------
@@ -271,32 +275,18 @@ class Parser:
 
     def type_app(self) -> Type:
         tok = self.peek()
-        if tok.text == "Int":
-            self.next()
-            return INT
         if tok.text in ("MArray", "Array"):
             self.next()
             elem = self.type_atom()
             return TMArray(elem) if tok.text == "MArray" else TArray(elem)
-        if tok.text == "(":
+        n_mult, n_type = self.decls.get(tok.text, (0, 0))
+        if ((n_mult or n_type) and tok.text not in KEYWORDS
+                and tok.text not in self.type_params):
             self.next()
-            ty = self.type_()
-            self.expect(")")
-            return ty
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            name = self.next().text
-            if name in self.type_params:
-                return TVar(name)
-            info = self.decls.get(name)
-            if info is None:
-                raise CheckError.single(Kind.SYNTAX,
-                                        f"unknown type '{name}'", tok.loc)
-            margs = tuple(self.mult_atom() for _ in range(info.n_mult))
-            targs = tuple(self.type_atom() for _ in range(info.n_type))
-            return TData(name, margs, targs)
-        raise CheckError.single(Kind.SYNTAX,
-                                f"expected a type, found '{tok.text}'",
-                                tok.loc)
+            return TData(tok.text,
+                         tuple(self.mult_atom() for _ in range(n_mult)),
+                         tuple(self.type_atom() for _ in range(n_type)))
+        return self.type_atom()
 
     def type_atom(self) -> Type:
         tok = self.peek()
@@ -312,11 +302,11 @@ class Parser:
             name = self.next().text
             if name in self.type_params:
                 return TVar(name)
-            info = self.decls.get(name)
-            if info is None:
+            arities = self.decls.get(name)
+            if arities is None:
                 raise CheckError.single(Kind.SYNTAX,
                                         f"unknown type '{name}'", tok.loc)
-            if info.n_mult or info.n_type:
+            if any(arities):
                 raise CheckError.single(Kind.SYNTAX,
                                         f"parameterized type '{name}' must "
                                         f"be parenthesized here", tok.loc)
@@ -416,29 +406,10 @@ class Parser:
     def constructor(self, spine_head: bool) -> Term:
         tok = self.next()
         name = tok.text
-        arity = self.cons[name]
-        decl_name = self._decl_of_con(name)
-        info = self.decls[decl_name] if decl_name else _DeclInfo(0, 0)
-        targs: tuple[Type, ...] = ()
-        margs: tuple[MultExpr, ...] = ()
-        if info.n_type and self.at("@"):
-            self.pos += 1
-            self.expect("[")
-            ts = [self.type_()]
-            while self.at(","):
-                self.pos += 1
-                ts.append(self.type_())
-            self.expect("]")
-            targs = tuple(ts)
-        if info.n_mult and self.at("@"):
-            self.pos += 1
-            self.expect("[")
-            ms = [self.mult()]
-            while self.at(","):
-                self.pos += 1
-                ms.append(self.mult())
-            self.expect("]")
-            margs = tuple(ms)
+        owner, arity = self.cons[name]
+        n_mult, n_type = self.decls[owner]
+        targs = self.at_args(self.type_) if n_type else ()
+        margs = self.at_args(self.mult) if n_mult else ()
         if arity == 0:
             return Con(name, targs, margs, (), loc=tok.loc)
         if not spine_head:
@@ -455,8 +426,18 @@ class Parser:
             args.append(self.element(spine_head=False))
         return Con(name, targs, margs, tuple(args), loc=tok.loc)
 
-    def _decl_of_con(self, con: str) -> Optional[str]:
-        return self._con_owner.get(con)
+    def at_args(self, item: Callable) -> tuple:
+        """An optional ``@[x, ...]`` list of ``item``s; ``()`` without one."""
+        if not self.at("@"):
+            return ()
+        self.pos += 1
+        self.expect("[")
+        items = [item()]
+        while self.at(","):
+            self.pos += 1
+            items.append(item())
+        self.expect("]")
+        return tuple(items)
 
     def atom(self) -> Term:
         tok = self.tokens[self.pos]
@@ -545,8 +526,7 @@ class Parser:
                                         "'main' must be the final item",
                                         tok.loc)
             if tok.text == "data":
-                d = self._parse_decl_with_owners()
-                decls.append(d)
+                decls.append(self.datadecl())
             elif tok.text == "def":
                 self.next()
                 name = self.ident("definition name").text
@@ -575,12 +555,6 @@ class Parser:
                                     self.peek().loc)
         return SourceFile(decls, defs, main, source)
 
-    def _parse_decl_with_owners(self) -> DataDecl:
-        d = self.datadecl()
-        for c in d.constructors:
-            self._con_owner[c.name] = d.name
-        return d
-
     def at_eof(self) -> bool:
         return self.peek().kind == "eof"
 
@@ -591,17 +565,7 @@ def parse_program(text: str, source: str = "<input>",
     """Parse a source file.  ``base`` supplies already-known declarations
     (the prelude) whose arities the parser needs."""
     tokens = tokenize(text, source)
-    decl_info, con_info = _prescan(tokens)
-    con_owner: dict[str, str] = {}
-    if base is not None:
-        for d in base.decls:
-            decl_info.setdefault(d.name,
-                                 _DeclInfo(len(d.mult_params),
-                                           len(d.type_params)))
-            for c in d.constructors:
-                con_info.setdefault(c.name, len(c.fields))
-                con_owner[c.name] = d.name
-    parser = Parser(tokens, decl_info, con_info, con_owner)
+    parser = Parser(tokens, *_prescan(tokens, base))
     out = parser.parse_file(source, require_main)
     if base is not None:
         out.decls = list(base.decls) + out.decls

@@ -1,4 +1,5 @@
-"""Abstract syntax: multiplicity expressions, types, terms, datatype declarations.
+"""Abstract syntax: types, terms, datatype declarations, and (re-exported
+from ``multiplicity``) multiplicity expressions.
 
 All nodes are immutable. Structural equality ignores the annotation slots
 (``loc``, ``ty``, ``mult_ann``) so that two terms compare equal
@@ -10,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
+from .multiplicity import (MProd, MSum, MVar, MultExpr, OMEGA, ONE,  # noqa: F401
+                           Omega, One, is_omega_mult, mult_subst, mult_vars)
+
 
 @dataclass(frozen=True)
 class Loc:
@@ -18,102 +22,6 @@ class Loc:
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
-
-
-# ---------------------------------------------------------------------------
-# Multiplicity expressions
-
-class MultExpr:
-    """One of: 1, w, a variable, a sum, or a product."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class One(MultExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class Omega(MultExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class MVar(MultExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class MSum(MultExpr):
-    left: MultExpr
-    right: MultExpr
-
-
-@dataclass(frozen=True)
-class MProd(MultExpr):
-    left: MultExpr
-    right: MultExpr
-
-
-ONE = One()
-OMEGA = Omega()
-
-
-def mult_vars(m: MultExpr) -> frozenset[str]:
-    match m:
-        case MVar(name):
-            return frozenset((name,))
-        case MSum(a, b) | MProd(a, b):
-            return mult_vars(a) | mult_vars(b)
-        case _:
-            return frozenset()
-
-
-def mult_subst(m: MultExpr, var: str, by: MultExpr) -> MultExpr:
-    """Substitute ``by`` for the multiplicity variable ``var`` in ``m``."""
-    match m:
-        case MVar(name) if name == var:
-            return by
-        case MSum(a, b):
-            return MSum(mult_subst(a, var, by), mult_subst(b, var, by))
-        case MProd(a, b):
-            return MProd(mult_subst(a, var, by), mult_subst(b, var, by))
-        case _:
-            return m
-
-
-def _mult_class(m: MultExpr):
-    # 1, "w", or None for anything containing a variable.  Sound because
-    # no semiring law ever eliminates a variable from an expression.
-    match m:
-        case One():
-            return 1
-        case Omega():
-            return "w"
-        case MVar(_):
-            return None
-        case MSum(a, b):
-            ca, cb = _mult_class(a), _mult_class(b)
-            return None if ca is None or cb is None else "w"
-        case MProd(a, b):
-            ca, cb = _mult_class(a), _mult_class(b)
-            if ca == 1:
-                return cb
-            if cb == 1:
-                return ca
-            if ca == "w" and cb == "w":
-                return "w"
-            return None
-        case _:
-            raise AssertionError(m)
-
-
-def is_omega_mult(m: MultExpr) -> bool:
-    """Does ``m`` normalize to exactly w?  Only w let-groups are
-    recursive, so this decides binder scoping inside let right-hand
-    sides."""
-    return _mult_class(m) == "w"
 
 
 # ---------------------------------------------------------------------------

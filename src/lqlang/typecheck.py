@@ -433,7 +433,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
             if len(set(names)) != len(names):
                 raise _fail(Kind.MALFORMED_DECL,
                             "duplicate binder in let group", t.loc)
-            recursive = mult_normalize(m) == NF_OMEGA
+            recursive = is_omega_mult(m)
             rhs_env = env
             if recursive:
                 rhs_env = env.bind_vars([(b.var, b.var_ty, OMEGA)
@@ -680,8 +680,10 @@ def elaborate_defs(defs: Defs, main: Term) -> Term:
     """Wrap ``main`` in nested lets, one per group of ``def_groups``."""
     term = main
     for group in reversed(def_groups(defs)):
-        binds = tuple(LetBind(n, ty, rhs) for n, ty, _, rhs in group)
-        term = Let(mult=group[0][2], binds=binds, body=term)
+        binds = tuple(LetBind(n, ty, rhs, loc=rhs.loc)
+                      for n, ty, _, rhs in group)
+        term = Let(mult=group[0][2], binds=binds, body=term,
+                   loc=binds[0].loc)
     return term
 
 
@@ -742,7 +744,7 @@ def _probe_defs(env: TypeEnv, defs: Defs) -> list[Diagnostic]:
             rhs_env = env.bind_vars([(n, t_, OMEGA) for n, t_, _, _ in group])
         for n, t_, _, grhs in group:
             try:
-                check_type(env, t_)
+                check_type(env, t_, loc=grhs.loc)
                 r = infer(rhs_env, grhs)
                 if not type_equiv(r.ty, t_):
                     errs.append(Diagnostic(

@@ -133,6 +133,23 @@ def test_no_typecheck_primitive_with_too_few_arguments_blocks(
     assert "arguments, got" in blob["detail"]
 
 
+@pytest.mark.parametrize("program, message", [
+    ("main = Cons 1 Nil", "constructor 'Cons' expects 1 type arguments"),
+    ("main = MkPair 1 2", "constructor 'MkPair' expects 2 multiplicity "
+                          "arguments"),
+    ("main = Unrestricted 1", "constructor 'Unrestricted' expects 1 type "
+                              "arguments"),
+])
+def test_no_typecheck_constructor_arity_is_a_rejection(tmp_path, capsys,
+                                                       program, message):
+    f = tmp_path / "con.lq"
+    f.write_text(program + "\n")
+    code, out, err = run_cli(capsys, "run", str(f), "--no-typecheck")
+    assert code == 1
+    assert out == ""
+    assert err == f"{f}:1:8: ArityMismatch: {message}, got 0\n"
+
+
 @pytest.mark.parametrize("command", ["check", "run"])
 def test_syntax_errors_name_the_file(tmp_path, capsys, command):
     f = tmp_path / "bad.lq"
@@ -183,9 +200,9 @@ def test_trace_rule_names_match_figures(capsys):
             "linear variable", "shared variable"} <= rules
 
 
-def run_module(*args):
+def run_module(*args, **env_vars):
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "lqlang", *args],
@@ -213,3 +230,22 @@ def test_recursion_limit_is_an_internal_error_not_a_traceback(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "RecursionError" in lines[0]
+
+
+def test_unjoinable_usage_names_the_same_variable_under_every_hash_seed(
+        tmp_path):
+    """Two branches that use ``x`` and ``y`` at incompatible multiplicities
+    give one diagnostic, whatever order string hashing puts them in."""
+    f = tmp_path / "unjoinable.lq"
+    f.write_text(
+        "def k : forall p. (Int ->[p] Int) ->[w] Int ->[w] Int ->[p] Int "
+        "->[p] Int =[w] /\\p. \\[w] g : Int ->[p] Int . \\[w] b : Int . "
+        "\\[p] x : Int . \\[p] y : Int . case[1] lt(b, 0) of "
+        "{ True -> add(g x, g y) ; False -> 0 }\nmain = 0\n")
+    errs = set()
+    for seed in range(8):
+        proc = run_module("check", str(f), PYTHONHASHSEED=str(seed))
+        assert proc.returncode == 1, proc.stderr
+        errs.add(proc.stderr)
+    [err] = errs
+    assert "UnjoinableUsage: variable 'x'" in err

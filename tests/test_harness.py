@@ -46,8 +46,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GenConfig(max_depth=0).validate()
     with pytest.raises(ValueError):
-        GenConfig(weights=(0, 0, 0)).validate()
-    with pytest.raises(ValueError):
         GenConfig(array_prob=1.5).validate()
     with pytest.raises(ValueError):
         GenConfig(target="Float").validate()

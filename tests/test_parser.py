@@ -64,6 +64,26 @@ def test_constructor_saturation(prelude):
                     (IntLit(1), Con("True", (), (), ())))
 
 
+def test_datatype_and_constructor_used_before_their_declaration(prelude):
+    """A parameterised constructor and its type may appear before their
+    ``data`` declaration: the program parses, checks and runs to the same
+    value as the file with the declaration moved first."""
+    decl = "data Box (a) where { MkBox : a -o Box a }\n"
+    rest = ("def x : Box Int =[w] MkBox @[Int] 1\n"
+            "main = case[1] x of { MkBox n -> n }\n")
+    values = []
+    for text in (rest.replace("main", decl + "main"), decl + rest):
+        sf = parse_program(text, base=prelude)
+        checked = check_program(sf.decls, sf.defs, sf.main)
+        sharing = to_sharing(checked.term, checked.env)
+        ores = eval_term(Heap(), sharing, 1000)
+        pres = eval_pure(initial_state(sharing, checked.ty, checked.env),
+                         1000)
+        values.append((show_term(ores.outcome.value),
+                       show_term(pres.outcome.value)))
+    assert values == [("1", "1"), ("1", "1")]
+
+
 def test_constructor_in_argument_position_needs_parens(prelude):
     with pytest.raises(CheckError):
         parse_program("main = f Cons", base=prelude)

@@ -342,6 +342,20 @@ def test_bad_definition_type_is_reported_once_at_the_definition(prelude):
         "body has type 'Int ->[1] Int'"]
 
 
+@pytest.mark.parametrize("src, diagnostic", [
+    ("def f : Int ->[p] Int =[w] \\[1] x : Int . x\nmain = 0\n",
+     "1:28: UnboundVariable: multiplicity variable 'p' is not in scope"),
+    ("def f : Int =[1] 1\nmain = 0\n",
+     "1:18: LinearityMismatch: variable 'f' is used with multiplicity 0 but "
+     "is bound with multiplicity 1"),
+])
+def test_definition_diagnostics_carry_a_location(prelude, src, diagnostic):
+    sf = parse_program(src, base=prelude)
+    with pytest.raises(CheckError) as e:
+        check_program(sf.decls, sf.defs, sf.main)
+    assert [str(d) for d in e.value.diagnostics] == [diagnostic]
+
+
 def test_accepted_program_infers_each_definition_once(prelude, monkeypatch):
     """On an accepted program the per-definition probe does not run, so
     each definition body is inferred once, inside the whole program."""
