@@ -13,9 +13,9 @@ an environment from source binders to environment names, and beta, case
 and let extend that environment.  Its environment is a dict plus a linked
 list in state order, and its stack is a linked list, so inserting a
 binding before the one being forced, removing a consumed one and pushing
-an entry are O(1).  ``snapshot`` reads an ``AnnState`` off them, with each
-closure built into a term once; names, steps and traces are those of
-substitution.
+an entry are O(1).  An ``AnnState`` holds the same closures, and
+``snapshot`` reads one off the machine without building a term; names,
+steps and traces are those of substitution.
 
 Linear bindings are removed from the environment when forced and forcing
 them at demand w blocks; on well-typed programs neither a removed binding
@@ -25,14 +25,14 @@ the progress suite checks.
 A state is well-typed when its encoding typechecks: the environment
 becomes nested lets at the binding multiplicities, and the focus plus the
 stack become a chain of left-weighted pairs whose constructor consumes its
-left component at the entry's demand (``encode_state``).
-``reference_welltyped`` is that definition, run from scratch.
-``state_welltyped`` gives the same verdict without re-typing the whole
-state: a ``CheckCache`` keeps the type and usage of every state term it
-has inferred, keyed by identity, so each binding, focus and stack term of a
-run is inferred once.  A term ``snapshot`` built from a closure is typed as
-the closure's source term, each binder at the type of the name it stands
-for, and its usage renamed back.  The cache is also ``infer``'s memo for
+left component at the entry's demand (``encode_state``, which builds each
+closure into a term).  ``reference_welltyped`` is that definition, run from
+scratch.  ``state_welltyped`` gives the same verdict without re-typing the
+whole state: a ``CheckCache`` keeps the type and usage of every state
+closure it has typed, keyed by identity, so each binding, focus and stack
+closure of a run is typed once.  A closure is typed as its source term,
+each environment binder at the type of the name it stands for, and its
+usage renamed back.  The cache is also ``infer``'s memo for
 the run, keyed by source subterm, so a subterm of the program is typed
 again only when one of its free variables has another type; each case node
 has one frame per run for the same reason.  Per check it compares each
@@ -67,7 +67,7 @@ from .runtime import (BlockReason, Clo, Continue, EMPTY_ENV, Env, Machine,
 from .syntax import (App, ArrayLit, Case, Con, ConDecl, DataDecl, IntLit,
                      Lam, Let, LetBind, MVar, MultApp, MultExpr, MultLam,
                      OMEGA, ONE, Omega, One, Prim, TArray, TArrow, TData, TInt,
-                     TMArray, TVar, Term, Type, Var, _with,
+                     TMArray, TVar, Term, Type, Var, _with, free_vars,
                      is_omega_mult, mult_vars, term_subst_mult)
 from .typecheck import (PRIM_ARG_MULTS, InferMemo, TypeEnv, check_type,
                         infer, type_equiv)
@@ -91,7 +91,7 @@ UNIT_VAL = Con("%MkUnit", (), (), (), ty=UNIT_TY)
 
 @dataclass
 class SEntry:
-    term: Term
+    term: Clo
     demand: MultExpr  # ONE or OMEGA
     ty: Type
 
@@ -101,7 +101,7 @@ class EnvBind:
     name: str
     linear: bool
     ty: Type
-    term: Term
+    term: Clo
     group: int
     forcing: bool = False
 
@@ -110,7 +110,7 @@ class EnvBind:
 class AnnState:
     xi: TypeEnv
     env: tuple[EnvBind, ...]
-    focus: Term
+    focus: Clo
     demand: MultExpr
     focus_ty: Type
     stack: tuple[SEntry, ...] = ()
@@ -138,7 +138,7 @@ def with_internal_decls(env: TypeEnv) -> TypeEnv:
 def initial_state(term: Term, ty: Type, env: TypeEnv) -> AnnState:
     """Whole-program state: the result of a run is consumed once."""
     xi = dataclasses.replace(with_internal_decls(env), vars={})
-    return AnnState(xi=xi, env=(), focus=term, demand=ONE, focus_ty=ty)
+    return AnnState(xi=xi, env=(), focus=Clo(term), demand=ONE, focus_ty=ty)
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +153,21 @@ def _wrap(entry_term: Term, entry_demand: MultExpr, entry_ty: Type,
 
 
 def encode_state(s: AnnState) -> tuple[Term, Type]:
-    """The state as a closed term and its expected type."""
+    """The state as a closed term and its expected type, each closure
+    built."""
     payload: Term = UNIT_VAL
     payload_ty: Type = UNIT_TY
     for entry in s.stack:  # oldest first; newest ends up outermost
-        payload, payload_ty = _wrap(entry.term, entry.demand, entry.ty,
-                                    payload, payload_ty)
-    term, ty = _wrap(s.focus, s.demand, s.focus_ty, payload, payload_ty)
+        payload, payload_ty = _wrap(entry.term.built(), entry.demand,
+                                    entry.ty, payload, payload_ty)
+    term, ty = _wrap(s.focus.built(), s.demand, s.focus_ty, payload,
+                     payload_ty)
 
     live = [b for b in s.env if not b.forcing]
     for group_start in reversed(_group_runs(live)):
         mult = ONE if group_start[0].linear else OMEGA
-        binds = tuple(LetBind(b.name, b.ty, b.term) for b in group_start)
+        binds = tuple(LetBind(b.name, b.ty, b.term.built())
+                      for b in group_start)
         term = Let(mult=mult, binds=binds, body=term, ty=ty)
     return term, ty
 
@@ -195,22 +198,20 @@ class CheckCache(InferMemo):
     """What ``state_welltyped`` keeps between the states of one run; it is
     also the run's memo for ``infer`` (``InferMemo``).
 
-    ``inferred`` maps a state term's id to the term, its type and its
-    usage.  ``sources`` maps a term that ``snapshot`` built and no check
-    has inferred yet to its closure.  ``types`` holds the types that passed
+    ``inferred`` maps a state closure's id to the closure, the type and
+    the usage of its built term.  ``types`` holds the types that passed
     ``check_type``, by id.  Each entry holds its objects, so their ids
     cannot be reused.  ``names`` keeps the first type seen for each
     variable."""
-    inferred: dict[int, tuple[Term, Type, Usage]] = field(
+    inferred: dict[int, tuple[Clo, Type, Usage]] = field(
         default_factory=dict)
-    sources: dict[int, Clo] = field(default_factory=dict)
     types: dict[int, Type] = field(default_factory=dict)
     names: dict[str, Type] = field(default_factory=dict)
 
 
 def state_welltyped(s: AnnState, cache: Optional[CheckCache] = None) -> bool:
     """The verdict of ``reference_welltyped``, computed from one inference
-    per term and run.  ``cache`` must only see states of one run; None
+    per closure and run.  ``cache`` must only see states of one run; None
     means a fresh cache."""
     if cache is None:
         cache = CheckCache()
@@ -219,8 +220,8 @@ def state_welltyped(s: AnnState, cache: Optional[CheckCache] = None) -> bool:
         return reference_welltyped(s)
     xi = s.xi
     inferred = cache.inferred
-    terms = [b.term for b in live] + [s.focus] + [e.term for e in s.stack]
-    missing = {id(t): t for t in terms if id(t) not in inferred}
+    clos = [b.term for b in live] + [s.focus] + [e.term for e in s.stack]
+    missing = {id(c): c for c in clos if id(c) not in inferred}
     if missing:
         # sound in one environment: each name has one type (_fits_cache),
         # and scope is checked below from the usage keys
@@ -228,20 +229,19 @@ def state_welltyped(s: AnnState, cache: Optional[CheckCache] = None) -> bool:
         for b in live:
             vars_[b.name] = (b.ty, OMEGA)
         env = TypeEnv(xi.decls, xi.cons, vars_, xi.mult_vars, cache)
-        for key, t in missing.items():
-            try:
-                inferred[key] = (t, *_infer_built(
-                    env, t, cache.sources.pop(key, None)))
-            except CheckError:
+        for key, c in missing.items():
+            r = _infer_clo(env, c)
+            if r is None:
                 return False
+            inferred[key] = (c, *r)
 
     groups = _group_runs(live)
     level = {b.name: i for i, group in enumerate(groups) for b in group}
 
-    def use(t: Term, ty: Type, limit: int) -> Optional[Usage]:
-        """The usage of ``t`` if it has type ``ty`` and every free variable
+    def use(c: Clo, ty: Type, limit: int) -> Optional[Usage]:
+        """The usage of ``c`` if it has type ``ty`` and every free variable
         is in ``xi`` or bound by a group before ``limit``."""
-        _, t_ty, u = inferred[id(t)]
+        _, t_ty, u = inferred[id(c)]
         if not cache.same_type(t_ty, ty):
             return None
         if id(ty) not in cache.types:
@@ -284,39 +284,45 @@ def state_welltyped(s: AnnState, cache: Optional[CheckCache] = None) -> bool:
     return True
 
 
-def _infer_built(env: TypeEnv, t: Term,
-                 clo: Optional[Clo]) -> tuple[Type, Usage]:
-    """Type and usage of the state term ``t``, built from ``clo`` if given.
+def _infer_clo(env: TypeEnv, clo: Clo) -> Optional[tuple[Type, Usage]]:
+    """Type and usage of the built term of ``clo`` in ``env``, or None if
+    it is ill-typed there.
 
-    The closure's source term is inferred instead, each of its binders
-    typed as the name it stands for, so that the memo in ``env`` meets the
-    program's own subterms; its usage is then renamed through the closure's
-    environment.  ``t`` itself is inferred when the closure has no
-    environment (``t`` is then its source term), when the source term
-    fails, when a binder's name is not in scope (``t`` then fails), and
-    when two binders name one heap name: merging their usages would not be
-    exact, since a case join is not additive."""
-    if clo is not None and clo.env:
+    The closure's source term is inferred, each of its binders typed as
+    the name it stands for, so that the memo in ``env`` meets the
+    program's own subterms; its usage is then renamed back through the
+    closure's environment.  The built term is inferred only when two free
+    variables of the source term stand for one name: merging their usages
+    would not be exact, since a case join is not additive."""
+    src = env
+    if clo.env:
         vars_ = dict(env.vars)
         for x, y in clo.env.items():
             bound = env.vars.get(y)
             if bound is not None:
                 vars_[x] = bound
-        try:
-            r = infer(TypeEnv(env.decls, env.cons, vars_, env.mult_vars,
-                              env.memo), clo.term)
-        except CheckError:
-            r = None
-        if r is not None:
-            usage: Usage = {}
-            for x, u in r.usage.items():
-                y = clo.env.get(x, x)
-                if y in usage or y not in env.vars:
-                    break
-                usage[y] = u
-            else:
-                return r.ty, usage
-    r = infer(env, t)
+        src = TypeEnv(env.decls, env.cons, vars_, env.mult_vars, env.memo)
+    try:
+        r = infer(src, clo.term)
+    except CheckError:
+        names = [clo.env.get(x, x) for x in free_vars(clo.term)]
+        if len(set(names)) == len(names):
+            return None
+    else:
+        usage: Usage = {}
+        for x, u in r.usage.items():
+            y = clo.env.get(x, x)
+            if y not in env.vars:
+                return None  # out of scope, so the built term fails too
+            if y in usage:
+                break
+            usage[y] = u
+        else:
+            return r.ty, usage
+    try:
+        r = infer(env, clo.built())
+    except CheckError:
+        return None
     return r.ty, r.usage
 
 
@@ -349,7 +355,7 @@ class _Bind:
     list of its own."""
 
     __slots__ = ("name", "linear", "ty", "clo", "group", "forcing", "prev",
-                 "next", "snap")
+                 "next")
 
     def __init__(self, name: str, linear: bool, ty: Type, clo: Clo,
                  group: int, forcing: bool = False) -> None:
@@ -357,8 +363,6 @@ class _Bind:
         self.clo, self.group, self.forcing = clo, group, forcing
         self.prev: _Bind = self
         self.next: _Bind = self
-        # the EnvBind last read off this binding (``_PState.env``)
-        self.snap: Optional[EnvBind] = None
 
 
 class _Frame:
@@ -414,25 +418,9 @@ class _PState(Machine):
 
     @property
     def env(self) -> tuple[EnvBind, ...]:
-        """The environment in state order, each closure built.  A binding's
-        ``EnvBind`` is reused until its closure or ``forcing`` changes."""
-        binds = []
-        for b in self.ordered():
-            term = self.built(b.clo)
-            e = b.snap
-            if e is None or e.term is not term or e.forcing != b.forcing:
-                e = b.snap = EnvBind(b.name, b.linear, b.ty, term, b.group,
-                                     b.forcing)
-            binds.append(e)
-        return tuple(binds)
-
-    def built(self, clo: Clo) -> Term:
-        """The built term of ``clo``; a check cache that has not inferred
-        it yet learns which closure it came from."""
-        t = clo.built()
-        if self.cache is not None and id(t) not in self.cache.inferred:
-            self.cache.sources[id(t)] = clo
-        return t
+        """The environment in state order."""
+        return tuple(EnvBind(b.name, b.linear, b.ty, b.clo, b.group,
+                             b.forcing) for b in self.ordered())
 
     def case_frame(self, t: Case) -> Lam:
         """The pending branches of ``t`` as a function of its scrutinee,
@@ -451,10 +439,9 @@ class _PState(Machine):
             self.base, vars={x: (t, OMEGA) for x, t in self.xi.items()})
         entries = []
         while stack is not None:
-            entries.append(SEntry(self.built(stack.clo), stack.demand,
-                                  stack.ty))
+            entries.append(SEntry(stack.clo, stack.demand, stack.ty))
             stack = stack.below
-        return AnnState(xi=xi, env=self.env, focus=self.built(focus),
+        return AnnState(xi=xi, env=self.env, focus=focus,
                         demand=demand, focus_ty=ty,
                         stack=tuple(reversed(entries)))
 
@@ -481,8 +468,7 @@ def _load(s: AnnState, fuel: int, check: bool,
                  trace=[] if want_trace else None)
     st.xi = {x: ty for x, (ty, _) in s.xi.vars.items()}
     for b in s.env:
-        st.insert(_Bind(b.name, b.linear, b.ty, Clo(b.term), b.group,
-                        b.forcing))
+        st.insert(_Bind(b.name, b.linear, b.ty, b.term, b.group, b.forcing))
         st.group_counter = max(st.group_counter, b.group)
     return st
 
@@ -490,8 +476,8 @@ def _load(s: AnnState, fuel: int, check: bool,
 def _run(st: _PState, s: AnnState) -> PureResult:
     stack = None
     for e in s.stack:  # oldest first
-        stack = _Frame(Clo(e.term), e.demand, e.ty, stack)
-    return _finish(st, lambda: _eval(st, Clo(s.focus), s.demand, s.focus_ty,
+        stack = _Frame(e.term, e.demand, e.ty, stack)
+    return _finish(st, lambda: _eval(st, s.focus, s.demand, s.focus_ty,
                                      stack))
 
 
@@ -561,7 +547,7 @@ def _ret(st: _PState, rule: str, value: Clo, demand: MultExpr, ty: Type,
         ann = st.snapshot(value, demand, ty, stack)
         if not state_welltyped(ann, st.cache):
             raise PreservationViolation(
-                rule, f"value {summarize(ann.focus)} at demand "
+                rule, f"value {summarize(value.built())} at demand "
                       f"{'1' if demand == ONE else 'w'} with "
                       f"{len(st.binds)} bindings")
     return value

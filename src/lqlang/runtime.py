@@ -6,7 +6,8 @@ with an environment (``Env``) from its free source binders to the names
 they stand for, and a beta, case or let step extends the environment
 rather than copying the body.  A closure becomes a term again
 (``rename_vars``) only where a term is observed: a traced or aborted step,
-a final value, or a state that the pure evaluator checks.
+a final value, or a state encoded whole (``eval_pure.encode_state``).  The
+pure evaluator's state check types closures as they are.
 
 ``Machine`` holds what the two semantics have in common: fuel, the step
 count, fresh names, the rule trace, the aborts (fuel, blocked, blackhole)
@@ -35,8 +36,9 @@ EMPTY_ENV: Env = {}
 
 
 class Clo:
-    """A closure whose built term (``rename_vars`` of the term under the
-    environment) is made once, on first use, and kept."""
+    """A term under an environment.  Its built term (``rename_vars`` of the
+    term under the environment) is made once, on first use, and kept for
+    ``eval_pure.encode_state``, which builds each closure of each state."""
 
     __slots__ = ("term", "env", "_built")
 

@@ -717,8 +717,10 @@ def check_program(decls: list[DataDecl], defs: Defs,
     def_names = [name for name, *_ in defs]
     if len(set(def_names)) != len(def_names):
         dup = next(n for n in def_names if def_names.count(n) > 1)
+        second = [rhs for n, _, _, rhs in defs if n == dup][1]
         raise CheckError.single(Kind.MALFORMED_DECL,
-                                f"definition '{dup}' appears twice", None)
+                                f"definition '{dup}' appears twice",
+                                second.loc)
 
     try:
         result = infer(env, elaborate_defs(defs, main))

@@ -159,6 +159,15 @@ def test_syntax_errors_name_the_file(tmp_path, capsys, command):
     assert err == f"{f}:1:8: Syntax: unexpected character '$'\n"
 
 
+def test_duplicate_definition_is_located_at_the_second_body(tmp_path,
+                                                           capsys):
+    f = tmp_path / "dup.lq"
+    f.write_text("def f : Int =[w] 1\ndef f : Int =[w] 2\nmain = f\n")
+    code, out, err = run_cli(capsys, "check", str(f))
+    assert code == 1
+    assert err == f"{f}:2:18: MalformedDecl: definition 'f' appears twice\n"
+
+
 def test_no_prelude(tmp_path, capsys):
     f = tmp_path / "standalone.lq"
     f.write_text("data B where { T : B ; F : B }\nmain = T\n")

@@ -6,7 +6,7 @@ corpus and on generated programs, as recorded in ``data/eval_golden.json``.
 import json
 
 from lqlang.eval_ordinary import Heap, eval_term
-from lqlang.eval_pure import eval_pure, initial_state
+from lqlang.eval_pure import eval_pure, initial_state, instrumented_eval
 from lqlang.translate import to_sharing
 
 from conftest import CORPUS, check_corpus
@@ -42,3 +42,24 @@ def test_untraced_runs_build_only_the_final_value(prelude, monkeypatch):
     assert ores.outcome.is_value and pres.outcome.is_value
     assert ores.steps == pres.steps > 40
     assert len(built) == 2
+
+
+def test_checked_runs_build_only_the_final_value(prelude, monkeypatch):
+    """A state check types the machine's closures as they are: an
+    instrumented run turns no closure back into a term but its value."""
+    import lqlang.runtime
+    built = []
+    real = lqlang.runtime.rename_vars
+
+    def counting(t, env):
+        built.append(t)
+        return real(t, env)
+
+    monkeypatch.setattr(lqlang.runtime, "rename_vars", counting)
+    checked = check_corpus(CORPUS / "list_sum.lq", prelude)
+    sh = to_sharing(checked.term, checked.env)
+    res = instrumented_eval(initial_state(sh, checked.ty, checked.env),
+                            100_000)
+    assert res.outcome.is_value
+    assert res.check_count == 19
+    assert len(built) == 1

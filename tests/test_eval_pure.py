@@ -12,7 +12,7 @@ from lqlang.eval_pure import (AnnState, EnvBind, PreservationViolation,
                               initial_state, instrumented_eval,
                               reference_welltyped, state_welltyped)
 from lqlang.harness import GenConfig, fuzz, gen_welltyped
-from lqlang.runtime import BlockReason, OutcomeKind
+from lqlang.runtime import BlockReason, Clo, OutcomeKind
 from lqlang.syntax import (App, ArrayLit, Branch, Case, Con, INT, IntLit,
                            Lam, Let, LetBind, OMEGA, ONE, Prim, TArray,
                            TData, TMArray, Var)
@@ -46,8 +46,26 @@ def test_array_roundtrip_matches_ordinary(prelude_env):
     assert res.array_copies == 1  # one write, one fresh array value
 
 
-def test_write_produces_fresh_array_value(prelude_env):
-    """A write's result is a new array node."""
+def test_write_produces_fresh_array_value(prelude_env, monkeypatch):
+    """Each write returns a new array node, distinct from the array it was
+    applied to."""
+    P = importlib.import_module("lqlang.eval_pure")
+    applied, returned = [], []
+    real_want, real_ret = P._want_array, P._ret
+
+    def want(st, name, v, want_frozen):
+        arr = real_want(st, name, v, want_frozen)
+        if name == "write":
+            applied.append(arr)
+        return arr
+
+    def ret(st, rule, value, *rest):
+        if rule == "write":
+            returned.append(value.term)
+        return real_ret(st, rule, value, *rest)
+
+    monkeypatch.setattr(P, "_want_array", want)
+    monkeypatch.setattr(P, "_ret", ret)
     t = Case(ONE, Prim("newMArray",
                        (IntLit(1), IntLit(0),
                         Lam(ONE, "ma", TMArray(INT),
@@ -62,17 +80,18 @@ def test_write_produces_fresh_array_value(prelude_env):
     res = eval_pure(prepare(prelude_env, t), 100_000)
     assert res.outcome.value == IntLit(2)
     assert res.array_copies == 2
-    ids = {id(b.term) for b in res.state.env
-           if isinstance(b.term, ArrayLit)}
-    assert len(ids) == len([b for b in res.state.env
-                            if isinstance(b.term, ArrayLit)])
+    assert len(applied) == len(returned) == 2
+    assert all(isinstance(a, ArrayLit) for a in returned)
+    assert returned[0] is applied[1]  # the second write takes the first's
+    for before, after in zip(applied, returned):
+        assert after is not before
 
 
 def test_forcing_consumed_linear_binding_blocks(prelude_env):
-    b = EnvBind("x", True, INT, IntLit(5, ty=INT), 1)
+    b = EnvBind("x", True, INT, Clo(IntLit(5, ty=INT)), 1)
     state = AnnState(xi=prepare(prelude_env, IntLit(0)).xi, env=(b,),
-                     focus=Prim("add", (Var("x", ty=INT), Var("x", ty=INT)),
-                                ty=INT),
+                     focus=Clo(Prim("add", (Var("x", ty=INT),
+                                            Var("x", ty=INT)), ty=INT)),
                      demand=ONE, focus_ty=INT)
     res = eval_pure(state, 1000)
     assert res.outcome.kind is OutcomeKind.BLOCKED
@@ -81,9 +100,9 @@ def test_forcing_consumed_linear_binding_blocks(prelude_env):
 
 
 def test_omega_demand_of_linear_binding_blocks(prelude_env):
-    b = EnvBind("x", True, INT, IntLit(5, ty=INT), 1)
+    b = EnvBind("x", True, INT, Clo(IntLit(5, ty=INT)), 1)
     state = AnnState(xi=prepare(prelude_env, IntLit(0)).xi, env=(b,),
-                     focus=Var("x", ty=INT), demand=OMEGA, focus_ty=INT)
+                     focus=Clo(Var("x", ty=INT)), demand=OMEGA, focus_ty=INT)
     res = eval_pure(state, 1000)
     assert res.outcome.kind is OutcomeKind.BLOCKED
     assert res.outcome.reason is BlockReason.MISSING_LINEAR_BINDING
@@ -123,44 +142,44 @@ def test_initial_state_welltyped_for_corpus(prelude):
 
 def test_omega_demand_of_linear_binding_is_ill_typed(prelude_env):
     xi = prepare(prelude_env, IntLit(0)).xi
-    b = EnvBind("x", True, INT, IntLit(5, ty=INT), 1)
-    bad = AnnState(xi=xi, env=(b,), focus=Var("x", ty=INT), demand=OMEGA,
+    b = EnvBind("x", True, INT, Clo(IntLit(5, ty=INT)), 1)
+    bad = AnnState(xi=xi, env=(b,), focus=Clo(Var("x", ty=INT)), demand=OMEGA,
                    focus_ty=INT)
     assert not state_welltyped(bad)
-    ok = AnnState(xi=xi, env=(b,), focus=Var("x", ty=INT), demand=ONE,
+    ok = AnnState(xi=xi, env=(b,), focus=Clo(Var("x", ty=INT)), demand=ONE,
                   focus_ty=INT)
     assert state_welltyped(ok)
 
 
 def test_unbound_linear_focus_is_ill_typed(prelude_env):
     xi = prepare(prelude_env, IntLit(0)).xi
-    bad = AnnState(xi=xi, env=(), focus=Var("x", ty=INT), demand=ONE,
+    bad = AnnState(xi=xi, env=(), focus=Clo(Var("x", ty=INT)), demand=ONE,
                    focus_ty=INT)
     assert not state_welltyped(bad)
 
 
 def test_stack_entries_count_in_encoding(prelude_env):
     xi = prepare(prelude_env, IntLit(0)).xi
-    b = EnvBind("x", True, INT, IntLit(5, ty=INT), 1)
+    b = EnvBind("x", True, INT, Clo(IntLit(5, ty=INT)), 1)
     # x pending on the stack at demand 1: consumed exactly once in total
-    st = AnnState(xi=xi, env=(b,), focus=IntLit(3, ty=INT), demand=ONE,
+    st = AnnState(xi=xi, env=(b,), focus=Clo(IntLit(3, ty=INT)), demand=ONE,
                   focus_ty=INT,
-                  stack=(SEntry(Var("x", ty=INT), ONE, INT),))
+                  stack=(SEntry(Clo(Var("x", ty=INT)), ONE, INT),))
     assert state_welltyped(st)
     # but x duplicated on the stack is consumed twice
-    st2 = AnnState(xi=xi, env=(b,), focus=IntLit(3, ty=INT), demand=ONE,
+    st2 = AnnState(xi=xi, env=(b,), focus=Clo(IntLit(3, ty=INT)), demand=ONE,
                    focus_ty=INT,
-                   stack=(SEntry(Var("x", ty=INT), ONE, INT),
-                          SEntry(Var("x", ty=INT), ONE, INT)))
+                   stack=(SEntry(Clo(Var("x", ty=INT)), ONE, INT),
+                          SEntry(Clo(Var("x", ty=INT)), ONE, INT)))
     assert not state_welltyped(st2)
 
 
 def test_encoding_length(prelude_env):
     xi = prepare(prelude_env, IntLit(0)).xi
-    st = AnnState(xi=xi, env=(), focus=IntLit(3, ty=INT), demand=ONE,
+    st = AnnState(xi=xi, env=(), focus=Clo(IntLit(3, ty=INT)), demand=ONE,
                   focus_ty=INT,
-                  stack=(SEntry(IntLit(1, ty=INT), ONE, INT),
-                         SEntry(IntLit(2, ty=INT), OMEGA, INT)))
+                  stack=(SEntry(Clo(IntLit(1, ty=INT)), ONE, INT),
+                         SEntry(Clo(IntLit(2, ty=INT)), OMEGA, INT)))
     term, ty = encode_state(st)
     # one weighted pair per stack entry plus one for the focus
     depth = 0
@@ -181,7 +200,7 @@ def test_instrumented_corpus_program(prelude_env):
 
 def test_instrumented_requires_welltyped_initial_state(prelude_env):
     xi = prepare(prelude_env, IntLit(0)).xi
-    bad = AnnState(xi=xi, env=(), focus=Var("x", ty=INT), demand=ONE,
+    bad = AnnState(xi=xi, env=(), focus=Clo(Var("x", ty=INT)), demand=ONE,
                    focus_ty=INT)
     with pytest.raises(ValueError):
         instrumented_eval(bad, 100)
@@ -199,9 +218,9 @@ def test_preservation_violation_reported_on_broken_state(prelude_env):
     """A hand-corrupted environment (linear binding consumed twice by the
     focus) fails the precondition rather than slipping through."""
     xi = prepare(prelude_env, IntLit(0)).xi
-    b = EnvBind("x", True, INT, IntLit(5, ty=INT), 1)
+    b = EnvBind("x", True, INT, Clo(IntLit(5, ty=INT)), 1)
     dup = Prim("add", (Var("x", ty=INT), Var("x", ty=INT)), ty=INT)
-    bad = AnnState(xi=xi, env=(b,), focus=dup, demand=ONE, focus_ty=INT)
+    bad = AnnState(xi=xi, env=(b,), focus=Clo(dup), demand=ONE, focus_ty=INT)
     assert not state_welltyped(bad)
     with pytest.raises(ValueError):
         instrumented_eval(bad, 100)
