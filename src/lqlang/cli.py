@@ -176,8 +176,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if len(results) == 2:
         (_, o1, t1, _, _), (_, o2, t2, _, _) = results
-        agree = (o1.kind == o2.kind and t1 == t2) if ground \
-            else o1.kind == o2.kind
+        # as in the fuzzer: the semantics apply their rules in step
+        agree = (o1.kind == o2.kind and o1.steps == o2.steps
+                 and (t1 == t2 or not ground))
         if not agree:
             print("semantics disagree", file=sys.stderr)
             return 1

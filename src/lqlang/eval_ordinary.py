@@ -1,17 +1,19 @@
 """The ordinary big-step semantics: lazy evaluation with a mutable heap.
 
-The heap holds two kinds of bindings: suspensions (always unrestricted;
-forcing one overwrites it with its value, which is how sharing is
-modelled) and array cells, which are mutated in place by ``write`` and
-retagged from mutable to frozen by ``freeze``.
+The heap holds two kinds of bindings: closures (``runtime.Clo``, always
+unrestricted; forcing one overwrites it with its value, which is how
+sharing is modelled) and array cells, which are mutated in place by
+``write`` and retagged from mutable to frozen by ``freeze``.
 
 Terms are evaluated as closures (see ``runtime``): a term with an
 environment from its source binders to heap names.  Beta, case and let
-extend the environment instead of substituting into the body; a
-suspension stores its right-hand side with the environment cut down to
-that term's free variables, and a value is a closure too.  Heap names,
-steps and traces are those of substitution: a term is built from its
-closure only for a traced step, an abort and the final value.
+extend the environment instead of substituting into the body; a let
+stores each right-hand side as a closure whose environment is cut down to
+that term's free variables.  ``_eval`` returns the value as a closure, so
+a forced variable's heap entry becomes the value closure itself.  Heap
+names, steps and traces are those of substitution: a term is built from
+its closure (``Clo.built``) only for a traced step, an abort and the final
+value.
 
 Typestate is checked dynamically here: ``write`` and ``freeze`` block on
 a frozen cell and ``index`` blocks on a mutable one.  On well-typed
@@ -29,23 +31,15 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .pretty import summarize
-from .runtime import (BlockReason, Continue, EMPTY_ENV, Env, Machine,
-                      Outcome, TraceRecord, arith)
+from .runtime import (BlockReason, Clo, EMPTY_ENV, Env, Machine, Outcome,
+                      TraceRecord, arith)
 from .syntax import (App, ArrName, ArrayLit, Case, Con, IntLit, Lam, Let,
                      LetBind, MultApp, MultLam, ONE, Prim, Term, Var,
-                     is_omega_mult, rename_vars, term_subst_mult)
+                     is_omega_mult, term_subst_mult)
 from .typecheck import PRIM_ARG_MULTS
-
-Value = tuple[Term, Env]  # a closure in weak-head normal form
 
 FRESH_PREFIX = "%h"
 CELL_PREFIX = "%a"
-
-
-@dataclass
-class Susp:
-    term: Term
-    env: Env = field(default_factory=dict)
 
 
 @dataclass
@@ -54,7 +48,7 @@ class Cell:
     elems: list[str]
 
 
-Binding = Union[Susp, Cell]
+Binding = Union[Clo, Cell]
 
 
 @dataclass
@@ -102,7 +96,7 @@ def eval_term(heap: Heap, t: Term, fuel: int,
     The heap is owned and mutated by this evaluation.
     """
     st = _State(heap=heap, fuel=fuel, trace=[] if want_trace else None)
-    return _finish(st, lambda: rename_vars(*_eval(st, t, EMPTY_ENV)))
+    return _finish(st, lambda: _eval(st, t, EMPTY_ENV).built())
 
 
 def trace_eval(heap: Heap, t: Term, fuel: int) -> tuple[Outcome, list[TraceRecord]]:
@@ -115,25 +109,25 @@ def force_variable(prev: EvalResult, name: str, fuel: int) -> EvalResult:
     constructor fields out of a result).  Counters keep accumulating."""
     st = prev.state
     st.fuel = fuel
-    return _finish(st, lambda: rename_vars(*_eval(st, Var(name), EMPTY_ENV)))
+    return _finish(st, lambda: _eval(st, Var(name), EMPTY_ENV).built())
 
 
-def _eval(st: _State, t: Term, env: Env) -> Value:
+def _eval(st: _State, t: Term, env: Env) -> Clo:
     heap = st.heap.bindings
     while True:
         match t:
             case Lam():
                 st.tick("abs", t, env)
-                return t, env
+                return Clo(t, env)
             case MultLam():
                 st.tick("m.abs", t, env)
-                return t, env
+                return Clo(t, env)
             case IntLit():
                 st.tick("int", t, env)
-                return t, EMPTY_ENV
+                return Clo(t)
             case Con():
                 st.tick("constructor", t, env)
-                return t, env
+                return Clo(t, env)
             case ArrayLit():
                 raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "value", "",
                                  "array values do not occur in this semantics")
@@ -144,7 +138,7 @@ def _eval(st: _State, t: Term, env: Env) -> Value:
                     raise st.blocked(BlockReason.MISSING_LINEAR_BINDING,
                                      "mutable cell", l,
                                      f"no array cell named '{l}'")
-                return t, EMPTY_ENV
+                return Clo(t)
 
             case Var(x):
                 x = env.get(x, x)
@@ -165,29 +159,31 @@ def _eval(st: _State, t: Term, env: Env) -> Value:
                     value = _eval(st, binding.term, binding.env)
                 finally:
                     st.forcing.discard(x)
-                heap[x] = Susp(value[0], value[1])
+                heap[x] = value
                 return value
 
             case App(fun, arg):
                 assert isinstance(arg, Var), "term must be in sharing form"
                 st.tick("application", t, env)
-                fv, fenv = _eval(st, fun, env)
-                if not isinstance(fv, Lam):
+                fv = _eval(st, fun, env)
+                lam = fv.term
+                if not isinstance(lam, Lam):
                     raise st.blocked(BlockReason.PRIMITIVE_MISUSE,
                                      "application", "",
                                      "application head is not a function")
-                t, env = fv.body, {**fenv, fv.var: env.get(arg.name,
-                                                            arg.name)}
+                t, env = lam.body, {**fv.env, lam.var: env.get(arg.name,
+                                                               arg.name)}
                 continue
 
             case MultApp(fun, m):
                 st.tick("m.app", t, env)
-                fv, env = _eval(st, fun, env)
-                if not isinstance(fv, MultLam):
+                fv = _eval(st, fun, env)
+                mlam = fv.term
+                if not isinstance(mlam, MultLam):
                     raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "m.app",
                                      "", "multiplicity application head is "
                                          "not a multiplicity abstraction")
-                t = term_subst_mult(fv.body, fv.param, m)
+                t, env = term_subst_mult(mlam.body, mlam.param, m), fv.env
                 continue
 
             case Let(mult, binds, body):
@@ -199,68 +195,67 @@ def _eval(st: _State, t: Term, env: Env) -> Value:
                 # is outside the scope of its own binders
                 rhs_env = inner if is_omega_mult(mult) else env
                 for b in binds:
-                    heap[inner[b.var]] = Susp(b.rhs, st.trim(rhs_env, b.rhs))
+                    heap[inner[b.var]] = Clo(b.rhs, st.trim(rhs_env, b.rhs))
                 t, env = body, inner
                 continue
 
             case Case(_, scrut, branches):
                 st.tick("case", t, env)
-                sv, senv = _eval(st, scrut, env)
-                if not isinstance(sv, Con):
+                sv = _eval(st, scrut, env)
+                con = sv.term
+                if not isinstance(con, Con):
                     raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case", "",
                                      "case scrutinee is not a constructor")
-                branch = next((b for b in branches if b.con == sv.name), None)
+                branch = next((b for b in branches if b.con == con.name),
+                              None)
                 if branch is None:
                     raise st.blocked(BlockReason.MISSING_BRANCH, "case",
-                                     sv.name,
-                                     f"no branch for constructor '{sv.name}'")
-                if len(branch.binders) != len(sv.args):
+                                     con.name,
+                                     f"no branch for constructor '{con.name}'")
+                if len(branch.binders) != len(con.args):
                     raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case",
-                                     sv.name, "branch arity mismatch")
+                                     con.name, "branch arity mismatch")
                 if branch.binders:
                     env = env.copy()
-                    for y, a in zip(branch.binders, sv.args):
+                    for y, a in zip(branch.binders, con.args):
                         assert isinstance(a, Var)
-                        env[y] = senv.get(a.name, a.name)
+                        env[y] = sv.env.get(a.name, a.name)
                 t = branch.body
                 continue
 
             case Prim(name, args):
-                result = _eval_prim(st, t, env, name, args)
-                if isinstance(result, Continue):
-                    t, env = result.term, result.env
-                    continue
-                return result
+                return _eval_prim(st, t, env, name, args)
 
             case _:
                 raise AssertionError(f"cannot evaluate {t!r}")
 
 
 def _force_int(st: _State, prim: str, arg: Term, env: Env) -> int:
-    v, venv = _eval(st, arg, env)
-    if not isinstance(v, IntLit):
+    v = _eval(st, arg, env)
+    if not isinstance(v.term, IntLit):
         raise st.blocked(BlockReason.PRIMITIVE_MISUSE, prim, "",
                          f"'{prim}' needs an integer, got "
-                         f"{summarize(rename_vars(v, venv))}")
-    return v.value
+                         f"{summarize(v.built())}")
+    return v.term.value
 
 
 def _force_cell(st: _State, prim: str, arg: Term, env: Env,
                 want_frozen: bool) -> tuple[str, Cell]:
-    v, venv = _eval(st, arg, env)
-    if not isinstance(v, ArrName):
+    v = _eval(st, arg, env)
+    if not isinstance(v.term, ArrName):
         raise st.blocked(BlockReason.PRIMITIVE_MISUSE, prim, "",
                          f"'{prim}' needs an array, got "
-                         f"{summarize(rename_vars(v, venv))}")
-    cell = st.heap.bindings.get(v.name)
+                         f"{summarize(v.built())}")
+    name = v.term.name
+    cell = st.heap.bindings.get(name)
     if not isinstance(cell, Cell):
-        raise st.blocked(BlockReason.MISSING_LINEAR_BINDING, prim, v.name,
-                         f"no array cell named '{v.name}'")
+        raise st.blocked(BlockReason.MISSING_LINEAR_BINDING, prim, name,
+                         f"no array cell named '{name}'")
     if cell.frozen != want_frozen:
         state = "frozen" if cell.frozen else "mutable"
-        raise st.blocked(BlockReason.TYPESTATE_VIOLATION, prim, v.name,
+        raise st.blocked(BlockReason.TYPESTATE_VIOLATION, prim, name,
                          f"'{prim}' applied to a {state} array")
-    return v.name, cell
+    return name, cell
 
 
 def _check_bounds(st: _State, prim: str, name: str, cell: Cell,
@@ -272,7 +267,7 @@ def _check_bounds(st: _State, prim: str, name: str, cell: Cell,
 
 
 def _eval_prim(st: _State, t: Prim, env: Env, name: str,
-               args: tuple[Term, ...]) -> Value | Continue:
+               args: tuple[Term, ...]) -> Clo:
     heap = st.heap.bindings
     arity = len(PRIM_ARG_MULTS.get(name, ()))
     if len(args) < arity:  # reachable only without the typechecker
@@ -298,7 +293,7 @@ def _eval_prim(st: _State, t: Prim, env: Env, name: str,
                 binds=(LetBind(x, None, ArrName(cell_name)),),  # type: ignore[arg-type]
                 body=App(args[2], Var(x)))
             result = _eval(st, inner, env)
-            value = result[0]
+            value = result.term
             if not (isinstance(value, Con) and value.name == "Unrestricted"
                     and len(value.args) == 1):
                 raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
@@ -316,7 +311,7 @@ def _eval_prim(st: _State, t: Prim, env: Env, name: str,
             assert isinstance(args[2], Var)
             # in place; no allocation
             cell.elems[i] = env.get(args[2].name, args[2].name)
-            return ArrName(cell_name), EMPTY_ENV
+            return Clo(ArrName(cell_name))
 
         case "freeze":
             st.tick("freeze", t, env)
@@ -324,8 +319,8 @@ def _eval_prim(st: _State, t: Prim, env: Env, name: str,
                                           want_frozen=False)
             cell.frozen = True  # retag in place
             alias = st.fresh(FRESH_PREFIX)
-            heap[alias] = Susp(ArrName(cell_name))
-            return Con("Unrestricted", (), (), (Var(alias),)), EMPTY_ENV
+            heap[alias] = Clo(ArrName(cell_name))
+            return Clo(Con("Unrestricted", (), (), (Var(alias),)))
 
         case "index":
             st.tick("index", t, env)
@@ -333,13 +328,13 @@ def _eval_prim(st: _State, t: Prim, env: Env, name: str,
             cell_name, cell = _force_cell(st, name, args[0], env,
                                           want_frozen=True)
             _check_bounds(st, name, cell_name, cell, i)
-            return Continue(Var(cell.elems[i]), EMPTY_ENV)
+            return _eval(st, Var(cell.elems[i]), EMPTY_ENV)
 
         case "add" | "sub" | "mul" | "eq" | "lt":
             st.tick("prim", t, env)
             a = _force_int(st, name, args[0], env)
             b = _force_int(st, name, args[1], env)
-            return arith(name, a, b), EMPTY_ENV
+            return Clo(arith(name, a, b))
 
         case _:
             raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "prim", "",

@@ -7,15 +7,18 @@ which it is being consumed, and a stack describing the rest of the
 computation.  Arrays are plain values here: ``write`` returns a fresh
 copy, ``freeze`` retags, and nothing is mutated in place.
 
-The machine evaluates closures (see ``runtime``) rather than substituting:
+The machine evaluates closures (``runtime.Clo``) rather than substituting:
 environment bindings, stack entries, the focus and values are terms under
 an environment from source binders to environment names, and beta, case
-and let extend that environment.  Its environment is a dict plus a linked
-list in state order, and its stack is a linked list, so inserting a
-binding before the one being forced, removing a consumed one and pushing
-an entry are O(1).  An ``AnnState`` holds the same closures, and
-``snapshot`` reads one off the machine without building a term; names,
-steps and traces are those of substitution.
+and let extend that environment.  The machine's state is made of the
+records an ``AnnState`` holds: its bindings are ``EnvBind``s, found by name
+in a dict and linked in state order, its stack entries are ``SEntry``s
+linked by ``below``, and its ambient context is one ``TypeEnv`` that the
+shared variable rule extends.  Inserting a binding before the one being
+forced, removing a consumed one and pushing an entry are O(1), and
+``snapshot`` reads a state off the machine without copying a binding, an
+entry, the context or a term; names, steps and traces are those of
+substitution.
 
 Linear bindings are removed from the environment when forced and forcing
 them at demand w blocks; on well-typed programs neither a removed binding
@@ -62,8 +65,8 @@ from .diagnostics import CheckError
 from .multiplicity import (NF_OMEGA, NF_ONE, ZERO, Usage, mult_normalize,
                            sub_usage, usage_add_into, usage_scale)
 from .pretty import summarize
-from .runtime import (BlockReason, Clo, Continue, EMPTY_ENV, Env, Machine,
-                      Outcome, TraceRecord, arith)
+from .runtime import (BlockReason, Clo, Env, Machine, Outcome, TraceRecord,
+                      arith)
 from .syntax import (App, ArrayLit, Case, Con, ConDecl, DataDecl, IntLit,
                      Lam, Let, LetBind, MVar, MultApp, MultExpr, MultLam,
                      OMEGA, ONE, Omega, One, Prim, TArray, TArrow, TData, TInt,
@@ -89,31 +92,46 @@ UNIT_TY = TData("%Unit", (), ())
 UNIT_VAL = Con("%MkUnit", (), (), (), ty=UNIT_TY)
 
 
-@dataclass
+@dataclass(slots=True)
 class SEntry:
-    term: Clo
+    """A stack entry: a closure consumed at ``demand`` once the focus is
+    done, above the entries ``below`` it, so that a push is O(1).  A case
+    frame's closure is None in a run whose states are not checked."""
+    term: Optional[Clo]
     demand: MultExpr  # ONE or OMEGA
     ty: Type
+    below: Optional[SEntry] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class EnvBind:
+    """An environment binding.  In a machine the bindings form a doubly
+    linked list in state order (``prev``/``next``), so that inserting
+    before an anchor and removing are O(1); ``AnnState.env`` lists them."""
     name: str
     linear: bool
     ty: Type
     term: Clo
     group: int
     forcing: bool = False
+    prev: Optional[EnvBind] = field(default=None, repr=False, compare=False)
+    next: Optional[EnvBind] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
 class AnnState:
+    """A state: the ambient context, the environment in state order, the
+    focus with its demand and type, and the newest stack entry.  A state
+    read off a running machine (``_PState.snapshot``) shares the machine's
+    bindings, stack entries and ambient context, so it must be read before
+    the machine moves on, as ``state_welltyped``, the oracle tests' spies
+    and ``PreservationViolation`` do."""
     xi: TypeEnv
     env: tuple[EnvBind, ...]
     focus: Clo
     demand: MultExpr
     focus_ty: Type
-    stack: tuple[SEntry, ...] = ()
+    stack: Optional[SEntry] = None
 
 
 class PreservationViolation(Exception):
@@ -152,12 +170,20 @@ def _wrap(entry_term: Term, entry_demand: MultExpr, entry_ty: Type,
     return term, ty
 
 
+def stack_entries(top: Optional[SEntry]) -> Iterator[SEntry]:
+    """The stack from ``top`` down: newest entry first."""
+    while top is not None:
+        yield top
+        top = top.below
+
+
 def encode_state(s: AnnState) -> tuple[Term, Type]:
     """The state as a closed term and its expected type, each closure
     built."""
     payload: Term = UNIT_VAL
     payload_ty: Type = UNIT_TY
-    for entry in s.stack:  # oldest first; newest ends up outermost
+    # oldest first; newest ends up outermost
+    for entry in reversed(list(stack_entries(s.stack))):
         payload, payload_ty = _wrap(entry.term.built(), entry.demand,
                                     entry.ty, payload, payload_ty)
     term, ty = _wrap(s.focus.built(), s.demand, s.focus_ty, payload,
@@ -220,7 +246,10 @@ def state_welltyped(s: AnnState, cache: Optional[CheckCache] = None) -> bool:
         return reference_welltyped(s)
     xi = s.xi
     inferred = cache.inferred
-    clos = [b.term for b in live] + [s.focus] + [e.term for e in s.stack]
+    # the %WPair chain, outermost first: the focus, then the stack
+    chain = list(stack_entries(SEntry(s.focus, s.demand, s.focus_ty,
+                                      s.stack)))
+    clos = [b.term for b in live] + [e.term for e in chain]
     missing = {id(c): c for c in clos if id(c) not in inferred}
     if missing:
         # sound in one environment: each name has one type (_fits_cache),
@@ -258,7 +287,7 @@ def state_welltyped(s: AnnState, cache: Optional[CheckCache] = None) -> bool:
 
     # the %WPair chain: each entry consumed at its demand
     acc: Usage = {}
-    for e in (*s.stack, SEntry(s.focus, s.demand, s.focus_ty)):
+    for e in chain:
         u = use(e.term, e.ty, len(groups))
         if u is None or mult_vars(e.demand):
             return False
@@ -348,43 +377,14 @@ def _fits_cache(s: AnnState, live: list[EnvBind], cache: CheckCache) -> bool:
 # ---------------------------------------------------------------------------
 # The machine
 
-class _Bind:
-    """A binding of the machine's environment, with its right-hand side as
-    a closure.  Bindings form a doubly linked list in state order, so that
-    inserting before an anchor and removing are O(1); a new binding is a
-    list of its own."""
-
-    __slots__ = ("name", "linear", "ty", "clo", "group", "forcing", "prev",
-                 "next")
-
-    def __init__(self, name: str, linear: bool, ty: Type, clo: Clo,
-                 group: int, forcing: bool = False) -> None:
-        self.name, self.linear, self.ty = name, linear, ty
-        self.clo, self.group, self.forcing = clo, group, forcing
-        self.prev: _Bind = self
-        self.next: _Bind = self
-
-
-class _Frame:
-    """A stack entry: a closure consumed at ``demand`` once the focus is
-    done.  ``below`` is the rest of the stack, so a push is O(1)."""
-
-    __slots__ = ("clo", "demand", "ty", "below")
-
-    def __init__(self, clo: Optional[Clo], demand: MultExpr, ty: Type,
-                 below: Optional[_Frame]) -> None:
-        self.clo, self.demand, self.ty, self.below = clo, demand, ty, below
-
-
 @dataclass
 class _PState(Machine):
-    base: TypeEnv  # declarations only; term bindings live in xi/env
-    xi: dict[str, Type] = field(default_factory=dict)
-    binds: dict[str, _Bind] = field(default_factory=dict)
+    xi: TypeEnv  # the ambient context; the shared variable rule extends it
+    binds: dict[str, EnvBind] = field(default_factory=dict)
     # sentinel of the binding list: end.next is the first binding
-    end: _Bind = field(default_factory=lambda: _Bind("", False, TInt(),
-                                                     Clo(UNIT_VAL), 0))
-    anchors: list[_Bind] = field(default_factory=list)
+    end: EnvBind = field(default_factory=lambda: EnvBind("", False, TInt(),
+                                                         Clo(UNIT_VAL), 0))
+    anchors: list[EnvBind] = field(default_factory=list)
     group_counter: int = 0
     array_allocs: int = 0
     array_copies: int = 0
@@ -394,11 +394,14 @@ class _PState(Machine):
     # each case node's frame, by id (``case_frame``)
     frames: dict[int, tuple[Case, Lam]] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self.end.prev = self.end.next = self.end
+
     def new_group(self) -> int:
         self.group_counter += 1
         return self.group_counter
 
-    def insert(self, bind: _Bind) -> None:
+    def insert(self, bind: EnvBind) -> None:
         """New bindings go just before the innermost binding being forced,
         so that the updated binding can refer to them."""
         at = self.anchors[-1] if self.anchors else self.end
@@ -406,21 +409,16 @@ class _PState(Machine):
         at.prev.next = at.prev = bind
         self.binds[bind.name] = bind
 
-    def remove(self, bind: _Bind) -> None:
+    def remove(self, bind: EnvBind) -> None:
         bind.prev.next, bind.next.prev = bind.next, bind.prev
         del self.binds[bind.name]
 
-    def ordered(self) -> Iterator[_Bind]:
+    def ordered(self) -> Iterator[EnvBind]:
+        """The environment in state order."""
         b = self.end.next
         while b is not self.end:
             yield b
             b = b.next
-
-    @property
-    def env(self) -> tuple[EnvBind, ...]:
-        """The environment in state order."""
-        return tuple(EnvBind(b.name, b.linear, b.ty, b.clo, b.group,
-                             b.forcing) for b in self.ordered())
 
     def case_frame(self, t: Case) -> Lam:
         """The pending branches of ``t`` as a function of its scrutinee,
@@ -434,16 +432,11 @@ class _PState(Machine):
         return hit[1]
 
     def snapshot(self, focus: Clo, demand: MultExpr, ty: Type,
-                 stack: Optional[_Frame]) -> AnnState:
-        xi = dataclasses.replace(
-            self.base, vars={x: (t, OMEGA) for x, t in self.xi.items()})
-        entries = []
-        while stack is not None:
-            entries.append(SEntry(stack.clo, stack.demand, stack.ty))
-            stack = stack.below
-        return AnnState(xi=xi, env=self.env, focus=focus,
-                        demand=demand, focus_ty=ty,
-                        stack=tuple(reversed(entries)))
+                 stack: Optional[SEntry]) -> AnnState:
+        """The current state; it shares the machine's records (see
+        ``AnnState``)."""
+        return AnnState(self.xi, tuple(self.ordered()), focus, demand, ty,
+                        stack)
 
 
 @dataclass
@@ -462,23 +455,26 @@ class PureResult:
 
 def _load(s: AnnState, fuel: int, check: bool,
           want_trace: bool) -> _PState:
-    base = dataclasses.replace(with_internal_decls(s.xi), vars={})
-    st = _PState(base=base, fuel=fuel, check=check,
+    """A machine in state ``s``.  The machine links and changes its
+    bindings and context, so it takes copies of those in ``s``: evaluation
+    never changes a caller's ``AnnState``, and one ``EnvBind`` may be given
+    in several states.  The machine never changes a stack entry, so it
+    shares ``s.stack``."""
+    xi = dataclasses.replace(
+        with_internal_decls(s.xi),
+        vars={x: (ty, OMEGA) for x, (ty, _) in s.xi.vars.items()})
+    st = _PState(xi=xi, fuel=fuel, check=check,
                  cache=CheckCache() if check else None,
                  trace=[] if want_trace else None)
-    st.xi = {x: ty for x, (ty, _) in s.xi.vars.items()}
     for b in s.env:
-        st.insert(_Bind(b.name, b.linear, b.ty, b.term, b.group, b.forcing))
+        st.insert(dataclasses.replace(b))
         st.group_counter = max(st.group_counter, b.group)
     return st
 
 
 def _run(st: _PState, s: AnnState) -> PureResult:
-    stack = None
-    for e in s.stack:  # oldest first
-        stack = _Frame(e.term, e.demand, e.ty, stack)
     return _finish(st, lambda: _eval(st, s.focus, s.demand, s.focus_ty,
-                                     stack))
+                                     s.stack))
 
 
 def _finish(st: _PState, run) -> PureResult:
@@ -541,7 +537,7 @@ def _dmul(st: _PState, a: MultExpr, b: MultExpr) -> MultExpr:
 
 
 def _ret(st: _PState, rule: str, value: Clo, demand: MultExpr, ty: Type,
-         stack: Optional[_Frame]) -> Clo:
+         stack: Optional[SEntry]) -> Clo:
     if st.check:
         st.check_count += 1
         ann = st.snapshot(value, demand, ty, stack)
@@ -554,7 +550,7 @@ def _ret(st: _PState, rule: str, value: Clo, demand: MultExpr, ty: Type,
 
 
 def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
-          stack: Optional[_Frame]) -> Clo:
+          stack: Optional[SEntry]) -> Clo:
     while True:
         t, env = c.term, c.env
         match t:
@@ -592,18 +588,18 @@ def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
                             f"linear binding '{x}' demanded non-linearly")
                     st.tick("linear variable", t, env)
                     st.remove(b)
-                    c = b.clo
+                    c = b.term
                     continue  # single tail premise at demand 1
                 st.tick("shared variable", t, env)
                 b.forcing = True
-                st.xi[x] = b.ty  # ambient context grows, never pruned
+                st.xi.vars[x] = (b.ty, OMEGA)  # grows, never pruned
                 st.anchors.append(b)
                 try:
-                    z = _eval(st, b.clo, demand, ty, stack)
+                    z = _eval(st, b.term, demand, ty, stack)
                 finally:
                     st.anchors.pop()
                     b.forcing = False
-                b.clo = z
+                b.term = z
                 return _ret(st, "shared variable", z, demand, ty, stack)
 
             case App(fun, arg):
@@ -613,7 +609,7 @@ def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
                 assert isinstance(fun_ty, TArrow), \
                     "pure evaluation needs annotated terms"
                 pi = t.mult_ann if t.mult_ann is not None else fun_ty.mult
-                entry = _Frame(Clo(arg, env), _dmul(st, pi, demand),
+                entry = SEntry(Clo(arg, env), _dmul(st, pi, demand),
                                fun_ty.dom, stack)
                 fv = _eval(st, Clo(fun, env), demand, fun_ty, entry)
                 lam = fv.term
@@ -649,10 +645,10 @@ def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
                 rhs_env = inner if is_omega_mult(m) else env
                 for b in binds:
                     assert b.var_ty is not None
-                    st.insert(_Bind(inner[b.var], bind_mult == ONE,
-                                    b.var_ty,
-                                    Clo(b.rhs, st.trim(rhs_env, b.rhs)),
-                                    group))
+                    st.insert(EnvBind(inner[b.var], bind_mult == ONE,
+                                      b.var_ty,
+                                      Clo(b.rhs, st.trim(rhs_env, b.rhs)),
+                                      group))
                 c = Clo(body, inner)
                 continue
 
@@ -668,7 +664,7 @@ def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
                 # the pending branches, as a function of the scrutinee; only
                 # a state check reads them
                 frame = Clo(st.case_frame(t), env) if st.check else None
-                entry = _Frame(frame, demand, frame_ty, stack)
+                entry = SEntry(frame, demand, frame_ty, stack)
                 sv = _eval(st, Clo(scrut, env), _dmul(st, m, demand),
                            scrut_ty, entry)
                 con = sv.term
@@ -694,12 +690,7 @@ def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
                 continue
 
             case Prim(name, args):
-                result = _eval_prim(st, t, env, name, args, demand, ty,
-                                    stack)
-                if isinstance(result, Continue):
-                    c, ty = Clo(result.term, result.env), result.ty
-                    continue
-                return result
+                return _eval_prim(st, t, env, name, args, demand, ty, stack)
 
             case _:
                 raise AssertionError(f"cannot evaluate {t!r}")
@@ -729,7 +720,7 @@ _PENDING: dict[str, list[list[int]]] = {
 
 
 def _prim_arg(st: _PState, name: str, args: tuple[Clo, ...], stage: int,
-              demand: MultExpr, stack: Optional[_Frame]) -> Clo:
+              demand: MultExpr, stack: Optional[SEntry]) -> Clo:
     """Premise ``stage`` of a primitive.  Each argument still unconsumed
     meanwhile is on the stack at its signature multiplicity scaled by the
     demand."""
@@ -737,7 +728,7 @@ def _prim_arg(st: _PState, name: str, args: tuple[Clo, ...], stage: int,
     for j in _PENDING[name][stage]:
         arg = args[j]
         assert isinstance(arg.term, Var) and arg.term.ty is not None
-        stack = _Frame(arg, _dmul(st, mults[j], demand), arg.term.ty, stack)
+        stack = SEntry(arg, _dmul(st, mults[j], demand), arg.term.ty, stack)
     i = _PRIM_ORDER[name][stage]
     arg = args[i]
     assert isinstance(arg.term, Var) and arg.term.ty is not None
@@ -768,7 +759,7 @@ def _want_array(st: _PState, name: str, v: Clo,
 
 def _eval_prim(st: _PState, t: Prim, env: Env, name: str,
                args: tuple[Term, ...], demand: MultExpr, ty: Type,
-               stack: Optional[_Frame]) -> Clo | Continue:
+               stack: Optional[SEntry]) -> Clo:
     # one closure per argument, so an argument pending in several premises
     # is one term to the state check
     cargs = tuple(Clo(a, env) for a in args)
@@ -831,8 +822,8 @@ def _eval_prim(st: _PState, t: Prim, env: Env, name: str,
             frozen = ArrayLit(arr.elems, arr.elem_ty, True,
                               ty=TArray(arr.elem_ty))
             x = st.fresh(FRESH_PREFIX)
-            st.insert(_Bind(x, False, TArray(arr.elem_ty), Clo(frozen),
-                            st.new_group()))
+            st.insert(EnvBind(x, False, TArray(arr.elem_ty), Clo(frozen),
+                              st.new_group()))
             value = Con("Unrestricted", (TArray(arr.elem_ty),), (),
                         (Var(x, ty=TArray(arr.elem_ty)),), ty=ty)
             return _ret(st, "freeze", Clo(value), demand, ty, stack)
@@ -851,7 +842,8 @@ def _eval_prim(st: _PState, t: Prim, env: Env, name: str,
             elem_name = arr.elems[i]
             b = st.binds.get(elem_name)
             elem_ty = b.ty if b is not None else arr.elem_ty
-            return Continue(Var(elem_name, ty=elem_ty), EMPTY_ENV, elem_ty)
+            return _eval(st, Clo(Var(elem_name, ty=elem_ty)), demand, elem_ty,
+                         stack)
 
         case "add" | "sub" | "mul" | "eq" | "lt":
             st.tick("prim", t, env)

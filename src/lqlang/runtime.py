@@ -1,13 +1,16 @@
 """Outcomes, traces, closures and the machine plumbing shared by both
 evaluators.
 
-Both evaluators work on closures instead of substituting: a term is paired
-with an environment (``Env``) from its free source binders to the names
-they stand for, and a beta, case or let step extends the environment
-rather than copying the body.  A closure becomes a term again
-(``rename_vars``) only where a term is observed: a traced or aborted step,
-a final value, or a state encoded whole (``eval_pure.encode_state``).  The
-pure evaluator's state check types closures as they are.
+Both evaluators work on closures instead of substituting: a ``Clo`` is a
+term paired with an environment (``Env``) from its free source binders to
+the names they stand for, and a beta, case or let step extends the
+environment rather than copying the body.  ``Clo`` is the one closure type
+of both machines: the ordinary heap's suspensions and values, and the pure
+machine's bindings, stack entries, focus and values.  A closure becomes a
+term again (``Clo.built``, ``rename_vars``) only where a term is observed:
+a traced or aborted step, a final value, or a state encoded whole
+(``eval_pure.encode_state``).  The pure evaluator's state check types
+closures as they are.
 
 ``Machine`` holds what the two semantics have in common: fuel, the step
 count, fresh names, the rule trace, the aborts (fuel, blocked, blackhole)
@@ -25,8 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .pretty import show_term, summarize
-from .syntax import (Con, INT, IntLit, TData, Term, Type, free_vars,
-                     rename_vars)
+from .syntax import Con, INT, IntLit, TData, Term, free_vars, rename_vars
 
 # Source binder -> the heap or environment name it stands for.  An
 # environment is never changed once built; extending one copies it.  A name
@@ -51,17 +53,6 @@ class Clo:
         if self._built is None:
             self._built = rename_vars(self.term, self.env)
         return self._built
-
-
-class Continue:
-    """A primitive's result that is not a value yet: evaluation goes on
-    with ``term`` under ``env``, at type ``ty`` in the pure semantics."""
-
-    __slots__ = ("term", "env", "ty")
-
-    def __init__(self, term: Term, env: Env,
-                 ty: Optional[Type] = None) -> None:
-        self.term, self.env, self.ty = term, env, ty
 
 
 _ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,

@@ -71,6 +71,53 @@ def test_run_both_json_is_pair(capsys):
     assert blobs[0]["value"] == blobs[1]["value"] == "6"
 
 
+def test_run_both_disagrees_on_step_counts(capsys, monkeypatch):
+    """The two semantics apply their rules in step: equal values reached in
+    different numbers of steps are a disagreement, as in the fuzzer."""
+    import lqlang.cli
+    real = lqlang.cli.eval_pure
+
+    def one_more_step(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.steps += 1
+        res.outcome.steps += 1
+        return res
+
+    monkeypatch.setattr(lqlang.cli, "eval_pure", one_more_step)
+    code, out, err = run_cli(capsys, "run", str(CORPUS / "arith.lq"),
+                             "--sem=both", "--json")
+    blobs = json.loads(out)
+    assert blobs[0]["value"] == blobs[1]["value"]
+    assert blobs[1]["steps"] == blobs[0]["steps"] + 1
+    assert code == 1
+    assert err == "semantics disagree\n"
+
+
+@pytest.mark.parametrize("program, rule, steps, detail", [
+    ("main = case[1] newMArray(sub(0, 1), 0, \\[1] ma : MArray Int . "
+     "freeze(ma)) of\n  { Unrestricted a -> 0 }",
+     "newMArray", 13, "negative array size -1"),
+    ("main = case[1] newMArray(2, 0, \\[1] ma : MArray Int . freeze(ma)) "
+     "of\n  { Unrestricted a -> index(a, 5) }",
+     "index", 20, "index 5 out of bounds for array of size 2"),
+])
+def test_well_typed_programs_block_on_array_bounds(tmp_path, capsys, program,
+                                                   rule, steps, detail):
+    """Types do not bound sizes or indices: a negative size and an
+    out-of-range index pass the checker and then block, at the same rule
+    and step under both semantics."""
+    f = tmp_path / "bounds.lq"
+    f.write_text(program + "\n")
+    assert run_cli(capsys, "check", str(f))[0] == 0
+    code, out, err = run_cli(capsys, "run", str(f), "--sem=both", "--json")
+    assert code == 1
+    assert err == ""
+    for blob in json.loads(out):
+        assert (blob["outcome"], blob["reason"], blob["rule"], blob["steps"],
+                blob["detail"]) == ("blocked", "PrimitiveMisuse", rule,
+                                    steps, detail)
+
+
 def test_run_fuel_flag(capsys):
     code, out, err = run_cli(capsys, "run", str(CORPUS / "special" / "loop.lq"),
                              "--fuel=500", "--json")

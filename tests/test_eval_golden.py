@@ -24,7 +24,6 @@ def test_evaluators_match_the_golden_record():
 def test_untraced_runs_build_only_the_final_value(prelude, monkeypatch):
     """Without a trace, a check or an abort, neither evaluator turns a
     closure back into a term except for the value it returns."""
-    import lqlang.eval_ordinary
     import lqlang.runtime
     built = []
     real = lqlang.runtime.rename_vars
@@ -33,8 +32,8 @@ def test_untraced_runs_build_only_the_final_value(prelude, monkeypatch):
         built.append(t)
         return real(t, env)
 
-    for module in (lqlang.runtime, lqlang.eval_ordinary):
-        monkeypatch.setattr(module, "rename_vars", counting)
+    # both evaluators build terms only through runtime (``Clo.built``)
+    monkeypatch.setattr(lqlang.runtime, "rename_vars", counting)
     checked = check_corpus(CORPUS / "list_sum.lq", prelude)
     sh = to_sharing(checked.term, checked.env)
     ores = eval_term(Heap(), sh, 100_000)

@@ -3,8 +3,8 @@ blackholing, fuel."""
 
 import pytest
 
-from lqlang.eval_ordinary import Cell, Heap, Susp, eval_term, trace_eval
-from lqlang.runtime import BlockReason, OutcomeKind
+from lqlang.eval_ordinary import Cell, Heap, eval_term, trace_eval
+from lqlang.runtime import BlockReason, Clo, OutcomeKind
 from lqlang.syntax import (App, ArrName, Branch, Case, Con, INT, IntLit, Lam,
                            Let, LetBind, OMEGA, ONE, Prim, TMArray, Var)
 from lqlang.translate import to_sharing
@@ -46,8 +46,8 @@ def test_lambda_value_immediate(prelude_env):
 
 def test_write_after_freeze_blocks_typestate():
     # deliberately unchecked: freeze then write the same cell
-    heap = Heap({"l": Cell(True, ["x"]), "x": Susp(IntLit(0)),
-                 "v": Susp(IntLit(5))})
+    heap = Heap({"l": Cell(True, ["x"]), "x": Clo(IntLit(0)),
+                 "v": Clo(IntLit(5))})
     prog = Prim("write", (ArrName("l"), IntLit(0), Var("v")))
     res = eval_term(heap, prog, 100)
     assert res.outcome.kind is OutcomeKind.BLOCKED
@@ -57,14 +57,14 @@ def test_write_after_freeze_blocks_typestate():
 
 
 def test_index_mutable_blocks_typestate():
-    heap = Heap({"l": Cell(False, ["x"]), "x": Susp(IntLit(0))})
+    heap = Heap({"l": Cell(False, ["x"]), "x": Clo(IntLit(0))})
     res = eval_term(heap, Prim("index", (ArrName("l"), IntLit(0))), 100)
     assert res.outcome.kind is OutcomeKind.BLOCKED
     assert res.outcome.reason is BlockReason.TYPESTATE_VIOLATION
 
 
 def test_double_freeze_blocks_typestate():
-    heap = Heap({"l": Cell(True, ["x"]), "x": Susp(IntLit(0))})
+    heap = Heap({"l": Cell(True, ["x"]), "x": Clo(IntLit(0))})
     res = eval_term(heap, Prim("freeze", (ArrName("l"),)), 100)
     assert res.outcome.kind is OutcomeKind.BLOCKED
     assert res.outcome.reason is BlockReason.TYPESTATE_VIOLATION

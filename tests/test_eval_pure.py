@@ -10,7 +10,8 @@ import pytest
 from lqlang.eval_pure import (AnnState, EnvBind, PreservationViolation,
                               SEntry, _PState, encode_state, eval_pure,
                               initial_state, instrumented_eval,
-                              reference_welltyped, state_welltyped)
+                              reference_welltyped, stack_entries,
+                              state_welltyped)
 from lqlang.harness import GenConfig, fuzz, gen_welltyped
 from lqlang.runtime import BlockReason, Clo, OutcomeKind
 from lqlang.syntax import (App, ArrayLit, Branch, Case, Con, INT, IntLit,
@@ -164,13 +165,13 @@ def test_stack_entries_count_in_encoding(prelude_env):
     # x pending on the stack at demand 1: consumed exactly once in total
     st = AnnState(xi=xi, env=(b,), focus=Clo(IntLit(3, ty=INT)), demand=ONE,
                   focus_ty=INT,
-                  stack=(SEntry(Clo(Var("x", ty=INT)), ONE, INT),))
+                  stack=SEntry(Clo(Var("x", ty=INT)), ONE, INT))
     assert state_welltyped(st)
     # but x duplicated on the stack is consumed twice
     st2 = AnnState(xi=xi, env=(b,), focus=Clo(IntLit(3, ty=INT)), demand=ONE,
                    focus_ty=INT,
-                   stack=(SEntry(Clo(Var("x", ty=INT)), ONE, INT),
-                          SEntry(Clo(Var("x", ty=INT)), ONE, INT)))
+                   stack=SEntry(Clo(Var("x", ty=INT)), ONE, INT,
+                                SEntry(Clo(Var("x", ty=INT)), ONE, INT)))
     assert not state_welltyped(st2)
 
 
@@ -178,8 +179,8 @@ def test_encoding_length(prelude_env):
     xi = prepare(prelude_env, IntLit(0)).xi
     st = AnnState(xi=xi, env=(), focus=Clo(IntLit(3, ty=INT)), demand=ONE,
                   focus_ty=INT,
-                  stack=(SEntry(Clo(IntLit(1, ty=INT)), ONE, INT),
-                         SEntry(Clo(IntLit(2, ty=INT)), OMEGA, INT)))
+                  stack=SEntry(Clo(IntLit(2, ty=INT)), OMEGA, INT,
+                               SEntry(Clo(IntLit(1, ty=INT)), ONE, INT)))
     term, ty = encode_state(st)
     # one weighted pair per stack entry plus one for the focus
     depth = 0
@@ -187,7 +188,7 @@ def test_encoding_length(prelude_env):
     while isinstance(probe, Con) and probe.name == "%MkWPair":
         depth += 1
         probe = probe.args[1]
-    assert depth == len(st.stack) + 1
+    assert depth == len(list(stack_entries(st.stack))) + 1
 
 
 # --- instrumentation -----------------------------------------------------------
@@ -275,11 +276,11 @@ def _perturbed(s, k):
         yield "reverse env", replace(s, env=env[::-1])
     yield "flip focus demand", replace(s, demand=_flip(s.demand))
     yield "focus type Int", replace(s, focus_ty=INT)
-    if s.stack:
-        top = s.stack[-1]
+    top = s.stack
+    if top is not None:
         yield "flip stack demand", replace(
-            s, stack=s.stack[:-1] + (replace(top, demand=_flip(top.demand)),))
-        yield "pop stack", replace(s, stack=s.stack[:-1])
+            s, stack=replace(top, demand=_flip(top.demand)))
+        yield "pop stack", replace(s, stack=top.below)
 
 
 def _compare_on_runs(monkeypatch, programs, perturb):
@@ -373,6 +374,32 @@ def test_state_checks_type_each_source_subterm_once_per_run(tmp_path,
         checks += summary.state_checks
     assert checks == 1282
     assert tally["nodes"] <= 5000
+
+
+def test_checked_states_share_the_machine_bindings(prelude, monkeypatch):
+    """The machine's bindings are ``EnvBind``s and a checked state shares
+    them: an instrumented run creates one only for each binding a rule
+    inserts and for the binding list's sentinel."""
+    tally = Counter()
+    real_init, real_insert = EnvBind.__init__, _PState.insert
+
+    def init(self, *args, **kwargs):
+        tally["created"] += 1
+        real_init(self, *args, **kwargs)
+
+    def insert(self, bind):
+        tally["inserted"] += 1
+        real_insert(self, bind)
+
+    monkeypatch.setattr(EnvBind, "__init__", init)
+    monkeypatch.setattr(_PState, "insert", insert)
+    checked = check_corpus(CORPUS / "list_sum.lq", prelude)
+    sh = to_sharing(checked.term, checked.env)
+    res = instrumented_eval(initial_state(sh, checked.ty, checked.env),
+                            100_000)
+    assert res.outcome.is_value and res.check_count == 19
+    assert tally["inserted"] == 11
+    assert tally["created"] == tally["inserted"] + 1
 
 
 def test_planted_unremoved_linear_binding_is_caught(prelude, monkeypatch):
