@@ -35,7 +35,7 @@ from .runtime import (BlockReason, Clo, EMPTY_ENV, Env, Machine, Outcome,
                       TraceRecord, arith)
 from .syntax import (App, ArrName, ArrayLit, Case, Con, IntLit, Lam, Let,
                      LetBind, MultApp, MultLam, ONE, Prim, Term, Var,
-                     is_omega_mult, term_subst_mult)
+                     term_subst_mult)
 from .typecheck import PRIM_ARG_MULTS
 
 FRESH_PREFIX = "%h"
@@ -186,14 +186,12 @@ def _eval(st: _State, t: Term, env: Env) -> Clo:
                 t, env = term_subst_mult(mlam.body, mlam.param, m), fv.env
                 continue
 
-            case Let(mult, binds, body):
+            case Let(_, binds, body):
                 st.tick("let", t, env)
                 inner = env.copy()
                 for b in binds:
                     inner[b.var] = st.fresh(FRESH_PREFIX)
-                # only w-groups are recursive: a 1-group's right-hand side
-                # is outside the scope of its own binders
-                rhs_env = inner if is_omega_mult(mult) else env
+                rhs_env = inner if t.rec else env
                 for b in binds:
                     heap[inner[b.var]] = Clo(b.rhs, st.trim(rhs_env, b.rhs))
                 t, env = body, inner

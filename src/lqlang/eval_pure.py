@@ -71,7 +71,7 @@ from .syntax import (App, ArrayLit, Case, Con, ConDecl, DataDecl, IntLit,
                      Lam, Let, LetBind, MVar, MultApp, MultExpr, MultLam,
                      OMEGA, ONE, Omega, One, Prim, TArray, TArrow, TData, TInt,
                      TMArray, TVar, Term, Type, Var, _with, free_vars,
-                     is_omega_mult, mult_vars, term_subst_mult)
+                     mult_vars, term_subst_mult)
 from .typecheck import (PRIM_ARG_MULTS, InferMemo, TypeEnv, check_type,
                         infer, type_equiv)
 
@@ -641,8 +641,7 @@ def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
                 inner = env.copy()
                 for b in binds:
                     inner[b.var] = st.fresh(FRESH_PREFIX)
-                # only w-groups are recursive (see the ordinary let rule)
-                rhs_env = inner if is_omega_mult(m) else env
+                rhs_env = inner if t.rec else env
                 for b in binds:
                     assert b.var_ty is not None
                     st.insert(EnvBind(inner[b.var], bind_mult == ONE,
@@ -743,17 +742,29 @@ def _want_int(st: _PState, name: str, v: Clo) -> int:
     return v.term.value
 
 
-def _want_array(st: _PState, name: str, v: Clo,
-                want_frozen: bool) -> ArrayLit:
+def _want_array(st: _PState, name: str, cargs: tuple[Clo, ...],
+                demand: MultExpr, stack: Optional[SEntry], want_frozen: bool,
+                i: Optional[int] = None) -> ArrayLit:
+    """The premise for the array argument ``cargs[0]``: an array in the
+    wanted typestate, with ``i``, if given, in bounds.  A block there names
+    the heap binding the argument stands for."""
+    v = _prim_arg(st, name, cargs, _PRIM_ORDER[name].index(0), demand, stack)
     arr = v.term
     if not isinstance(arr, ArrayLit):
         raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
                          f"'{name}' needs an array, got "
                          f"{summarize(v.built())}")
+    arg = cargs[0].term
+    assert isinstance(arg, Var)
+    where = cargs[0].env.get(arg.name, arg.name)
     if arr.frozen_tag != want_frozen:
         state = "frozen" if arr.frozen_tag else "mutable"
-        raise st.blocked(BlockReason.TYPESTATE_VIOLATION, name, "",
+        raise st.blocked(BlockReason.TYPESTATE_VIOLATION, name, where,
                          f"'{name}' applied to a {state} array")
+    if i is not None and not 0 <= i < len(arr.elems):
+        raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, where,
+                         f"index {i} out of bounds for array of size "
+                         f"{len(arr.elems)}")
     return arr
 
 
@@ -799,13 +810,8 @@ def _eval_prim(st: _PState, t: Prim, env: Env, name: str,
             st.tick("write", t, env)
             i = _want_int(st, name, _prim_arg(st, name, cargs, 0,
                                               demand, stack))
-            arr = _want_array(st, name, _prim_arg(st, name, cargs, 1,
-                                                  demand, stack),
-                              want_frozen=False)
-            if not 0 <= i < len(arr.elems):
-                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
-                                 f"index {i} out of bounds for array of "
-                                 f"size {len(arr.elems)}")
+            arr = _want_array(st, name, cargs, demand, stack,
+                              want_frozen=False, i=i)
             elem = args[2]
             assert isinstance(elem, Var)
             elems = (arr.elems[:i] + (env.get(elem.name, elem.name),)
@@ -816,8 +822,7 @@ def _eval_prim(st: _PState, t: Prim, env: Env, name: str,
 
         case "freeze":
             st.tick("freeze", t, env)
-            arr = _want_array(st, name, _prim_arg(st, name, cargs, 0,
-                                                  demand, stack),
+            arr = _want_array(st, name, cargs, demand, stack,
                               want_frozen=False)
             frozen = ArrayLit(arr.elems, arr.elem_ty, True,
                               ty=TArray(arr.elem_ty))
@@ -832,13 +837,8 @@ def _eval_prim(st: _PState, t: Prim, env: Env, name: str,
             st.tick("index", t, env)
             i = _want_int(st, name, _prim_arg(st, name, cargs, 0,
                                               demand, stack))
-            arr = _want_array(st, name, _prim_arg(st, name, cargs, 1,
-                                                  demand, stack),
-                              want_frozen=True)
-            if not 0 <= i < len(arr.elems):
-                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
-                                 f"index {i} out of bounds for array of "
-                                 f"size {len(arr.elems)}")
+            arr = _want_array(st, name, cargs, demand, stack,
+                              want_frozen=True, i=i)
             elem_name = arr.elems[i]
             b = st.binds.get(elem_name)
             elem_ty = b.ty if b is not None else arr.elem_ty

@@ -183,8 +183,8 @@ def mult_equiv(a: MultExpr, b: MultExpr) -> bool:
 
 def is_omega_mult(m: MultExpr) -> bool:
     """Does ``m`` normalize to exactly w?  Only w let-groups are
-    recursive, so this decides binder scoping inside let right-hand
-    sides."""
+    recursive; ``syntax.Let`` asks this once, of its written
+    multiplicity."""
     return mult_normalize(m) is NF_OMEGA
 
 

@@ -238,6 +238,13 @@ class Let(Term):
     mult: MultExpr = ONE
     binds: tuple[LetBind, ...] = ()
     body: Term = None  # type: ignore[assignment]
+    # Only w-groups are recursive.  Decided from the written multiplicity
+    # when the node is built and kept by every copy, so instantiating a
+    # multiplicity variable never changes a group's scope.
+    rec: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rec", is_omega_mult(self.mult))
 
 
 @dataclass(frozen=True)
@@ -328,10 +335,10 @@ def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
 def _with(t, **changes):
     """A copy of the frozen node ``t`` (a term, branch or let binding) with
     ``changes`` to its fields.  Unlike ``dataclasses.replace`` it does not
-    re-run ``__init__``; these nodes have no ``__post_init__``, and copying
-    is the hot path of renaming and inference.  Fields are set one by one,
-    not through ``__dict__``: touching an instance's ``__dict__`` makes
-    CPython give it a separate dict, which doubles the node's size."""
+    re-run ``__post_init__``, so a copied ``Let`` keeps its ``rec``, and it
+    skips ``__init__`` on the hot path of renaming and inference.  Fields
+    are set one by one, not through ``__dict__``: touching an instance's
+    ``__dict__`` makes CPython give it a separate dict, twice the size."""
     new = object.__new__(type(t))
     for name in t.__dataclass_fields__:
         object.__setattr__(new, name,
@@ -370,9 +377,9 @@ def free_vars(t: Term, memo: Optional[dict[int, tuple[Term, frozenset[str]]]]
             out = fv(scrut)
             for b in branches:
                 out |= fv(b.body) - frozenset(b.binders)
-        case Let(mult, binds, body):
+        case Let(_, binds, body):
             bound = frozenset(b.var for b in binds)
-            rhs_bound = bound if is_omega_mult(mult) else frozenset()
+            rhs_bound = bound if t.rec else frozenset()
             out = fv(body) - bound
             for b in binds:
                 out |= fv(b.rhs) - rhs_bound
@@ -410,9 +417,9 @@ def rename_vars(t: Term, mapping: dict[str, str]) -> Term:
                                                               inner)))
             return _with(t, scrut=rename_vars(scrut, mapping),
                          branches=tuple(new_branches))
-        case Let(mult, binds, body):
+        case Let(_, binds, body):
             inner = _without(mapping, [b.var for b in binds])
-            rhs_map = inner if is_omega_mult(mult) else mapping
+            rhs_map = inner if t.rec else mapping
             new_binds = tuple(_with(b, rhs=rename_vars(b.rhs, rhs_map))
                               for b in binds)
             return _with(t, binds=new_binds, body=rename_vars(body, inner))

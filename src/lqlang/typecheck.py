@@ -433,9 +433,8 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
             if len(set(names)) != len(names):
                 raise _fail(Kind.MALFORMED_DECL,
                             "duplicate binder in let group", t.loc)
-            recursive = is_omega_mult(m)
             rhs_env = env
-            if recursive:
+            if t.rec:
                 rhs_env = env.bind_vars([(b.var, b.var_ty, OMEGA)
                                          for b in binds])
             rhs_usage: Usage = {}
@@ -449,7 +448,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                                 f"has type '{show_type(rb.ty)}'",
                                 b.loc or t.loc)
                 u = dict(rb.usage)
-                if recursive:
+                if t.rec:
                     for x in names:
                         u.pop(x, None)  # recursive refs sit under an w binder
                 rhs_usage = usage_add(rhs_usage, u)

@@ -10,6 +10,7 @@ from lqlang.typecheck import TypeEnv, check_program
 sys.setrecursionlimit(20_000)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import pytest
 
 from lqlang.cli import main
 
-from conftest import CORPUS
+from conftest import CORPUS, DATA
 
 
 def run_cli(capsys, *args):
@@ -100,12 +100,17 @@ def test_run_both_disagrees_on_step_counts(capsys, monkeypatch):
     ("main = case[1] newMArray(2, 0, \\[1] ma : MArray Int . freeze(ma)) "
      "of\n  { Unrestricted a -> index(a, 5) }",
      "index", 20, "index 5 out of bounds for array of size 2"),
+    ("main = case[1] newMArray(2, 0, \\[1] ma : MArray Int . "
+     "freeze(write(ma, 5, 1))) of\n  { Unrestricted a -> 0 }",
+     "write", 21, "index 5 out of bounds for array of size 2"),
 ])
 def test_well_typed_programs_block_on_array_bounds(tmp_path, capsys, program,
                                                    rule, steps, detail):
     """Types do not bound sizes or indices: a negative size and an
     out-of-range index pass the checker and then block, at the same rule
-    and step under both semantics."""
+    and step under both semantics.  An out-of-range index names the array
+    as its location: the cell under the ordinary semantics, the binding
+    under the pure one."""
     f = tmp_path / "bounds.lq"
     f.write_text(program + "\n")
     assert run_cli(capsys, "check", str(f))[0] == 0
@@ -116,6 +121,15 @@ def test_well_typed_programs_block_on_array_bounds(tmp_path, capsys, program,
         assert (blob["outcome"], blob["reason"], blob["rule"], blob["steps"],
                 blob["detail"]) == ("blocked", "PrimitiveMisuse", rule,
                                     steps, detail)
+        assert bool(blob["location"]) == (rule != "newMArray")
+
+
+def test_instantiated_let_keeps_its_scope(capsys):
+    """``let[p] x = add(x, 1)`` under ``@[w]`` reads the outer ``x``."""
+    code, out, err = run_cli(capsys, "run", str(DATA / "poly_let_scope.lq"),
+                             "--sem=both")
+    assert code == 0
+    assert out.splitlines() == ["[ordinary] 6", "[pure] 6"]
 
 
 def test_run_fuel_flag(capsys):

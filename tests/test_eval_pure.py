@@ -20,7 +20,7 @@ from lqlang.syntax import (App, ArrayLit, Branch, Case, Con, INT, IntLit,
 from lqlang.translate import to_sharing
 from lqlang.typecheck import check_program, infer
 
-from conftest import CORPUS, check_corpus, corpus_files
+from conftest import CORPUS, DATA, check_corpus, corpus_files
 
 
 def prepare(env, term):
@@ -54,8 +54,8 @@ def test_write_produces_fresh_array_value(prelude_env, monkeypatch):
     applied, returned = [], []
     real_want, real_ret = P._want_array, P._ret
 
-    def want(st, name, v, want_frozen):
-        arr = real_want(st, name, v, want_frozen)
+    def want(st, name, *args, **kwargs):
+        arr = real_want(st, name, *args, **kwargs)
         if name == "write":
             applied.append(arr)
         return arr
@@ -400,6 +400,17 @@ def test_checked_states_share_the_machine_bindings(prelude, monkeypatch):
     assert res.outcome.is_value and res.check_count == 19
     assert tally["inserted"] == 11
     assert tally["created"] == tally["inserted"] + 1
+
+
+def test_instantiated_let_keeps_its_scope_and_preserves(prelude):
+    """``let[p] x = add(x, 1)`` under ``@[w]``: every state of the run
+    checks, and the value is 6, not a blackhole."""
+    checked = check_corpus(DATA / "poly_let_scope.lq", prelude)
+    sh = to_sharing(checked.term, checked.env)
+    res = instrumented_eval(initial_state(sh, checked.ty, checked.env),
+                            100_000)
+    assert res.outcome.value == IntLit(6)
+    assert res.check_count > 0
 
 
 def test_planted_unremoved_linear_binding_is_caught(prelude, monkeypatch):

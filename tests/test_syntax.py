@@ -172,6 +172,16 @@ def test_one_let_binders_shadow_in_body_only():
         "X", "Y", "x"]
 
 
+def test_instantiated_let_keeps_its_scope():
+    """``let[p]`` is not recursive, and instantiating ``p`` at w does not
+    make it so: the right-hand side's ``x`` is still the outer one."""
+    t = Let(P, (LetBind("x", INT, Prim("add", (X, IntLit(1)))),), X)
+    u = term_subst_mult(t, "p", OMEGA)
+    assert "x" in free_vars(u)
+    assert occurrences(rename_vars(u, {"x": "X"})) == ["X", "x"]
+    assert u.mult == OMEGA and not u.rec
+
+
 def test_mult_lam_parameter_shadows():
     t = MultLam("p", Lam(P, "x", P_TY, X, ty=P_TY))
     assert term_subst_mult(t, "p", OMEGA) == t

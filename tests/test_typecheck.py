@@ -12,7 +12,7 @@ from lqlang.parser import parse_program
 from lqlang.syntax import (App, Branch, Case, Con, ConDecl, DataDecl, INT,
                            IntLit, Lam, Let, LetBind, MProd, MVar, MultApp,
                            MultLam, OMEGA, ONE, Prim, TArray, TArrow, TData,
-                           TForall, TMArray, TVar, Var)
+                           TForall, TMArray, TVar, Var, term_subst_mult)
 from lqlang.typecheck import (InferMemo, TypeEnv, annotations_equal,
                               check_datadecl, check_program, infer,
                               strip_annotations, type_equiv)
@@ -191,6 +191,17 @@ def test_let_one_group_not_recursive(prelude_env):
     assert reject(prelude_env, t) is Kind.UNBOUND_VARIABLE
 
 
+def test_instantiated_let_charges_the_outer_binder(prelude_env):
+    """A ``let[p]`` instantiated at w is still not recursive: the outer
+    ``x`` its right-hand side reads is charged at w, the group's
+    multiplicity."""
+    rhs = Prim("add", (Var("x"), IntLit(1)))
+    t = Let(MVar("p"), (LetBind("x", INT, rhs),), Var("x"))
+    u = term_subst_mult(t, "p", OMEGA)
+    r = infer(prelude_env.bind_var("x", INT, OMEGA), u)
+    assert r.ty == INT and r.usage == {"x": NF_OMEGA}
+
+
 def test_mult_lam_freshness(prelude_env):
     env = prelude_env.bind_mult("p").bind_var(
         "f", TArrow(INT, MVar("p"), INT), OMEGA)
@@ -211,7 +222,6 @@ def test_mult_app_substitution_coherence(prelude_env):
     """Instantiating after inference equals inferring the instantiated term."""
     ap = MultLam("p", Lam(ONE, "f", TArrow(INT, MVar("p"), INT),
                           Lam(MVar("p"), "x", INT, App(Var("f"), Var("x")))))
-    from lqlang.syntax import term_subst_mult
     for m in (ONE, OMEGA):
         via_app = infer(prelude_env, MultApp(ap, m))
         direct = infer(prelude_env, term_subst_mult(ap.body, "p", m))
