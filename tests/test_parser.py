@@ -210,7 +210,8 @@ def test_token_locations_match_their_offsets():
             assert tok.loc == Loc(line, col), (tok.text, tok.pos)
 
 
-@pytest.mark.parametrize("src, message, line, col", [
+# also recorded, as ``lq check`` output, by ``frontend_golden.py``
+SYNTAX_ERROR_CASES = [
     ("main =\t$", "unexpected character '$'", 1, 8),
     ("-- a comment\nmain = add(1, $)\n", "unexpected character '$'", 2, 15),
     ("main =\n  add(1, 2) $", "unexpected character '$'", 2, 13),
@@ -219,7 +220,10 @@ def test_token_locations_match_their_offsets():
     ("main =\r\n  $\r\n", "unexpected character '$'", 2, 3),
     ("main = add(1,\r\n  2) $", "unexpected character '$'", 2, 6),
     ("main = (1\r\n", "expected ')', found 'end of input'", 2, 1),
-])
+]
+
+
+@pytest.mark.parametrize("src, message, line, col", SYNTAX_ERROR_CASES)
 def test_syntax_error_locations(prelude, src, message, line, col):
     with pytest.raises(CheckError) as e:
         parse_program(src, base=prelude)
