@@ -223,7 +223,13 @@ def mult_mul(a: UsageMult, b: UsageMult) -> UsageMult:
 
 
 def usage_add(u1: Usage, u2: Usage) -> Usage:
-    """Pointwise addition; missing entries read as ZERO."""
+    """Pointwise addition; missing entries read as ZERO.  When one side is
+    empty the result is the other side itself, so callers must not mutate
+    the result."""
+    if not u2:
+        return u1
+    if not u1:
+        return u2
     out: Usage = dict(u1)
     for x, m in u2.items():
         out[x] = mult_add(out.get(x, ZERO), m)
@@ -240,6 +246,8 @@ def usage_add_into(acc: Usage, u: Usage) -> Usage:
 def usage_scale(pi: MultExpr, u: Usage) -> Usage:
     """``pi`` times every entry of ``u``.  Scaling by 1 returns ``u`` itself,
     so callers must not mutate the result."""
+    if pi is ONE or not u:
+        return u
     nf = mult_normalize(pi)
     if nf is NF_ONE:
         return u

@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress, islice
 from typing import Callable, Optional
 
 from .diagnostics import CheckError, Kind
@@ -38,58 +39,77 @@ from .typecheck import PRIM_NAMES
 KEYWORDS = frozenset({"def", "data", "where", "main", "case", "of", "let",
                       "in", "forall", "Int", "MArray", "Array"}) | PRIM_NAMES
 
-# Whitespace and comments form one unnamed group (``lastgroup`` is None);
-# any other character falls through to ``bad``, which must come last.  No
-# text can start a match of two other alternatives, so their order affects
-# only speed.
-_TOKEN_RE = re.compile(r"""
-    (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?:--[^\n]*|\s+)+
-  | (?P<op>/\\|->|-o|[\\@\[\](){}:.,;=+*])
-  | (?P<int>\d+)
-  | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
+# Splitting a text at its tokens leaves the whitespace between them.  A
+# comment is split off like a token and then dropped; a character that
+# starts no token is a token of its own, of kind "bad".  Digits are ASCII
+# only.
+_TOKEN_RE = re.compile(
+    r"(--[^\n]*|[A-Za-z_][A-Za-z0-9_']*|[0-9]+|/\\|->|-o|\S)")
 
-# ``Parser.peek(1)`` at the first eof token still reads an eof token.
+_OP_KINDS = dict.fromkeys(["/\\", "->", "-o", *"\\@[](){}:.,;=+*"], "op")
+_START_KINDS = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_",
+                    "ident"),
+    **dict.fromkeys("0123456789", "int")}
+
+
+def _kind(text: str) -> str:
+    if text.startswith("--"):
+        return "comment"
+    return _OP_KINDS.get(text) or _START_KINDS.get(text[0], "bad")
+
+
+# ``peek(1)`` at the first eof token still reads an eof token.
 _EOF_PADDING = 2
 
 
-class Token:
-    """A token and its offset into the text; ``loc`` is computed on demand
-    from the file's table of line starts (offsets just after each newline)."""
+class Tokens:
+    """The tokens of a text as three parallel lists: ``kinds`` ("ident",
+    "int", "op" or "eof"), ``texts`` and ``offsets`` into the text, ending
+    in ``_EOF_PADDING`` eof tokens with text "".  ``loc(i)`` computes a
+    token's line and column, only when it is read, from the file's table of
+    line starts (offsets just after each newline)."""
 
-    __slots__ = ("kind", "text", "pos", "line_starts")
+    __slots__ = ("kinds", "texts", "offsets", "line_starts")
 
-    def __init__(self, kind: str, text: str, pos: int,
-                 line_starts: list[int]) -> None:
-        self.kind = kind  # "int" | "ident" | "op" | "eof"
-        self.text = text
-        self.pos = pos
+    def __init__(self, kinds: list[str], texts: list[str],
+                 offsets: list[int], line_starts: list[int]) -> None:
+        self.kinds = kinds
+        self.texts = texts
+        self.offsets = offsets
         self.line_starts = line_starts
 
-    @property
-    def loc(self) -> Loc:
-        line = bisect_right(self.line_starts, self.pos)
-        return Loc(line, self.pos - self.line_starts[line - 1] + 1)
+    def loc(self, i: int) -> Loc:
+        pos = self.offsets[i]
+        line = bisect_right(self.line_starts, pos)
+        return Loc(line, pos - self.line_starts[line - 1] + 1)
 
 
-def tokenize(text: str, source: str = "<input>") -> list[Token]:
-    """The tokens of ``text``, followed by ``_EOF_PADDING`` eof tokens."""
+def tokenize(text: str, source: str = "<input>") -> Tokens:
+    """The tokens of ``text``; a character that starts no token is a
+    syntax error at the first one."""
+    parts = _TOKEN_RE.split(text)  # [space, token, space, ..., token, space]
+    texts = parts[1::2]
+    # where each token starts, and then the end of the text
+    offsets = list(islice(accumulate(map(len, parts)), 0, None, 2))
+    kind_of = {t: _kind(t) for t in set(texts)}
+    kinds = list(map(kind_of.__getitem__, texts))
     line_starts = [0]
     line_starts.extend(m.end() for m in re.finditer("\n", text))
-    tokens: list[Token] = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        tok = Token(kind, m.group(), m.start(), line_starts)
-        if kind == "bad":
-            raise CheckError.single(Kind.SYNTAX,
-                                    f"unexpected character {tok.text!r}",
-                                    tok.loc)
-        append(tok)
-    tokens.extend([Token("eof", "", len(text), line_starts)] * _EOF_PADDING)
+    tokens = Tokens(kinds, texts, offsets, line_starts)
+    if "bad" in kind_of.values():
+        i = kinds.index("bad")
+        raise CheckError.single(Kind.SYNTAX,
+                                f"unexpected character {texts[i]!r}",
+                                tokens.loc(i))
+    if "comment" in kind_of.values():
+        keep = [kind != "comment" for kind in kinds] + [True]
+        tokens.kinds = kinds = list(compress(kinds, keep))
+        tokens.texts = texts = list(compress(texts, keep))
+        tokens.offsets = offsets = list(compress(offsets, keep))
+    kinds.extend(["eof"] * _EOF_PADDING)
+    texts.extend([""] * _EOF_PADDING)
+    offsets.append(len(text))
     return tokens
 
 
@@ -107,7 +127,7 @@ DeclArities = dict[str, tuple[int, int]]
 ConArities = dict[str, tuple[str, int]]
 
 
-def _prescan(tokens: list[Token],
+def _prescan(tokens: Tokens,
              base: Optional[SourceFile]) -> tuple[DeclArities, ConArities]:
     """The declaration table that datatype application and constructor
     saturation need, from ``base`` and then from the file's own
@@ -118,45 +138,46 @@ def _prescan(tokens: list[Token],
         decls[d.name] = (len(d.mult_params), len(d.type_params))
         for c in d.constructors:
             cons[c.name] = (d.name, len(c.fields))
+    kinds, texts = tokens.kinds, tokens.texts
+    n = len(texts)
     i = 0
-    n = len(tokens)
-    while i < n:
-        if not (tokens[i].kind == "ident" and tokens[i].text == "data"):
-            i += 1
+    while True:
+        try:
+            i = texts.index("data", i) + 1
+        except ValueError:
+            break
+        if kinds[i] != "ident":
             continue
-        i += 1
-        if tokens[i].kind != "ident":
-            continue
-        name = tokens[i].text
+        name = texts[i]
         i += 1
         n_mult = 0
-        while tokens[i].kind == "ident" and tokens[i].text != "where":
+        while kinds[i] == "ident" and texts[i] != "where":
             n_mult += 1
             i += 1
         n_type = 0
-        if tokens[i].text == "(":
+        if texts[i] == "(":
             i += 1
-            while tokens[i].kind == "ident":
+            while kinds[i] == "ident":
                 n_type += 1
                 i += 1
-            if tokens[i].text == ")":
+            if texts[i] == ")":
                 i += 1
         decls[name] = (n_mult, n_type)
-        if not (tokens[i].text == "where" and tokens[i + 1].text == "{"):
+        if not (texts[i] == "where" and texts[i + 1] == "{"):
             continue
         i += 2
-        while i < n and tokens[i].text != "}":
-            if tokens[i].kind == "ident" and tokens[i + 1].text == ":":
-                con_name = tokens[i].text
+        while i < n and texts[i] != "}":
+            if kinds[i] == "ident" and texts[i + 1] == ":":
+                con_name = texts[i]
                 i += 2
                 depth = 0
                 arrows = 0
-                while i < n and not (depth == 0 and tokens[i].text in (";", "}")):
-                    if tokens[i].text in ("(", "["):
+                while i < n and not (depth == 0 and texts[i] in (";", "}")):
+                    if texts[i] in ("(", "["):
                         depth += 1
-                    elif tokens[i].text in (")", "]"):
+                    elif texts[i] in (")", "]"):
                         depth -= 1
-                    elif depth == 0 and tokens[i].text in ("->", "-o"):
+                    elif depth == 0 and texts[i] in ("->", "-o"):
                         arrows += 1
                     i += 1
                 cons[con_name] = (name, arrows)
@@ -166,10 +187,25 @@ def _prescan(tokens: list[Token],
     return decls, cons
 
 
+# Keywords that cannot start an atom; the primitives' names can.
+_NON_ATOM_WORDS = KEYWORDS - PRIM_NAMES
+
+# The tokens that start a term but not an application spine.
+_BINDING_FORMS = frozenset({"\\", "/\\", "case", "let"})
+
+# ``[1]`` and ``[w]``, the multiplicities written most.
+_CONCRETE_MULTS = {"1": ONE, "w": OMEGA}
+
+
 class Parser:
-    def __init__(self, tokens: list[Token], decls: DeclArities,
+    """Recursive descent over the token lists.  ``pos`` is the index of the
+    next token; each method reads the lists directly."""
+
+    def __init__(self, tokens: Tokens, decls: DeclArities,
                  cons: ConArities) -> None:
-        self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
+        self.loc = tokens.loc
         self.pos = 0
         self.decls = decls
         self.cons = cons
@@ -177,76 +213,69 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.pos + ahead]
+    def fail(self, message: str, i: int) -> CheckError:
+        return CheckError.single(Kind.SYNTAX, message, self.loc(i))
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def expect(self, text: str) -> int:
+        """Consume ``text`` (never empty, so never an eof token) and return
+        its index."""
+        i = self.pos
+        if self.texts[i] != text:
+            got = self.texts[i] if self.kinds[i] != "eof" else "end of input"
+            raise self.fail(f"expected '{text}', found '{got}'", i)
+        self.pos = i + 1
+        return i
 
-    def at(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.text == text and tok.kind != "eof"
-
-    def expect(self, text: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.text != text or tok.kind == "eof":
-            got = tok.text if tok.kind != "eof" else "end of input"
-            raise CheckError.single(Kind.SYNTAX,
-                                    f"expected '{text}', found '{got}'",
-                                    tok.loc)
-        self.pos += 1
-        return tok
-
-    def ident(self, what: str = "identifier") -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "ident" or tok.text in KEYWORDS:
-            raise CheckError.single(Kind.SYNTAX,
-                                    f"expected {what}, found '{tok.text}'",
-                                    tok.loc)
-        self.pos += 1
-        return tok
+    def ident(self, what: str = "identifier") -> str:
+        i = self.pos
+        text = self.texts[i]
+        if self.kinds[i] != "ident" or text in KEYWORDS:
+            raise self.fail(f"expected {what}, found '{text}'", i)
+        self.pos = i + 1
+        return text
 
     # -- multiplicities ----------------------------------------------------
 
     def mult(self) -> MultExpr:
         left = self.mult_prod()
-        while self.at("+"):
-            self.next()
+        while self.texts[self.pos] == "+":
+            self.pos += 1
             left = MSum(left, self.mult_prod())
         return left
 
     def mult_prod(self) -> MultExpr:
         left = self.mult_atom()
-        while self.at("*"):
-            self.next()
+        while self.texts[self.pos] == "*":
+            self.pos += 1
             left = MProd(left, self.mult_atom())
         return left
 
     def mult_atom(self) -> MultExpr:
-        tok = self.peek()
-        if tok.kind == "int":
-            if tok.text != "1":
-                raise CheckError.single(Kind.SYNTAX,
-                                        f"'{tok.text}' is not a multiplicity "
-                                        f"(only 1 and w are)", tok.loc)
-            self.next()
+        i = self.pos
+        kind = self.kinds[i]
+        text = self.texts[i]
+        if kind == "int":
+            if text != "1":
+                raise self.fail(f"'{text}' is not a multiplicity "
+                                f"(only 1 and w are)", i)
+            self.pos = i + 1
             return ONE
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            self.next()
-            return OMEGA if tok.text == "w" else MVar(tok.text)
-        if self.at("("):
-            self.next()
+        if kind == "ident" and text not in KEYWORDS:
+            self.pos = i + 1
+            return OMEGA if text == "w" else MVar(text)
+        if text == "(":
+            self.pos = i + 1
             m = self.mult()
             self.expect(")")
             return m
-        raise CheckError.single(Kind.SYNTAX,
-                                f"expected a multiplicity, found '{tok.text}'",
-                                tok.loc)
+        raise self.fail(f"expected a multiplicity, found '{text}'", i)
 
     def bracket_mult(self) -> MultExpr:
-        self.expect("[")
+        i = self.expect("[") + 1
+        texts = self.texts
+        if texts[i + 1] == "]" and texts[i] in _CONCRETE_MULTS:
+            self.pos = i + 2
+            return _CONCRETE_MULTS[texts[i]]
         m = self.mult()
         self.expect("]")
         return m
@@ -254,149 +283,187 @@ class Parser:
     # -- types ---------------------------------------------------------------
 
     def type_(self) -> Type:
-        if self.at("forall"):
-            self.next()
-            p = self.ident("multiplicity variable").text
+        texts = self.texts
+        text = texts[self.pos]
+        if text == "forall":
+            self.pos += 1
+            p = self.ident("multiplicity variable")
             self.expect(".")
             return TForall(p, self.type_())
-        left = self.type_app()
-        tok = self.peek()
-        if tok.text == "->" and self.peek(1).text == "[":
-            self.next()
-            m = self.bracket_mult()
-            return TArrow(left, m, self.type_())
-        if tok.text == "->":
-            self.next()
+        if text == "Int":
+            self.pos += 1
+            left: Type = INT
+        else:
+            left = self.type_app()
+        text = texts[self.pos]
+        if text == "->":
+            self.pos += 1
+            if texts[self.pos] == "[":
+                m = self.bracket_mult()
+                return TArrow(left, m, self.type_())
             return TArrow(left, OMEGA, self.type_())
-        if tok.text == "-o":
-            self.next()
+        if text == "-o":
+            self.pos += 1
             return TArrow(left, ONE, self.type_())
         return left
 
     def type_app(self) -> Type:
-        tok = self.peek()
-        if tok.text in ("MArray", "Array"):
-            self.next()
+        i = self.pos
+        text = self.texts[i]
+        if text in ("MArray", "Array"):
+            self.pos = i + 1
             elem = self.type_atom()
-            return TMArray(elem) if tok.text == "MArray" else TArray(elem)
-        n_mult, n_type = self.decls.get(tok.text, (0, 0))
-        if ((n_mult or n_type) and tok.text not in KEYWORDS
-                and tok.text not in self.type_params):
-            self.next()
-            return TData(tok.text,
+            return TMArray(elem) if text == "MArray" else TArray(elem)
+        n_mult, n_type = self.decls.get(text, (0, 0))
+        if ((n_mult or n_type) and text not in KEYWORDS
+                and text not in self.type_params):
+            self.pos = i + 1
+            return TData(text,
                          tuple(self.mult_atom() for _ in range(n_mult)),
                          tuple(self.type_atom() for _ in range(n_type)))
         return self.type_atom()
 
     def type_atom(self) -> Type:
-        tok = self.peek()
-        if tok.text == "Int":
-            self.next()
+        i = self.pos
+        text = self.texts[i]
+        if text == "Int":
+            self.pos = i + 1
             return INT
-        if tok.text == "(":
-            self.next()
+        if text == "(":
+            self.pos = i + 1
             ty = self.type_()
             self.expect(")")
             return ty
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            name = self.next().text
-            if name in self.type_params:
-                return TVar(name)
-            arities = self.decls.get(name)
+        if self.kinds[i] == "ident" and text not in KEYWORDS:
+            self.pos = i + 1
+            if text in self.type_params:
+                return TVar(text)
+            arities = self.decls.get(text)
             if arities is None:
-                raise CheckError.single(Kind.SYNTAX,
-                                        f"unknown type '{name}'", tok.loc)
+                raise self.fail(f"unknown type '{text}'", i)
             if any(arities):
-                raise CheckError.single(Kind.SYNTAX,
-                                        f"parameterized type '{name}' must "
-                                        f"be parenthesized here", tok.loc)
-            return TData(name)
-        raise CheckError.single(Kind.SYNTAX,
-                                f"expected a type, found '{tok.text}'",
-                                tok.loc)
+                raise self.fail(f"parameterized type '{text}' must be "
+                                f"parenthesized here", i)
+            return TData(text)
+        raise self.fail(f"expected a type, found '{text}'", i)
 
     # -- terms ---------------------------------------------------------------
 
     def term(self) -> Term:
-        tok = self.tokens[self.pos]
-        if tok.text == "\\":
-            self.pos += 1
+        i = self.pos
+        text = self.texts[i]
+        if text == "\\":
+            self.pos = i + 1
             m = self.bracket_mult()
-            x = self.ident("binder").text
+            x = self.ident("binder")
             self.expect(":")
             ty = self.type_()
             self.expect(".")
-            return Lam(m, x, ty, self.term(), loc=tok.loc)
-        if tok.text == "/\\":
-            self.pos += 1
-            p = self.ident("multiplicity variable").text
+            return Lam(m, x, ty, self.term(), loc=self.loc(i))
+        if text == "/\\":
+            self.pos = i + 1
+            p = self.ident("multiplicity variable")
             self.expect(".")
-            return MultLam(p, self.term(), loc=tok.loc)
-        if tok.text == "case":
-            self.pos += 1
+            return MultLam(p, self.term(), loc=self.loc(i))
+        if text == "case":
+            self.pos = i + 1
             m = self.bracket_mult()
-            scrut = self.app()
+            j = self.pos
+            if self.texts[j] in _BINDING_FORMS:  # a scrutinee is a spine
+                raise self.fail(f"expected a term, found '{self.texts[j]}'",
+                                j)
+            scrut = self.term()
             self.expect("of")
             self.expect("{")
             branches = [self.branch()]
-            while self.at(";"):
+            while self.texts[self.pos] == ";":
                 self.pos += 1
-                if self.at("}"):
+                if self.texts[self.pos] == "}":
                     break
                 branches.append(self.branch())
             self.expect("}")
-            return Case(m, scrut, tuple(branches), loc=tok.loc)
-        if tok.text == "let":
-            self.pos += 1
+            return Case(m, scrut, tuple(branches), loc=self.loc(i))
+        if text == "let":
+            self.pos = i + 1
             m = self.bracket_mult()
-            binds = [self.let_bind()]
-            while self.at(","):
+            binds = []
+            while True:
+                j = self.pos
+                x = self.ident("binder")
+                self.expect(":")
+                ty = self.type_()
+                self.expect("=")
+                binds.append(LetBind(x, ty, self.term(), loc=self.loc(j)))
+                if self.texts[self.pos] != ",":
+                    break
                 self.pos += 1
-                binds.append(self.let_bind())
             self.expect("in")
-            return Let(m, tuple(binds), self.term(), loc=tok.loc)
-        return self.app()
+            return Let(m, tuple(binds), self.term(), loc=self.loc(i))
+        # an application spine: left-associated ``App``s of elements, for
+        # as long as ``starts_atom`` (inlined) holds
+        head = self.element(True)
+        kinds = self.kinds
+        texts = self.texts
+        while True:
+            i = self.pos
+            kind = kinds[i]
+            if not (kind == "int" or texts[i] == "("
+                    or (kind == "ident" and texts[i] not in _NON_ATOM_WORDS)):
+                return head
+            head = App(head, self.element(False), loc=head.loc)
 
     def branch(self) -> Branch:
-        tok = self.ident("constructor")
-        if tok.text not in self.cons:
-            raise CheckError.single(Kind.SYNTAX,
-                                    f"unknown constructor '{tok.text}' in "
-                                    f"case branch", tok.loc)
+        i = self.pos
+        con = self.ident("constructor")
+        if con not in self.cons:
+            raise self.fail(f"unknown constructor '{con}' in case branch", i)
         binders = []
-        while self.peek().kind == "ident" and self.peek().text not in KEYWORDS:
-            binders.append(self.ident("binder").text)
+        while (self.kinds[self.pos] == "ident"
+               and self.texts[self.pos] not in KEYWORDS):
+            binders.append(self.ident("binder"))
         self.expect("->")
-        return Branch(tok.text, tuple(binders), self.term(), loc=tok.loc)
-
-    def let_bind(self) -> LetBind:
-        tok = self.ident("binder")
-        self.expect(":")
-        ty = self.type_()
-        self.expect("=")
-        return LetBind(tok.text, ty, self.term(), loc=tok.loc)
-
-    def app(self) -> Term:
-        head = self.element(spine_head=True)
-        while self.starts_atom():
-            arg = self.element(spine_head=False)
-            head = App(head, arg, loc=head.loc)
-        return head
+        return Branch(con, tuple(binders), self.term(), loc=self.loc(i))
 
     def starts_atom(self) -> bool:
-        tok = self.tokens[self.pos]
-        return (tok.kind == "int"
-                or tok.text == "("
-                or tok.text in PRIM_NAMES
-                or (tok.kind == "ident" and tok.text not in KEYWORDS))
+        i = self.pos
+        kind = self.kinds[i]
+        return (kind == "int" or self.texts[i] == "("
+                or (kind == "ident" and self.texts[i] not in _NON_ATOM_WORDS))
 
     def element(self, spine_head: bool) -> Term:
-        tok = self.tokens[self.pos]
-        if (tok.kind == "ident" and tok.text in self.cons
-                and tok.text not in KEYWORDS):
-            return self.constructor(spine_head)
-        atom = self.atom()
-        while self.at("@") and self.peek(1).text == "[":
+        """An atom (a literal, a primitive call, a parenthesised term or a
+        variable) with its ``@[m]`` arguments, or a constructor with its
+        arguments."""
+        i = self.pos
+        kind = self.kinds[i]
+        text = self.texts[i]
+        if kind == "int":
+            self.pos = i + 1
+            atom: Term = IntLit(int(text), loc=self.loc(i))
+        elif text in PRIM_NAMES:
+            self.pos = i + 1
+            self.expect("(")
+            args = []
+            if self.texts[self.pos] != ")":
+                args.append(self.term())
+                while self.texts[self.pos] == ",":
+                    self.pos += 1
+                    args.append(self.term())
+            self.expect(")")
+            atom = Prim(text, tuple(args), loc=self.loc(i))
+        elif text == "(":
+            self.pos = i + 1
+            atom = self.term()
+            self.expect(")")
+        elif kind == "ident" and text not in KEYWORDS:
+            if text in self.cons:
+                return self.constructor(spine_head)
+            self.pos = i + 1
+            atom = Var(text, loc=self.loc(i))
+        else:
+            raise self.fail(f"expected a term, found '{text}'", i)
+        texts = self.texts
+        while texts[self.pos] == "@" and texts[self.pos + 1] == "[":
             self.pos += 2
             m = self.mult()
             self.expect("]")
@@ -404,91 +471,61 @@ class Parser:
         return atom
 
     def constructor(self, spine_head: bool) -> Term:
-        tok = self.next()
-        name = tok.text
+        i = self.pos
+        self.pos = i + 1
+        name = self.texts[i]
         owner, arity = self.cons[name]
         n_mult, n_type = self.decls[owner]
         targs = self.at_args(self.type_) if n_type else ()
         margs = self.at_args(self.mult) if n_mult else ()
         if arity == 0:
-            return Con(name, targs, margs, (), loc=tok.loc)
+            return Con(name, targs, margs, (), loc=self.loc(i))
         if not spine_head:
-            raise CheckError.single(Kind.SYNTAX,
-                                    f"constructor '{name}' takes {arity} "
-                                    f"arguments and must be parenthesized "
-                                    f"here", tok.loc)
+            raise self.fail(f"constructor '{name}' takes {arity} arguments "
+                            f"and must be parenthesized here", i)
         args = []
         for _ in range(arity):
             if not self.starts_atom():
-                raise CheckError.single(Kind.SYNTAX,
-                                        f"constructor '{name}' expects "
-                                        f"{arity} arguments", self.peek().loc)
-            args.append(self.element(spine_head=False))
-        return Con(name, targs, margs, tuple(args), loc=tok.loc)
+                raise self.fail(f"constructor '{name}' expects {arity} "
+                                f"arguments", self.pos)
+            args.append(self.element(False))
+        return Con(name, targs, margs, tuple(args), loc=self.loc(i))
 
     def at_args(self, item: Callable) -> tuple:
         """An optional ``@[x, ...]`` list of ``item``s; ``()`` without one."""
-        if not self.at("@"):
+        if self.texts[self.pos] != "@":
             return ()
         self.pos += 1
         self.expect("[")
         items = [item()]
-        while self.at(","):
+        while self.texts[self.pos] == ",":
             self.pos += 1
             items.append(item())
         self.expect("]")
         return tuple(items)
 
-    def atom(self) -> Term:
-        tok = self.tokens[self.pos]
-        if tok.kind == "int":
-            self.pos += 1
-            return IntLit(int(tok.text), loc=tok.loc)
-        if tok.text in PRIM_NAMES:
-            self.pos += 1
-            self.expect("(")
-            args = []
-            if not self.at(")"):
-                args.append(self.term())
-                while self.at(","):
-                    self.pos += 1
-                    args.append(self.term())
-            self.expect(")")
-            return Prim(tok.text, tuple(args), loc=tok.loc)
-        if tok.text == "(":
-            self.pos += 1
-            t = self.term()
-            self.expect(")")
-            return t
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            self.pos += 1
-            return Var(tok.text, loc=tok.loc)
-        raise CheckError.single(Kind.SYNTAX,
-                                f"expected a term, found '{tok.text}'",
-                                tok.loc)
-
     # -- top level -----------------------------------------------------------
 
     def datadecl(self) -> DataDecl:
-        loc = self.expect("data").loc
-        name = self.ident("datatype name").text
+        loc = self.loc(self.expect("data"))
+        name = self.ident("datatype name")
         mult_params = []
-        while self.peek().kind == "ident" and not self.at("where"):
-            mult_params.append(self.ident("multiplicity parameter").text)
+        while self.kinds[self.pos] == "ident" and self.texts[self.pos] != "where":
+            mult_params.append(self.ident("multiplicity parameter"))
         type_params = []
-        if self.at("("):
-            self.next()
-            while self.peek().kind == "ident":
-                type_params.append(self.ident("type parameter").text)
+        if self.texts[self.pos] == "(":
+            self.pos += 1
+            while self.kinds[self.pos] == "ident":
+                type_params.append(self.ident("type parameter"))
             self.expect(")")
         self.expect("where")
         self.expect("{")
         saved = self.type_params
         self.type_params = frozenset(type_params)
         constructors = [self.condecl(name, mult_params, type_params)]
-        while self.at(";"):
-            self.next()
-            if self.at("}"):
+        while self.texts[self.pos] == ";":
+            self.pos += 1
+            if self.texts[self.pos] == "}":
                 break
             constructors.append(self.condecl(name, mult_params, type_params))
         self.type_params = saved
@@ -498,7 +535,8 @@ class Parser:
 
     def condecl(self, dname: str, mult_params: list[str],
                 type_params: list[str]) -> ConDecl:
-        tok = self.ident("constructor name")
+        i = self.pos
+        name = self.ident("constructor name")
         self.expect(":")
         sig = self.type_()
         fields = []
@@ -511,52 +549,46 @@ class Parser:
         if ty != expected:
             raise CheckError.single(
                 Kind.MALFORMED_DECL,
-                f"constructor '{tok.text}' must end in '{dname}' applied to "
-                f"exactly its declared parameters", tok.loc)
-        return ConDecl(tok.text, tuple(fields), loc=tok.loc)
+                f"constructor '{name}' must end in '{dname}' applied to "
+                f"exactly its declared parameters", self.loc(i))
+        return ConDecl(name, tuple(fields), loc=self.loc(i))
 
     def parse_file(self, source: str, require_main: bool) -> SourceFile:
         decls: list[DataDecl] = []
         defs: list[tuple[str, Type, MultExpr, Term]] = []
         main: Optional[Term] = None
-        while not self.at_eof():
-            tok = self.peek()
+        texts = self.texts
+        while self.kinds[self.pos] != "eof":
+            i = self.pos
+            text = texts[i]
             if main is not None:
-                raise CheckError.single(Kind.SYNTAX,
-                                        "'main' must be the final item",
-                                        tok.loc)
-            if tok.text == "data":
+                raise self.fail("'main' must be the final item", i)
+            if text == "data":
                 decls.append(self.datadecl())
-            elif tok.text == "def":
-                self.next()
-                name = self.ident("definition name").text
+            elif text == "def":
+                self.pos = i + 1
+                name = self.ident("definition name")
                 self.expect(":")
                 ty = self.type_()
                 self.expect("=")
                 self.expect("[")
-                mtok = self.peek()
+                j = self.pos
                 m = self.mult_atom()
                 if m not in (ONE, OMEGA):
-                    raise CheckError.single(Kind.SYNTAX,
-                                            "a definition multiplicity must "
-                                            "be 1 or w", mtok.loc)
+                    raise self.fail("a definition multiplicity must be 1 "
+                                    "or w", j)
                 self.expect("]")
                 defs.append((name, ty, m, self.term()))
-            elif tok.text == "main":
-                self.next()
+            elif text == "main":
+                self.pos = i + 1
                 self.expect("=")
                 main = self.term()
             else:
-                raise CheckError.single(Kind.SYNTAX,
-                                        f"expected 'data', 'def' or 'main', "
-                                        f"found '{tok.text}'", tok.loc)
+                raise self.fail(f"expected 'data', 'def' or 'main', found "
+                                f"'{text}'", i)
         if require_main and main is None:
-            raise CheckError.single(Kind.SYNTAX, "missing 'main'",
-                                    self.peek().loc)
+            raise self.fail("missing 'main'", self.pos)
         return SourceFile(decls, defs, main, source)
-
-    def at_eof(self) -> bool:
-        return self.peek().kind == "eof"
 
 
 def parse_program(text: str, source: str = "<input>",

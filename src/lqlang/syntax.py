@@ -339,12 +339,15 @@ def _with(t, **changes):
     skips ``__init__`` on the hot path of renaming and inference.  Fields
     are set one by one, not through ``__dict__``: touching an instance's
     ``__dict__`` makes CPython give it a separate dict, twice the size."""
-    new = object.__new__(type(t))
+    new = _new(type(t))
     for name in t.__dataclass_fields__:
-        object.__setattr__(new, name,
-                           changes[name] if name in changes
-                           else getattr(t, name))
+        _setattr(new, name,
+                 changes[name] if name in changes else getattr(t, name))
     return new
+
+
+_new = object.__new__
+_setattr = object.__setattr__
 
 
 def subterms(t: Term) -> Iterator[Term]:

@@ -15,7 +15,6 @@ still have the types they had.  Without a memo every call infers afresh.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -65,21 +64,24 @@ class TypeEnv:
         return TypeEnv(table, cons, {}, frozenset())
 
     def bind_var(self, x: str, ty: Type, mult: MultExpr) -> "TypeEnv":
-        new_vars = dict(self.vars)
-        new_vars[x] = (ty, mult)
-        return dataclasses.replace(self, vars=new_vars)
+        return self.bind_vars([(x, ty, mult)])
 
     def bind_vars(self, binds: list[tuple[str, Type, MultExpr]]) -> "TypeEnv":
+        """A new environment with ``binds`` added to a copy of ``vars``;
+        ``infer`` binds in place instead."""
         new_vars = dict(self.vars)
         for x, ty, m in binds:
             new_vars[x] = (ty, m)
-        return dataclasses.replace(self, vars=new_vars)
+        return TypeEnv(self.decls, self.cons, new_vars, self.mult_vars,
+                       self.memo)
 
     def bind_mult(self, p: str) -> "TypeEnv":
-        return dataclasses.replace(self, mult_vars=self.mult_vars | {p})
+        """A new environment with ``p`` in scope, sharing ``vars``."""
+        return TypeEnv(self.decls, self.cons, self.vars,
+                       self.mult_vars | {p}, self.memo)
 
 
-@dataclass
+@dataclass(slots=True)
 class InferResult:
     term: Term  # fully annotated
     ty: Type
@@ -267,7 +269,12 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
     """Type and usage of ``t``.  With a memo in ``env`` and no multiplicity
     variable in scope, a subterm seen before whose free variables keep
     their types is not inferred again: the result is the recorded type and
-    usage with ``t`` itself, unannotated, as its term."""
+    usage with ``t`` itself, unannotated, as its term.
+
+    Binders extend ``env.vars`` in place and restore it before returning,
+    also when a ``CheckError`` escapes, so a caller may infer again in the
+    same environment.  The usages of results are shared between results
+    and never changed."""
     memo = env.memo
     if memo is not None:
         if env.mult_vars:
@@ -276,223 +283,273 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
             hit = memo.hit(env, t)
             if hit is not None:
                 return hit
-    match t:
-        case Var(name):
-            binding = env.vars.get(name)
-            if binding is None:
-                raise _fail(Kind.UNBOUND_VARIABLE,
-                            f"variable '{name}' is not in scope", t.loc)
-            ty = binding[0]
-            out = InferResult(_with(t, ty=ty), ty, {name: NF_ONE})
+    cls = type(t)
+    if cls is Var:
+        name = t.name
+        binding = env.vars.get(name)
+        if binding is None:
+            raise _fail(Kind.UNBOUND_VARIABLE,
+                        f"variable '{name}' is not in scope", t.loc)
+        ty = binding[0]
+        out = InferResult(_with(t, ty=ty), ty, {name: NF_ONE})
 
-        case IntLit():
-            out = InferResult(_with(t, ty=INT), INT, {})
+    elif cls is Prim:
+        name = t.name
+        mults = PRIM_ARG_MULTS.get(name)
+        if mults is None:
+            raise _fail(Kind.UNBOUND_VARIABLE, f"unknown primitive '{name}'",
+                        t.loc)
+        if len(t.args) != len(mults):
+            raise _fail(Kind.ARITY_MISMATCH,
+                        f"primitive '{name}' expects {len(mults)} arguments, "
+                        f"got {len(t.args)}", t.loc)
+        rs = []
+        for a in t.args:
+            rs.append(infer(env, a))
+        ty = _prim_type(env, t, rs)
+        usage: Usage = {}
+        for r, m in zip(rs, mults):
+            usage = usage_add(usage, usage_scale(m, r.usage))
+        out = InferResult(
+            _with(t, args=tuple([r.term for r in rs]), ty=ty), ty, usage)
 
-        case Lam(m, x, a, body):
-            check_type(env, a, loc=t.loc)
-            _check_mult_scope(env, m, t.loc)
-            r = infer(env.bind_var(x, a, m), body)
-            usage = dict(r.usage)
-            ux = usage.pop(x, ZERO)
-            _require_usage(x, ux, m, t.loc)
-            ty = TArrow(a, m, r.ty)
-            out = InferResult(
-                _with(t, body=r.term, ty=ty), ty, usage)
+    elif cls is App:
+        rf = infer(env, t.fun)
+        fty = rf.ty
+        if not isinstance(fty, TArrow):
+            raise _fail(Kind.TYPE_MISMATCH,
+                        f"applied a non-function of type "
+                        f"'{show_type(fty)}'", t.loc)
+        ra = infer(env, t.arg)
+        if not type_equiv(ra.ty, fty.dom):
+            raise _fail(Kind.TYPE_MISMATCH,
+                        f"argument has type '{show_type(ra.ty)}' but the "
+                        f"function expects '{show_type(fty.dom)}'", t.loc)
+        pi = fty.mult
+        ty = fty.cod
+        out = InferResult(
+            _with(t, fun=rf.term, arg=ra.term, ty=ty, mult_ann=pi),
+            ty, usage_add(rf.usage, usage_scale(pi, ra.usage)))
 
-        case App(fun, arg):
-            rf = infer(env, fun)
-            if not isinstance(rf.ty, TArrow):
-                raise _fail(Kind.TYPE_MISMATCH,
-                            f"applied a non-function of type "
-                            f"'{show_type(rf.ty)}'", t.loc)
-            ra = infer(env, arg)
-            if not type_equiv(ra.ty, rf.ty.dom):
-                raise _fail(Kind.TYPE_MISMATCH,
-                            f"argument has type '{show_type(ra.ty)}' but the "
-                            f"function expects '{show_type(rf.ty.dom)}'",
-                            t.loc)
-            pi = rf.ty.mult
-            usage = usage_add(rf.usage, usage_scale(pi, ra.usage))
-            ty = rf.ty.cod
-            out = InferResult(
-                _with(t, fun=rf.term, arg=ra.term, ty=ty, mult_ann=pi),
-                ty, usage)
+    elif cls is IntLit:
+        out = InferResult(_with(t, ty=INT), INT, {})
 
-        case MultLam(p, body):
-            _check_fresh(env, p, t.loc)
-            r = infer(env.bind_mult(p), body)
-            ty = TForall(p, r.ty)
-            out = InferResult(
-                _with(t, body=r.term, ty=ty), ty, r.usage)
-
-        case MultApp(fun, m):
-            _check_mult_scope(env, m, t.loc)
-            rf = infer(env, fun)
-            if not isinstance(rf.ty, TForall):
-                raise _fail(Kind.TYPE_MISMATCH,
-                            f"multiplicity application to non-polymorphic "
-                            f"type '{show_type(rf.ty)}'", t.loc)
-            ty = type_subst_mult(rf.ty.body, rf.ty.var, m)
-            usage = usage_subst(rf.usage, rf.ty.var, m)
-            out = InferResult(
-                _with(t, fun=rf.term, ty=ty), ty, usage)
-
-        case Con(name, targs, margs, args):
-            for a in targs:
-                check_type(env, a, loc=t.loc)
-            for m in margs:
-                _check_mult_scope(env, m, t.loc)
-            fields, result = instantiate_con(env, name, targs, margs, t.loc)
-            if len(args) != len(fields):
-                raise _fail(Kind.ARITY_MISMATCH,
-                            f"constructor '{name}' expects {len(fields)} "
-                            f"arguments, got {len(args)}", t.loc)
-            usage: Usage = {}
-            new_args = []
-            for (fty, fmult), arg in zip(fields, args):
-                ra = infer(env, arg)
-                if not type_equiv(ra.ty, fty):
-                    raise _fail(Kind.TYPE_MISMATCH,
-                                f"field of '{name}' has type "
-                                f"'{show_type(ra.ty)}' but the signature "
-                                f"declares '{show_type(fty)}'", t.loc)
-                usage = usage_add(usage, usage_scale(fmult, ra.usage))
-                new_args.append(ra.term)
-            out = InferResult(
-                _with(t, args=tuple(new_args), ty=result),
-                result, usage)
-
-        case Case(m, scrut, branches):
-            _check_mult_scope(env, m, t.loc)
-            rs = infer(env, scrut)
-            if not isinstance(rs.ty, TData):
-                raise _fail(Kind.TYPE_MISMATCH,
-                            f"case scrutinee has non-datatype type "
-                            f"'{show_type(rs.ty)}'", t.loc)
-            decl = env.decls[rs.ty.name]
-            seen: set[str] = set()
-            joined: Usage | None = None
-            result_ty: Type | None = None
-            new_branches = []
-            for br in branches:
-                if br.con in seen:
-                    raise _fail(Kind.MALFORMED_DECL,
-                                f"duplicate case branch for '{br.con}'",
-                                br.loc or t.loc)
-                seen.add(br.con)
-                entry = env.cons.get(br.con)
-                if entry is None or entry[0].name != decl.name:
-                    raise _fail(Kind.TYPE_MISMATCH,
-                                f"branch constructor '{br.con}' does not "
-                                f"belong to datatype '{decl.name}'",
-                                br.loc or t.loc)
-                fields, _ = instantiate_con(env, br.con, rs.ty.type_args,
-                                            rs.ty.mult_args, br.loc)
-                if len(br.binders) != len(fields):
-                    raise _fail(Kind.ARITY_MISMATCH,
-                                f"branch '{br.con}' binds {len(br.binders)} "
-                                f"variables but the constructor has "
-                                f"{len(fields)} fields", br.loc or t.loc)
-                binder_mults = [MProd(m, fmult) for _, fmult in fields]
-                benv = env.bind_vars([
-                    (x, fty, bm) for x, (fty, _), bm
-                    in zip(br.binders, fields, binder_mults)])
-                rb = infer(benv, br.body)
-                busage = dict(rb.usage)
-                for x, bm in zip(br.binders, binder_mults):
-                    ux = busage.pop(x, ZERO)
-                    _require_usage(x, ux, bm, br.loc or t.loc)
-                if result_ty is None:
-                    result_ty = rb.ty
-                elif not type_equiv(result_ty, rb.ty):
-                    raise _fail(Kind.TYPE_MISMATCH,
-                                f"branch '{br.con}' returns "
-                                f"'{show_type(rb.ty)}' but an earlier branch "
-                                f"returned '{show_type(result_ty)}'",
-                                br.loc or t.loc)
-                try:
-                    joined = busage if joined is None else usage_join(joined, busage)
-                except UnjoinableUsage as exc:
-                    raise _fail(Kind.UNJOINABLE_USAGE,
-                                f"variable '{exc.var}' is used at "
-                                f"incompatible multiplicities across case "
-                                f"branches", br.loc or t.loc) from None
-                new_branches.append(_with(br, body=rb.term))
-            assert result_ty is not None and joined is not None
-            usage = usage_add(usage_scale(m, rs.usage), joined)
-            out = InferResult(
-                _with(t, scrut=rs.term, branches=tuple(new_branches),
-                      ty=result_ty),
-                result_ty, usage)
-
-        case Let(m, binds, body):
-            _check_mult_scope(env, m, t.loc)
-            for b in binds:
-                check_type(env, b.var_ty, loc=b.loc or t.loc)
-            names = [b.var for b in binds]
-            if len(set(names)) != len(names):
-                raise _fail(Kind.MALFORMED_DECL,
-                            "duplicate binder in let group", t.loc)
-            rhs_env = env
+    elif cls is Let:
+        m = t.mult
+        binds = t.binds
+        _check_mult_scope(env, m, t.loc)
+        for b in binds:
+            check_type(env, b.var_ty, loc=b.loc or t.loc)
+        names = [b.var for b in binds]
+        if len(set(names)) != len(names):
+            raise _fail(Kind.MALFORMED_DECL,
+                        "duplicate binder in let group", t.loc)
+        vars_ = env.vars
+        saved = [(x, vars_.get(x, _UNBOUND)) for x in names]
+        try:
             if t.rec:
-                rhs_env = env.bind_vars([(b.var, b.var_ty, OMEGA)
-                                         for b in binds])
+                for b in binds:
+                    vars_[b.var] = (b.var_ty, OMEGA)
             rhs_usage: Usage = {}
             new_binds = []
             for b in binds:
-                rb = infer(rhs_env, b.rhs)
+                rb = infer(env, b.rhs)
                 if not type_equiv(rb.ty, b.var_ty):
                     raise _fail(Kind.TYPE_MISMATCH,
                                 f"binding '{b.var}' declares type "
                                 f"'{show_type(b.var_ty)}' but its definition "
                                 f"has type '{show_type(rb.ty)}'",
                                 b.loc or t.loc)
-                u = dict(rb.usage)
+                u = rb.usage
                 if t.rec:
-                    for x in names:
-                        u.pop(x, None)  # recursive refs sit under an w binder
+                    # recursive refs sit under an w binder
+                    u = {x: v for x, v in u.items() if x not in names}
                 rhs_usage = usage_add(rhs_usage, u)
                 new_binds.append(_with(b, rhs=rb.term))
-            benv = env.bind_vars([(b.var, b.var_ty, m) for b in binds])
-            rb_body = infer(benv, body)
-            usage = dict(rb_body.usage)
-            for x in names:
-                ux = usage.pop(x, ZERO)
-                _require_usage(x, ux, m, t.loc)
-            usage = usage_add(usage, usage_scale(m, rhs_usage))
-            out = InferResult(
-                _with(t, binds=tuple(new_binds), body=rb_body.term,
-                      ty=rb_body.ty),
-                rb_body.ty, usage)
+            for b in binds:
+                vars_[b.var] = (b.var_ty, m)
+            rb_body = infer(env, t.body)
+        finally:
+            _restore(vars_, saved)
+        usage = dict(rb_body.usage)
+        for x in names:
+            _require_usage(x, usage.pop(x, ZERO), m, t.loc)
+        ty = rb_body.ty
+        out = InferResult(
+            _with(t, binds=tuple(new_binds), body=rb_body.term, ty=ty),
+            ty, usage_add(usage, usage_scale(m, rhs_usage)))
 
-        case Prim(name, args):
-            out = _infer_prim(env, t, name, args)
+    elif cls is Lam:
+        m = t.mult
+        x = t.var
+        a = t.var_ty
+        check_type(env, a, loc=t.loc)
+        _check_mult_scope(env, m, t.loc)
+        vars_ = env.vars
+        saved = [(x, vars_.get(x, _UNBOUND))]
+        vars_[x] = (a, m)
+        try:
+            r = infer(env, t.body)
+        finally:
+            _restore(vars_, saved)
+        usage = dict(r.usage)
+        _require_usage(x, usage.pop(x, ZERO), m, t.loc)
+        ty = TArrow(a, m, r.ty)
+        out = InferResult(_with(t, body=r.term, ty=ty), ty, usage)
 
-        case ArrayLit(elems, elem_ty, frozen_tag):
-            usage = {}
-            for e in elems:
-                binding = env.vars.get(e)
-                if binding is None:
-                    raise _fail(Kind.UNBOUND_VARIABLE,
-                                f"array element '{e}' is not in scope", t.loc)
-                if not type_equiv(binding[0], elem_ty):
-                    raise _fail(Kind.TYPE_MISMATCH,
-                                f"array element '{e}' has type "
-                                f"'{show_type(binding[0])}', expected "
-                                f"'{show_type(elem_ty)}'", t.loc)
-                usage = usage_add(usage, {e: NF_OMEGA})
-            ty: Type = TArray(elem_ty) if frozen_tag else TMArray(elem_ty)
-            out = InferResult(_with(t, ty=ty), ty, usage)
-
-        case ArrName():
+    elif cls is Case:
+        m = t.mult
+        _check_mult_scope(env, m, t.loc)
+        rs = infer(env, t.scrut)
+        if not isinstance(rs.ty, TData):
             raise _fail(Kind.TYPE_MISMATCH,
-                        "array cell references are not typeable terms", t.loc)
+                        f"case scrutinee has non-datatype type "
+                        f"'{show_type(rs.ty)}'", t.loc)
+        decl = env.decls[rs.ty.name]
+        vars_ = env.vars
+        seen: set[str] = set()
+        joined: Usage | None = None
+        result_ty: Type | None = None
+        new_branches = []
+        for br in t.branches:
+            if br.con in seen:
+                raise _fail(Kind.MALFORMED_DECL,
+                            f"duplicate case branch for '{br.con}'",
+                            br.loc or t.loc)
+            seen.add(br.con)
+            entry = env.cons.get(br.con)
+            if entry is None or entry[0].name != decl.name:
+                raise _fail(Kind.TYPE_MISMATCH,
+                            f"branch constructor '{br.con}' does not "
+                            f"belong to datatype '{decl.name}'",
+                            br.loc or t.loc)
+            fields, _ = instantiate_con(env, br.con, rs.ty.type_args,
+                                        rs.ty.mult_args, br.loc)
+            if len(br.binders) != len(fields):
+                raise _fail(Kind.ARITY_MISMATCH,
+                            f"branch '{br.con}' binds {len(br.binders)} "
+                            f"variables but the constructor has "
+                            f"{len(fields)} fields", br.loc or t.loc)
+            binder_mults = [MProd(m, fmult) for _, fmult in fields]
+            saved = []
+            try:
+                for x, (fty, _), bm in zip(br.binders, fields, binder_mults):
+                    saved.append((x, vars_.get(x, _UNBOUND)))
+                    vars_[x] = (fty, bm)
+                rb = infer(env, br.body)
+            finally:
+                _restore(vars_, saved)
+            busage = dict(rb.usage)
+            for x, bm in zip(br.binders, binder_mults):
+                _require_usage(x, busage.pop(x, ZERO), bm, br.loc or t.loc)
+            if result_ty is None:
+                result_ty = rb.ty
+            elif not type_equiv(result_ty, rb.ty):
+                raise _fail(Kind.TYPE_MISMATCH,
+                            f"branch '{br.con}' returns "
+                            f"'{show_type(rb.ty)}' but an earlier branch "
+                            f"returned '{show_type(result_ty)}'",
+                            br.loc or t.loc)
+            try:
+                joined = (busage if joined is None
+                          else usage_join(joined, busage))
+            except UnjoinableUsage as exc:
+                raise _fail(Kind.UNJOINABLE_USAGE,
+                            f"variable '{exc.var}' is used at "
+                            f"incompatible multiplicities across case "
+                            f"branches", br.loc or t.loc) from None
+            new_branches.append(_with(br, body=rb.term))
+        assert result_ty is not None and joined is not None
+        out = InferResult(
+            _with(t, scrut=rs.term, branches=tuple(new_branches),
+                  ty=result_ty),
+            result_ty, usage_add(usage_scale(m, rs.usage), joined))
 
-        case _:
-            raise AssertionError(f"unknown term {t!r}")
+    elif cls is Con:
+        name = t.name
+        for a in t.type_args:
+            check_type(env, a, loc=t.loc)
+        for m in t.mult_args:
+            _check_mult_scope(env, m, t.loc)
+        fields, result = instantiate_con(env, name, t.type_args, t.mult_args,
+                                         t.loc)
+        if len(t.args) != len(fields):
+            raise _fail(Kind.ARITY_MISMATCH,
+                        f"constructor '{name}' expects {len(fields)} "
+                        f"arguments, got {len(t.args)}", t.loc)
+        usage = {}
+        new_args = []
+        for (fty, fmult), arg in zip(fields, t.args):
+            ra = infer(env, arg)
+            if not type_equiv(ra.ty, fty):
+                raise _fail(Kind.TYPE_MISMATCH,
+                            f"field of '{name}' has type "
+                            f"'{show_type(ra.ty)}' but the signature "
+                            f"declares '{show_type(fty)}'", t.loc)
+            usage = usage_add(usage, usage_scale(fmult, ra.usage))
+            new_args.append(ra.term)
+        out = InferResult(_with(t, args=tuple(new_args), ty=result),
+                          result, usage)
+
+    elif cls is MultApp:
+        m = t.mult
+        _check_mult_scope(env, m, t.loc)
+        rf = infer(env, t.fun)
+        if not isinstance(rf.ty, TForall):
+            raise _fail(Kind.TYPE_MISMATCH,
+                        f"multiplicity application to non-polymorphic "
+                        f"type '{show_type(rf.ty)}'", t.loc)
+        ty = type_subst_mult(rf.ty.body, rf.ty.var, m)
+        out = InferResult(_with(t, fun=rf.term, ty=ty), ty,
+                          usage_subst(rf.usage, rf.ty.var, m))
+
+    elif cls is MultLam:
+        p = t.param
+        _check_fresh(env, p, t.loc)
+        r = infer(env.bind_mult(p), t.body)
+        ty = TForall(p, r.ty)
+        out = InferResult(_with(t, body=r.term, ty=ty), ty, r.usage)
+
+    elif cls is ArrayLit:
+        usage = {}
+        for e in t.elems:
+            binding = env.vars.get(e)
+            if binding is None:
+                raise _fail(Kind.UNBOUND_VARIABLE,
+                            f"array element '{e}' is not in scope", t.loc)
+            if not type_equiv(binding[0], t.elem_ty):
+                raise _fail(Kind.TYPE_MISMATCH,
+                            f"array element '{e}' has type "
+                            f"'{show_type(binding[0])}', expected "
+                            f"'{show_type(t.elem_ty)}'", t.loc)
+            usage = usage_add(usage, {e: NF_OMEGA})
+        ty = TArray(t.elem_ty) if t.frozen_tag else TMArray(t.elem_ty)
+        out = InferResult(_with(t, ty=ty), ty, usage)
+
+    elif cls is ArrName:
+        raise _fail(Kind.TYPE_MISMATCH,
+                    "array cell references are not typeable terms", t.loc)
+
+    else:
+        raise AssertionError(f"unknown term {t!r}")
     if memo is not None:
         memo.record(env, t, out)
     return out
+
+
+# ``_restore``'s mark for a name that was not bound before
+_UNBOUND = object()
+
+
+def _restore(vars_: dict, saved: list[tuple[str, object]]) -> None:
+    """Undo in-place bindings: ``saved`` holds each name with what it was
+    bound to before, in binding order.  A name saved but not yet bound
+    comes back as it was."""
+    for x, old in reversed(saved):
+        if old is _UNBOUND:
+            vars_.pop(x, None)
+        else:
+            vars_[x] = old
 
 
 def _require_usage(x: str, u: UsageMult, declared: MultExpr,
@@ -531,36 +588,28 @@ def _expect_decl(env: TypeEnv, name: str, n_mult: int, n_type: int,
                     f"to be in scope", loc)
 
 
-def _infer_prim(env: TypeEnv, t: Term, name: str,
-                args: tuple[Term, ...]) -> InferResult:
-    mults = PRIM_ARG_MULTS.get(name)
-    if mults is None:
-        raise _fail(Kind.UNBOUND_VARIABLE, f"unknown primitive '{name}'",
-                    t.loc)
-    if len(args) != len(mults):
-        raise _fail(Kind.ARITY_MISMATCH,
-                    f"primitive '{name}' expects {len(mults)} arguments, "
-                    f"got {len(args)}", t.loc)
-    rs = [infer(env, a) for a in args]
+def _want_arg(t: Prim, rs: list[InferResult], i: int, ty: Type,
+              what: str) -> None:
+    if not type_equiv(rs[i].ty, ty):
+        raise _fail(Kind.TYPE_MISMATCH,
+                    f"argument {i + 1} of '{t.name}' has type "
+                    f"'{show_type(rs[i].ty)}' but {what} "
+                    f"'{show_type(ty)}' is required", t.loc)
 
-    def want(i: int, ty: Type, what: str) -> None:
-        if not type_equiv(rs[i].ty, ty):
-            raise _fail(Kind.TYPE_MISMATCH,
-                        f"argument {i + 1} of '{name}' has type "
-                        f"'{show_type(rs[i].ty)}' but {what} "
-                        f"'{show_type(ty)}' is required", t.loc)
 
-    result: Type
+def _prim_type(env: TypeEnv, t: Prim, rs: list[InferResult]) -> Type:
+    """The result type of the primitive ``t`` whose arguments have the
+    results ``rs``."""
+    name = t.name
     if name in ("add", "sub", "mul", "eq", "lt"):
-        want(0, INT, "type")
-        want(1, INT, "type")
+        _want_arg(t, rs, 0, INT, "type")
+        _want_arg(t, rs, 1, INT, "type")
         if name in ("eq", "lt"):
             _expect_decl(env, "Bool", 0, 0, f"primitive '{name}'", t.loc)
-            result = TData("Bool")
-        else:
-            result = INT
-    elif name == "newMArray":
-        want(0, INT, "type")
+            return TData("Bool")
+        return INT
+    if name == "newMArray":
+        _want_arg(t, rs, 0, INT, "type")
         elem = rs[1].ty
         fty = rs[2].ty
         ok = (isinstance(fty, TArrow) and mult_equiv(fty.mult, ONE)
@@ -574,18 +623,18 @@ def _infer_prim(env: TypeEnv, t: Term, name: str,
                         f"'MArray {show_type(elem, 2)} ->[1] Unrestricted b' "
                         f"is required", t.loc)
         _expect_decl(env, "Unrestricted", 0, 1, "primitive 'newMArray'", t.loc)
-        result = fty.cod
-    elif name == "write":
+        return fty.cod
+    if name == "write":
         arr_ty = rs[0].ty
         if not isinstance(arr_ty, TMArray):
             raise _fail(Kind.TYPE_MISMATCH,
                         f"argument 1 of 'write' has type "
                         f"'{show_type(arr_ty)}' but a mutable array is "
                         f"required", t.loc)
-        want(1, INT, "type")
-        want(2, arr_ty.elem, "the element type")
-        result = arr_ty
-    elif name == "freeze":
+        _want_arg(t, rs, 1, INT, "type")
+        _want_arg(t, rs, 2, arr_ty.elem, "the element type")
+        return arr_ty
+    if name == "freeze":
         arr_ty = rs[0].ty
         if not isinstance(arr_ty, TMArray):
             raise _fail(Kind.TYPE_MISMATCH,
@@ -593,25 +642,17 @@ def _infer_prim(env: TypeEnv, t: Term, name: str,
                         f"'{show_type(arr_ty)}' but a mutable array is "
                         f"required", t.loc)
         _expect_decl(env, "Unrestricted", 0, 1, "primitive 'freeze'", t.loc)
-        result = TData("Unrestricted", (), (TArray(arr_ty.elem),))
-    elif name == "index":
+        return TData("Unrestricted", (), (TArray(arr_ty.elem),))
+    if name == "index":
         arr_ty = rs[0].ty
         if not isinstance(arr_ty, TArray):
             raise _fail(Kind.TYPE_MISMATCH,
                         f"argument 1 of 'index' has type "
                         f"'{show_type(arr_ty)}' but a frozen array is "
                         f"required", t.loc)
-        want(1, INT, "type")
-        result = arr_ty.elem
-    else:
-        raise AssertionError(name)
-
-    usage: Usage = {}
-    for r, m in zip(rs, mults):
-        usage = usage_add(usage, usage_scale(m, r.usage))
-    return InferResult(
-        _with(t, args=tuple(r.term for r in rs), ty=result),
-        result, usage)
+        _want_arg(t, rs, 1, INT, "type")
+        return arr_ty.elem
+    raise AssertionError(name)
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,8 @@ def test_term_printer_roundtrip_precedence(prelude):
 
 def test_tokenizer_locations():
     toks = tokenize("main =\n  5")
-    assert toks[0].loc.line == 1 and toks[0].loc.col == 1
-    assert toks[2].loc.line == 2 and toks[2].loc.col == 3
+    assert toks.loc(0).line == 1 and toks.loc(0).col == 1
+    assert toks.loc(2).line == 2 and toks.loc(2).col == 3
 
 
 def test_token_locations_match_their_offsets():
@@ -202,12 +202,12 @@ def test_token_locations_match_their_offsets():
         for path in corpus_files() + reject_files() + special_files()]
     for text in texts:
         tokens = tokenize(text)
-        assert tokens[-1].kind == "eof" and tokens[-1].pos == len(text)
-        for tok in tokens:
-            assert text[tok.pos:tok.pos + len(tok.text)] == tok.text
-            line = text.count("\n", 0, tok.pos) + 1
-            col = tok.pos - (text.rfind("\n", 0, tok.pos) + 1) + 1
-            assert tok.loc == Loc(line, col), (tok.text, tok.pos)
+        assert tokens.kinds[-1] == "eof" and tokens.offsets[-1] == len(text)
+        for i, (tok, pos) in enumerate(zip(tokens.texts, tokens.offsets)):
+            assert text[pos:pos + len(tok)] == tok
+            line = text.count("\n", 0, pos) + 1
+            col = pos - (text.rfind("\n", 0, pos) + 1) + 1
+            assert tokens.loc(i) == Loc(line, col), (tok, pos)
 
 
 # also recorded, as ``lq check`` output, by ``frontend_golden.py``

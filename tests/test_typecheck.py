@@ -393,6 +393,69 @@ def test_diagnostics_carry_locations(prelude):
     assert all(d.loc is not None for d in e.value.diagnostics)
 
 
+def _let_chain(n: int) -> str:
+    """``main`` as n nested lets, each reading the one before."""
+    lets = "".join(f"let[1] x{i} : Int = {f'add(x{i - 1}, 1)' if i else '0'} in "
+                   for i in range(n))
+    return f"main = {lets}x{n - 1}"
+
+
+def _env_entries(prelude, monkeypatch, n: int) -> int:
+    """The variable-table entries ``infer`` works with while checking a
+    chain of n lets: each distinct table it is called with, counted at the
+    largest size it is seen at.  A table copied per binder counts again."""
+    import lqlang.typecheck as T
+    sf = parse_program(_let_chain(n), base=prelude)
+    tables: dict[int, tuple[dict, int]] = {}
+    real = T.infer
+
+    def counting(env, t):
+        seen = tables.get(id(env.vars))
+        if seen is None or seen[1] < len(env.vars):
+            tables[id(env.vars)] = (env.vars, len(env.vars))
+        return real(env, t)
+
+    with monkeypatch.context() as m:
+        m.setattr(T, "infer", counting)
+        T.check_program(sf.decls, sf.defs, sf.main)
+    return sum(size for _, size in tables.values())
+
+
+def test_let_chain_environment_grows_linearly(prelude, monkeypatch):
+    """Binders extend one table in place, so the entries ``infer`` works
+    with grow linearly in the length of a let chain (a copy per binder
+    made them grow quadratically: about n * n / 2)."""
+    small = _env_entries(prelude, monkeypatch, 1_000)
+    large = _env_entries(prelude, monkeypatch, 4_000)
+    assert 1_000 <= small and 4_000 <= large <= 4 * small
+
+
+def test_a_failed_inference_leaves_the_environment_as_it_was(prelude_env):
+    """``infer`` restores the bindings it made also when it rejects, so the
+    same environment can be used again (as the definition probe does)."""
+    env = prelude_env.bind_var("x", INT, OMEGA).bind_var("b", TData("Bool"),
+                                                         OMEGA)
+    before = list(env.vars.items())
+    bad = Var("nope")
+    terms = [
+        Lam(ONE, "x", INT, bad),  # shadows x
+        Lam(ONE, "y", INT, bad),
+        Let(ONE, (LetBind("y", INT, IntLit(1)),), bad),
+        Let(OMEGA, (LetBind("y", INT, bad), LetBind("x", INT, IntLit(1))),
+            Var("y")),
+        Let(ONE, (LetBind("x", INT, IntLit(1)),), IntLit(2)),  # unused x
+        Case(OMEGA, Var("b"), (Branch("True", (), IntLit(1)),
+                               Branch("False", (), bad))),
+        Case(ONE, mkpair(IntLit(1), IntLit(2)),
+             (Branch("MkPair", ("x", "x"), bad),)),
+        MultLam("p", Lam(MVar("p"), "z", INT, bad)),
+    ]
+    for t in terms:
+        with pytest.raises(CheckError):
+            infer(env, t)
+        assert list(env.vars.items()) == before, t
+
+
 # --- the per-run memo ----------------------------------------------------------
 
 def test_usage_keys_are_the_free_variables(prelude, monkeypatch):
