@@ -193,9 +193,6 @@ _NON_ATOM_WORDS = KEYWORDS - PRIM_NAMES
 # The tokens that start a term but not an application spine.
 _BINDING_FORMS = frozenset({"\\", "/\\", "case", "let"})
 
-# ``[1]`` and ``[w]``, the multiplicities written most.
-_CONCRETE_MULTS = {"1": ONE, "w": OMEGA}
-
 
 class Parser:
     """Recursive descent over the token lists.  ``pos`` is the index of the
@@ -271,11 +268,7 @@ class Parser:
         raise self.fail(f"expected a multiplicity, found '{text}'", i)
 
     def bracket_mult(self) -> MultExpr:
-        i = self.expect("[") + 1
-        texts = self.texts
-        if texts[i + 1] == "]" and texts[i] in _CONCRETE_MULTS:
-            self.pos = i + 2
-            return _CONCRETE_MULTS[texts[i]]
+        self.expect("[")
         m = self.mult()
         self.expect("]")
         return m
@@ -290,11 +283,7 @@ class Parser:
             p = self.ident("multiplicity variable")
             self.expect(".")
             return TForall(p, self.type_())
-        if text == "Int":
-            self.pos += 1
-            left: Type = INT
-        else:
-            left = self.type_app()
+        left = self.type_app()
         text = texts[self.pos]
         if text == "->":
             self.pos += 1
@@ -399,18 +388,11 @@ class Parser:
                 self.pos += 1
             self.expect("in")
             return Let(m, tuple(binds), self.term(), loc=self.loc(i))
-        # an application spine: left-associated ``App``s of elements, for
-        # as long as ``starts_atom`` (inlined) holds
+        # an application spine: left-associated ``App``s of elements
         head = self.element(True)
-        kinds = self.kinds
-        texts = self.texts
-        while True:
-            i = self.pos
-            kind = kinds[i]
-            if not (kind == "int" or texts[i] == "("
-                    or (kind == "ident" and texts[i] not in _NON_ATOM_WORDS)):
-                return head
+        while self.starts_atom():
             head = App(head, self.element(False), loc=head.loc)
+        return head
 
     def branch(self) -> Branch:
         i = self.pos

@@ -233,8 +233,8 @@ def test_syntax_error_locations(prelude, src, message, line, col):
 
 def test_nesting_depth_budget(prelude):
     """A 4,500-deep nested ``add`` parses, checks and runs under the
-    20,000-frame limit this suite sets: parsing takes four frames per
-    level, and a change that adds one more fails here."""
+    20,000-frame limit this suite sets.  Evaluation bounds this depth;
+    ``test_check_nesting_depth_budget`` pins the front end's."""
     depth = 4500
     src = "main = " + "add(1, " * depth + "0" + ")" * depth
     sf = parse_program(src, base=prelude)
@@ -244,3 +244,14 @@ def test_nesting_depth_budget(prelude):
     pres = eval_pure(initial_state(sharing, checked.ty, checked.env), 100_000)
     assert show_term(ores.outcome.value) == show_term(pres.outcome.value) \
         == str(depth)
+
+
+def test_check_nesting_depth_budget(prelude):
+    """A 9,000-deep nested ``add`` parses and checks under the 20,000-frame
+    limit this suite sets: parsing takes two frames per level (``term``
+    and ``element``) and ``infer`` one, so a change that adds a frame per
+    level to parsing fails here."""
+    depth = 9000
+    src = "main = " + "add(1, " * depth + "0" + ")" * depth
+    sf = parse_program(src, base=prelude)
+    assert check_program(sf.decls, sf.defs, sf.main).ty == INT

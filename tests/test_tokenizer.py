@@ -39,26 +39,35 @@ CORPUS_TOKENS = sorted({tok.text for text in _texts()
                         for tok in reference.tokenize(text)
                         if tok.kind != "eof"})
 
-# Characters that start no token, or only together with a neighbour
-# ("-", "/"); whitespace the tokenizers skip.  No non-ASCII digit: the
-# reference reads those as an integer
-# (``test_integer_literals_are_ascii_only``).
-STRAY = list("$#!?&|%^~`\"<>'-/éλ\x00")
+# Pieces that form tokens with their neighbours, or are bad on their own
+FRAGMENTS = ["-", "/", "\\", ">", "o", "'", "x'", "f''", "a'b", "_", "9",
+             "007"]
+# Characters that start no token.  No non-ASCII digit: the reference
+# reads those as an integer (``test_integer_literals_are_ascii_only``).
+STRAY = list("$#!?&|%^~`\"<>éλ\x00")
+# Whitespace: both tokenizers skip all that ``str.isspace`` accepts.
 SPACE = [" ", "\t", "\r\n", "\n", "\r", "\x0b", "\x0c", "\x1c", "\u00a0",
          "\u2003"]
 
-pieces = st.one_of(
+words = st.one_of(
     st.sampled_from(CORPUS_TOKENS),
+    st.sampled_from(FRAGMENTS),
     st.sampled_from(SPACE),
-    st.sampled_from(STRAY),
     st.text(st.characters(blacklist_characters="\n"), max_size=8)
     .map(lambda body: "--" + body),
 )
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(st.lists(pieces, max_size=40).map("".join))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(words, max_size=40).map("".join))
 def test_tokenizer_matches_the_reference(text):
+    assert _run(tokenize, text) == _run(reference.tokenize, text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(words, st.sampled_from(STRAY)), max_size=40)
+       .map("".join))
+def test_tokenizer_matches_the_reference_on_bad_characters(text):
     assert _run(tokenize, text) == _run(reference.tokenize, text)
 
 
