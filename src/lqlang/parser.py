@@ -492,7 +492,8 @@ class Parser:
         loc = self.loc(self.expect("data"))
         name = self.ident("datatype name")
         mult_params = []
-        while self.kinds[self.pos] == "ident" and self.texts[self.pos] != "where":
+        while (self.kinds[self.pos] == "ident"
+               and self.texts[self.pos] != "where"):
             mult_params.append(self.ident("multiplicity parameter"))
         type_params = []
         if self.texts[self.pos] == "(":

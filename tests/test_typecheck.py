@@ -395,8 +395,9 @@ def test_diagnostics_carry_locations(prelude):
 
 def _let_chain(n: int) -> str:
     """``main`` as n nested lets, each reading the one before."""
-    lets = "".join(f"let[1] x{i} : Int = {f'add(x{i - 1}, 1)' if i else '0'} in "
-                   for i in range(n))
+    lets = "".join(
+        f"let[1] x{i} : Int = {f'add(x{i - 1}, 1)' if i else '0'} in "
+        for i in range(n))
     return f"main = {lets}x{n - 1}"
 
 
