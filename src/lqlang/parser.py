@@ -94,6 +94,14 @@ def tokenize(text: str, source: str = "<input>") -> Tokens:
     offsets = list(islice(accumulate(map(len, parts)), 0, None, 2))
     kind_of = {t: _kind(t) for t in set(texts)}
     kinds = list(map(kind_of.__getitem__, texts))
+    if "comment" in kind_of.values():
+        keep = [kind != "comment" for kind in kinds] + [True]
+        kinds = list(compress(kinds, keep))
+        texts = list(compress(texts, keep))
+        offsets = list(compress(offsets, keep))
+    kinds.extend(["eof"] * _EOF_PADDING)
+    texts.extend([""] * _EOF_PADDING)
+    offsets.append(len(text))
     line_starts = [0]
     line_starts.extend(m.end() for m in re.finditer("\n", text))
     tokens = Tokens(kinds, texts, offsets, line_starts)
@@ -102,14 +110,6 @@ def tokenize(text: str, source: str = "<input>") -> Tokens:
         raise CheckError.single(Kind.SYNTAX,
                                 f"unexpected character {texts[i]!r}",
                                 tokens.loc(i))
-    if "comment" in kind_of.values():
-        keep = [kind != "comment" for kind in kinds] + [True]
-        tokens.kinds = kinds = list(compress(kinds, keep))
-        tokens.texts = texts = list(compress(texts, keep))
-        tokens.offsets = offsets = list(compress(offsets, keep))
-    kinds.extend(["eof"] * _EOF_PADDING)
-    texts.extend([""] * _EOF_PADDING)
-    offsets.append(len(text))
     return tokens
 
 
