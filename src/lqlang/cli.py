@@ -237,6 +237,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     sys.setrecursionlimit(20_000)
+    # integer literals and values of any length; the limit is put back for
+    # a caller in the same process
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
+
+
+def _main(argv: Optional[list[str]]) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -233,7 +233,7 @@ def _force_int(st: _State, prim: str, arg: Term, env: Env) -> int:
     if not isinstance(v.term, IntLit):
         raise st.blocked(BlockReason.PRIMITIVE_MISUSE, prim, "",
                          f"'{prim}' needs an integer, got "
-                         f"{summarize(v.built())}")
+                         f"{summarize(v.term, v.env)}")
     return v.term.value
 
 
@@ -243,7 +243,7 @@ def _force_cell(st: _State, prim: str, arg: Term, env: Env,
     if not isinstance(v.term, ArrName):
         raise st.blocked(BlockReason.PRIMITIVE_MISUSE, prim, "",
                          f"'{prim}' needs an array, got "
-                         f"{summarize(v.built())}")
+                         f"{summarize(v.term, v.env)}")
     name = v.term.name
     cell = st.heap.bindings.get(name)
     if not isinstance(cell, Cell):

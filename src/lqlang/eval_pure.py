@@ -16,9 +16,9 @@ in a dict and linked in state order, its stack entries are ``SEntry``s
 linked by ``below``, and its ambient context is one ``TypeEnv`` that the
 shared variable rule extends.  Inserting a binding before the one being
 forced, removing a consumed one and pushing an entry are O(1), and
-``snapshot`` reads a state off the machine without copying a binding, an
-entry, the context or a term; names, steps and traces are those of
-substitution.
+``snapshot`` reads a state off the machine without copying or listing a
+binding, an entry, the context or a term; names, steps and traces are
+those of substitution.
 
 Linear bindings are removed from the environment when forced and forcing
 them at demand w blocks; on well-typed programs neither a removed binding
@@ -38,12 +38,17 @@ each environment binder at the type of the name it stands for, and its
 usage renamed back.  The cache is also ``infer``'s memo for
 the run, keyed by source subterm, so a subterm of the program is typed
 again only when one of its free variables has another type; each case node
-has one frame per run for the same reason.  Per check it compares each
-cached type with the expected one, checks scope from the usage keys, and
-replays the let rule over the binding groups, innermost first, on the
-cached usages.  ``instrumented_eval`` runs this check, with one cache per
-run, at the conclusion of every rule application; in a tail chain of rules
-the conclusion states coincide, so one check covers the chain.
+has one frame per run for the same reason.  A state in general is judged
+by a fold over it that compares each cached type with the expected one,
+checks scope from the usage keys, and replays the let rule over the
+binding groups, innermost first, on the cached usages.  A checking
+machine keeps that verdict as running totals instead (``_Totals``),
+updated from the bindings it inserts, removes, forces and updates and
+from the stack entries pushed and popped since the last check, so that a
+check of its current state costs what changed.  ``instrumented_eval``
+runs the check, with one cache per run, at the conclusion of every rule
+application; in a tail chain of rules the conclusion states coincide, so
+one check covers the chain.
 
 Two readings of the array rules are fixed here and documented in the
 README: the continuation of ``newMArray`` is run at demand 1 expecting an
@@ -58,12 +63,14 @@ are accounted for without guessing which branch will be taken.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .diagnostics import CheckError
-from .multiplicity import (NF_OMEGA, NF_ONE, ZERO, Usage, mult_normalize,
-                           sub_usage, usage_add_into, usage_scale)
+from .multiplicity import (NF_OMEGA, NF_ONE, ZERO, Usage, UsageMult,
+                           mult_mul, mult_normalize, sub_usage,
+                           usage_add_into, usage_scale)
 from .pretty import summarize
 from .runtime import (BlockReason, Clo, Env, Machine, Outcome, TraceRecord,
                       arith)
@@ -72,10 +79,13 @@ from .syntax import (App, ArrayLit, Case, Con, ConDecl, DataDecl, IntLit,
                      OMEGA, ONE, Omega, One, Prim, TArray, TArrow, TData, TInt,
                      TMArray, TVar, Term, Type, Var, _with, free_vars,
                      mult_vars, term_subst_mult)
-from .typecheck import (PRIM_ARG_MULTS, InferMemo, TypeEnv, check_type,
-                        infer, type_equiv)
+from .typecheck import (_UNBOUND, PRIM_ARG_MULTS, InferMemo, InferResult,
+                        TypeEnv, _restore, check_type, infer, type_equiv)
 
 FRESH_PREFIX = "%p"
+# the label distance between bindings appended at either end of a machine's
+# binding list (``_PState.place``)
+_GAP = 1 << 20
 # The binder of every case frame: neither a translated binder ("%s...") nor
 # a heap name ("%p...").
 HOLE = "%hole"
@@ -114,6 +124,9 @@ class EnvBind:
     term: Clo
     group: int
     forcing: bool = False
+    # the position in state order, kept only in a machine with running
+    # totals (``_PState.place``)
+    label: int = field(default=0, init=False, repr=False, compare=False)
     prev: Optional[EnvBind] = field(default=None, repr=False, compare=False)
     next: Optional[EnvBind] = field(default=None, repr=False, compare=False)
 
@@ -125,13 +138,21 @@ class AnnState:
     read off a running machine (``_PState.snapshot``) shares the machine's
     bindings, stack entries and ambient context, so it must be read before
     the machine moves on, as ``state_welltyped``, the oracle tests' spies
-    and ``PreservationViolation`` do."""
+    and ``PreservationViolation`` do; it lists the machine's bindings into
+    ``env`` only when ``env`` is first read."""
     xi: TypeEnv
     env: tuple[EnvBind, ...]
     focus: Clo
     demand: MultExpr
     focus_ty: Type
     stack: Optional[SEntry] = None
+
+    def __getattr__(self, name: str):
+        machine = self.__dict__.get("machine")
+        if name != "env" or machine is None:
+            raise AttributeError(name)
+        self.env = tuple(machine.ordered())
+        return self.env
 
 
 class PreservationViolation(Exception):
@@ -228,19 +249,33 @@ class CheckCache(InferMemo):
     the usage of its built term.  ``types`` holds the types that passed
     ``check_type``, by id.  Each entry holds its objects, so their ids
     cannot be reused.  ``names`` keeps the first type seen for each
-    variable."""
+    variable.  ``totals`` is the running verdict of the checked machine
+    the cache belongs to, if it keeps one."""
     inferred: dict[int, tuple[Clo, Type, Usage]] = field(
         default_factory=dict)
     types: dict[int, Type] = field(default_factory=dict)
     names: dict[str, Type] = field(default_factory=dict)
+    totals: Optional[_Totals] = None
 
 
 def state_welltyped(s: AnnState, cache: Optional[CheckCache] = None) -> bool:
     """The verdict of ``reference_welltyped``, computed from one inference
     per closure and run.  ``cache`` must only see states of one run; None
-    means a fresh cache."""
+    means a fresh cache.  The current snapshot of a machine that keeps
+    running totals is judged from those (``_Totals.check``); any other
+    state by a fold over the whole state."""
     if cache is None:
         cache = CheckCache()
+    totals = cache.totals
+    if totals is not None and s is totals.current:
+        return totals.check(s)
+    return _fold_welltyped(s, cache)
+
+
+def _fold_welltyped(s: AnnState, cache: CheckCache) -> bool:
+    """``state_welltyped`` by a fold over the whole state: compare each
+    cached type with the expected one, check scope from the usage keys,
+    and replay the let rule over the binding groups, innermost first."""
     live = [b for b in s.env if not b.forcing]
     if not _fits_cache(s, live, cache):
         return reference_welltyped(s)
@@ -270,15 +305,9 @@ def state_welltyped(s: AnnState, cache: Optional[CheckCache] = None) -> bool:
     def use(c: Clo, ty: Type, limit: int) -> Optional[Usage]:
         """The usage of ``c`` if it has type ``ty`` and every free variable
         is in ``xi`` or bound by a group before ``limit``."""
-        _, t_ty, u = inferred[id(c)]
-        if not cache.same_type(t_ty, ty):
+        u = _declared(cache, xi, inferred[id(c)], ty)
+        if u is None:
             return None
-        if id(ty) not in cache.types:
-            try:
-                check_type(xi, ty)
-            except CheckError:
-                return None
-            cache.types[id(ty)] = ty
         for x in u:
             j = level.get(x)
             if (j is None or j >= limit) and x not in xi.vars:
@@ -313,35 +342,71 @@ def state_welltyped(s: AnnState, cache: Optional[CheckCache] = None) -> bool:
     return True
 
 
+def _declared(cache: CheckCache, xi: TypeEnv, typed: tuple[Clo, Type, Usage],
+              ty: Type) -> Optional[Usage]:
+    """The usage of a typed closure, if its type is ``ty`` and ``ty`` is
+    well-formed."""
+    _, t_ty, u = typed
+    if not cache.same_type(t_ty, ty):
+        return None
+    if id(ty) not in cache.types:
+        try:
+            check_type(xi, ty)
+        except CheckError:
+            return None
+        cache.types[id(ty)] = ty
+    return u
+
+
+_TYPE = operator.itemgetter(0)  # of a (type, multiplicity) binding
+
+
 def _infer_clo(env: TypeEnv, clo: Clo) -> Optional[tuple[Type, Usage]]:
     """Type and usage of the built term of ``clo`` in ``env``, or None if
     it is ill-typed there.
 
-    The closure's source term is inferred, each of its binders typed as
-    the name it stands for, so that the memo in ``env`` meets the
-    program's own subterms; its usage is then renamed back through the
-    closure's environment.  The built term is inferred only when two free
-    variables of the source term stand for one name: merging their usages
-    would not be exact, since a case join is not additive."""
-    src = env
-    if clo.env:
-        vars_ = dict(env.vars)
-        for x, y in clo.env.items():
-            bound = env.vars.get(y)
-            if bound is not None:
-                vars_[x] = bound
-        src = TypeEnv(env.decls, env.cons, vars_, env.mult_vars, env.memo)
+    The closure's source term is inferred, each of its binders bound in
+    place to the type of the name it stands for and restored afterwards,
+    so that the memo in ``env`` meets the program's own subterms; its
+    usage is then renamed back through the closure's environment.  The
+    built term is inferred only when two free variables of the source
+    term stand for one name: merging their usages would not be exact,
+    since a case join is not additive."""
+    vars_ = env.vars
+    memo = env.memo
+    hit = (memo.entries.get(id(clo.term))
+           if memo is not None and not env.mult_vars else None)
+    if hit is not None:
+        # what ``infer`` would find in the memo, read through the closure's
+        # environment without binding its binders
+        names = list(map(clo.env.get, hit[3], hit[3]))
+        bound = list(map(vars_.get, names))
+        if None not in bound:
+            usage: Usage = dict(zip(names, hit[2].values()))
+            if len(usage) == len(names) and (
+                    all(map(operator.is_, map(_TYPE, bound), hit[4]))
+                    or all(map(memo.same_type, map(_TYPE, bound), hit[4]))):
+                return hit[1], usage
+    saved: list[tuple[str, object]] = []
+    for x, bound in [(x, vars_.get(y)) for x, y in clo.env.items()]:
+        if bound is not None:
+            saved.append((x, vars_.get(x, _UNBOUND)))
+            vars_[x] = bound
     try:
-        r = infer(src, clo.term)
+        r: Optional[InferResult] = infer(env, clo.term)
     except CheckError:
+        r = None
+    finally:
+        _restore(vars_, saved)
+    if r is None:
         names = [clo.env.get(x, x) for x in free_vars(clo.term)]
         if len(set(names)) == len(names):
             return None
     else:
-        usage: Usage = {}
+        usage = {}
         for x, u in r.usage.items():
             y = clo.env.get(x, x)
-            if y not in env.vars:
+            if y not in vars_:
                 return None  # out of scope, so the built term fails too
             if y in usage:
                 break
@@ -374,6 +439,243 @@ def _fits_cache(s: AnnState, live: list[EnvBind], cache: CheckCache) -> bool:
     return True
 
 
+# a contribution's share of the running totals: its scaled usage at each
+# live linear name, and the names it uses out of scope
+_Part = tuple[tuple[tuple[str, UsageMult], ...], tuple[str, ...]]
+
+
+class _Totals:
+    """The running verdict of a checked machine: the whole-state fold of
+    ``state_welltyped``, kept up to date as the machine changes its
+    records, so that a check costs O(change) instead of O(state).
+
+    A machine keeps one only from an empty environment and context, and
+    only while each of its groups stays contiguous in state order and no
+    unrestricted binding is removed; otherwise the fold takes over for the
+    rest of the run.  The fold's runs of bindings are then the groups, and
+    it amounts to this.  Each live binding and each entry of the %WPair
+    chain (the focus, then the stack) must have its declared type, and
+    contributes its usage scaled by the binding's multiplicity or the
+    entry's demand.  A name in the ambient context ``xi`` may be used
+    anywhere.  Any other name used must be live; a binding must not use a
+    name bound after it, nor one of its own group unless the group is w;
+    and a live linear name's contributions must sum to exactly 1.
+
+    So only linear names need their contributions counted: ``parts``
+    holds, per live linear name, the multiset of its scaled usages, so
+    that one can be taken away again.  ``misplaced`` counts, per name, the
+    bindings that use it out of scope.  ``applied`` holds each live
+    binding's part in these, and ``stack`` each stack entry's, bottom
+    first, as of the last check.  The machine marks a binding ``dirty``
+    when it inserts, removes, forces or updates it (``_PState.touch``); a
+    check reconciles those bindings, diffs the stack against the last
+    check's, types only the closures it has not seen, and re-validates
+    only the names whose binding, parts or misplaced uses changed."""
+
+    def __init__(self, st: _PState) -> None:
+        assert st.cache is not None
+        self.st = st
+        self.cache = st.cache
+        # every name the machine has bound, at its type: the environment
+        # closures are typed in
+        self.env = TypeEnv(st.xi.decls, st.xi.cons, {}, frozenset(),
+                           st.cache)
+        self.current: Optional[AnnState] = None  # the machine's snapshot
+        self.dirty: dict[int, EnvBind] = {}
+        # the bindings put last, by id, until their first check
+        self.appended: dict[int, EnvBind] = {}
+        self.linear: set[str] = set()  # the live linear names
+        self.applied: dict[int, tuple[EnvBind, Clo, _Part]] = {}
+        self.focus: tuple = (None, None, None, ((), ()))
+        self.stack: list[tuple[SEntry, _Part]] = []
+        self.depth: dict[int, int] = {}  # index in ``stack``, by entry id
+        self.parts: dict[str, dict[UsageMult, int]] = {}
+        self.misplaced: dict[str, int] = {}
+        self.changed: set[str] = set()
+        self.failing: set[str] = set()
+
+    def check(self, s: AnnState) -> bool:
+        """The verdict on ``s``, the machine's current snapshot."""
+        binds = self.st.binds
+        for b in self.dirty.values():
+            name = b.name
+            self.changed.add(name)
+            self.env.vars[name] = (b.ty, OMEGA)
+            if binds.get(name) is b:
+                if b.linear:
+                    self.linear.add(name)
+            elif b.linear:
+                self.linear.discard(name)
+            else:
+                self.cache.totals = None
+                return _fold_welltyped(s, self.cache)
+        for b in self.dirty.values():
+            live = binds.get(b.name) is b and not b.forcing
+            appended = self.appended.pop(id(b), None) is b
+            old = self.applied.get(id(b))
+            if old is not None:
+                if live and old[1] is b.term:
+                    continue
+                del self.applied[id(b)]
+                self._take(old[2])
+            if live:
+                part = self._bind(b, appended)
+                if part is None:
+                    return self._broken()
+                self.applied[id(b)] = (b, b.term, part)
+        self.dirty.clear()
+
+        old_focus = self.focus
+        if (old_focus[0] is not s.focus or old_focus[1] is not s.demand
+                or old_focus[2] is not s.focus_ty):
+            self._take(old_focus[3])
+            part = self._entry(s.focus, s.focus_ty, s.demand)
+            if part is None:
+                return self._broken()
+            self.focus = (s.focus, s.demand, s.focus_ty, part)
+
+        # entries never change, so the stacks agree below the newest entry
+        # the last check also had
+        pushed = []
+        e = s.stack
+        while e is not None:
+            k = self.depth.get(id(e))
+            if k is not None and self.stack[k][0] is e:
+                break
+            pushed.append(e)
+            e = e.below
+        keep = 0 if e is None else self.depth[id(e)] + 1
+        while len(self.stack) > keep:
+            popped, part = self.stack.pop()
+            del self.depth[id(popped)]
+            self._take(part)
+        for e in reversed(pushed):
+            part = self._entry(e.term, e.ty, e.demand)
+            if part is None:
+                return self._broken()
+            self.depth[id(e)] = len(self.stack)
+            self.stack.append((e, part))
+
+        for x in self.changed:
+            if self._name_ok(x):
+                self.failing.discard(x)
+            else:
+                self.failing.add(x)
+        self.changed.clear()
+        return not self.failing
+
+    def _typed(self, c: Clo, ty: Type) -> Optional[Usage]:
+        """The usage of ``c`` if it has type ``ty`` and uses no name that
+        is neither bound nor in the context."""
+        inferred = self.cache.inferred
+        typed = inferred.get(id(c))
+        if typed is None:
+            r = _infer_clo(self.env, c)
+            if r is None:
+                return None
+            typed = inferred[id(c)] = (c, *r)
+        u = _declared(self.cache, self.st.xi, typed, ty)
+        bound = self.st.binds.keys()
+        if (u is not None and not u.keys() <= bound
+                and not u.keys() - bound <= self.st.xi.vars.keys()):
+            return None
+        return u
+
+    def _bind(self, b: EnvBind, appended: bool) -> Optional[_Part]:
+        u = self._typed(b.term, b.ty)
+        if u is None:
+            return None
+        binds, xi = self.st.binds, self.st.xi.vars
+        if appended:
+            # put last, so every name it uses was bound before it, or in
+            # its group, which is out of its scope if it is linear
+            misplaced = [x for x in self._group(b) if x in u and x not in xi
+                         ] if b.linear else []
+        else:
+            misplaced = []
+            for x in u.keys() - xi.keys():
+                xb = binds[x]
+                if (b.linear if xb.group == b.group
+                        else xb.label > b.label):
+                    misplaced.append(x)
+        return self._add(u, ONE if b.linear else OMEGA, tuple(misplaced))
+
+    def _group(self, b: EnvBind) -> list[str]:
+        """The names of ``b``'s group, which is contiguous."""
+        end = self.st.end
+        while b.prev.group == b.group and b.prev is not end:
+            b = b.prev
+        names = []
+        group = b.group
+        while b.group == group and b is not end:
+            names.append(b.name)
+            b = b.next
+        return names
+
+    def _entry(self, c: Clo, ty: Type, demand: MultExpr) -> Optional[_Part]:
+        u = self._typed(c, ty)
+        if u is None or mult_vars(demand):
+            return None
+        return self._add(u, demand, ())
+
+    def _add(self, u: Usage, scale: MultExpr,
+             misplaced: tuple[str, ...]) -> _Part:
+        """Count the contribution ``scale * u`` at the live linear names it
+        uses and the names it misplaces."""
+        parts, changed = self.parts, self.changed
+        counted = []
+        for x in u.keys() & self.linear:
+            v = mult_mul(mult_normalize(scale), u[x])
+            p = parts.get(x)
+            if p is None:
+                p = parts[x] = {}
+            p[v] = p.get(v, 0) + 1
+            counted.append((x, v))
+            changed.add(x)
+        for x in misplaced:
+            self.misplaced[x] = self.misplaced.get(x, 0) + 1
+            changed.add(x)
+        return tuple(counted), misplaced
+
+    def _take(self, part: _Part) -> None:
+        parts, changed = self.parts, self.changed
+        counted, misplaced = part
+        for x, v in counted:
+            p = parts[x]
+            if p[v] > 1:
+                p[v] -= 1
+            elif len(p) > 1:
+                del p[v]
+            else:
+                del parts[x]
+            changed.add(x)
+        for x in misplaced:
+            n = self.misplaced[x] - 1
+            if n:
+                self.misplaced[x] = n
+            else:
+                del self.misplaced[x]
+            changed.add(x)
+
+    def _name_ok(self, x: str) -> bool:
+        if x in self.st.xi.vars:
+            return True
+        p = self.parts.get(x)
+        b = self.st.binds.get(x)
+        if b is None or b.forcing:
+            return p is None
+        if x in self.misplaced:
+            return False
+        return not b.linear or (p is not None and p.get(NF_ONE) == 1
+                                and len(p) == 1 + (ZERO in p))
+
+    def _broken(self) -> bool:
+        """An ill-typed closure: the totals are left half updated, so the
+        run's later checks, if any, take the whole-state fold."""
+        self.cache.totals = None
+        return False
+
+
 # ---------------------------------------------------------------------------
 # The machine
 
@@ -388,7 +690,7 @@ class _PState(Machine):
     group_counter: int = 0
     array_allocs: int = 0
     array_copies: int = 0
-    check: bool = False
+    check: bool = False  # switching it off is final
     check_count: int = 0
     cache: Optional[CheckCache] = None
     # each case node's frame, by id (``case_frame``)
@@ -408,10 +710,70 @@ class _PState(Machine):
         bind.prev, bind.next = at.prev, at
         at.prev.next = at.prev = bind
         self.binds[bind.name] = bind
+        if self.check:
+            self.place(bind)
 
     def remove(self, bind: EnvBind) -> None:
         bind.prev.next, bind.next.prev = bind.next, bind.prev
         del self.binds[bind.name]
+        if self.check:
+            self.touch(bind)
+
+    def touch(self, bind: EnvBind) -> None:
+        """Mark ``bind`` for the running totals' next check: it was
+        inserted, removed, forced or updated."""
+        totals = self.cache.totals
+        if totals is not None:
+            totals.dirty[id(bind)] = bind
+
+    def place(self, bind: EnvBind) -> None:
+        """Label a binding just inserted, for the running totals.  A
+        binding that splits a group ends them: the whole-state fold takes
+        over for the rest of the run."""
+        totals = self.cache.totals
+        if totals is None:
+            return
+        before, after = bind.prev, bind.next
+        if before is not after and before.group == after.group != bind.group:
+            self.cache.totals = None
+            return
+        end = self.end
+        if after is end:
+            totals.appended[id(bind)] = bind
+            bind.label = 0 if before is end else before.label + _GAP
+        elif before is end:
+            bind.label = after.label - _GAP
+        elif after.label - before.label > 1:
+            bind.label = (before.label + after.label) // 2
+        else:
+            self._relabel(bind)
+        totals.dirty[id(bind)] = bind
+
+    def _relabel(self, bind: EnvBind) -> None:
+        """Spread out the labels of the smallest aligned label range around
+        ``bind`` that is sparse enough: at most (4/3)**i bindings in a
+        range of 2**i labels.  This is the list labelling of Bender et al.,
+        *Two Simplified Algorithms for Maintaining Order in a List* (ESA
+        2002): O(log n) labels change per insertion, amortized."""
+        end, lo = self.end, bind.prev.label
+        left = right = bind
+        count, i = 1, 0
+        while True:
+            i += 1
+            base = lo >> i << i
+            top = base + (1 << i)
+            while left.prev is not end and left.prev.label >= base:
+                left = left.prev
+                count += 1
+            while right.next is not end and right.next.label < top:
+                right = right.next
+                count += 1
+            if count * 3 ** i <= 4 ** i:
+                break
+        step = (top - base) // count
+        for k in range(count):
+            left.label = base + k * step
+            left = left.next
 
     def ordered(self) -> Iterator[EnvBind]:
         """The environment in state order."""
@@ -433,10 +795,15 @@ class _PState(Machine):
 
     def snapshot(self, focus: Clo, demand: MultExpr, ty: Type,
                  stack: Optional[SEntry]) -> AnnState:
-        """The current state; it shares the machine's records (see
-        ``AnnState``)."""
-        return AnnState(self.xi, tuple(self.ordered()), focus, demand, ty,
-                        stack)
+        """The current state; it shares the machine's records and lists
+        its bindings only when read (see ``AnnState``)."""
+        s = AnnState.__new__(AnnState)
+        s.xi, s.focus, s.demand, s.focus_ty, s.stack = (self.xi, focus,
+                                                        demand, ty, stack)
+        s.machine = self
+        if self.cache is not None and self.cache.totals is not None:
+            self.cache.totals.current = s
+        return s
 
 
 @dataclass
@@ -469,6 +836,8 @@ def _load(s: AnnState, fuel: int, check: bool,
     for b in s.env:
         st.insert(dataclasses.replace(b))
         st.group_counter = max(st.group_counter, b.group)
+    if check and not s.env and not xi.vars and not xi.mult_vars:
+        st.cache.totals = _Totals(st)
     return st
 
 
@@ -483,19 +852,21 @@ def _finish(st: _PState, run) -> PureResult:
                       st.records, st)
 
 
-def eval_pure(s: AnnState, fuel: int, want_trace: bool = False) -> PureResult:
-    return _run(_load(s, fuel, check=False, want_trace=want_trace), s)
+def eval_pure(s: AnnState, fuel: int, want_trace: bool = False,
+              check: bool = False) -> PureResult:
+    """Evaluate ``s``.  With ``check``, state well-typedness is re-checked
+    at the conclusion of every rule application: PreservationViolation on
+    the first ill-typed state; the initial state must be well-typed."""
+    st = _load(s, fuel, check, want_trace)
+    if check and not state_welltyped(s, st.cache):
+        raise ValueError("a checked run requires a well-typed initial "
+                         "state")
+    return _run(st, s)
 
 
 def instrumented_eval(s: AnnState, fuel: int) -> PureResult:
-    """As ``eval_pure`` but re-checks state well-typedness at the
-    conclusion of every rule application.  Raises PreservationViolation on
-    the first ill-typed state; requires a well-typed initial state."""
-    st = _load(s, fuel, check=True, want_trace=False)
-    if not state_welltyped(s, st.cache):
-        raise ValueError("instrumented_eval requires a well-typed "
-                         "initial state")
-    return _run(st, s)
+    """``eval_pure`` with every state checked."""
+    return eval_pure(s, fuel, check=True)
 
 
 def force_pure_variable(prev: PureResult, name: str, demand: MultExpr,
@@ -543,8 +914,8 @@ def _ret(st: _PState, rule: str, value: Clo, demand: MultExpr, ty: Type,
         ann = st.snapshot(value, demand, ty, stack)
         if not state_welltyped(ann, st.cache):
             raise PreservationViolation(
-                rule, f"value {summarize(value.built())} at demand "
-                      f"{'1' if demand == ONE else 'w'} with "
+                rule, f"value {summarize(value.term, value.env)} at "
+                      f"demand {'1' if demand == ONE else 'w'} with "
                       f"{len(st.binds)} bindings")
     return value
 
@@ -594,11 +965,15 @@ def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
                 b.forcing = True
                 st.xi.vars[x] = (b.ty, OMEGA)  # grows, never pruned
                 st.anchors.append(b)
+                if st.check:
+                    st.touch(b)
                 try:
                     z = _eval(st, b.term, demand, ty, stack)
                 finally:
                     st.anchors.pop()
                     b.forcing = False
+                    if st.check:
+                        st.touch(b)
                 b.term = z
                 return _ret(st, "shared variable", z, demand, ty, stack)
 
@@ -738,7 +1113,7 @@ def _want_int(st: _PState, name: str, v: Clo) -> int:
     if not isinstance(v.term, IntLit):
         raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
                          f"'{name}' needs an integer, got "
-                         f"{summarize(v.built())}")
+                         f"{summarize(v.term, v.env)}")
     return v.term.value
 
 
@@ -753,7 +1128,7 @@ def _want_array(st: _PState, name: str, cargs: tuple[Clo, ...],
     if not isinstance(arr, ArrayLit):
         raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
                          f"'{name}' needs an array, got "
-                         f"{summarize(v.built())}")
+                         f"{summarize(v.term, v.env)}")
     arg = cargs[0].term
     assert isinstance(arg, Var)
     where = cargs[0].env.get(arg.name, arg.name)

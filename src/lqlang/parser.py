@@ -421,7 +421,12 @@ class Parser:
         text = self.texts[i]
         if kind == "int":
             self.pos = i + 1
-            atom: Term = IntLit(int(text), loc=self.loc(i))
+            try:
+                value = int(text)
+            except ValueError:  # longer than sys.get_int_max_str_digits()
+                raise self.fail(f"integer literal of {len(text)} digits is "
+                                f"too long", i) from None
+            atom: Term = IntLit(value, loc=self.loc(i))
         elif text in PRIM_NAMES:
             self.pos = i + 1
             self.expect("(")

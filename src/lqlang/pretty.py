@@ -6,11 +6,12 @@ suite checks on the shipped program corpus.
 
 from __future__ import annotations
 
-from .syntax import (App, ArrName, ArrayLit, Branch, Case, Con, ConDecl,
-                     DataDecl, IntLit, Lam, Let, LetBind, MProd, MSum, MVar,
-                     MultApp, MultExpr, MultLam, One, Omega, Prim, TArray,
-                     TArrow, TData, TForall, TInt, TMArray, TVar, Term, Type,
-                     Var)
+from typing import Optional
+
+from .syntax import (App, ArrName, ArrayLit, Case, Con, ConDecl, DataDecl,
+                     IntLit, Lam, Let, MProd, MSum, MVar, MultApp, MultExpr,
+                     MultLam, One, Omega, Prim, TArray, TArrow, TData,
+                     TForall, TInt, TMArray, TVar, Term, Type, Var, _without)
 
 
 def show_mult(m: MultExpr, prec: int = 0) -> str:
@@ -73,56 +74,107 @@ def _insts(type_args: tuple[Type, ...], mult_args: tuple[MultExpr, ...]) -> str:
     return out
 
 
+class _Full(Exception):
+    """The text printed so far is longer than its limit."""
+
+
+class _Out:
+    """The text of a term as it is printed, in pieces, up to a limit."""
+
+    __slots__ = ("parts", "left")
+
+    def __init__(self, limit: float) -> None:
+        self.parts: list[str] = []
+        self.left = limit
+
+    def put(self, s: str) -> None:
+        self.parts.append(s)
+        self.left -= len(s)
+        if self.left < 0:
+            raise _Full
+
+
 def show_term(t: Term, prec: int = 0) -> str:
     # prec 0 = full, 1 = application spine, 2 = atom
+    out = _Out(float("inf"))
+    _write(t, prec, {}, out)
+    return "".join(out.parts)
+
+
+def _write(t: Term, prec: int, env: dict[str, str], out: _Out) -> None:
+    """Print ``t`` into ``out`` with its free variables renamed by ``env``,
+    binders shadowing it as in ``rename_vars``; ``prec`` as in
+    ``show_term``."""
+    put = out.put
     match t:
-        case Var(name) | ArrName(name):
-            return name
+        case Var(name):
+            put(env.get(name) or name)
+        case ArrName(name):
+            put(name)
         case IntLit(value):
-            return str(value)
+            put(str(value))
         case Lam(m, x, a, body):
-            s = f"\\[{show_mult(m)}] {x} : {show_type(a)} . {show_term(body)}"
-            return f"({s})" if prec > 0 else s
+            put("(" if prec > 0 else "")
+            put(f"\\[{show_mult(m)}] {x} : {show_type(a)} . ")
+            _write(body, 0, _without(env, (x,)), out)
+            put(")" if prec > 0 else "")
         case MultLam(p, body):
-            s = f"/\\{p} . {show_term(body)}"
-            return f"({s})" if prec > 0 else s
+            put("(" if prec > 0 else "")
+            put(f"/\\{p} . ")
+            _write(body, 0, env, out)
+            put(")" if prec > 0 else "")
         case App(fun, arg):
-            s = f"{show_term(fun, 1)} {show_term(arg, 2)}"
-            return f"({s})" if prec > 1 else s
+            put("(" if prec > 1 else "")
+            _write(fun, 1, env, out)
+            put(" ")
+            _write(arg, 2, env, out)
+            put(")" if prec > 1 else "")
         case MultApp(fun, m):
-            s = f"{show_term(fun, 1)} @[{show_mult(m)}]"
-            return f"({s})" if prec > 1 else s
+            put("(" if prec > 1 else "")
+            _write(fun, 1, env, out)
+            put(f" @[{show_mult(m)}]")
+            put(")" if prec > 1 else "")
         case Con(name, targs, margs, args):
-            s = name + _insts(targs, margs)
-            if args:
-                s += " " + " ".join(show_term(a, 2) for a in args)
-            return f"({s})" if (prec > 1 and (args or targs or margs)) else s
+            paren = prec > 1 and bool(args or targs or margs)
+            put("(" if paren else "")
+            put(name + _insts(targs, margs))
+            for a in args:
+                put(" ")
+                _write(a, 2, env, out)
+            put(")" if paren else "")
         case Prim(name, args):
-            return f"{name}({', '.join(show_term(a) for a in args)})"
+            put(f"{name}(")
+            for i, a in enumerate(args):
+                put(", " if i else "")
+                _write(a, 0, env, out)
+            put(")")
         case Case(m, scrut, branches):
-            brs = " ; ".join(_show_branch(b) for b in branches)
-            s = f"case[{show_mult(m)}] {show_term(scrut, 1)} of {{ {brs} }}"
-            return f"({s})" if prec > 0 else s
+            put("(" if prec > 0 else "")
+            put(f"case[{show_mult(m)}] ")
+            _write(scrut, 1, env, out)
+            put(" of { ")
+            for i, b in enumerate(branches):
+                head = " ".join((b.con, *b.binders))
+                put(f"{' ; ' if i else ''}{head} -> ")
+                _write(b.body, 0, _without(env, b.binders), out)
+            put(" }")
+            put(")" if prec > 0 else "")
         case Let(m, binds, body):
-            bs = " , ".join(_show_bind(b) for b in binds)
-            s = f"let[{show_mult(m)}] {bs} in {show_term(body)}"
-            return f"({s})" if prec > 0 else s
+            put("(" if prec > 0 else "")
+            put(f"let[{show_mult(m)}] ")
+            inner = _without(env, [b.var for b in binds])
+            for i, b in enumerate(binds):
+                ann = "" if b.var_ty is None else f" : {show_type(b.var_ty)}"
+                put(f"{' , ' if i else ''}{b.var}{ann} = ")
+                _write(b.rhs, 0, inner if t.rec else env, out)
+            put(" in ")
+            _write(body, 0, inner, out)
+            put(")" if prec > 0 else "")
         case ArrayLit(elems, _, frozen_tag):
             tag = "frozen" if frozen_tag else "mutable"
-            return f"<{tag} array [{' '.join(elems)}]>"
+            put(f"<{tag} array [{' '.join(env.get(e, e) for e in elems)}]>")
         case _:
             raise AssertionError(t)
-
-
-def _show_branch(b: Branch) -> str:
-    head = b.con if not b.binders else b.con + " " + " ".join(b.binders)
-    return f"{head} -> {show_term(b.body)}"
-
-
-def _show_bind(b: LetBind) -> str:
-    if b.var_ty is None:  # evaluator-internal binding
-        return f"{b.var} = {show_term(b.rhs)}"
-    return f"{b.var} : {show_type(b.var_ty)} = {show_term(b.rhs)}"
 
 
 def show_datadecl(d: DataDecl) -> str:
@@ -158,7 +210,17 @@ def show_program(decls: list[DataDecl],
     return "\n".join(lines) + "\n"
 
 
-def summarize(t: Term, limit: int = 60) -> str:
-    """One-line redex summary for traces and error reports."""
-    s = show_term(t)
+def summarize(t: Term, env: Optional[dict[str, str]] = None,
+              limit: int = 60) -> str:
+    """One-line redex summary for traces and error reports: ``t`` with its
+    free variables renamed by ``env``, as ``show_term(rename_vars(t,
+    env))`` prints it, cut to ``limit`` characters.  Printing stops once
+    the text is longer than that, so a summary costs O(limit), not the
+    size of ``t``."""
+    out = _Out(limit)
+    try:
+        _write(t, 0, env or {}, out)
+    except _Full:
+        pass
+    s = "".join(out.parts)
     return s if len(s) <= limit else s[: limit - 3] + "..."

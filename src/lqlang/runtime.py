@@ -159,13 +159,13 @@ class Machine:
         """Count one rule application to the closure ``redex``/``env``."""
         if self.fuel <= 0:
             raise EvalAbort(Outcome(OutcomeKind.OUT_OF_FUEL,
-                                    detail=summarize(rename_vars(redex, env)),
+                                    detail=summarize(redex, env),
                                     steps=self.steps))
         self.fuel -= 1
         self.steps += 1
         if self.trace is not None:
             self.trace.append(TraceRecord(rule,
-                                          summarize(rename_vars(redex, env))))
+                                          summarize(redex, env)))
 
     def blocked(self, reason: BlockReason, rule: str, location: str,
                 detail: str) -> EvalAbort:

@@ -225,20 +225,17 @@ def instantiate_con(env: TypeEnv, con_name: str, type_args: tuple[Type, ...],
 # ---------------------------------------------------------------------------
 # Inference
 
-FreeTypes = tuple[tuple[str, Type], ...]
-
-
 @dataclass
 class InferMemo:
     """What ``infer`` keeps between the calls of one run.
 
-    ``entries`` maps a subterm's id to the subterm, its type, its usage and
-    the type each of its free variables (the usage keys) had.  ``equal``
+    ``entries`` maps a subterm's id to the subterm, its type, its usage,
+    its free variables (the usage keys) and the types they had.  ``equal``
     holds the pairs of types found equivalent, by id.  Each entry holds its
     objects, so their ids cannot be reused.  A memo assumes the datatype
     declarations stay the same."""
-    entries: dict[int, tuple[Term, Type, Usage, FreeTypes]] = field(
-        default_factory=dict)
+    entries: dict[int, tuple[Term, Type, Usage, tuple[str, ...],
+                             tuple[Type, ...]]] = field(default_factory=dict)
     equal: dict[tuple[int, int], tuple[Type, Type]] = field(
         default_factory=dict)
 
@@ -254,15 +251,15 @@ class InferMemo:
         entry = self.entries.get(id(t))
         if entry is None:
             return None
-        for x, ty in entry[3]:
+        for x, ty in zip(entry[3], entry[4]):
             bound = env.vars.get(x)
             if bound is None or not self.same_type(bound[0], ty):
                 return None
         return InferResult(t, entry[1], entry[2])
 
     def record(self, env: TypeEnv, t: Term, r: InferResult) -> None:
-        self.entries[id(t)] = (t, r.ty, r.usage, tuple(
-            (x, env.vars[x][0]) for x in r.usage))
+        self.entries[id(t)] = (t, r.ty, r.usage, tuple(r.usage), tuple(
+            [env.vars[x][0] for x in r.usage]))
 
 
 def infer(env: TypeEnv, t: Term) -> InferResult:

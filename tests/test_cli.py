@@ -319,3 +319,47 @@ def test_unjoinable_usage_names_the_same_variable_under_every_hash_seed(
         errs.add(proc.stderr)
     [err] = errs
     assert "UnjoinableUsage: variable 'x'" in err
+
+
+def test_run_prints_a_value_of_any_length(tmp_path, capsys):
+    """A well-typed program whose value has 16,385 digits: 10 squared 14
+    times.  Python limits int-to-text conversion to 4,300 digits, and
+    ``lq`` lifts that limit."""
+    lines = ["main = let[w] x0 : Int = 10 in"]
+    lines += [f"  let[w] x{i} : Int = mul(x{i - 1}, x{i - 1}) in"
+              for i in range(1, 15)]
+    path = tmp_path / "big.lq"
+    path.write_text("\n".join(lines + ["  x14"]) + "\n", encoding="utf-8")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, out, err = run_cli(capsys, "run", "--sem=both", str(path))
+    value = "1" + "0" * 16_384
+    assert (code, out, err) == (
+        0, f"[ordinary] {value}\n[pure] {value}\n", "")
+    assert limit() == before  # put back for the rest of the process
+
+
+def test_an_integer_literal_of_any_length(tmp_path, capsys):
+    path = tmp_path / "lit.lq"
+    path.write_text("main = " + "1" * 5_000 + "\n", encoding="utf-8")
+    assert run_cli(capsys, "check", str(path)) == (0, "main : Int\n", "")
+    code, out, _ = run_cli(capsys, "run", str(path))
+    assert (code, out) == (0, "1" * 5_000 + "\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int-to-text conversion")
+def test_a_too_long_literal_is_a_located_syntax_error():
+    """Under Python's default limit of 4,300 digits, the library reports
+    a longer literal as a syntax error where it starts."""
+    from lqlang.diagnostics import CheckError
+    from lqlang.parser import parse_program
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(CheckError) as caught:
+            parse_program("main =\n  " + "1" * 5_000 + "\n")
+    finally:
+        sys.set_int_max_str_digits(digits)
+    assert str(caught.value) == ("2:3: Syntax: integer literal of 5000 "
+                                 "digits is too long")

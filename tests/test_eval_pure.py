@@ -8,8 +8,8 @@ from dataclasses import replace
 import pytest
 
 from lqlang.eval_pure import (AnnState, EnvBind, PreservationViolation,
-                              SEntry, _PState, encode_state, eval_pure,
-                              initial_state, instrumented_eval,
+                              SEntry, _PState, _Totals, encode_state,
+                              eval_pure, initial_state, instrumented_eval,
                               reference_welltyped, stack_entries,
                               state_welltyped)
 from lqlang.harness import GenConfig, fuzz, gen_welltyped
@@ -18,6 +18,7 @@ from lqlang.syntax import (App, ArrayLit, Branch, Case, Con, INT, IntLit,
                            Lam, Let, LetBind, OMEGA, ONE, Prim, TArray,
                            TData, TMArray, Var)
 from lqlang.translate import to_sharing
+from lqlang.parser import parse_program
 from lqlang.typecheck import check_program, infer
 
 from conftest import CORPUS, DATA, check_corpus, corpus_files
@@ -422,3 +423,185 @@ def test_planted_unremoved_linear_binding_is_caught(prelude, monkeypatch):
     with pytest.raises(PreservationViolation):
         instrumented_eval(initial_state(sh, checked.ty, checked.env),
                           100_000)
+
+
+# --- running totals ------------------------------------------------------------
+
+TRI_DEF = ("def tri : Int ->[w] Int =[w]\n  \\[w] n : Int . case[1] eq(n, 0) "
+           "of\n    { True -> 0\n    ; False -> add(n, tri (sub(n, 1))) }\n")
+
+
+def _wide(n):
+    """n let[w] bindings, then one add chain that reads them all."""
+    chain = f"x{n - 1}"
+    for i in reversed(range(n - 1)):
+        chain = f"add(x{i}, {chain})"
+    lets = " ".join(f"let[w] x{i} : Int = {i} in" for i in range(n))
+    return f"main = {lets} {chain}\n"
+
+
+def _tri(n):
+    return TRI_DEF + f"main = tri {n}\n"
+
+
+def _checked_text(prelude, text):
+    sf = parse_program(text, base=prelude)
+    return check_program(sf.decls, sf.defs, sf.main)
+
+
+def _work_per_check(prelude, monkeypatch, text):
+    """The closures whose typing each check of an instrumented run looks
+    up, and the bindings listed off the machine, per check; the initial
+    state's check, which types the whole program, apart."""
+    module = importlib.import_module("lqlang.eval_pure")
+    real, real_load, real_ordered = (module.state_welltyped, module._load,
+                                     _PState.ordered)
+    tally = Counter()
+
+    class Looked(dict):
+        def __contains__(self, key):
+            tally["looked"] += tally["checking"]
+            return super().__contains__(key)
+
+        def __getitem__(self, key):
+            tally["looked"] += tally["checking"]
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            tally["looked"] += tally["checking"]
+            return super().get(key, default)
+
+    def load(*args, **kwargs):
+        st = real_load(*args, **kwargs)
+        st.cache.inferred = Looked()
+        return st
+
+    def spy(s, cache=None):
+        tally["checking"] = bool(cache.inferred)
+        tally["checks"] += tally["checking"]
+        try:
+            return real(s, cache)
+        finally:
+            tally["checking"] = 0
+
+    def ordered(self):
+        for b in real_ordered(self):
+            tally["listed"] += 1
+            yield b
+
+    monkeypatch.setattr(module, "_load", load)
+    monkeypatch.setattr(module, "state_welltyped", spy)
+    monkeypatch.setattr(_PState, "ordered", ordered)
+    checked = _checked_text(prelude, text)
+    sh = to_sharing(checked.term, checked.env)
+    res = instrumented_eval(initial_state(sh, checked.ty, checked.env),
+                            10_000_000)
+    assert res.outcome.is_value
+    return tally["looked"] / tally["checks"], tally["listed"]
+
+
+@pytest.mark.parametrize("family", [_wide, _tri])
+def test_checks_do_not_grow_with_the_state(prelude, monkeypatch, family):
+    """A check works on what changed since the last one: the closures it
+    looks up do not grow with the state (about 2 per check at n = 25 and
+    400), and it lists no binding.  The whole-state fold looked up every
+    live binding's and stack entry's closure at every check (54 and 804
+    per check on ``wide``, 37 and 443 on ``tri``), and listed every
+    binding.  A new closure's usage is still renamed name by name: in
+    ``wide n`` one closure per binding has O(n) free names."""
+    small, listed_small = _work_per_check(prelude, monkeypatch, family(25))
+    large, listed_large = _work_per_check(prelude, monkeypatch, family(400))
+    assert large <= 1.25 * small
+    assert listed_small == listed_large == 0
+
+
+def test_totals_hand_over_to_the_fold_when_a_group_splits(prelude,
+                                                         monkeypatch):
+    """Forcing ``b`` puts ``c`` between ``a`` and ``b``, so the group's
+    bindings are no longer one run: the rest of the run takes the
+    whole-state fold, with the reference's verdict."""
+    text = ("main = let[w] a : Int = add(b, 1) , "
+            "b : Int = let[w] c : Int = 2 in c in a\n")
+    tally = _compare_on_runs(monkeypatch, [_checked_text(prelude, text)],
+                             perturb=False)
+    assert tally["mismatches"] == 0 and tally["states"] == 7
+    checked = _checked_text(prelude, text)
+    sh = to_sharing(checked.term, checked.env)
+    res = instrumented_eval(initial_state(sh, checked.ty, checked.env), 100)
+    assert res.outcome.value == IntLit(3)
+    assert res.state.cache.totals is None
+
+
+def _insert_last(self, bind):
+    """Every binding at the end, even while another is forced."""
+    anchors, self.anchors = self.anchors, []
+    try:
+        _REAL_INSERT(self, bind)
+    finally:
+        self.anchors = anchors
+
+
+def _remove_previous(self, bind):
+    """Remove the binding before the consumed one, if there is one."""
+    _REAL_REMOVE(self, bind.prev if bind.prev is not self.end else bind)
+
+
+_REAL_INSERT, _REAL_REMOVE = _PState.insert, _PState.remove
+
+
+@pytest.mark.parametrize("method, planted", [
+    ("insert", _insert_last), ("remove", _remove_previous),
+    ("remove", lambda self, bind: None)])
+def test_planted_faults_get_the_reference_verdict(prelude, monkeypatch,
+                                                  method, planted):
+    """Under a planted evaluator fault, every state an instrumented run
+    checks gets the reference's verdict, up to the first violation, and
+    some run is stopped by one."""
+    module = importlib.import_module("lqlang.eval_pure")
+    incremental = module.state_welltyped
+    tally = Counter()
+
+    def spy(s, cache=None):
+        verdict = incremental(s, cache)
+        tally["mismatches"] += verdict != reference_welltyped(s)
+        return verdict
+
+    monkeypatch.setattr(module, "state_welltyped", spy)
+    monkeypatch.setattr(_PState, method, planted)
+    for checked in _checked_programs(prelude, range(20)):
+        sh = to_sharing(checked.term, checked.env)
+        try:
+            instrumented_eval(initial_state(sh, checked.ty, checked.env),
+                              100_000)
+        except PreservationViolation:
+            tally["violations"] += 1
+    assert tally["mismatches"] == 0
+    assert tally["violations"] > 0
+
+
+def test_order_labels_follow_state_order(prelude, monkeypatch):
+    """Forcing ``r`` inserts 60 bindings before it, more than the label
+    gaps allow, so labels are spread out again; at every check they still
+    increase along the environment, and every verdict is the
+    reference's."""
+    lets = " ".join(["let[w] a0 : Int = 0 in"] + [
+        f"let[w] a{i} : Int = add(a{i - 1}, 1) in" for i in range(1, 60)])
+    checked = _checked_text(
+        prelude, f"main = let[w] r : Int = {lets} a59 in add(r, r)\n")
+    tally = Counter()
+    real_check, real_relabel = _Totals.check, _PState._relabel
+
+    def check(self, s):
+        labels = [b.label for b in self.st.ordered()]
+        tally["unordered"] += labels != sorted(set(labels))
+        return real_check(self, s)
+
+    def relabel(self, bind):
+        tally["relabels"] += 1
+        real_relabel(self, bind)
+
+    monkeypatch.setattr(_Totals, "check", check)
+    monkeypatch.setattr(_PState, "_relabel", relabel)
+    tally.update(_compare_on_runs(monkeypatch, [checked], perturb=False))
+    assert tally["relabels"] > 0 and tally["unordered"] == 0
+    assert tally["mismatches"] == 0 and tally["states"] == 184

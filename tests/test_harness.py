@@ -1,6 +1,7 @@
 """Generator soundness, differential agreement, and the fuzz loop."""
 
 import dataclasses
+import importlib
 import time
 from collections import Counter
 
@@ -213,3 +214,52 @@ def test_fuzz_json_and_table():
     blob = summary.to_json()
     assert blob["count"] == 2 and "state_checks" in blob
     assert "progress violations" in summary.table()
+
+
+def _count_machines(monkeypatch):
+    module = importlib.import_module("lqlang.eval_pure")
+    real = module._load
+    loads = Counter()
+
+    def load(*args, **kwargs):
+        loads["machines"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_load", load)
+    return loads
+
+
+def test_fuzz_runs_one_pure_machine_per_program(tmp_path, monkeypatch):
+    """The instrumented run is also the pure side of the agreement check,
+    so each program loads one pure machine (two when a separate unchecked
+    run was compared), with the same summaries as before."""
+    loads = _count_machines(monkeypatch)
+    checks = []
+    for seed in range(16):
+        summary = fuzz(GenConfig(seed=seed), 1, 100_000,
+                       repro_dir=str(tmp_path))
+        assert summary.clean and summary.reproducers == []
+        assert (summary.blackholes, summary.fuel_outs,
+                summary.generation_failures) == (0, 0, 0)
+        checks.append(summary.state_checks)
+    assert loads["machines"] == 16
+    assert checks == [19, 95, 74, 93, 106, 54, 95, 154, 40, 111, 54, 62, 68,
+                      86, 111, 60]
+
+
+def test_fuzz_compares_an_unchecked_run_after_a_violation(tmp_path,
+                                                          monkeypatch):
+    """When the instrumented run stops at a preservation violation, the
+    agreement check gets the pure result from an unchecked run."""
+    from lqlang.eval_pure import _PState
+    monkeypatch.setattr(_PState, "remove", lambda self, bind: None)
+    loads = _count_machines(monkeypatch)
+    for seed in range(16):
+        loads.clear()
+        summary = fuzz(GenConfig(seed=seed), 1, 100_000,
+                       repro_dir=str(tmp_path))
+        if summary.preservation_violations:
+            break
+    assert summary.preservation_violations == 1
+    assert loads["machines"] == 2
+    assert summary.progress_violations == summary.disagreements == 0

@@ -7,9 +7,11 @@ multiplicity variable ``p``.  The walks built on ``map_children`` and
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
+from lqlang.pretty import show_term, summarize
 from lqlang.syntax import (App, ArrName, ArrayLit, Branch, Case, Con, INT,
                            IntLit, Lam, Let, LetBind, MVar, MultApp, MultLam,
                            OMEGA, ONE, Prim, TArrow, Term, Var, children,
@@ -187,3 +189,47 @@ def test_mult_lam_parameter_shadows():
     assert term_subst_mult(t, "p", OMEGA) == t
     assert mentions_p(term_subst_mult(t, "p", OMEGA))
     assert not mentions_p(term_subst_mult(MultLam("q", t.body), "p", OMEGA))
+
+
+def _cut(s: str, limit: int) -> str:
+    return s if len(s) <= limit else s[: limit - 3] + "..."
+
+
+@pytest.mark.parametrize("t,names", EXAMPLES, ids=IDS)
+def test_summarize_prints_as_rename_vars_renames(t, names):
+    """``summarize(t, env)`` renames as it prints: the text is that of
+    ``show_term(rename_vars(t, env))``, binders shadowing ``env``, cut to
+    the limit."""
+    env = {x: x.upper() for x in names + ["b", "b1", "b2"]}
+    full = show_term(rename_vars(t, env))
+    for limit in (5, 12, 60, 10_000):
+        assert summarize(t, env, limit) == _cut(full, limit)
+    assert summarize(t) == _cut(show_term(t), 60)
+
+
+def test_a_traced_step_prints_a_bounded_prefix(monkeypatch):
+    """A traced step prints only the start of its redex: on a nested
+    ``add`` 4,000 deep it visits as many nodes as on one 40 deep."""
+    import lqlang.pretty as pretty
+    from lqlang.runtime import Machine
+    real = pretty._write
+    visits = Counter()
+
+    def nested(n):
+        t = Var("y")
+        for _ in range(n):
+            t = Prim("add", (Var("x"), t))
+        return t
+
+    env = {"x": "%p1", "y": "%p2"}
+    expected = _cut(show_term(rename_vars(nested(4_000), env)), 60)
+    for n in (40, 4_000):
+        def write(t, prec, env, out, n=n):
+            visits[n] += 1
+            real(t, prec, env, out)
+
+        monkeypatch.setattr(pretty, "_write", write)
+        machine = Machine(fuel=10, trace=[])
+        machine.tick("prim", nested(n), env)
+        assert machine.trace[0].redex == expected
+    assert visits[4_000] == visits[40] < 30
