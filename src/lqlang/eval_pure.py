@@ -38,14 +38,14 @@ each environment binder at the type of the name it stands for, and its
 usage renamed back.  The cache is also ``infer``'s memo for
 the run, keyed by source subterm, so a subterm of the program is typed
 again only when one of its free variables has another type; each case node
-has one frame per run for the same reason.  A state in general is judged
-by a fold over it that compares each cached type with the expected one,
-checks scope from the usage keys, and replays the let rule over the
-binding groups, innermost first, on the cached usages.  A checking
-machine keeps that verdict as running totals instead (``_Totals``),
-updated from the bindings it inserts, removes, forces and updates and
-from the stack entries pushed and popped since the last check, so that a
-check of its current state costs what changed.  ``instrumented_eval``
+has one frame per run, and one frame type per result type, for the same
+reason.  A state in general is judged by a fold over it that compares each
+cached type with the expected one, checks scope from the usage keys, and
+replays the let rule over the binding groups, innermost first, on the
+cached usages.  A checking machine keeps that verdict as running totals
+instead (``_Totals``), updated from the bindings it inserts, removes,
+forces and updates and from the stack entries pushed and popped since the
+last check, so that a check of its current state costs what changed.  ``instrumented_eval``
 runs the check, with one cache per run, at the conclusion of every rule
 application; in a tail chain of rules the conclusion states coincide, so
 one check covers the chain.
@@ -292,7 +292,8 @@ def _fold_welltyped(s: AnnState, cache: CheckCache) -> bool:
         vars_ = dict(xi.vars)
         for b in live:
             vars_[b.name] = (b.ty, OMEGA)
-        env = TypeEnv(xi.decls, xi.cons, vars_, xi.mult_vars, cache)
+        env = TypeEnv(xi.decls, xi.cons, vars_, xi.mult_vars, cache,
+                      xi.instances)
         for key, c in missing.items():
             r = _infer_clo(env, c)
             if r is None:
@@ -479,7 +480,7 @@ class _Totals:
         # every name the machine has bound, at its type: the environment
         # closures are typed in
         self.env = TypeEnv(st.xi.decls, st.xi.cons, {}, frozenset(),
-                           st.cache)
+                           st.cache, st.xi.instances)
         self.current: Optional[AnnState] = None  # the machine's snapshot
         self.dirty: dict[int, EnvBind] = {}
         # the bindings put last, by id, until their first check
@@ -693,8 +694,11 @@ class _PState(Machine):
     check: bool = False  # switching it off is final
     check_count: int = 0
     cache: Optional[CheckCache] = None
-    # each case node's frame, by id (``case_frame``)
+    # each case node's frame, by id, and its type at each result type, by
+    # ids (``case_frame``)
     frames: dict[int, tuple[Case, Lam]] = field(default_factory=dict)
+    frame_types: dict[tuple[int, int], tuple[Case, Type, TArrow]] = field(
+        default_factory=dict)
 
     def __post_init__(self) -> None:
         self.end.prev = self.end.next = self.end
@@ -782,16 +786,23 @@ class _PState(Machine):
             yield b
             b = b.next
 
-    def case_frame(self, t: Case) -> Lam:
+    def case_frame(self, t: Case, ty: Type) -> tuple[Lam, TArrow]:
         """The pending branches of ``t`` as a function of its scrutinee,
-        ``\\%hole. case %hole of ...``: one per case node and run, so that
-        the memo in the check cache sees the same term each time."""
-        hit = self.frames.get(id(t))
-        if hit is None:
+        ``\\%hole. case %hole of ...``, and its type when the case has type
+        ``ty``: one frame per case node and run, and one type per result
+        type, so that the memo and the type caches in the check cache, which
+        are keyed by identity, see the same objects each time."""
+        frame = self.frames.get(id(t))
+        if frame is None:
             scrut_ty = t.scrut.ty
             body = _with(t, scrut=Var(HOLE, ty=scrut_ty))
-            hit = self.frames[id(t)] = (t, Lam(t.mult, HOLE, scrut_ty, body))
-        return hit[1]
+            frame = self.frames[id(t)] = (t, Lam(t.mult, HOLE, scrut_ty,
+                                                 body))
+        typed = self.frame_types.get((id(t), id(ty)))
+        if typed is None:
+            typed = self.frame_types[id(t), id(ty)] = (
+                t, ty, TArrow(t.scrut.ty, t.mult, ty))
+        return frame[1], typed[2]
 
     def snapshot(self, focus: Clo, demand: MultExpr, ty: Type,
                  stack: Optional[SEntry]) -> AnnState:
@@ -1031,14 +1042,17 @@ def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
                 scrut_ty = scrut.ty
                 assert scrut_ty is not None, \
                     "pure evaluation needs annotated terms"
-                frame_ty = TArrow(scrut_ty, m, ty)
                 # drawn but unused, so that heap names and traces stay as
                 # tests/data/eval_golden.json records them
                 st.fresh(FRESH_PREFIX)
                 # the pending branches, as a function of the scrutinee; only
                 # a state check reads them
-                frame = Clo(st.case_frame(t), env) if st.check else None
-                entry = SEntry(frame, demand, frame_ty, stack)
+                if st.check:
+                    frame, frame_ty = st.case_frame(t, ty)
+                    entry = SEntry(Clo(frame, env), demand, frame_ty, stack)
+                else:
+                    entry = SEntry(None, demand, TArrow(scrut_ty, m, ty),
+                                   stack)
                 sv = _eval(st, Clo(scrut, env), _dmul(st, m, demand),
                            scrut_ty, entry)
                 con = sv.term

@@ -8,9 +8,14 @@ elaborates top-level definitions into nested lets around ``main`` and
 checks the whole program.
 
 An environment may carry an ``InferMemo``, which the pure evaluator's
-state check keeps for one run: ``infer`` then returns the recorded type and
-usage of a subterm it has seen, by identity, whenever its free variables
-still have the types they had.  Without a memo every call infers afresh.
+state check keeps for one run: ``infer`` then only types, with no annotated
+copy, and returns the recorded type and usage of a subterm it has seen, by
+identity, whenever its free variables still have the types they had.
+Without a memo every call infers afresh.
+
+Every environment derived from a program's ``TypeEnv`` shares its table of
+constructor instances, so ``instantiate_con`` builds each instance once per
+program and repeated field and result types are the same objects.
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ class TypeEnv:
     vars: dict[str, tuple[Type, MultExpr]]
     mult_vars: frozenset[str]
     memo: Optional["InferMemo"] = field(default=None, compare=False)
+    # the program's constructor instances (``instantiate_con``)
+    instances: dict[tuple, tuple] = field(default_factory=dict,
+                                          compare=False)
 
     @staticmethod
     def from_decls(decls: list[DataDecl]) -> "TypeEnv":
@@ -73,17 +81,17 @@ class TypeEnv:
         for x, ty, m in binds:
             new_vars[x] = (ty, m)
         return TypeEnv(self.decls, self.cons, new_vars, self.mult_vars,
-                       self.memo)
+                       self.memo, self.instances)
 
     def bind_mult(self, p: str) -> "TypeEnv":
         """A new environment with ``p`` in scope, sharing ``vars``."""
         return TypeEnv(self.decls, self.cons, self.vars,
-                       self.mult_vars | {p}, self.memo)
+                       self.mult_vars | {p}, self.memo, self.instances)
 
 
 @dataclass(slots=True)
 class InferResult:
-    term: Term  # fully annotated
+    term: Term  # fully annotated, or the term itself with a memo
     ty: Type
     usage: Usage
 
@@ -191,8 +199,14 @@ def _check_mult_in(m: MultExpr, scope: frozenset[str], tvars: frozenset[str],
 def instantiate_con(env: TypeEnv, con_name: str, type_args: tuple[Type, ...],
                     mult_args: tuple[MultExpr, ...],
                     loc: Loc | None = None
-                    ) -> tuple[list[tuple[Type, MultExpr]], Type]:
-    """Instantiated field signature and result type of a constructor."""
+                    ) -> tuple[tuple[tuple[Type, MultExpr], ...], Type]:
+    """Instantiated field signature and result type of a constructor.
+
+    Each instance is built once per program: ``env.instances`` keeps it by
+    the constructor's name and the identities of the arguments, with the
+    arguments themselves so that their ids cannot be reused.  Repeated
+    instances are then the same type objects, and comparing them is an
+    identity test."""
     entry = env.cons.get(con_name)
     if entry is None:
         raise _fail(Kind.UNBOUND_VARIABLE,
@@ -208,6 +222,10 @@ def instantiate_con(env: TypeEnv, con_name: str, type_args: tuple[Type, ...],
                     f"constructor '{con_name}' expects "
                     f"{len(decl.type_params)} type arguments, "
                     f"got {len(type_args)}", loc)
+    key = (con_name, *map(id, type_args), *map(id, mult_args))
+    hit = env.instances.get(key)
+    if hit is not None:
+        return hit[2], hit[3]
     tmap = dict(zip(decl.type_params, type_args))
     fields = []
     for fty, fmult in con.fields:
@@ -218,8 +236,9 @@ def instantiate_con(env: TypeEnv, con_name: str, type_args: tuple[Type, ...],
         for p, m in zip(decl.mult_params, mult_args):
             imult = mult_subst(imult, p, m)
         fields.append((ity, imult))
-    result = TData(decl.name, mult_args, type_args)
-    return fields, result
+    instance = (tuple(fields), TData(decl.name, mult_args, type_args))
+    env.instances[key] = (tuple(type_args), tuple(mult_args), *instance)
+    return instance
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +282,19 @@ class InferMemo:
 
 
 def infer(env: TypeEnv, t: Term) -> InferResult:
-    """Type and usage of ``t``.  With a memo in ``env`` and no multiplicity
-    variable in scope, a subterm seen before whose free variables keep
-    their types is not inferred again: the result is the recorded type and
-    usage with ``t`` itself, unannotated, as its term.
+    """Type and usage of ``t``, and ``t`` annotated.  With a memo in
+    ``env``, ``infer`` only types: the result's term is ``t`` itself,
+    unannotated.  With no multiplicity variable in scope either, a subterm
+    seen before whose free variables keep their types is not inferred
+    again: the result is the recorded type and usage.
 
     Binders extend ``env.vars`` in place and restore it before returning,
     also when a ``CheckError`` escapes, so a caller may infer again in the
     same environment.  The usages of results are shared between results
     and never changed."""
     memo = env.memo
-    if memo is not None:
+    plain = memo is not None  # type only: no annotated copy
+    if plain:
         if env.mult_vars:
             memo = None  # no hit and no entry under a multiplicity binder
         else:
@@ -288,7 +309,8 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
             raise _fail(Kind.UNBOUND_VARIABLE,
                         f"variable '{name}' is not in scope", t.loc)
         ty = binding[0]
-        out = InferResult(_with(t, ty=ty), ty, {name: NF_ONE})
+        out = InferResult(t if plain else _with(t, ty=ty), ty,
+                          {name: NF_ONE})
 
     elif cls is Prim:
         name = t.name
@@ -308,7 +330,8 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
         for r, m in zip(rs, mults):
             usage = usage_add(usage, usage_scale(m, r.usage))
         out = InferResult(
-            _with(t, args=tuple([r.term for r in rs]), ty=ty), ty, usage)
+            t if plain else _with(t, args=tuple([r.term for r in rs]), ty=ty),
+            ty, usage)
 
     elif cls is App:
         rf = infer(env, t.fun)
@@ -325,11 +348,12 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
         pi = fty.mult
         ty = fty.cod
         out = InferResult(
-            _with(t, fun=rf.term, arg=ra.term, ty=ty, mult_ann=pi),
+            t if plain
+            else _with(t, fun=rf.term, arg=ra.term, ty=ty, mult_ann=pi),
             ty, usage_add(rf.usage, usage_scale(pi, ra.usage)))
 
     elif cls is IntLit:
-        out = InferResult(_with(t, ty=INT), INT, {})
+        out = InferResult(t if plain else _with(t, ty=INT), INT, {})
 
     elif cls is Let:
         m = t.mult
@@ -362,7 +386,8 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                     # recursive refs sit under an w binder
                     u = {x: v for x, v in u.items() if x not in names}
                 rhs_usage = usage_add(rhs_usage, u)
-                new_binds.append(_with(b, rhs=rb.term))
+                if not plain:
+                    new_binds.append(_with(b, rhs=rb.term))
             for b in binds:
                 vars_[b.var] = (b.var_ty, m)
             rb_body = infer(env, t.body)
@@ -373,7 +398,8 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
             _require_usage(x, usage.pop(x, ZERO), m, t.loc)
         ty = rb_body.ty
         out = InferResult(
-            _with(t, binds=tuple(new_binds), body=rb_body.term, ty=ty),
+            t if plain
+            else _with(t, binds=tuple(new_binds), body=rb_body.term, ty=ty),
             ty, usage_add(usage, usage_scale(m, rhs_usage)))
 
     elif cls is Lam:
@@ -392,7 +418,8 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
         usage = dict(r.usage)
         _require_usage(x, usage.pop(x, ZERO), m, t.loc)
         ty = TArrow(a, m, r.ty)
-        out = InferResult(_with(t, body=r.term, ty=ty), ty, usage)
+        out = InferResult(t if plain else _with(t, body=r.term, ty=ty), ty,
+                          usage)
 
     elif cls is Case:
         m = t.mult
@@ -455,11 +482,12 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                             f"variable '{exc.var}' is used at "
                             f"incompatible multiplicities across case "
                             f"branches", br.loc or t.loc) from None
-            new_branches.append(_with(br, body=rb.term))
+            if not plain:
+                new_branches.append(_with(br, body=rb.term))
         assert result_ty is not None and joined is not None
         out = InferResult(
-            _with(t, scrut=rs.term, branches=tuple(new_branches),
-                  ty=result_ty),
+            t if plain else _with(t, scrut=rs.term,
+                                  branches=tuple(new_branches), ty=result_ty),
             result_ty, usage_add(usage_scale(m, rs.usage), joined))
 
     elif cls is Con:
@@ -485,8 +513,9 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                             f"declares '{show_type(fty)}'", t.loc)
             usage = usage_add(usage, usage_scale(fmult, ra.usage))
             new_args.append(ra.term)
-        out = InferResult(_with(t, args=tuple(new_args), ty=result),
-                          result, usage)
+        out = InferResult(
+            t if plain else _with(t, args=tuple(new_args), ty=result),
+            result, usage)
 
     elif cls is MultApp:
         m = t.mult
@@ -497,7 +526,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                         f"multiplicity application to non-polymorphic "
                         f"type '{show_type(rf.ty)}'", t.loc)
         ty = type_subst_mult(rf.ty.body, rf.ty.var, m)
-        out = InferResult(_with(t, fun=rf.term, ty=ty), ty,
+        out = InferResult(t if plain else _with(t, fun=rf.term, ty=ty), ty,
                           usage_subst(rf.usage, rf.ty.var, m))
 
     elif cls is MultLam:
@@ -505,7 +534,8 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
         _check_fresh(env, p, t.loc)
         r = infer(env.bind_mult(p), t.body)
         ty = TForall(p, r.ty)
-        out = InferResult(_with(t, body=r.term, ty=ty), ty, r.usage)
+        out = InferResult(t if plain else _with(t, body=r.term, ty=ty), ty,
+                          r.usage)
 
     elif cls is ArrayLit:
         usage = {}
@@ -521,7 +551,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                             f"'{show_type(t.elem_ty)}'", t.loc)
             usage = usage_add(usage, {e: NF_OMEGA})
         ty = TArray(t.elem_ty) if t.frozen_tag else TMArray(t.elem_ty)
-        out = InferResult(_with(t, ty=ty), ty, usage)
+        out = InferResult(t if plain else _with(t, ty=ty), ty, usage)
 
     elif cls is ArrName:
         raise _fail(Kind.TYPE_MISMATCH,

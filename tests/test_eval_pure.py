@@ -346,15 +346,21 @@ def test_state_checks_type_each_source_subterm_once_per_run(tmp_path,
     """On the fuzz programs of seeds 0-15, re-inferring every term that is
     not cached by identity costs the state checks 16,826 term nodes.  The
     run's memo in ``infer``, over the closures' source terms, cuts that to
-    under 5,000 for the same 1,282 checks."""
+    under 5,000 for the same 1,282 checks.  A node is inferred when a call
+    is not a memo hit."""
     import lqlang.typecheck as T
     module = importlib.import_module("lqlang.eval_pure")
     real_infer, real_check = T.infer, module.state_welltyped
+    real_hit = T.InferMemo.hit
     tally = Counter()
 
     def counting(env, t):
-        r = real_infer(env, t)
-        tally["nodes"] += tally["checking"] > 0 and r.term is not t
+        tally["nodes"] += tally["checking"] > 0
+        return real_infer(env, t)
+
+    def hit(self, env, t):
+        r = real_hit(self, env, t)
+        tally["nodes"] -= tally["checking"] > 0 and r is not None
         return r
 
     def checking(s, cache=None):
@@ -365,6 +371,7 @@ def test_state_checks_type_each_source_subterm_once_per_run(tmp_path,
             tally["checking"] -= 1
 
     monkeypatch.setattr(T, "infer", counting)
+    monkeypatch.setattr(T.InferMemo, "hit", hit)
     monkeypatch.setattr(module, "infer", counting)
     monkeypatch.setattr(module, "state_welltyped", checking)
     checks = 0
@@ -513,6 +520,24 @@ def test_checks_do_not_grow_with_the_state(prelude, monkeypatch, family):
     large, listed_large = _work_per_check(prelude, monkeypatch, family(400))
     assert large <= 1.25 * small
     assert listed_small == listed_large == 0
+
+
+def test_case_frames_have_one_type_per_run(prelude):
+    """Each case node's frame has one type per result type and run, so the
+    check's type caches, keyed by identity, stop growing once every rule
+    has been seen: 4 and 4 entries at n = 25 and 200.  A frame type built
+    at every case step added an entry to each cache per step (53 and 29 at
+    n = 25, 403 and 204 at n = 200)."""
+    sizes = []
+    for n in (25, 200):
+        checked = _checked_text(prelude, _tri(n))
+        sh = to_sharing(checked.term, checked.env)
+        res = instrumented_eval(initial_state(sh, checked.ty, checked.env),
+                                10_000_000)
+        assert res.outcome.is_value
+        cache = res.state.cache
+        sizes.append((len(cache.equal), len(cache.types)))
+    assert sizes[0] == sizes[1]
 
 
 def test_totals_hand_over_to_the_fold_when_a_group_splits(prelude,

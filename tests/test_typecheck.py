@@ -2,7 +2,7 @@
 algorithmic contracts (usages as outputs, checked at binders)."""
 
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import pytest
 
@@ -15,7 +15,7 @@ from lqlang.syntax import (App, Branch, Case, Con, ConDecl, DataDecl, INT,
                            TForall, TMArray, TVar, Var, term_subst_mult)
 from lqlang.typecheck import (InferMemo, TypeEnv, annotations_equal,
                               check_datadecl, check_program, infer,
-                              strip_annotations, type_equiv)
+                              instantiate_con, strip_annotations, type_equiv)
 
 from conftest import CORPUS, check_corpus, corpus_files
 
@@ -488,15 +488,31 @@ def test_usage_keys_are_the_free_variables(prelude, monkeypatch):
     assert tally["calls"] > 20_000
 
 
+@dataclass
+class CountingMemo(InferMemo):
+    """An ``InferMemo`` that counts its hits, by whether a multiplicity
+    variable is in scope.  With a memo, a hit and a miss both return the
+    term itself, so only the memo can tell them apart."""
+    hits: Counter = field(default_factory=Counter)
+
+    def hit(self, env, t):
+        r = super().hit(env, t)
+        if r is not None:
+            self.hits["under" if env.mult_vars else "outside"] += 1
+        return r
+
+
 def test_memo_reinfers_when_a_free_variable_changes_type(prelude_env):
-    env = replace(prelude_env, memo=InferMemo())
+    memo = CountingMemo()
+    env = replace(prelude_env, memo=memo)
     as_int = env.bind_var("x", INT, OMEGA)
     as_bool = env.bind_var("x", TData("Bool"), OMEGA)
     lam = Lam(OMEGA, "y", INT, Var("x"))
     assert type_equiv(infer(as_int, lam).ty, TArrow(INT, OMEGA, INT))
-    assert infer(as_int, lam).term is lam  # a hit returns the term itself
+    assert infer(as_int, lam).term is lam
+    assert memo.hits["outside"] == 1  # the second inference was a hit
     again = infer(as_bool, lam)
-    assert again.term is not lam
+    assert memo.hits["outside"] == 1  # this one was not
     assert type_equiv(again.ty, TArrow(INT, OMEGA, TData("Bool")))
     add = Prim("add", (Var("x"), IntLit(1)))
     infer(as_int, add)
@@ -506,26 +522,76 @@ def test_memo_reinfers_when_a_free_variable_changes_type(prelude_env):
         infer(env, add)  # x is not in scope at all
 
 
-def test_memo_never_hits_under_a_mult_lambda(prelude_env, monkeypatch):
+def test_memo_never_hits_under_a_mult_lambda(prelude_env):
     """Under a multiplicity binder a subterm is inferred every time, and
     nothing under it is recorded."""
-    import lqlang.typecheck as T
-    real = T.infer
-    hits = Counter()
-
-    def spy(env, t):
-        r = real(env, t)
-        hits["under" if env.mult_vars else "outside"] += r.term is t
-        return r
-
-    monkeypatch.setattr(T, "infer", spy)
-    memo = InferMemo()
+    memo = CountingMemo()
     env = replace(prelude_env, memo=memo)
     # /\p. \[1] f : Int ->[p] Int . \[p] x : Int . f x
     body = Lam(ONE, "f", TArrow(INT, MVar("p"), INT),
                Lam(MVar("p"), "x", INT, App(Var("f"), Var("x"))))
     first, second = MultLam("p", body), MultLam("p", body)
     for t in (first, second, first):
-        assert isinstance(T.infer(env, t).ty, TForall)
-    assert hits == Counter(under=0, outside=1)  # the second `first`
+        assert isinstance(infer(env, t).ty, TForall)
+    assert memo.hits == Counter(under=0, outside=1)  # the second `first`
     assert not memo.entries.keys() & {id(body), id(body.body)}
+
+
+def test_memo_types_as_the_memoless_infer_does(prelude):
+    """With a memo ``infer`` only types: a miss returns the term itself, as
+    a hit does, with the type and usage that a memo-less ``infer`` gives.
+    Here on the source and sharing forms of the corpus and gen seeds 0-49,
+    each typed twice, so that the second is a hit."""
+    from lqlang.harness import GenConfig, gen_welltyped
+    from lqlang.translate import to_sharing
+    programs = [check_corpus(path, prelude) for path in corpus_files()]
+    programs += [gen_welltyped(GenConfig(seed=s)).checked for s in range(50)]
+    for checked in programs:
+        for t in (checked.term, to_sharing(checked.term, checked.env)):
+            want = infer(checked.env, t)
+            memo = CountingMemo()
+            env = replace(checked.env, memo=memo)
+            for hits in (0, 1):
+                r = infer(env, t)
+                assert r.term is t
+                assert type_equiv(r.ty, want.ty) and r.usage == want.usage
+                assert memo.hits["outside"] == hits
+
+
+# --- constructor instances -----------------------------------------------------
+
+def test_constructor_instances_are_built_once_per_program(prelude):
+    """Under one program's environment an instance is built once, so
+    repeated field and result types are the same objects; every environment
+    derived from it shares its instances.  Another program's environment
+    never reads them, and a failure is raised on every call."""
+    from lqlang.eval_pure import initial_state
+    env = TypeEnv.from_decls(prelude.decls)
+    targs, margs = (INT, TData("Bool")), (ONE, OMEGA)
+    fields, result = instantiate_con(env, "MkPair", targs, margs)
+    assert isinstance(fields, tuple)
+    assert [f for f, _ in fields] == [INT, TData("Bool")]
+    for derived in (env, env.bind_var("x", INT, ONE), env.bind_mult("p"),
+                    initial_state(IntLit(0), INT, env).xi):
+        assert derived.instances is env.instances
+        again, again_result = instantiate_con(derived, "MkPair", targs, margs)
+        assert again is fields and again_result is result
+    # equal but other argument objects: a new instance, equivalent
+    other, _ = instantiate_con(env, "MkPair", (INT, TData("Bool")), margs)
+    assert other is not fields and other == fields
+
+    def box(field_ty):
+        sf = parse_program("data Box where { MkBox : " + field_ty
+                           + " ->[1] Box }\nmain = 0\n", base=prelude)
+        return check_program(sf.decls, sf.defs, sf.main).env
+
+    ints, bools = box("Int"), box("Bool")
+    assert ints.instances is not bools.instances
+    assert instantiate_con(ints, "MkBox", (), ())[0][0][0] == INT
+    assert instantiate_con(bools, "MkBox", (), ())[0][0][0] == TData("Bool")
+    known = dict(env.instances)
+    for _ in range(2):
+        with pytest.raises(CheckError) as e:
+            instantiate_con(env, "MkPair", (INT,), margs)
+        assert kind_of(e.value) is Kind.ARITY_MISMATCH
+    assert env.instances == known
