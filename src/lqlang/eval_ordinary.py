@@ -9,11 +9,11 @@ Terms are evaluated as closures (see ``runtime``): a term with an
 environment from its source binders to heap names.  Beta, case and let
 extend the environment instead of substituting into the body; a let
 stores each right-hand side as a closure whose environment is cut down to
-that term's free variables.  ``_eval`` returns the value as a closure, so
-a forced variable's heap entry becomes the value closure itself.  Heap
-names, steps and traces are those of substitution: a term is built from
-its closure (``Clo.built``) only for a traced step, an abort and the final
-value.
+that term's free variables, as the sharing translation listed them.
+``_eval`` returns the value as a closure, so a forced variable's heap entry
+becomes the value closure itself.  Heap names, steps and traces are those
+of substitution: a term is built from its closure (``Clo.built``) only for
+a traced step, an abort and the final value.
 
 Typestate is checked dynamically here: ``write`` and ``freeze`` block on
 a frozen cell and ``index`` blocks on a mutable one.  On well-typed
@@ -193,7 +193,7 @@ def _eval(st: _State, t: Term, env: Env) -> Clo:
                     inner[b.var] = st.fresh(FRESH_PREFIX)
                 rhs_env = inner if t.rec else env
                 for b in binds:
-                    heap[inner[b.var]] = Clo(b.rhs, st.trim(rhs_env, b.rhs))
+                    heap[inner[b.var]] = Clo(b.rhs, st.trim(rhs_env, b))
                 t, env = body, inner
                 continue
 
@@ -288,7 +288,8 @@ def _eval_prim(st: _State, t: Prim, env: Env, name: str,
             x = st.fresh(FRESH_PREFIX)
             inner: Term = Let(
                 mult=ONE,
-                binds=(LetBind(x, None, ArrName(cell_name)),),  # type: ignore[arg-type]
+                binds=(LetBind(x, None, ArrName(cell_name),  # type: ignore[arg-type]
+                               fv=()),),
                 body=App(args[2], Var(x)))
             result = _eval(st, inner, env)
             value = result.term

@@ -1032,7 +1032,7 @@ def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
                     assert b.var_ty is not None
                     st.insert(EnvBind(inner[b.var], bind_mult == ONE,
                                       b.var_ty,
-                                      Clo(b.rhs, st.trim(rhs_env, b.rhs)),
+                                      Clo(b.rhs, st.trim(rhs_env, b)),
                                       group))
                 c = Clo(body, inner)
                 continue
@@ -1183,7 +1183,7 @@ def _eval_prim(st: _PState, t: Prim, env: Env, name: str,
             x = st.fresh(FRESH_PREFIX)
             inner: Term = Let(
                 mult=ONE,
-                binds=(LetBind(x, arr_ty, lit),),
+                binds=(LetBind(x, arr_ty, lit, fv=lit.elems[:1]),),
                 body=App(cont, Var(x, ty=arr_ty), mult_ann=ONE,
                          ty=cont_ty.cod),
                 ty=cont_ty.cod)

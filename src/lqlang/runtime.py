@@ -4,13 +4,16 @@ evaluators.
 Both evaluators work on closures instead of substituting: a ``Clo`` is a
 term paired with an environment (``Env``) from its free source binders to
 the names they stand for, and a beta, case or let step extends the
-environment rather than copying the body.  ``Clo`` is the one closure type
-of both machines: the ordinary heap's suspensions and values, and the pure
-machine's bindings, stack entries, focus and values.  A closure becomes a
-term again (``Clo.built``, ``rename_vars``) only where a term is observed:
-a traced or aborted step, a final value, or a state encoded whole
-(``eval_pure.encode_state``).  The pure evaluator's state check types
-closures as they are.
+environment rather than copying the body.  A let step cuts each new
+closure's environment down to its right-hand side's free variables
+(``Machine.trim``), read from the list that the sharing translation
+recorded on the binding (``LetBind.fv``), so a step never walks the
+program.  ``Clo`` is the one closure type of both machines: the ordinary
+heap's suspensions and values, and the pure machine's bindings, stack
+entries, focus and values.  A closure becomes a term again (``Clo.built``,
+``rename_vars``) only where a term is observed: a traced or aborted step, a
+final value, or a state encoded whole (``eval_pure.encode_state``).  The
+pure evaluator's state check types closures as they are.
 
 ``Machine`` holds what the two semantics have in common: fuel, the step
 count, fresh names, the rule trace, the aborts (fuel, blocked, blackhole)
@@ -24,11 +27,12 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .pretty import show_term, summarize
-from .syntax import Con, INT, IntLit, TData, Term, free_vars, rename_vars
+from .syntax import (Con, INT, IntLit, LetBind, TData, Term, rename_vars,
+                     rhs_free_vars)
 
 # Source binder -> the heap or environment name it stands for.  An
 # environment is never changed once built; extending one copies it.  A name
@@ -138,22 +142,20 @@ class Machine:
     steps: int = 0
     fresh_counter: int = 0
     trace: Optional[list[TraceRecord]] = None
-    # free variables of the terms seen so far, by id (``free_vars``)
-    fv_memo: dict[int, tuple[Term, frozenset[str]]] = field(
-        default_factory=dict)
 
     def fresh(self, prefix: str) -> str:
         name = f"{prefix}{self.fresh_counter}"
         self.fresh_counter += 1
         return name
 
-    def trim(self, env: Env, term: Term) -> Env:
-        """``env`` cut down to the free variables of ``term``, so that a
-        stored closure keeps only the names it can reach."""
+    def trim(self, env: Env, b: LetBind) -> Env:
+        """``env`` cut down to the free variables of ``b``'s right-hand
+        side, so that a stored closure keeps only the names it can reach.
+        The list is the one the sharing translation recorded on ``b``, so
+        a step does not walk the term."""
         if not env:
             return env
-        return {x: env[x] for x in free_vars(term, self.fv_memo)
-                if x in env}
+        return {x: env[x] for x in rhs_free_vars(b) if x in env}
 
     def tick(self, rule: str, redex: Term, env: Env) -> None:
         """Count one rule application to the closure ``redex``/``env``."""

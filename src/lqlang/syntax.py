@@ -9,6 +9,7 @@ regardless of source position or typechecker output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterator, Optional
 
 from .multiplicity import (MProd, MSum, MVar, MultExpr, OMEGA, ONE,  # noqa: F401
@@ -231,6 +232,11 @@ class LetBind:
     var_ty: Optional[Type]
     rhs: Term
     loc: Optional[Loc] = field(**_ANN)
+    # The free variables of ``rhs`` in first-occurrence order, recorded by
+    # the sharing translation (``record_free_vars``) or on first use
+    # (``rhs_free_vars``).  A copy whose ``rhs`` has other free variables
+    # must drop it: ``map_children`` and ``rename_vars`` do.
+    fv: Optional[tuple[str, ...]] = field(**_ANN)
 
 
 @dataclass(frozen=True)
@@ -325,7 +331,7 @@ def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
                          branches=tuple(_with(b, body=f(b.body))
                                         for b in t.branches))
         case Let():
-            return _with(t, binds=tuple(_with(b, rhs=f(b.rhs))
+            return _with(t, binds=tuple(_with(b, rhs=f(b.rhs), fv=None)
                                         for b in t.binds),
                          body=f(t.body))
         case _:
@@ -357,42 +363,78 @@ def subterms(t: Term) -> Iterator[Term]:
         yield from subterms(c)
 
 
-def free_vars(t: Term, memo: Optional[dict[int, tuple[Term, frozenset[str]]]]
-              = None) -> frozenset[str]:
-    """The free variables of ``t``.  ``memo``, if given, maps the id of
-    each term already walked to the term and its free variables; the walk
-    reads it and fills it in, so a term is walked once per memo."""
-    if memo is not None:
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
+def free_vars(t: Term) -> frozenset[str]:
+    """The free variables of ``t``."""
+    return frozenset(_free_vars(t, False))
 
-    def fv(s: Term) -> frozenset[str]:
-        return free_vars(s, memo)
 
-    out: frozenset[str]
+def record_free_vars(t: Term) -> Term:
+    """``t`` with the free-variable list of every let binding in it
+    recorded (``LetBind.fv``), in one walk."""
+    _free_vars(t, True)
+    return t
+
+
+def rhs_free_vars(b: LetBind) -> tuple[str, ...]:
+    """The free variables of ``b.rhs`` in first-occurrence order: the
+    recorded list, or, for a binding that has none (a hand-built term, a
+    renamed copy), the list computed now and recorded."""
+    if b.fv is None:
+        _setattr(b, "fv", _free_vars(b.rhs, True))
+    return b.fv  # type: ignore[return-value]
+
+
+def _free_vars(t: Term, record: bool) -> tuple[str, ...]:
+    """The free variables of ``t`` in first-occurrence order.  A post-order
+    walk on an explicit stack, so that no nesting depth meets Python's
+    recursion limit; with ``record``, each let binding it passes gets the
+    list of its right-hand side."""
+    done: list[tuple[str, ...]] = []  # the lists of finished subterms
+    todo: list = [t]  # subterms to enter, and (node, n) to finish
+    while todo:
+        s = todo.pop()
+        if type(s) is tuple:  # the last n lists are the node's children's
+            s, n = s
+            parts = done[-n:]
+            del done[-n:]
+            if isinstance(s, (Lam, Case, Let)):
+                _unbind(s, parts, record)
+            parts = [p for p in parts if p]
+            done.append(parts[0] if len(parts) == 1 else
+                        tuple(dict.fromkeys(chain.from_iterable(parts))))
+        elif isinstance(s, Var):
+            done.append((s.name,))
+        elif kids := children(s):
+            todo.append((s, len(kids)))
+            todo.extend(reversed(kids))
+        elif isinstance(s, ArrayLit):
+            done.append(tuple(dict.fromkeys(s.elems)))
+        else:
+            done.append(())
+    return done[0]
+
+
+def _unbind(t: Term, parts: list[tuple[str, ...]], record: bool) -> None:
+    """Remove from the free variables of each child of the binder ``t``
+    (``parts``, in the order of ``children``) the names ``t`` binds there;
+    with ``record``, first give each let binding its list."""
     match t:
-        case Var(name):
-            out = frozenset((name,))
-        case Lam(_, x, _, body):
-            out = fv(body) - {x}
-        case Case(_, scrut, branches):
-            out = fv(scrut)
-            for b in branches:
-                out |= fv(b.body) - frozenset(b.binders)
-        case Let(_, binds, body):
-            bound = frozenset(b.var for b in binds)
-            rhs_bound = bound if t.rec else frozenset()
-            out = fv(body) - bound
-            for b in binds:
-                out |= fv(b.rhs) - rhs_bound
-        case ArrayLit(elems):
-            out = frozenset(elems)
-        case _:
-            out = frozenset().union(*map(fv, children(t)))
-    if memo is not None:
-        memo[id(t)] = (t, out)
-    return out
+        case Lam(_, x):
+            parts[0] = _minus(parts[0], (x,))
+        case Case(_, _, branches):
+            for i, b in enumerate(branches, 1):
+                parts[i] = _minus(parts[i], b.binders)
+        case Let(_, binds):
+            if record:
+                for b, names in zip(binds, parts):
+                    _setattr(b, "fv", names)
+            bound = [b.var for b in binds]
+            for i in range(0 if t.rec else len(binds), len(parts)):
+                parts[i] = _minus(parts[i], bound)
+
+
+def _minus(names: tuple[str, ...], bound) -> tuple[str, ...]:
+    return tuple([x for x in names if x not in bound])
 
 
 def rename_vars(t: Term, mapping: dict[str, str]) -> Term:
@@ -423,7 +465,8 @@ def rename_vars(t: Term, mapping: dict[str, str]) -> Term:
         case Let(_, binds, body):
             inner = _without(mapping, [b.var for b in binds])
             rhs_map = inner if t.rec else mapping
-            new_binds = tuple(_with(b, rhs=rename_vars(b.rhs, rhs_map))
+            new_binds = tuple(_with(b, rhs=rename_vars(b.rhs, rhs_map),
+                                    fv=None)
                               for b in binds)
             return _with(t, binds=new_binds, body=rename_vars(body, inner))
         case ArrayLit(elems):
@@ -465,10 +508,12 @@ def term_subst_mult(t: Term, var: str, by: MultExpr) -> Term:
             case Con(_, targs, margs):
                 changes.update(type_args=tuple(map(st, targs)),
                                mult_args=tuple(map(sm, margs)))
-            case Let(m, binds):
-                changes.update(mult=sm(m),
-                               binds=tuple(_with(b, var_ty=st(b.var_ty))
-                                           for b in binds))
+            case Let(m, binds, body):
+                # the term variables stay, so each binding keeps its
+                # recorded free-variable list, which ``map_children`` drops
+                return _with(t, mult=sm(m), body=go(body), binds=tuple(
+                    _with(b, var_ty=st(b.var_ty), rhs=go(b.rhs))
+                    for b in binds), **changes)
             case ArrayLit():
                 changes.update(elem_ty=st(t.elem_ty))
         return map_children(_with(t, **changes), go)

@@ -7,12 +7,18 @@ recorded on the application node; constructor and primitive arguments are
 let-bound at their declared field/argument multiplicities.  Arguments that
 are already variables pass through unchanged, which makes the translation
 idempotent.
+
+The translation also records, on every let binding of the form it returns,
+the free variables of the binding's right-hand side (``LetBind.fv``), in
+one walk after the rewrite.  These are the lists a let step cuts its
+closures' environments down to (``runtime.Machine.trim``), so neither
+evaluator walks the program at run time.
 """
 
 from __future__ import annotations
 
 from .syntax import (App, Con, Let, LetBind, MultExpr, Prim, Term, Var,
-                     _with, map_children, subterms)
+                     _with, map_children, record_free_vars, subterms)
 from .typecheck import PRIM_ARG_MULTS, TypeEnv, instantiate_con
 
 FRESH_PREFIX = "%s"  # unutterable in surface syntax
@@ -21,8 +27,9 @@ FRESH_PREFIX = "%s"  # unutterable in surface syntax
 def to_sharing(t: Term, env: TypeEnv,
                untyped_arrow_mult: MultExpr | None = None) -> Term:
     """Translate an annotated term (as produced by ``infer``) into sharing
-    form.  Fresh names are drawn deterministically from a reserved
-    namespace, so equal inputs give equal outputs.
+    form, with each let binding's free-variable list recorded.  Fresh
+    names are drawn deterministically from a reserved namespace, so equal
+    inputs give equal outputs.
 
     ``untyped_arrow_mult`` is a fallback for un-annotated application
     nodes; it is only used when translating deliberately unchecked
@@ -75,7 +82,7 @@ def to_sharing(t: Term, env: TypeEnv,
             case _:
                 return map_children(t, go)
 
-    return go(t)
+    return record_free_vars(go(t))
 
 
 def is_sharing(t: Term) -> bool:

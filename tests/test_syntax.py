@@ -7,6 +7,7 @@ multiplicity variable ``p``.  The walks built on ``map_children`` and
 """
 
 import dataclasses
+import sys
 from collections import Counter
 
 import pytest
@@ -15,8 +16,8 @@ from lqlang.pretty import show_term, summarize
 from lqlang.syntax import (App, ArrName, ArrayLit, Branch, Case, Con, INT,
                            IntLit, Lam, Let, LetBind, MVar, MultApp, MultLam,
                            OMEGA, ONE, Prim, TArrow, Term, Var, children,
-                           free_vars, map_children, rename_vars, subterms,
-                           term_subst_mult)
+                           free_vars, map_children, rename_vars,
+                           rhs_free_vars, subterms, term_subst_mult)
 from lqlang.typecheck import strip_annotations
 
 P = MVar("p")
@@ -98,7 +99,7 @@ def test_subterms_yields_every_slot(t, names):
 @pytest.mark.parametrize("t,names", EXAMPLES, ids=IDS)
 def test_free_vars_finds_every_slot(t, names):
     assert free_vars(t) == set(names)
-    assert free_vars(t, {}) == set(names)
+    assert set(rhs_free_vars(LetBind("z", None, t))) == set(names)
 
 
 @pytest.mark.parametrize("t,names", EXAMPLES, ids=IDS)
@@ -233,3 +234,19 @@ def test_a_traced_step_prints_a_bounded_prefix(monkeypatch):
         machine.tick("prim", nested(n), env)
         assert machine.trace[0].redex == expected
     assert visits[4_000] == visits[40] < 30
+
+
+def test_free_vars_uses_no_host_stack():
+    """``free_vars`` walks on an explicit stack: a 20,000-deep nested
+    ``add``, built directly, under CPython's default recursion limit."""
+    t = Var("x")
+    for i in range(20_000):
+        t = Prim("add", (IntLit(i), t))
+    t = Let(ONE, (LetBind("z", INT, t),), Var("z"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        assert free_vars(t) == {"x"}
+        assert rhs_free_vars(t.binds[0]) == ("x",)
+    finally:
+        sys.setrecursionlimit(limit)

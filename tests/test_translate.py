@@ -1,9 +1,12 @@
 """The sharing translation: argument variables everywhere, multiplicities
 taken from the arrow / field signatures, idempotence, typing preserved."""
 
+from collections import Counter
+
 from lqlang.multiplicity import ZERO, mult_equiv, mult_normalize
-from lqlang.syntax import (App, Case, Con, INT, IntLit, Lam, Let, OMEGA, ONE,
-                           Prim, TArrow, TData, Var, free_vars, subterms)
+from lqlang.syntax import (App, ArrayLit, Case, Con, INT, IntLit, Lam, Let,
+                           OMEGA, ONE, Prim, TArrow, TData, Var, children,
+                           free_vars, subterms)
 from lqlang.translate import is_sharing, to_sharing
 from lqlang.typecheck import infer, strip_annotations, type_equiv
 
@@ -120,3 +123,155 @@ def test_case_and_let_recurse_componentwise(prelude_env):
 def Branch_(con, body):
     from lqlang.syntax import Branch
     return Branch(con, (), body)
+
+
+# --- recorded free-variable lists ---------------------------------------------
+
+READSUM = """def readsum : Array Int ->[w] Int ->[w] Int =[w]
+  \\[w] a : Array Int . \\[w] i : Int . case[1] eq(i, 0) of
+    { True -> 0
+    ; False -> add(index(a, sub(i, 1)), readsum a (sub(i, 1))) }
+"""
+
+
+def write_chain(n):
+    """``n`` writes to a 512-cell array, then reads: a pair of the sum of
+    the first ten cells and cell 3."""
+    chain = "ma"
+    for i in range(n):
+        chain = f"write({chain}, {i * 7 % 512}, {i % 100})"
+    return (READSUM + "main = case[1] newMArray(512, 0, \\[1] ma : MArray "
+            f"Int . freeze({chain})) of\n  {{ Unrestricted arr -> MkPair "
+            "@[Int, Int] @[1, w] (readsum arr 10) (index(arr, 3)) }\n")
+
+
+def test_evaluation_walks_no_free_variables(prelude, monkeypatch):
+    """The translation lists each let's free variables; the evaluators read
+    the lists, so a run, a checked run and a deep force walk no term.
+    Every free-variable walk goes through ``syntax.children``, which is
+    counted here."""
+    import lqlang.syntax as S
+    from lqlang.eval_ordinary import Heap, eval_term
+    from lqlang.eval_pure import eval_pure, initial_state, instrumented_eval
+    from lqlang.harness import deep_force_ordinary, deep_force_pure
+    from lqlang.parser import parse_program
+    from lqlang.typecheck import check_program
+    visits = Counter()
+    real = S.children
+
+    def counting(t):
+        visits["nodes"] += 1
+        return real(t)
+
+    monkeypatch.setattr(S, "children", counting)
+    sf = parse_program(write_chain(500), base=prelude)
+    checked = check_program(sf.decls, sf.defs, sf.main)
+    sh = to_sharing(checked.term, checked.env)
+    translated = visits["nodes"]
+    visits.clear()
+    ores = eval_term(Heap(), sh, 10**6)
+    pres = eval_pure(initial_state(sh, checked.ty, checked.env), 10**6)
+    ires = instrumented_eval(initial_state(sh, checked.ty, checked.env),
+                             10**6)
+    assert ores.outcome.is_value and pres.outcome.is_value
+    assert ires.outcome.is_value and ires.check_count > 1_000
+    otree, ok = deep_force_ordinary(ores, ores.outcome.value, 10**6)
+    assert ok
+    ptree, ok = deep_force_pure(pres, pres.outcome.value, checked.env,
+                                10**6)
+    assert ok and ptree == otree
+    assert visits["nodes"] == 0
+    assert translated > 2_000  # the translation's one walk
+    assert not any(hasattr(r.state, "fv_memo") for r in (ores, pres, ires))
+
+
+def first_free(t, bound=frozenset(), out=None):
+    """The free variables of ``t`` in order of first occurrence, from a
+    plain recursive walk over ``children`` (the reference)."""
+    out = {} if out is None else out
+    match t:
+        case Var(name):
+            if name not in bound:
+                out.setdefault(name)
+        case Lam():
+            first_free(t.body, bound | {t.var}, out)
+        case Case():
+            first_free(t.scrut, bound, out)
+            for b in t.branches:
+                first_free(b.body, bound | set(b.binders), out)
+        case Let():
+            inner = bound | {b.var for b in t.binds}
+            for b in t.binds:
+                first_free(b.rhs, inner if t.rec else bound, out)
+            first_free(t.body, inner, out)
+        case ArrayLit():
+            for x in t.elems:
+                if x not in bound:
+                    out.setdefault(x)
+        case _:
+            for c in children(t):
+                first_free(c, bound, out)
+    return tuple(out)
+
+
+def sharing_forms(prelude):
+    """The sharing forms of corpus/**, tests/data and gen seeds 0-199; a
+    rejected program is translated unchecked, as ``lq run
+    --no-typecheck`` does."""
+    from lqlang.diagnostics import CheckError
+    from lqlang.harness import GenConfig, gen_welltyped
+    from lqlang.typecheck import TypeEnv, check_program, elaborate_defs
+    from conftest import CORPUS, DATA, load_corpus
+    for path in sorted(CORPUS.rglob("*.lq")) + sorted(DATA.glob("*.lq")):
+        sf = load_corpus(path, prelude)
+        try:
+            checked = check_program(sf.decls, sf.defs, sf.main)
+        except CheckError:
+            env = TypeEnv.from_decls(sf.decls)
+            yield path.name, to_sharing(elaborate_defs(sf.defs, sf.main),
+                                        env, untyped_arrow_mult=OMEGA)
+        else:
+            yield path.name, to_sharing(checked.term, checked.env)
+    for seed in range(200):
+        checked = gen_welltyped(GenConfig(seed=seed)).checked
+        yield f"seed {seed}", to_sharing(checked.term, checked.env)
+
+
+def let_binds(t):
+    return [b for s in subterms(t) if isinstance(s, Let) for b in s.binds]
+
+
+def test_recorded_lists_are_the_free_variables(prelude):
+    """Every let binding of a sharing form carries the free variables of
+    its right-hand side, once each, in first-occurrence order; a copy by
+    ``term_subst_mult`` keeps them, and a copy by ``rename_vars`` never
+    carries a stale one."""
+    from lqlang.syntax import MultLam, rename_vars, rhs_free_vars, \
+        term_subst_mult
+    tally = Counter()
+    for name, sh in sharing_forms(prelude):
+        for b in let_binds(sh):
+            assert b.fv == first_free(b.rhs), name
+            assert set(b.fv) == free_vars(b.rhs), name
+            tally["lists"] += 1
+        copies = [term_subst_mult(sh, "p", OMEGA)]
+        copies += [term_subst_mult(s.body, s.param, m)
+                   for s in subterms(sh) if isinstance(s, MultLam)
+                   for m in (ONE, OMEGA)]
+        for copy in copies:
+            for b in let_binds(copy):
+                assert b.fv is not None, name
+                assert set(b.fv) == free_vars(b.rhs), name
+                tally["substituted"] += 1
+        for s in subterms(sh):
+            fv = free_vars(s)
+            if not isinstance(s, Let) or not fv:
+                continue
+            renamed = rename_vars(s, {x: f"{x}'" for x in fv})
+            for b in let_binds(renamed):
+                assert b.fv is None or set(b.fv) == free_vars(b.rhs), name
+                assert set(rhs_free_vars(b)) == free_vars(b.rhs), name
+                tally["renamed"] += 1
+    assert tally["lists"] > 10_000
+    assert tally["substituted"] > tally["lists"]
+    assert tally["renamed"] > 10_000

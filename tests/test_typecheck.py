@@ -472,17 +472,15 @@ def test_usage_keys_are_the_free_variables(prelude, monkeypatch):
                  for s in range(200)]
     real = T.infer
     tally = Counter()
-    fv_memo = {}
 
     def spy(env, t):
         r = real(env, t)
         tally["calls"] += 1
-        tally["mismatches"] += set(r.usage) != free_vars(t, fv_memo)
+        tally["mismatches"] += set(r.usage) != free_vars(t)
         return r
 
     monkeypatch.setattr(T, "infer", spy)
     for checked in programs:
-        fv_memo.clear()
         T.infer(checked.env, to_sharing(checked.term, checked.env))
     assert tally["mismatches"] == 0
     assert tally["calls"] > 20_000
