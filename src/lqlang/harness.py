@@ -525,7 +525,7 @@ def _bisim(checked: CheckedProgram, sharing: Term, fuel: int,
            program_id: str, pres: Optional[PureResult] = None) -> DiffReport:
     """Run a checked program's sharing form under both semantics and
     compare the fully forced results.  ``pres``, if given, is the pure
-    run to compare, with its state checks switched off."""
+    run to compare; forcing its result checks no state."""
     ores = eval_term(Heap(), sharing, fuel)
     if pres is None:
         pres = eval_pure(initial_state(sharing, checked.ty, checked.env),
@@ -652,9 +652,9 @@ def fuzz(cfg: GenConfig, count: int, fuel: int,
         try:
             pres = eval_pure(state, fuel, check=True)
             summary.state_checks += pres.check_count
-            pres.state.check = False  # forcing the result checks nothing
             preserved = True
-        except PreservationViolation:
+        except (PreservationViolation, ValueError):
+            # a ValueError: the translation produced an ill-typed state
             pres = eval_pure(state, fuel)
             preserved = False
         report = _bisim(checked, sharing, fuel, program_id, pres)

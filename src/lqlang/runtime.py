@@ -12,7 +12,7 @@ program.  ``Clo`` is the one closure type of both machines: the ordinary
 heap's suspensions and values, and the pure machine's bindings, stack
 entries, focus and values.  A closure becomes a term again (``Clo.built``,
 ``rename_vars``) only where a term is observed: a traced or aborted step, a
-final value, or a state encoded whole (``eval_pure.encode_state``).  The
+final value, or a state encoded whole (``statecheck.encode_state``).  The
 pure evaluator's state check types closures as they are.
 
 ``Machine`` holds what the two semantics have in common: fuel, the step
@@ -44,7 +44,7 @@ EMPTY_ENV: Env = {}
 class Clo:
     """A term under an environment.  Its built term (``rename_vars`` of the
     term under the environment) is made once, on first use, and kept for
-    ``eval_pure.encode_state``, which builds each closure of each state."""
+    ``statecheck.encode_state``, which builds each closure of each state."""
 
     __slots__ = ("term", "env", "_built")
 

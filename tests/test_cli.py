@@ -257,6 +257,29 @@ def test_fuzz_subcommand(tmp_path, capsys):
         assert blob[key] > 0, key
 
 
+def test_fuzz_counts_an_ill_typed_initial_state_as_a_violation(
+        tmp_path, capsys, monkeypatch):
+    """A translation that leaves a free variable makes the checked run's
+    initial state ill-typed: each program is a preservation violation with
+    a reproducer, and ``lq fuzz`` exits 1, not 2."""
+    import lqlang.harness as H
+    from lqlang.syntax import Var
+    real = H.to_sharing
+
+    def broken(term, env):
+        return Var("nope", ty=real(term, env).ty)
+
+    monkeypatch.setattr(H, "to_sharing", broken)
+    code, out, err = run_cli(capsys, "fuzz", "--count=2", "--seed=2",
+                             "--json", f"--repro-dir={tmp_path}")
+    assert code == 1, err
+    blob = json.loads(out)
+    assert blob["preservation_violations"] == 2
+    assert blob["state_checks"] == 0
+    assert blob["reproducers"]
+    assert all(Path(path).is_file() for path in blob["reproducers"])
+
+
 def test_trace_rule_names_match_figures(capsys):
     code, out, err = run_cli(capsys, "run", str(CORPUS / "array7.lq"),
                              "--json", "--trace")

@@ -8,12 +8,12 @@ from dataclasses import replace
 import pytest
 
 from lqlang.eval_pure import (AnnState, EnvBind, PreservationViolation,
-                              SEntry, _PState, _Totals, encode_state,
-                              eval_pure, initial_state, instrumented_eval,
-                              reference_welltyped, stack_entries,
-                              state_welltyped)
+                              SEntry, _PState, eval_pure, initial_state,
+                              instrumented_eval, state_welltyped)
 from lqlang.harness import GenConfig, fuzz, gen_welltyped
 from lqlang.runtime import BlockReason, Clo, OutcomeKind
+from lqlang.statecheck import (Checker, encode_state, reference_welltyped,
+                               stack_entries)
 from lqlang.syntax import (App, ArrayLit, Branch, Case, Con, INT, IntLit,
                            Lam, Let, LetBind, OMEGA, ONE, Prim, TArray,
                            TData, TMArray, Var)
@@ -347,7 +347,9 @@ def test_state_checks_type_each_source_subterm_once_per_run(tmp_path,
     not cached by identity costs the state checks 16,826 term nodes.  The
     run's memo in ``infer``, over the closures' source terms, cuts that to
     under 5,000 for the same 1,282 checks.  A node is inferred when a call
-    is not a memo hit."""
+    is not a memo hit.  The floor makes a spy that stops seeing the
+    checker's calls fail."""
+    import lqlang.statecheck as C
     import lqlang.typecheck as T
     module = importlib.import_module("lqlang.eval_pure")
     real_infer, real_check = T.infer, module.state_welltyped
@@ -372,7 +374,7 @@ def test_state_checks_type_each_source_subterm_once_per_run(tmp_path,
 
     monkeypatch.setattr(T, "infer", counting)
     monkeypatch.setattr(T.InferMemo, "hit", hit)
-    monkeypatch.setattr(module, "infer", counting)
+    monkeypatch.setattr(C, "infer", counting)
     monkeypatch.setattr(module, "state_welltyped", checking)
     checks = 0
     for seed in range(16):
@@ -381,7 +383,7 @@ def test_state_checks_type_each_source_subterm_once_per_run(tmp_path,
         assert summary.clean, seed
         checks += summary.state_checks
     assert checks == 1282
-    assert tally["nodes"] <= 5000
+    assert 4000 <= tally["nodes"] <= 5000
 
 
 def test_checked_states_share_the_machine_bindings(prelude, monkeypatch):
@@ -480,7 +482,7 @@ def _work_per_check(prelude, monkeypatch, text):
 
     def load(*args, **kwargs):
         st = real_load(*args, **kwargs)
-        st.cache.inferred = Looked()
+        st.checker.cache.inferred = Looked()
         return st
 
     def spy(s, cache=None):
@@ -535,26 +537,123 @@ def test_case_frames_have_one_type_per_run(prelude):
         res = instrumented_eval(initial_state(sh, checked.ty, checked.env),
                                 10_000_000)
         assert res.outcome.is_value
-        cache = res.state.cache
+        cache = res.state.checker.cache
         sizes.append((len(cache.equal), len(cache.types)))
     assert sizes[0] == sizes[1]
 
 
-def test_totals_hand_over_to_the_fold_when_a_group_splits(prelude,
-                                                         monkeypatch):
+def _count_replays(monkeypatch):
+    """Count the replays of checkers that belong to a machine."""
+    real = Checker._replay
+    tally = Counter()
+
+    def replay(self, s):
+        tally["machine replays"] += self.st is not None
+        return real(self, s)
+
+    monkeypatch.setattr(Checker, "_replay", replay)
+    return tally
+
+
+def test_totals_rebuild_once_when_a_group_splits(prelude, monkeypatch):
     """Forcing ``b`` puts ``c`` between ``a`` and ``b``, so the group's
-    bindings are no longer one run: the rest of the run takes the
-    whole-state fold, with the reference's verdict."""
+    bindings are no longer one run: the machine's totals rebuild
+    themselves by replay once, numbering the runs, and go on with them,
+    with the reference's verdict."""
     text = ("main = let[w] a : Int = add(b, 1) , "
             "b : Int = let[w] c : Int = 2 in c in a\n")
+    replays = _count_replays(monkeypatch)
     tally = _compare_on_runs(monkeypatch, [_checked_text(prelude, text)],
                              perturb=False)
     assert tally["mismatches"] == 0 and tally["states"] == 7
+    # the initial state's replay, then the one at the split
+    assert replays["machine replays"] == 2
     checked = _checked_text(prelude, text)
     sh = to_sharing(checked.term, checked.env)
     res = instrumented_eval(initial_state(sh, checked.ty, checked.env), 100)
     assert res.outcome.value == IntLit(3)
-    assert res.state.cache.totals is None
+    checker = res.state.checker
+    assert not checker.stale and checker.runs is not None
+
+
+_SPLIT = ("main = let[w] a : Int = add(f 1, 0) , f : Int ->[w] Int = "
+          "{rhs} , d : Int = 5 in add(f 1, a)\n")
+
+
+@pytest.mark.parametrize("rhs, replays, split", [
+    # ``c`` stays between ``a`` and ``f``; ``f`` then rejoins ``d``'s run
+    (r"let[w] c : Int = 2 in \[w] x : Int . add(x, d)", 2, True),
+    # ``c`` is consumed while ``f`` is forced: ``a`` and ``d`` are one run
+    # again, and the totals rebuild a second time
+    (r"let[1] c : Int = 2 in case[1] eq(c, 2) of { True -> \[w] x : Int . "
+     r"add(x, d) ; False -> \[w] x : Int . x }", 3, False)])
+def test_totals_follow_runs_that_rejoin_and_merge(prelude, monkeypatch, rhs,
+                                                  replays, split):
+    """Forcing ``f`` while ``a`` is live splits their group.  The value
+    that ``f`` is updated to uses ``d``, which is in scope only if ``f``
+    and ``d`` are one run; every verdict is the reference's."""
+    checked = _checked_text(prelude, _SPLIT.format(rhs=rhs))
+    tally = _count_replays(monkeypatch)
+    tally.update(_compare_on_runs(monkeypatch, [checked], perturb=False))
+    assert tally["mismatches"] == 0 and tally["states"] > 15
+    assert tally["machine replays"] == replays
+    sh = to_sharing(checked.term, checked.env)
+    res = instrumented_eval(initial_state(sh, checked.ty, checked.env), 1000)
+    assert res.outcome.value == IntLit(12)
+    assert (res.state.checker.runs is not None) == split
+
+
+def test_checked_run_from_a_non_empty_state(prelude_env, monkeypatch):
+    """A checked run that starts with bindings in two groups, a context
+    name and a stack entry: every check gets the reference's verdict, and
+    the machine keeps the totals it replayed from the start state."""
+    xi = prepare(prelude_env, IntLit(0)).xi
+    xi = replace(xi, vars={"y": (INT, OMEGA)})
+    x = EnvBind("x", True, INT, Clo(IntLit(5, ty=INT)), 1)
+    z = EnvBind("z", False, INT, Clo(IntLit(2, ty=INT)), 2)
+    focus = Prim("add", (Var("x", ty=INT), Var("z", ty=INT)), ty=INT)
+    start = AnnState(xi=xi, env=(x, z), focus=Clo(focus), demand=ONE,
+                     focus_ty=INT,
+                     stack=SEntry(Clo(Var("y", ty=INT)), OMEGA, INT))
+    assert reference_welltyped(start)
+    module = importlib.import_module("lqlang.eval_pure")
+    incremental = module.state_welltyped
+    replays = _count_replays(monkeypatch)
+    tally = Counter()
+
+    def spy(s, cache=None):
+        verdict = incremental(s, cache)
+        tally["states"] += 1
+        tally["mismatches"] += verdict != reference_welltyped(s)
+        return verdict
+
+    monkeypatch.setattr(module, "state_welltyped", spy)
+    res = instrumented_eval(start, 1000)
+    assert res.outcome.value == IntLit(7)
+    assert tally["states"] == res.check_count + 1 > 3
+    assert tally["mismatches"] == 0
+    assert replays["machine replays"] == 1
+    assert not res.state.checker.stale
+
+
+def test_a_run_checks_every_conclusion_and_its_start(prelude, monkeypatch):
+    """``state_welltyped``, looked up in ``lqlang.eval_pure``, sees the
+    initial state and each rule conclusion of a checked run."""
+    module = importlib.import_module("lqlang.eval_pure")
+    real = module.state_welltyped
+    calls = Counter()
+
+    def spy(s, cache=None):
+        calls["checks"] += 1
+        return real(s, cache)
+
+    monkeypatch.setattr(module, "state_welltyped", spy)
+    checked = check_corpus(CORPUS / "list_sum.lq", prelude)
+    sh = to_sharing(checked.term, checked.env)
+    res = instrumented_eval(initial_state(sh, checked.ty, checked.env),
+                            100_000)
+    assert res.check_count == 19
+    assert calls["checks"] == res.check_count + 1
 
 
 def _insert_last(self, bind):
@@ -614,19 +713,20 @@ def test_order_labels_follow_state_order(prelude, monkeypatch):
     checked = _checked_text(
         prelude, f"main = let[w] r : Int = {lets} a59 in add(r, r)\n")
     tally = Counter()
-    real_check, real_relabel = _Totals.check, _PState._relabel
+    real_check, real_relabel = Checker.check, Checker._relabel
 
     def check(self, s):
-        labels = [b.label for b in self.st.ordered()]
+        verdict = real_check(self, s)
+        labels = [self.labels[id(b)] for b in self.st.ordered()]
         tally["unordered"] += labels != sorted(set(labels))
-        return real_check(self, s)
+        return verdict
 
     def relabel(self, bind):
         tally["relabels"] += 1
         real_relabel(self, bind)
 
-    monkeypatch.setattr(_Totals, "check", check)
-    monkeypatch.setattr(_PState, "_relabel", relabel)
+    monkeypatch.setattr(Checker, "check", check)
+    monkeypatch.setattr(Checker, "_relabel", relabel)
     tally.update(_compare_on_runs(monkeypatch, [checked], perturb=False))
     assert tally["relabels"] > 0 and tally["unordered"] == 0
     assert tally["mismatches"] == 0 and tally["states"] == 184
