@@ -15,6 +15,10 @@ becomes the value closure itself.  Heap names, steps and traces are those
 of substitution: a term is built from its closure (``Clo.built``) only for
 a traced step, an abort and the final value.
 
+``_eval`` chooses a rule with ``type(t) is`` tests, tried in the order the
+rules fire most often.  No node class has a subclass, so exactly one test
+holds, and the order carries no meaning.
+
 Typestate is checked dynamically here: ``write`` and ``freeze`` block on
 a frozen cell and ``index`` blocks on a mutable one.  On well-typed
 programs these blocks never fire, which the harness checks empirically.
@@ -115,117 +119,110 @@ def force_variable(prev: EvalResult, name: str, fuel: int) -> EvalResult:
 def _eval(st: _State, t: Term, env: Env) -> Clo:
     heap = st.heap.bindings
     while True:
-        match t:
-            case Lam():
-                st.tick("abs", t, env)
-                return Clo(t, env)
-            case MultLam():
-                st.tick("m.abs", t, env)
-                return Clo(t, env)
-            case IntLit():
-                st.tick("int", t, env)
-                return Clo(t)
-            case Con():
-                st.tick("constructor", t, env)
-                return Clo(t, env)
-            case ArrayLit():
-                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "value", "",
-                                 "array values do not occur in this semantics")
+        cls = type(t)
+        if cls is Var:
+            x = env.get(t.name, t.name)
+            binding = heap.get(x)
+            if x in st.forcing:
+                raise st.blackhole(x)
+            if binding is None:
+                raise st.blocked(BlockReason.MISSING_LINEAR_BINDING,
+                                 "variable", x, f"no binding for '{x}'")
+            if isinstance(binding, Cell):
+                raise st.blocked(BlockReason.PRIMITIVE_MISUSE,
+                                 "variable", x,
+                                 "term variable resolved to an array cell")
+            st.tick("variable", t, env)
+            st.forcing.add(x)
+            try:
+                value = _eval(st, binding.term, binding.env)
+            finally:
+                st.forcing.discard(x)
+            heap[x] = value
+            return value
+        if cls is Let:
+            st.tick("let", t, env)
+            binds = t.binds
+            inner = env.copy()
+            for b in binds:
+                inner[b.var] = st.fresh(FRESH_PREFIX)
+            rhs_env = inner if t.rec else env
+            for b in binds:
+                heap[inner[b.var]] = Clo(b.rhs, st.trim(rhs_env, b))
+            t, env = t.body, inner
+            continue
+        if cls is IntLit:
+            st.tick("int", t, env)
+            return Clo(t)
+        if cls is Prim:
+            return _eval_prim(st, t, env, t.name, t.args)
+        if cls is App:
+            arg = t.arg
+            assert isinstance(arg, Var), "term must be in sharing form"
+            st.tick("application", t, env)
+            fv = _eval(st, t.fun, env)
+            lam = fv.term
+            if not isinstance(lam, Lam):
+                raise st.blocked(BlockReason.PRIMITIVE_MISUSE,
+                                 "application", "",
+                                 "application head is not a function")
+            t, env = lam.body, {**fv.env, lam.var: env.get(arg.name,
+                                                           arg.name)}
+            continue
+        if cls is Lam:
+            st.tick("abs", t, env)
+            return Clo(t, env)
+        if cls is Case:
+            st.tick("case", t, env)
+            sv = _eval(st, t.scrut, env)
+            con = sv.term
+            if not isinstance(con, Con):
+                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case", "",
+                                 "case scrutinee is not a constructor")
+            branch = next((b for b in t.branches if b.con == con.name),
+                          None)
+            if branch is None:
+                raise st.blocked(BlockReason.MISSING_BRANCH, "case",
+                                 con.name,
+                                 f"no branch for constructor '{con.name}'")
+            if len(branch.binders) != len(con.args):
+                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case",
+                                 con.name, "branch arity mismatch")
+            if branch.binders:
+                env = env.copy()
+                for y, a in zip(branch.binders, con.args):
+                    assert isinstance(a, Var)
+                    env[y] = sv.env.get(a.name, a.name)
+            t = branch.body
+            continue
+        if cls is Con:
+            st.tick("constructor", t, env)
+            return Clo(t, env)
+        if cls is ArrName:
+            st.tick("mutable cell", t, env)
+            if not isinstance(heap.get(t.name), Cell):
+                raise st.blocked(BlockReason.MISSING_LINEAR_BINDING,
+                                 "mutable cell", t.name,
+                                 f"no array cell named '{t.name}'")
+            return Clo(t)
+        if cls is MultLam:
+            st.tick("m.abs", t, env)
+            return Clo(t, env)
+        if cls is MultApp:
+            st.tick("m.app", t, env)
+            fv = _eval(st, t.fun, env)
+            mlam = fv.term
+            if not isinstance(mlam, MultLam):
+                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "m.app",
+                                 "", "multiplicity application head is "
+                                     "not a multiplicity abstraction")
+            t, env = term_subst_mult(mlam.body, mlam.param, t.mult), fv.env
+            continue
+        if cls is ArrayLit:
+            raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "value", "",
+                             "array values do not occur in this semantics")
 
-            case ArrName(l):
-                st.tick("mutable cell", t, env)
-                if not isinstance(heap.get(l), Cell):
-                    raise st.blocked(BlockReason.MISSING_LINEAR_BINDING,
-                                     "mutable cell", l,
-                                     f"no array cell named '{l}'")
-                return Clo(t)
-
-            case Var(x):
-                x = env.get(x, x)
-                binding = heap.get(x)
-                if x in st.forcing:
-                    raise st.blackhole(x)
-                if binding is None:
-                    raise st.blocked(BlockReason.MISSING_LINEAR_BINDING,
-                                     "variable", x,
-                                     f"no binding for '{x}'")
-                if isinstance(binding, Cell):
-                    raise st.blocked(BlockReason.PRIMITIVE_MISUSE,
-                                     "variable", x,
-                                     "term variable resolved to an array cell")
-                st.tick("variable", t, env)
-                st.forcing.add(x)
-                try:
-                    value = _eval(st, binding.term, binding.env)
-                finally:
-                    st.forcing.discard(x)
-                heap[x] = value
-                return value
-
-            case App(fun, arg):
-                assert isinstance(arg, Var), "term must be in sharing form"
-                st.tick("application", t, env)
-                fv = _eval(st, fun, env)
-                lam = fv.term
-                if not isinstance(lam, Lam):
-                    raise st.blocked(BlockReason.PRIMITIVE_MISUSE,
-                                     "application", "",
-                                     "application head is not a function")
-                t, env = lam.body, {**fv.env, lam.var: env.get(arg.name,
-                                                               arg.name)}
-                continue
-
-            case MultApp(fun, m):
-                st.tick("m.app", t, env)
-                fv = _eval(st, fun, env)
-                mlam = fv.term
-                if not isinstance(mlam, MultLam):
-                    raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "m.app",
-                                     "", "multiplicity application head is "
-                                         "not a multiplicity abstraction")
-                t, env = term_subst_mult(mlam.body, mlam.param, m), fv.env
-                continue
-
-            case Let(_, binds, body):
-                st.tick("let", t, env)
-                inner = env.copy()
-                for b in binds:
-                    inner[b.var] = st.fresh(FRESH_PREFIX)
-                rhs_env = inner if t.rec else env
-                for b in binds:
-                    heap[inner[b.var]] = Clo(b.rhs, st.trim(rhs_env, b))
-                t, env = body, inner
-                continue
-
-            case Case(_, scrut, branches):
-                st.tick("case", t, env)
-                sv = _eval(st, scrut, env)
-                con = sv.term
-                if not isinstance(con, Con):
-                    raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case", "",
-                                     "case scrutinee is not a constructor")
-                branch = next((b for b in branches if b.con == con.name),
-                              None)
-                if branch is None:
-                    raise st.blocked(BlockReason.MISSING_BRANCH, "case",
-                                     con.name,
-                                     f"no branch for constructor '{con.name}'")
-                if len(branch.binders) != len(con.args):
-                    raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case",
-                                     con.name, "branch arity mismatch")
-                if branch.binders:
-                    env = env.copy()
-                    for y, a in zip(branch.binders, con.args):
-                        assert isinstance(a, Var)
-                        env[y] = sv.env.get(a.name, a.name)
-                t = branch.body
-                continue
-
-            case Prim(name, args):
-                return _eval_prim(st, t, env, name, args)
-
-            case _:
-                raise AssertionError(f"cannot evaluate {t!r}")
+        raise AssertionError(f"cannot evaluate {t!r}")
 
 
 def _force_int(st: _State, prim: str, arg: Term, env: Env) -> int:

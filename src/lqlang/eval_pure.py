@@ -19,6 +19,10 @@ forced, removing a consumed one and pushing an entry are O(1), and a state
 is read off the machine without copying or listing a binding, an entry,
 the context or a term; names, steps and traces are those of substitution.
 
+``_eval`` chooses a rule with ``type(t) is`` tests, tried in the order the
+rules fire most often.  No node class has a subclass, so exactly one test
+holds, and the order carries no meaning.
+
 Linear bindings are removed from the environment when forced and forcing
 them at demand w blocks; on well-typed programs neither a removed binding
 nor a w-demanded linear binding is ever encountered, which is exactly what
@@ -135,8 +139,9 @@ class _PState(Machine):
         """The pending branches of ``t`` as a function of its scrutinee,
         ``\\%hole. case %hole of ...``, and its type when the case has type
         ``ty``: one frame per case node and run, and one type per result
-        type, so that the memo and the type caches in the check cache, which
-        are keyed by identity, see the same objects each time."""
+        type, so that a case step builds neither, and the memo and the type
+        caches in the check cache, which are keyed by identity, see the same
+        objects each time."""
         frame = self.frames.get(id(t))
         if frame is None:
             scrut_ty = t.scrut.ty
@@ -232,11 +237,11 @@ def force_pure_variable(prev: PureResult, name: str, demand: MultExpr,
 # Rules
 
 def _concrete(st: _PState, m: MultExpr) -> MultExpr:
-    match m:
-        case One():
-            return ONE
-        case Omega():
-            return OMEGA
+    cls = type(m)
+    if cls is One:
+        return ONE
+    if cls is Omega:
+        return OMEGA
     nf = mult_normalize(m)
     if nf == NF_ONE:
         return ONE
@@ -250,6 +255,8 @@ def _dmul(st: _PState, a: MultExpr, b: MultExpr) -> MultExpr:
     """The concrete product of two multiplicities.  No law removes a
     variable, so a factor that is not concrete blocks as the product
     would."""
+    if a is ONE and b is ONE:
+        return ONE
     a, b = _concrete(st, a), _concrete(st, b)
     return OMEGA if a is OMEGA or b is OMEGA else ONE
 
@@ -272,153 +279,143 @@ def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
           stack: Optional[SEntry]) -> Clo:
     while True:
         t, env = c.term, c.env
-        match t:
-            case Lam():
-                st.tick("abs", t, env)
-                return _ret(st, "abs", c, demand, ty, stack)
-            case MultLam():
-                st.tick("m.abs", t, env)
-                return _ret(st, "m.abs", c, demand, ty, stack)
-            case IntLit():
-                st.tick("int", t, env)
-                return _ret(st, "int", c, demand, ty, stack)
-            case Con():
-                st.tick("constructor", t, env)
-                return _ret(st, "constructor", c, demand, ty, stack)
-            case ArrayLit():
-                st.tick("array value", t, env)
-                return _ret(st, "array value", c, demand, ty, stack)
-
-            case Var(x):
-                x = env.get(x, x)
-                b = st.binds.get(x)
-                if b is None:
+        cls = type(t)
+        if cls is Var:
+            x = env.get(t.name, t.name)
+            b = st.binds.get(x)
+            if b is None:
+                raise st.blocked(
+                    BlockReason.MISSING_LINEAR_BINDING,
+                    "linear variable", x,
+                    f"no binding for '{x}' (already consumed?)")
+            if b.forcing:
+                raise st.blackhole(x)
+            if b.linear:
+                if _concrete(st, demand) is not ONE:
                     raise st.blocked(
                         BlockReason.MISSING_LINEAR_BINDING,
                         "linear variable", x,
-                        f"no binding for '{x}' (already consumed?)")
-                if b.forcing:
-                    raise st.blackhole(x)
-                if b.linear:
-                    if _concrete(st, demand) != ONE:
-                        raise st.blocked(
-                            BlockReason.MISSING_LINEAR_BINDING,
-                            "linear variable", x,
-                            f"linear binding '{x}' demanded non-linearly")
-                    st.tick("linear variable", t, env)
-                    st.remove(b)
-                    c = b.term
-                    continue  # single tail premise at demand 1
-                st.tick("shared variable", t, env)
-                b.forcing = True
-                st.xi.vars[x] = (b.ty, OMEGA)  # grows, never pruned
-                st.anchors.append(b)
+                        f"linear binding '{x}' demanded non-linearly")
+                st.tick("linear variable", t, env)
+                st.remove(b)
+                c = b.term
+                continue  # single tail premise at demand 1
+            st.tick("shared variable", t, env)
+            b.forcing = True
+            st.xi.vars[x] = (b.ty, OMEGA)  # grows, never pruned
+            st.anchors.append(b)
+            if st.checker is not None:
+                st.checker.report(b)
+            try:
+                z = _eval(st, b.term, demand, ty, stack)
+            finally:
+                st.anchors.pop()
+                b.forcing = False
                 if st.checker is not None:
                     st.checker.report(b)
-                try:
-                    z = _eval(st, b.term, demand, ty, stack)
-                finally:
-                    st.anchors.pop()
-                    b.forcing = False
-                    if st.checker is not None:
-                        st.checker.report(b)
-                b.term = z
-                return _ret(st, "shared variable", z, demand, ty, stack)
+            b.term = z
+            return _ret(st, "shared variable", z, demand, ty, stack)
+        if cls is Let:
+            st.tick("let", t, env)
+            bind_mult = _dmul(st, demand, t.mult)
+            group = st.new_group()
+            binds = t.binds
+            inner = env.copy()
+            for b in binds:
+                inner[b.var] = st.fresh(FRESH_PREFIX)
+            rhs_env = inner if t.rec else env
+            for b in binds:
+                assert b.var_ty is not None
+                st.insert(EnvBind(inner[b.var], bind_mult is ONE, b.var_ty,
+                                  Clo(b.rhs, st.trim(rhs_env, b)), group))
+            c = Clo(t.body, inner)
+            continue
+        if cls is IntLit:
+            st.tick("int", t, env)
+            return _ret(st, "int", c, demand, ty, stack)
+        if cls is Prim:
+            return _eval_prim(st, t, env, t.name, t.args, demand, ty, stack)
+        if cls is App:
+            arg = t.arg
+            assert isinstance(arg, Var), "term must be in sharing form"
+            st.tick("app", t, env)
+            fun = t.fun
+            fun_ty = fun.ty
+            assert isinstance(fun_ty, TArrow), \
+                "pure evaluation needs annotated terms"
+            pi = t.mult_ann if t.mult_ann is not None else fun_ty.mult
+            entry = SEntry(Clo(arg, env), _dmul(st, pi, demand), fun_ty.dom,
+                           stack)
+            fv = _eval(st, Clo(fun, env), demand, fun_ty, entry)
+            lam = fv.term
+            if not isinstance(lam, Lam):
+                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "app", "",
+                                 "application head is not a function")
+            c = Clo(lam.body, {**fv.env, lam.var: env.get(arg.name,
+                                                          arg.name)})
+            continue
+        if cls is Lam:
+            st.tick("abs", t, env)
+            return _ret(st, "abs", c, demand, ty, stack)
+        if cls is Case:
+            st.tick("case", t, env)
+            scrut = t.scrut
+            scrut_ty = scrut.ty
+            assert scrut_ty is not None, \
+                "pure evaluation needs annotated terms"
+            # drawn but unused, so that heap names and traces stay as
+            # tests/data/eval_golden.json records them
+            st.fresh(FRESH_PREFIX)
+            # the pending branches, as a function of the scrutinee; only a
+            # state check reads them
+            frame, frame_ty = st.case_frame(t, ty)
+            entry = SEntry(Clo(frame, env), demand, frame_ty, stack)
+            sv = _eval(st, Clo(scrut, env), _dmul(st, t.mult, demand),
+                       scrut_ty, entry)
+            con = sv.term
+            if not isinstance(con, Con):
+                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case", "",
+                                 "case scrutinee is not a constructor")
+            branch = next((b for b in t.branches if b.con == con.name),
+                          None)
+            if branch is None:
+                raise st.blocked(BlockReason.MISSING_BRANCH, "case",
+                                 con.name,
+                                 f"no branch for constructor '{con.name}'")
+            if len(branch.binders) != len(con.args):
+                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case",
+                                 con.name, "branch arity mismatch")
+            if branch.binders:
+                env = env.copy()
+                for y, a in zip(branch.binders, con.args):
+                    assert isinstance(a, Var)
+                    env[y] = sv.env.get(a.name, a.name)
+            c = Clo(branch.body, env)
+            continue
+        if cls is Con:
+            st.tick("constructor", t, env)
+            return _ret(st, "constructor", c, demand, ty, stack)
+        if cls is MultLam:
+            st.tick("m.abs", t, env)
+            return _ret(st, "m.abs", c, demand, ty, stack)
+        if cls is MultApp:
+            st.tick("m.app", t, env)
+            fun_ty = t.fun.ty
+            assert fun_ty is not None, \
+                "pure evaluation needs annotated terms"
+            fv = _eval(st, Clo(t.fun, env), demand, fun_ty, stack)
+            mlam = fv.term
+            if not isinstance(mlam, MultLam):
+                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "m.app",
+                                 "", "multiplicity application head is "
+                                     "not a multiplicity abstraction")
+            c = Clo(term_subst_mult(mlam.body, mlam.param, t.mult), fv.env)
+            continue
+        if cls is ArrayLit:
+            st.tick("array value", t, env)
+            return _ret(st, "array value", c, demand, ty, stack)
 
-            case App(fun, arg):
-                assert isinstance(arg, Var), "term must be in sharing form"
-                st.tick("app", t, env)
-                fun_ty = fun.ty
-                assert isinstance(fun_ty, TArrow), \
-                    "pure evaluation needs annotated terms"
-                pi = t.mult_ann if t.mult_ann is not None else fun_ty.mult
-                entry = SEntry(Clo(arg, env), _dmul(st, pi, demand),
-                               fun_ty.dom, stack)
-                fv = _eval(st, Clo(fun, env), demand, fun_ty, entry)
-                lam = fv.term
-                if not isinstance(lam, Lam):
-                    raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "app", "",
-                                     "application head is not a function")
-                c = Clo(lam.body, {**fv.env,
-                                   lam.var: env.get(arg.name, arg.name)})
-                continue
-
-            case MultApp(fun, m):
-                st.tick("m.app", t, env)
-                fun_ty = fun.ty
-                assert fun_ty is not None, \
-                    "pure evaluation needs annotated terms"
-                fv = _eval(st, Clo(fun, env), demand, fun_ty, stack)
-                mlam = fv.term
-                if not isinstance(mlam, MultLam):
-                    raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "m.app",
-                                     "", "multiplicity application head is "
-                                         "not a multiplicity abstraction")
-                c = Clo(term_subst_mult(mlam.body, mlam.param, m), fv.env)
-                continue
-
-            case Let(m, binds, body):
-                st.tick("let", t, env)
-                bind_mult = _dmul(st, demand, m)
-                group = st.new_group()
-                inner = env.copy()
-                for b in binds:
-                    inner[b.var] = st.fresh(FRESH_PREFIX)
-                rhs_env = inner if t.rec else env
-                for b in binds:
-                    assert b.var_ty is not None
-                    st.insert(EnvBind(inner[b.var], bind_mult == ONE,
-                                      b.var_ty,
-                                      Clo(b.rhs, st.trim(rhs_env, b)),
-                                      group))
-                c = Clo(body, inner)
-                continue
-
-            case Case(m, scrut, branches):
-                st.tick("case", t, env)
-                scrut_ty = scrut.ty
-                assert scrut_ty is not None, \
-                    "pure evaluation needs annotated terms"
-                # drawn but unused, so that heap names and traces stay as
-                # tests/data/eval_golden.json records them
-                st.fresh(FRESH_PREFIX)
-                # the pending branches, as a function of the scrutinee; only
-                # a state check reads them
-                if st.checker is not None:
-                    frame, frame_ty = st.case_frame(t, ty)
-                    entry = SEntry(Clo(frame, env), demand, frame_ty, stack)
-                else:
-                    entry = SEntry(None, demand, TArrow(scrut_ty, m, ty),
-                                   stack)
-                sv = _eval(st, Clo(scrut, env), _dmul(st, m, demand),
-                           scrut_ty, entry)
-                con = sv.term
-                if not isinstance(con, Con):
-                    raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case", "",
-                                     "case scrutinee is not a constructor")
-                branch = next((b for b in branches if b.con == con.name),
-                              None)
-                if branch is None:
-                    raise st.blocked(BlockReason.MISSING_BRANCH, "case",
-                                     con.name,
-                                     f"no branch for constructor "
-                                     f"'{con.name}'")
-                if len(branch.binders) != len(con.args):
-                    raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case",
-                                     con.name, "branch arity mismatch")
-                if branch.binders:
-                    env = env.copy()
-                    for y, a in zip(branch.binders, con.args):
-                        assert isinstance(a, Var)
-                        env[y] = sv.env.get(a.name, a.name)
-                c = Clo(branch.body, env)
-                continue
-
-            case Prim(name, args):
-                return _eval_prim(st, t, env, name, args, demand, ty, stack)
-
-            case _:
-                raise AssertionError(f"cannot evaluate {t!r}")
+        raise AssertionError(f"cannot evaluate {t!r}")
 
 
 # Premise evaluation order per primitive (indices into the argument list),

@@ -58,13 +58,12 @@ OMEGA = Omega()
 
 
 def mult_vars(m: MultExpr) -> frozenset[str]:
-    match m:
-        case MVar(name):
-            return frozenset((name,))
-        case MSum(a, b) | MProd(a, b):
-            return mult_vars(a) | mult_vars(b)
-        case _:
-            return frozenset()
+    cls = type(m)
+    if cls is MVar:
+        return frozenset((m.name,))
+    if cls is MSum or cls is MProd:
+        return mult_vars(m.left) | mult_vars(m.right)
+    return frozenset()
 
 
 def mult_subst(m: MultExpr, var: str, by: MultExpr) -> MultExpr:
@@ -162,19 +161,18 @@ def nf_mul(a: MultNF, b: MultNF) -> MultNF:
 
 
 def mult_normalize(m: MultExpr) -> MultNF:
-    match m:
-        case One():
-            return NF_ONE
-        case Omega():
-            return NF_OMEGA
-        case MVar(name):
-            return MultNF((((name,), _1),))
-        case MSum(a, b):
-            return nf_add(mult_normalize(a), mult_normalize(b))
-        case MProd(a, b):
-            return nf_mul(mult_normalize(a), mult_normalize(b))
-        case _:
-            raise AssertionError(f"unknown multiplicity {m!r}")
+    cls = type(m)
+    if cls is One:
+        return NF_ONE
+    if cls is Omega:
+        return NF_OMEGA
+    if cls is MVar:
+        return MultNF((((m.name,), _1),))
+    if cls is MSum:
+        return nf_add(mult_normalize(m.left), mult_normalize(m.right))
+    if cls is MProd:
+        return nf_mul(mult_normalize(m.left), mult_normalize(m.right))
+    raise AssertionError(f"unknown multiplicity {m!r}")
 
 
 def mult_equiv(a: MultExpr, b: MultExpr) -> bool:

@@ -51,9 +51,8 @@ UNIT_VAL = Con("%MkUnit", (), (), (), ty=UNIT_TY)
 @dataclass(slots=True)
 class SEntry:
     """A stack entry: a closure consumed at ``demand`` once the focus is
-    done, above the entries ``below`` it, so that a push is O(1).  A case
-    frame's closure is None in a run whose states are not checked."""
-    term: Optional[Clo]
+    done, above the entries ``below`` it, so that a push is O(1)."""
+    term: Clo
     demand: MultExpr  # ONE or OMEGA
     ty: Type
     below: Optional[SEntry] = None

@@ -294,21 +294,20 @@ class ConDecl:
 def children(t: Term) -> tuple[Term, ...]:
     """The direct subterms of ``t``: ``fun`` before ``arg``, ``scrut``
     before the branch bodies, right-hand sides before a let body."""
-    match t:
-        case Lam() | MultLam():
-            return (t.body,)
-        case App():
-            return (t.fun, t.arg)
-        case MultApp():
-            return (t.fun,)
-        case Con() | Prim():
-            return t.args
-        case Case():
-            return (t.scrut, *(b.body for b in t.branches))
-        case Let():
-            return (*(b.rhs for b in t.binds), t.body)
-        case _:
-            return ()
+    cls = type(t)
+    if cls is App:
+        return (t.fun, t.arg)
+    if cls is Lam or cls is MultLam:
+        return (t.body,)
+    if cls is Let:
+        return (*(b.rhs for b in t.binds), t.body)
+    if cls is Prim or cls is Con:
+        return t.args
+    if cls is Case:
+        return (t.scrut, *(b.body for b in t.branches))
+    if cls is MultApp:
+        return (t.fun,)
+    return ()
 
 
 def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
@@ -317,25 +316,24 @@ def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
     With ``children``, this is the one place that knows which fields of a
     node hold subterms; every other walk handles only the nodes where it
     differs and leaves the rest to these two."""
-    match t:
-        case Lam() | MultLam():
-            return _with(t, body=f(t.body))
-        case App():
-            return _with(t, fun=f(t.fun), arg=f(t.arg))
-        case MultApp():
-            return _with(t, fun=f(t.fun))
-        case Con() | Prim():
-            return _with(t, args=tuple(map(f, t.args))) if t.args else t
-        case Case():
-            return _with(t, scrut=f(t.scrut),
-                         branches=tuple(_with(b, body=f(b.body))
-                                        for b in t.branches))
-        case Let():
-            return _with(t, binds=tuple(_with(b, rhs=f(b.rhs), fv=None)
-                                        for b in t.binds),
-                         body=f(t.body))
-        case _:
-            return t
+    cls = type(t)
+    if cls is App:
+        return _with(t, fun=f(t.fun), arg=f(t.arg))
+    if cls is Lam or cls is MultLam:
+        return _with(t, body=f(t.body))
+    if cls is Let:
+        return _with(t, binds=tuple(_with(b, rhs=f(b.rhs), fv=None)
+                                    for b in t.binds),
+                     body=f(t.body))
+    if cls is Prim or cls is Con:
+        return _with(t, args=tuple(map(f, t.args))) if t.args else t
+    if cls is Case:
+        return _with(t, scrut=f(t.scrut),
+                     branches=tuple(_with(b, body=f(b.body))
+                                    for b in t.branches))
+    if cls is MultApp:
+        return _with(t, fun=f(t.fun))
+    return t
 
 
 def _with(t, **changes):

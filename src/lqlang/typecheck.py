@@ -112,29 +112,32 @@ def _nf_key(m: MultExpr, ren: dict[str, str]):
 
 def _type_eq(a: Type, b: Type, ra: dict[str, str], rb: dict[str, str],
              depth: int) -> bool:
-    match (a, b):
-        case (TInt(), TInt()):
-            return True
-        case (TVar(x), TVar(y)):
-            return x == y
-        case (TMArray(e1), TMArray(e2)) | (TArray(e1), TArray(e2)):
-            return _type_eq(e1, e2, ra, rb, depth)
-        case (TArrow(d1, m1, c1), TArrow(d2, m2, c2)):
-            return (_nf_key(m1, ra) == _nf_key(m2, rb)
-                    and _type_eq(d1, d2, ra, rb, depth)
-                    and _type_eq(c1, c2, ra, rb, depth))
-        case (TForall(p1, b1), TForall(p2, b2)):
-            tag = f"\x00{depth}"
-            return _type_eq(b1, b2, {**ra, p1: tag}, {**rb, p2: tag},
-                            depth + 1)
-        case (TData(n1, ms1, ts1), TData(n2, ms2, ts2)):
-            return (n1 == n2 and len(ms1) == len(ms2) and len(ts1) == len(ts2)
-                    and all(_nf_key(m1, ra) == _nf_key(m2, rb)
-                            for m1, m2 in zip(ms1, ms2))
-                    and all(_type_eq(t1, t2, ra, rb, depth)
-                            for t1, t2 in zip(ts1, ts2)))
-        case _:
-            return False
+    cls = type(a)
+    if cls is not type(b):
+        return False
+    if cls is TInt:
+        return True
+    if cls is TArrow:
+        return (_nf_key(a.mult, ra) == _nf_key(b.mult, rb)
+                and _type_eq(a.dom, b.dom, ra, rb, depth)
+                and _type_eq(a.cod, b.cod, ra, rb, depth))
+    if cls is TData:
+        ms1, ms2, ts1, ts2 = a.mult_args, b.mult_args, a.type_args, b.type_args
+        return (a.name == b.name and len(ms1) == len(ms2)
+                and len(ts1) == len(ts2)
+                and all(_nf_key(m1, ra) == _nf_key(m2, rb)
+                        for m1, m2 in zip(ms1, ms2))
+                and all(_type_eq(t1, t2, ra, rb, depth)
+                        for t1, t2 in zip(ts1, ts2)))
+    if cls is TMArray or cls is TArray:
+        return _type_eq(a.elem, b.elem, ra, rb, depth)
+    if cls is TVar:
+        return a.name == b.name
+    if cls is TForall:
+        tag = f"\x00{depth}"
+        return _type_eq(a.body, b.body, {**ra, a.var: tag},
+                        {**rb, b.var: tag}, depth + 1)
+    return False
 
 
 def type_equiv(a: Type, b: Type) -> bool:
@@ -153,39 +156,40 @@ def check_type(env: TypeEnv, ty: Type, tvars: frozenset[str] = frozenset(),
     # closure is a reference cycle, and would keep ``env`` and its memo
     # alive until the next garbage collection
     scope = env.mult_vars if mvars is None else mvars
-    match ty:
-        case TInt():
-            pass
-        case TVar(name):
-            if name not in tvars:
-                raise _fail(Kind.MALFORMED_DECL,
-                            f"type variable '{name}' is not in scope", loc)
-        case TMArray(elem) | TArray(elem):
-            check_type(env, elem, tvars, scope, loc)
-        case TArrow(dom, m, cod):
+    cls = type(ty)
+    if cls is TInt:
+        return
+    if cls is TArrow:
+        _check_mult_in(ty.mult, scope, tvars, loc)
+        check_type(env, ty.dom, tvars, scope, loc)
+        check_type(env, ty.cod, tvars, scope, loc)
+    elif cls is TData:
+        name, margs, targs = ty.name, ty.mult_args, ty.type_args
+        decl = env.decls.get(name)
+        if decl is None:
+            raise _fail(Kind.UNBOUND_VARIABLE,
+                        f"unknown datatype '{name}'", loc)
+        if (len(margs) != len(decl.mult_params)
+                or len(targs) != len(decl.type_params)):
+            raise _fail(
+                Kind.ARITY_MISMATCH,
+                f"datatype '{name}' expects {len(decl.mult_params)} "
+                f"multiplicity and {len(decl.type_params)} type "
+                f"arguments, got {len(margs)} and {len(targs)}", loc)
+        for m in margs:
             _check_mult_in(m, scope, tvars, loc)
-            check_type(env, dom, tvars, scope, loc)
-            check_type(env, cod, tvars, scope, loc)
-        case TForall(p, body):
-            check_type(env, body, tvars, scope | {p}, loc)
-        case TData(name, margs, targs):
-            decl = env.decls.get(name)
-            if decl is None:
-                raise _fail(Kind.UNBOUND_VARIABLE,
-                            f"unknown datatype '{name}'", loc)
-            if (len(margs) != len(decl.mult_params)
-                    or len(targs) != len(decl.type_params)):
-                raise _fail(
-                    Kind.ARITY_MISMATCH,
-                    f"datatype '{name}' expects {len(decl.mult_params)} "
-                    f"multiplicity and {len(decl.type_params)} type "
-                    f"arguments, got {len(margs)} and {len(targs)}", loc)
-            for m in margs:
-                _check_mult_in(m, scope, tvars, loc)
-            for a in targs:
-                check_type(env, a, tvars, scope, loc)
-        case _:
-            raise AssertionError(ty)
+        for a in targs:
+            check_type(env, a, tvars, scope, loc)
+    elif cls is TMArray or cls is TArray:
+        check_type(env, ty.elem, tvars, scope, loc)
+    elif cls is TVar:
+        if ty.name not in tvars:
+            raise _fail(Kind.MALFORMED_DECL,
+                        f"type variable '{ty.name}' is not in scope", loc)
+    elif cls is TForall:
+        check_type(env, ty.body, tvars, scope | {ty.var}, loc)
+    else:
+        raise AssertionError(ty)
 
 
 def _check_mult_in(m: MultExpr, scope: frozenset[str], tvars: frozenset[str],

@@ -19,6 +19,7 @@ from lqlang.syntax import (App, ArrayLit, Branch, Case, Con, INT, IntLit,
                            TData, TMArray, Var)
 from lqlang.translate import to_sharing
 from lqlang.parser import parse_program
+from lqlang.pretty import show_type
 from lqlang.typecheck import check_program, infer
 
 from conftest import CORPUS, DATA, check_corpus, corpus_files
@@ -540,6 +541,23 @@ def test_case_frames_have_one_type_per_run(prelude):
         cache = res.state.checker.cache
         sizes.append((len(cache.equal), len(cache.types)))
     assert sizes[0] == sizes[1]
+
+
+def test_unchecked_case_steps_build_no_frame_type(prelude):
+    """An unchecked run takes each case frame's type from the per-run
+    table too, so the table holds one type per case node and result type
+    whatever the number of case steps.  A case step that built its own
+    frame type left the table empty."""
+    tables = []
+    for n in (25, 200):
+        checked = _checked_text(prelude, _tri(n))
+        sh = to_sharing(checked.term, checked.env)
+        res = eval_pure(initial_state(sh, checked.ty, checked.env),
+                        10_000_000)
+        assert res.outcome.is_value and res.check_count == 0
+        tables.append(sorted(show_type(ty) for _, _, ty
+                             in res.state.frame_types.values()))
+    assert tables[0] and tables[0] == tables[1]
 
 
 def _count_replays(monkeypatch):

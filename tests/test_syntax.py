@@ -8,17 +8,20 @@ multiplicity variable ``p``.  The walks built on ``map_children`` and
 
 import dataclasses
 import sys
+import typing
 from collections import Counter
 
 import pytest
 
+from lqlang.multiplicity import MultNF, mult_normalize
 from lqlang.pretty import show_term, summarize
 from lqlang.syntax import (App, ArrName, ArrayLit, Branch, Case, Con, INT,
-                           IntLit, Lam, Let, LetBind, MVar, MultApp, MultLam,
-                           OMEGA, ONE, Prim, TArrow, Term, Var, children,
-                           free_vars, map_children, rename_vars,
+                           IntLit, Lam, Let, LetBind, MVar, MultApp,
+                           MultExpr, MultLam, OMEGA, ONE, Prim, TArrow, TInt,
+                           Term, Type, Var, children, free_vars,
+                           map_children, mult_vars, rename_vars,
                            rhs_free_vars, subterms, term_subst_mult)
-from lqlang.typecheck import strip_annotations
+from lqlang.typecheck import strip_annotations, type_equiv
 
 P = MVar("p")
 P_TY = TArrow(INT, P, INT)
@@ -250,3 +253,107 @@ def test_free_vars_uses_no_host_stack():
         assert rhs_free_vars(t.binds[0]) == ("x",)
     finally:
         sys.setrecursionlimit(limit)
+
+
+# ---------------------------------------------------------------------------
+# Dispatch on the node's type misses no class
+#
+# The walks and the typing helpers choose a branch with ``type(x) is C``
+# tests, which fall through to a default for any class they forget.  The
+# examples here are built from the field declarations of every class found
+# through ``__subclasses__``, so a new class is covered without a new
+# example.
+
+def _example(cls, fresh):
+    """An instance of ``cls`` built from its field declarations; each
+    term-valued slot gets a new ``Var`` from ``fresh``."""
+    hints = typing.get_type_hints(cls)
+    return cls(**{f.name: _value(hints[f.name], fresh)
+                  for f in dataclasses.fields(cls) if f.init and f.compare})
+
+
+def _value(hint, fresh):
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return (_value(item, fresh), _value(item, fresh))
+    if hint is Branch:
+        return Branch(f"B{fresh().name}", ("b",), fresh())
+    if hint is LetBind:
+        return LetBind(f"b{fresh().name}", INT, fresh())
+    if hint is Term:
+        return fresh()
+    if hint is Type:
+        return TInt()
+    if hint is MultExpr:
+        return MVar(fresh().name)
+    return {str: "n", int: 3, bool: False}[hint]
+
+
+def _counter():
+    n = iter(range(1_000))
+    return lambda: Var(f"v{next(n)}")
+
+
+def _classes(base):
+    classes = base.__subclasses__()
+    # the identity tests are exact only if no node class has a subclass
+    assert classes and not any(c.__subclasses__() for c in classes)
+    return classes
+
+
+TERM_CLASSES = _classes(Term)
+
+
+def _declared_children(t):
+    """The term-valued fields of ``t`` in declaration order, let right-hand
+    sides and branch bodies included."""
+    out = []
+    for f in dataclasses.fields(t):
+        value = getattr(t, f.name)
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, Term):
+                out.append(x)
+            elif isinstance(x, Branch):
+                out.append(x.body)
+            elif isinstance(x, LetBind):
+                out.append(x.rhs)
+    return out
+
+
+@pytest.mark.parametrize("cls", TERM_CLASSES, ids=lambda c: c.__name__)
+def test_children_follow_the_field_declarations(cls):
+    t = _example(cls, _counter())
+    assert [id(c) for c in children(t)] == [id(c) for c in
+                                            _declared_children(t)]
+
+
+@pytest.mark.parametrize("cls", TERM_CLASSES, ids=lambda c: c.__name__)
+def test_map_children_copies_every_child(cls):
+    t = _example(cls, _counter())
+    out = map_children(t, dataclasses.replace)
+    assert out == t
+    kids = children(t)
+    assert len(children(out)) == len(kids)
+    assert not {id(c) for c in children(out)} & {id(c) for c in kids}
+    assert (out is t) == (not kids)
+
+
+@pytest.mark.parametrize("cls", _classes(Type), ids=lambda c: c.__name__)
+def test_type_equiv_holds_between_equal_copies(cls):
+    a, b = _example(cls, _counter()), _example(cls, _counter())
+    assert a is not b and a == b
+    assert type_equiv(a, b)
+
+
+def _mult_var_names(m):
+    if isinstance(m, MVar):
+        return {m.name}
+    return set().union(*(_mult_var_names(getattr(m, f.name))
+                         for f in dataclasses.fields(m)))
+
+
+@pytest.mark.parametrize("cls", _classes(MultExpr), ids=lambda c: c.__name__)
+def test_every_multiplicity_normalizes(cls):
+    m = _example(cls, _counter())
+    assert isinstance(mult_normalize(m), MultNF)
+    assert mult_vars(m) == _mult_var_names(m)
