@@ -15,7 +15,7 @@ from .multiplicity import (MultNF, ZERO, mult_equiv, mult_normalize,
 from .parser import SourceFile, parse_prelude, parse_program
 from .runtime import BlockReason, Outcome, OutcomeKind
 from .translate import is_sharing, to_sharing
-from .typecheck import (CheckedProgram, TypeEnv, check_datadecl,
+from .typecheck import (CheckedProgram, TypeEnv, annotate, check_datadecl,
                         check_program, infer)
 
 __version__ = "0.1.0"
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnState", "BlockReason", "CheckError", "CheckedProgram", "Diagnostic",
     "DiffReport", "GenConfig", "Heap", "Kind", "MultNF", "Outcome",
-    "OutcomeKind", "SourceFile", "TypeEnv", "ZERO", "bisim_run",
+    "OutcomeKind", "SourceFile", "TypeEnv", "ZERO", "annotate", "bisim_run",
     "check_datadecl", "check_program", "eval_pure", "eval_term", "fuzz",
     "gen_welltyped", "infer", "initial_state", "instrumented_eval",
     "is_sharing", "mult_equiv", "mult_normalize", "parse_prelude",

@@ -52,24 +52,24 @@ def _prelude_decls() -> tuple[DataDecl, ...]:
     return tuple(parse_prelude().decls)
 
 
-SUMLIST_DEF = (
-    "sumlist",
-    TArrow(LIST_INT, ONE, INT),
-    OMEGA,
-    Lam(ONE, "xs", LIST_INT,
-        Case(ONE, Var("xs"),
-             (Branch("Nil", (), IntLit(0)),
-              Branch("Cons", ("h", "t"),
-                     Prim("add", (Var("h"),
-                                  App(Var("sumlist"), Var("t")))))))),
-)
+def sumlist_def() -> tuple:
+    """The ``sumlist`` definition, built afresh: checking a program writes
+    types into its nodes, so no node may belong to two programs."""
+    return (
+        "sumlist",
+        TArrow(LIST_INT, ONE, INT),
+        OMEGA,
+        Lam(ONE, "xs", LIST_INT,
+            Case(ONE, Var("xs"),
+                 (Branch("Nil", (), IntLit(0)),
+                  Branch("Cons", ("h", "t"),
+                         Prim("add", (Var("h"),
+                                      App(Var("sumlist"), Var("t")))))))),
+    )
 
 
 class GenerationExhausted(Exception):
     pass
-
-
-MAX_RETRIES = 20  # generation attempts per program
 
 
 @dataclass
@@ -383,7 +383,7 @@ class _Gen:
     def program(self) -> GenProgram:
         target = INT if self.cfg.target == "Int" else BOOL
         main = self.gen(target, {}, {}, self.cfg.max_depth)
-        defs = [SUMLIST_DEF] if self.uses_list else []
+        defs = [sumlist_def()] if self.uses_list else []
         return GenProgram(list(_prelude_decls()), defs, main)
 
 
@@ -396,21 +396,17 @@ def _seq_int(consumed_var: str, result: Term) -> Term:
 
 def gen_welltyped(cfg: GenConfig) -> GenProgram:
     """A closed well-typed program of the configured ground type; verified
-    with the typechecker, whose result is kept in ``checked``."""
+    with the typechecker, whose result is kept in ``checked``.  A program
+    the typechecker rejects is a generator bug, raised as
+    ``GenerationExhausted``."""
     cfg.validate()
-    rng = random.Random(f"lq:{cfg.seed}")
-    last_error: Optional[CheckError] = None
-    for _ in range(MAX_RETRIES):
-        gen = _Gen(rng, cfg)
-        prog = gen.program()
-        try:
-            prog.checked = check_program(prog.decls, prog.defs, prog.main)
-            return prog
-        except CheckError as exc:  # pragma: no cover - generator soundness
-            last_error = exc
-    raise GenerationExhausted(
-        f"no well-typed program after {MAX_RETRIES} attempts: "
-        f"{last_error}")
+    prog = _Gen(random.Random(f"lq:{cfg.seed}"), cfg).program()
+    try:
+        prog.checked = check_program(prog.decls, prog.defs, prog.main)
+    except CheckError as exc:  # pragma: no cover - generator soundness
+        raise GenerationExhausted(
+            f"the typechecker rejects a generated program: {exc}") from None
+    return prog
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Abstract syntax: types, terms, datatype declarations, and (re-exported
 from ``multiplicity``) multiplicity expressions.
 
-All nodes are immutable. Structural equality ignores the annotation slots
+All nodes are immutable but for the slots that the checker (``annotate``)
+and the free-variable walk fill in.  Equality ignores the annotation slots
 (``loc``, ``ty``, ``mult_ann``) so that two terms compare equal
 regardless of source position or typechecker output.
 """
@@ -340,7 +341,7 @@ def _with(t, **changes):
     """A copy of the frozen node ``t`` (a term, branch or let binding) with
     ``changes`` to its fields.  Unlike ``dataclasses.replace`` it does not
     re-run ``__post_init__``, so a copied ``Let`` keeps its ``rec``, and it
-    skips ``__init__`` on the hot path of renaming and inference.  Fields
+    skips ``__init__`` on the hot paths of renaming and translation.  Fields
     are set one by one, not through ``__dict__``: touching an instance's
     ``__dict__`` makes CPython give it a separate dict, twice the size."""
     new = _new(type(t))
@@ -416,19 +417,19 @@ def _unbind(t: Term, parts: list[tuple[str, ...]], record: bool) -> None:
     """Remove from the free variables of each child of the binder ``t``
     (``parts``, in the order of ``children``) the names ``t`` binds there;
     with ``record``, first give each let binding its list."""
-    match t:
-        case Lam(_, x):
-            parts[0] = _minus(parts[0], (x,))
-        case Case(_, _, branches):
-            for i, b in enumerate(branches, 1):
-                parts[i] = _minus(parts[i], b.binders)
-        case Let(_, binds):
-            if record:
-                for b, names in zip(binds, parts):
-                    _setattr(b, "fv", names)
-            bound = [b.var for b in binds]
-            for i in range(0 if t.rec else len(binds), len(parts)):
-                parts[i] = _minus(parts[i], bound)
+    cls = type(t)
+    if cls is Let:
+        if record:
+            for b, names in zip(t.binds, parts):
+                _setattr(b, "fv", names)
+        bound = [b.var for b in t.binds]
+        for i in range(0 if t.rec else len(bound), len(parts)):
+            parts[i] = _minus(parts[i], bound)
+    elif cls is Case:
+        for i, b in enumerate(t.branches, 1):
+            parts[i] = _minus(parts[i], b.binders)
+    elif cls is Lam:
+        parts[0] = _minus(parts[0], (t.var,))
 
 
 def _minus(names: tuple[str, ...], bound) -> tuple[str, ...]:

@@ -26,7 +26,7 @@ FRESH_PREFIX = "%s"  # unutterable in surface syntax
 
 def to_sharing(t: Term, env: TypeEnv,
                untyped_arrow_mult: MultExpr | None = None) -> Term:
-    """Translate an annotated term (as produced by ``infer``) into sharing
+    """Translate an annotated term (as ``annotate`` leaves it) into sharing
     form, with each let binding's free-variable list recorded.  Fresh
     names are drawn deterministically from a reserved namespace, so equal
     inputs give equal outputs.

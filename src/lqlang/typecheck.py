@@ -2,16 +2,17 @@
 
 The declarative rules split contexts nondeterministically; here usages are
 synthesized bottom-up instead (multiplicities as outputs) and checked at
-binders with ``sub_usage``.  ``infer`` returns the fully annotated term,
-its type, and the usage of every free variable; ``check_program``
-elaborates top-level definitions into nested lets around ``main`` and
-checks the whole program.
+binders with ``sub_usage``.  ``infer`` only types: it returns a term's
+type and the usage of every free variable, and builds and changes no
+node.  ``annotate`` writes the types into a term that ``infer`` accepts;
+``check_program`` elaborates top-level definitions into nested lets around
+``main`` and annotates the whole program in place.
 
 An environment may carry an ``InferMemo``, which the pure evaluator's
-state check keeps for one run: ``infer`` then only types, with no annotated
-copy, and returns the recorded type and usage of a subterm it has seen, by
-identity, whenever its free variables still have the types they had.
-Without a memo every call infers afresh.
+state check keeps for one run: ``infer`` then returns the recorded type
+and usage of a subterm it has seen, by identity, whenever its free
+variables still have the types they had.  Without a memo every call
+infers afresh.
 
 Every environment derived from a program's ``TypeEnv`` shares its table of
 constructor instances, so ``instantiate_con`` builds each instance once per
@@ -20,7 +21,7 @@ program and repeated field and result types are the same objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .diagnostics import CheckError, Diagnostic, Kind
@@ -33,9 +34,9 @@ from .syntax import (App, ArrName, ArrayLit, Case, Con, DataDecl, INT,
                      IntLit, Lam, Let, LetBind, Loc, MProd, MultApp,
                      MultExpr, MultLam, OMEGA, ONE, Prim, TArray, TArrow,
                      TData, TForall, TInt, TMArray, TVar, Term, Type, Var,
-                     _with, is_omega_mult, map_children, mult_subst,
-                     mult_vars, subterms, type_mult_vars, type_subst_mult,
-                     type_subst_tvars)
+                     _setattr, _with, is_omega_mult, map_children,
+                     mult_subst, mult_vars, subterms, type_mult_vars,
+                     type_subst_mult, type_subst_tvars)
 
 BUILTIN_TYPE_NAMES = frozenset({"Int", "MArray", "Array"})
 
@@ -91,7 +92,6 @@ class TypeEnv:
 
 @dataclass(slots=True)
 class InferResult:
-    term: Term  # fully annotated, or the term itself with a memo
     ty: Type
     usage: Usage
 
@@ -250,7 +250,8 @@ def instantiate_con(env: TypeEnv, con_name: str, type_args: tuple[Type, ...],
 
 @dataclass
 class InferMemo:
-    """What ``infer`` keeps between the calls of one run.
+    """What ``infer`` keeps between the calls of one run.  Under a
+    multiplicity binder a memo neither hits nor records.
 
     ``entries`` maps a subterm's id to the subterm, its type, its usage,
     its free variables (the usage keys) and the types they had.  ``equal``
@@ -272,39 +273,34 @@ class InferMemo:
 
     def hit(self, env: TypeEnv, t: Term) -> Optional[InferResult]:
         entry = self.entries.get(id(t))
-        if entry is None:
+        if entry is None or env.mult_vars:
             return None
         for x, ty in zip(entry[3], entry[4]):
             bound = env.vars.get(x)
             if bound is None or not self.same_type(bound[0], ty):
                 return None
-        return InferResult(t, entry[1], entry[2])
+        return InferResult(entry[1], entry[2])
 
     def record(self, env: TypeEnv, t: Term, r: InferResult) -> None:
-        self.entries[id(t)] = (t, r.ty, r.usage, tuple(r.usage), tuple(
-            [env.vars[x][0] for x in r.usage]))
+        if not env.mult_vars:
+            self.entries[id(t)] = (t, r.ty, r.usage, tuple(r.usage), tuple(
+                [env.vars[x][0] for x in r.usage]))
 
 
 def infer(env: TypeEnv, t: Term) -> InferResult:
-    """Type and usage of ``t``, and ``t`` annotated.  With a memo in
-    ``env``, ``infer`` only types: the result's term is ``t`` itself,
-    unannotated.  With no multiplicity variable in scope either, a subterm
-    seen before whose free variables keep their types is not inferred
-    again: the result is the recorded type and usage.
+    """Type and usage of ``t``; ``t`` itself is left as it is.  With a memo
+    in ``env``, ``infer`` asks it for each subterm's result before typing
+    the subterm and gives it each result it works out.
 
     Binders extend ``env.vars`` in place and restore it before returning,
     also when a ``CheckError`` escapes, so a caller may infer again in the
     same environment.  The usages of results are shared between results
     and never changed."""
     memo = env.memo
-    plain = memo is not None  # type only: no annotated copy
-    if plain:
-        if env.mult_vars:
-            memo = None  # no hit and no entry under a multiplicity binder
-        else:
-            hit = memo.hit(env, t)
-            if hit is not None:
-                return hit
+    if memo is not None:
+        hit = memo.hit(env, t)
+        if hit is not None:
+            return hit
     cls = type(t)
     if cls is Var:
         name = t.name
@@ -312,9 +308,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
         if binding is None:
             raise _fail(Kind.UNBOUND_VARIABLE,
                         f"variable '{name}' is not in scope", t.loc)
-        ty = binding[0]
-        out = InferResult(t if plain else _with(t, ty=ty), ty,
-                          {name: NF_ONE})
+        out = InferResult(binding[0], {name: NF_ONE})
 
     elif cls is Prim:
         name = t.name
@@ -333,9 +327,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
         usage: Usage = {}
         for r, m in zip(rs, mults):
             usage = usage_add(usage, usage_scale(m, r.usage))
-        out = InferResult(
-            t if plain else _with(t, args=tuple([r.term for r in rs]), ty=ty),
-            ty, usage)
+        out = InferResult(ty, usage)
 
     elif cls is App:
         rf = infer(env, t.fun)
@@ -349,15 +341,11 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
             raise _fail(Kind.TYPE_MISMATCH,
                         f"argument has type '{show_type(ra.ty)}' but the "
                         f"function expects '{show_type(fty.dom)}'", t.loc)
-        pi = fty.mult
-        ty = fty.cod
-        out = InferResult(
-            t if plain
-            else _with(t, fun=rf.term, arg=ra.term, ty=ty, mult_ann=pi),
-            ty, usage_add(rf.usage, usage_scale(pi, ra.usage)))
+        out = InferResult(fty.cod,
+                          usage_add(rf.usage, usage_scale(fty.mult, ra.usage)))
 
     elif cls is IntLit:
-        out = InferResult(t if plain else _with(t, ty=INT), INT, {})
+        out = InferResult(INT, {})
 
     elif cls is Let:
         m = t.mult
@@ -376,7 +364,6 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                 for b in binds:
                     vars_[b.var] = (b.var_ty, OMEGA)
             rhs_usage: Usage = {}
-            new_binds = []
             for b in binds:
                 rb = infer(env, b.rhs)
                 if not type_equiv(rb.ty, b.var_ty):
@@ -390,8 +377,6 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                     # recursive refs sit under an w binder
                     u = {x: v for x, v in u.items() if x not in names}
                 rhs_usage = usage_add(rhs_usage, u)
-                if not plain:
-                    new_binds.append(_with(b, rhs=rb.term))
             for b in binds:
                 vars_[b.var] = (b.var_ty, m)
             rb_body = infer(env, t.body)
@@ -400,11 +385,8 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
         usage = dict(rb_body.usage)
         for x in names:
             _require_usage(x, usage.pop(x, ZERO), m, t.loc)
-        ty = rb_body.ty
-        out = InferResult(
-            t if plain
-            else _with(t, binds=tuple(new_binds), body=rb_body.term, ty=ty),
-            ty, usage_add(usage, usage_scale(m, rhs_usage)))
+        out = InferResult(rb_body.ty,
+                          usage_add(usage, usage_scale(m, rhs_usage)))
 
     elif cls is Lam:
         m = t.mult
@@ -421,9 +403,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
             _restore(vars_, saved)
         usage = dict(r.usage)
         _require_usage(x, usage.pop(x, ZERO), m, t.loc)
-        ty = TArrow(a, m, r.ty)
-        out = InferResult(t if plain else _with(t, body=r.term, ty=ty), ty,
-                          usage)
+        out = InferResult(TArrow(a, m, r.ty), usage)
 
     elif cls is Case:
         m = t.mult
@@ -438,7 +418,6 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
         seen: set[str] = set()
         joined: Usage | None = None
         result_ty: Type | None = None
-        new_branches = []
         for br in t.branches:
             if br.con in seen:
                 raise _fail(Kind.MALFORMED_DECL,
@@ -486,13 +465,9 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                             f"variable '{exc.var}' is used at "
                             f"incompatible multiplicities across case "
                             f"branches", br.loc or t.loc) from None
-            if not plain:
-                new_branches.append(_with(br, body=rb.term))
         assert result_ty is not None and joined is not None
-        out = InferResult(
-            t if plain else _with(t, scrut=rs.term,
-                                  branches=tuple(new_branches), ty=result_ty),
-            result_ty, usage_add(usage_scale(m, rs.usage), joined))
+        out = InferResult(result_ty,
+                          usage_add(usage_scale(m, rs.usage), joined))
 
     elif cls is Con:
         name = t.name
@@ -507,7 +482,6 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                         f"constructor '{name}' expects {len(fields)} "
                         f"arguments, got {len(t.args)}", t.loc)
         usage = {}
-        new_args = []
         for (fty, fmult), arg in zip(fields, t.args):
             ra = infer(env, arg)
             if not type_equiv(ra.ty, fty):
@@ -516,10 +490,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                             f"'{show_type(ra.ty)}' but the signature "
                             f"declares '{show_type(fty)}'", t.loc)
             usage = usage_add(usage, usage_scale(fmult, ra.usage))
-            new_args.append(ra.term)
-        out = InferResult(
-            t if plain else _with(t, args=tuple(new_args), ty=result),
-            result, usage)
+        out = InferResult(result, usage)
 
     elif cls is MultApp:
         m = t.mult
@@ -529,17 +500,14 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
             raise _fail(Kind.TYPE_MISMATCH,
                         f"multiplicity application to non-polymorphic "
                         f"type '{show_type(rf.ty)}'", t.loc)
-        ty = type_subst_mult(rf.ty.body, rf.ty.var, m)
-        out = InferResult(t if plain else _with(t, fun=rf.term, ty=ty), ty,
+        out = InferResult(type_subst_mult(rf.ty.body, rf.ty.var, m),
                           usage_subst(rf.usage, rf.ty.var, m))
 
     elif cls is MultLam:
         p = t.param
         _check_fresh(env, p, t.loc)
         r = infer(env.bind_mult(p), t.body)
-        ty = TForall(p, r.ty)
-        out = InferResult(t if plain else _with(t, body=r.term, ty=ty), ty,
-                          r.usage)
+        out = InferResult(TForall(p, r.ty), r.usage)
 
     elif cls is ArrayLit:
         usage = {}
@@ -554,8 +522,8 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
                             f"'{show_type(binding[0])}', expected "
                             f"'{show_type(t.elem_ty)}'", t.loc)
             usage = usage_add(usage, {e: NF_OMEGA})
-        ty = TArray(t.elem_ty) if t.frozen_tag else TMArray(t.elem_ty)
-        out = InferResult(t if plain else _with(t, ty=ty), ty, usage)
+        out = InferResult(
+            TArray(t.elem_ty) if t.frozen_tag else TMArray(t.elem_ty), usage)
 
     elif cls is ArrName:
         raise _fail(Kind.TYPE_MISMATCH,
@@ -727,7 +695,7 @@ def check_datadecl(d: DataDecl, decls: dict[str, DataDecl] | None = None
 
 @dataclass
 class CheckedProgram:
-    term: Term  # annotated whole-program term (defs elaborated as lets)
+    term: Term  # the parsed program, defs elaborated as lets, annotated
     ty: Type
     env: TypeEnv
 
@@ -793,13 +761,14 @@ def check_program(decls: list[DataDecl], defs: Defs,
                                 f"definition '{dup}' appears twice",
                                 second.loc)
 
+    term = elaborate_defs(defs, main)
     try:
-        result = infer(env, elaborate_defs(defs, main))
+        result = annotate(env, term)
     except CheckError as exc:
         raise CheckError(_probe_defs(env, defs) or exc.diagnostics) from None
     leftover = {x for x, u in result.usage.items() if u is not ZERO}
     assert not leftover, f"closed program with residual usage: {leftover}"
-    return CheckedProgram(result.term, result.ty, env)
+    return CheckedProgram(term, result.ty, env)
 
 
 def _probe_defs(env: TypeEnv, defs: Defs) -> list[Diagnostic]:
@@ -832,7 +801,38 @@ def _probe_defs(env: TypeEnv, defs: Defs) -> list[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# Annotation helpers, mostly for tests
+# Annotation
+
+@dataclass
+class _Recorder(InferMemo):
+    """The memo of ``annotate``: it never hits, and keeps each node that
+    ``infer`` types with its type, under multiplicity binders too, in the
+    order ``infer`` finishes them: subterms first."""
+    typed: list[tuple[Term, Type]] = field(default_factory=list)
+
+    def hit(self, env: TypeEnv, t: Term) -> None:
+        return None
+
+    def record(self, env: TypeEnv, t: Term, r: InferResult) -> None:
+        self.typed.append((t, r.ty))
+
+
+def annotate(env: TypeEnv, t: Term) -> InferResult:
+    """``infer`` on ``t``; once ``t`` is accepted, its types are written
+    into ``t`` itself: ``ty`` on every node, and the arrow multiplicity of
+    its function as every application's ``mult_ann``, which the sharing
+    translation reads.  A rejected ``t`` is left as it was."""
+    recorder = _Recorder()
+    result = infer(replace(env, memo=recorder), t)
+    for node, ty in recorder.typed:  # ``fun.ty`` is set before its ``App``
+        _setattr(node, "ty", ty)
+        if type(node) is App:
+            _setattr(node, "mult_ann", node.fun.ty.mult)
+    return result
+
+
+# ---------------------------------------------------------------------------
+# Annotation helpers for tests
 
 def strip_annotations(t: Term) -> Term:
     """``t`` without the typechecker's ``ty`` and ``mult_ann`` fields."""

@@ -8,14 +8,14 @@ from lqlang.runtime import BlockReason, Clo, OutcomeKind
 from lqlang.syntax import (App, ArrName, Branch, Case, Con, INT, IntLit, Lam,
                            Let, LetBind, OMEGA, ONE, Prim, TMArray, Var)
 from lqlang.translate import to_sharing
-from lqlang.typecheck import check_program, infer
+from lqlang.typecheck import annotate, check_program
 
 from conftest import check_corpus, corpus_files
 
 
 def run(env, term, fuel=100_000, trace=False):
-    typed = infer(env, term).term
-    sh = to_sharing(typed, env)
+    annotate(env, term)
+    sh = to_sharing(term, env)
     return eval_term(Heap(), sh, fuel, want_trace=trace)
 
 
@@ -92,7 +92,8 @@ def test_missing_branch_blocks(prelude_env):
 
 def infer_unchecked(env, t):
     # annotate as far as the checker allows; partial cases are built directly
-    return infer(env, t).term
+    annotate(env, t)
+    return t
 
 
 def test_out_of_bounds_blocks(prelude_env):
@@ -116,8 +117,8 @@ def test_trace_constructor_value(prelude_env):
 def test_trace_application(prelude_env):
     t = Let(OMEGA, (LetBind("y", INT, IntLit(5)),),
             App(Lam(ONE, "x", INT, Var("x")), Var("y")))
-    typed = infer(prelude_env, t).term
-    sh = to_sharing(typed, prelude_env)
+    annotate(prelude_env, t)
+    sh = to_sharing(t, prelude_env)
     out, tr = trace_eval(Heap(), sh, 100)
     rules = [r.rule for r in tr]
     assert rules[:3] == ["let", "application", "abs"]
@@ -126,8 +127,8 @@ def test_trace_application(prelude_env):
 
 def test_fuel_zero_non_value(prelude_env):
     t = App(Lam(ONE, "x", INT, Var("x")), IntLit(1))
-    typed = infer(prelude_env, t).term
-    sh = to_sharing(typed, prelude_env)
+    annotate(prelude_env, t)
+    sh = to_sharing(t, prelude_env)
     out, tr = trace_eval(Heap(), sh, 0)
     assert out.kind is OutcomeKind.OUT_OF_FUEL
     assert tr == []

@@ -20,14 +20,14 @@ from lqlang.syntax import (App, ArrayLit, Branch, Case, Con, INT, IntLit,
 from lqlang.translate import to_sharing
 from lqlang.parser import parse_program
 from lqlang.pretty import show_type
-from lqlang.typecheck import check_program, infer
+from lqlang.typecheck import annotate, check_program
 
 from conftest import CORPUS, DATA, check_corpus, corpus_files
 
 
 def prepare(env, term):
-    r = infer(env, term)
-    sh = to_sharing(r.term, env)
+    r = annotate(env, term)
+    sh = to_sharing(term, env)
     return initial_state(sh, r.ty, env)
 
 
@@ -233,8 +233,8 @@ def test_purity_ordinary_mutates_pure_does_not(prelude_env):
     """Same program; the ordinary heap cell is observably overwritten while
     the pure evaluator's original array value survives."""
     from lqlang.eval_ordinary import Heap, eval_term
-    r = infer(prelude_env, ARRAY7)
-    sh = to_sharing(r.term, prelude_env)
+    r = annotate(prelude_env, ARRAY7)
+    sh = to_sharing(ARRAY7, prelude_env)
     ores = eval_term(Heap(), sh, 100_000)
     assert ores.cell_allocs == 1 and ores.write_count == 1
     pres = eval_pure(initial_state(sh, r.ty, prelude_env), 100_000)

@@ -8,14 +8,15 @@ from lqlang.syntax import (App, ArrayLit, Case, Con, INT, IntLit, Lam, Let,
                            OMEGA, ONE, Prim, TArrow, TData, Var, children,
                            free_vars, subterms)
 from lqlang.translate import is_sharing, to_sharing
-from lqlang.typecheck import infer, strip_annotations, type_equiv
+from lqlang.typecheck import (annotate, infer, strip_annotations,
+                              type_equiv)
 
 from conftest import check_corpus, corpus_files
 
 
 def translate(env, term):
-    typed = infer(env, term).term
-    return to_sharing(typed, env)
+    annotate(env, term)
+    return to_sharing(term, env)
 
 
 def test_application_argument_let_bound(prelude_env):
@@ -90,8 +91,8 @@ def test_translation_preserves_free_variable_usage(prelude_env):
            .bind_var("f", TArrow(INT, ONE, INT), OMEGA)
            .bind_var("x", INT, ONE))
     t = App(Var("f"), Prim("add", (Var("x"), IntLit(1))))
-    before = infer(env, t)
-    sh = to_sharing(before.term, env)
+    before = annotate(env, t)
+    sh = to_sharing(t, env)
     after = infer(env, strip_annotations(sh))
     assert before.usage == after.usage
 

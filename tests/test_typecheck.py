@@ -12,12 +12,15 @@ from lqlang.parser import parse_program
 from lqlang.syntax import (App, Branch, Case, Con, ConDecl, DataDecl, INT,
                            IntLit, Lam, Let, LetBind, MProd, MVar, MultApp,
                            MultLam, OMEGA, ONE, Prim, TArray, TArrow, TData,
-                           TForall, TMArray, TVar, Var, term_subst_mult)
-from lqlang.typecheck import (InferMemo, TypeEnv, annotations_equal,
-                              check_datadecl, check_program, infer,
-                              instantiate_con, strip_annotations, type_equiv)
+                           TForall, TMArray, TVar, Var, subterms,
+                           term_subst_mult)
+from lqlang.typecheck import (InferMemo, TypeEnv, annotate,
+                              annotations_equal, check_datadecl,
+                              check_program, infer, instantiate_con,
+                              strip_annotations, type_equiv)
 
-from conftest import CORPUS, check_corpus, corpus_files
+from conftest import (CORPUS, check_corpus, corpus_files, load_corpus,
+                      reject_files)
 
 P11 = TData("Pair", (ONE, ONE), (INT, INT))
 
@@ -242,16 +245,67 @@ def test_determinism(prelude_env):
             Case(ONE, Var("x"),
                  (Branch("MkPair", ("a", "b"), mkpair(Var("b"), Var("a"))),)))
     r1, r2 = infer(prelude_env, t), infer(prelude_env, t)
-    assert r1.ty == r2.ty and r1.usage == r2.usage and r1.term == r2.term
+    assert r1.ty == r2.ty and r1.usage == r2.usage
 
 
-def test_recheck_reproduces_annotations(prelude_env):
-    t = Lam(ONE, "x", P11,
-            Case(ONE, Var("x"),
-                 (Branch("MkPair", ("a", "b"), mkpair(Var("b"), Var("a"))),)))
-    typed = infer(prelude_env, t).term
-    again = infer(prelude_env, strip_annotations(typed)).term
-    assert annotations_equal(typed, again)
+def test_recheck_reproduces_annotations(prelude):
+    """``check_program`` annotates every node of the program it accepts,
+    and annotating an unannotated copy writes the same annotations: here
+    on the corpus and gen seeds 0-49."""
+    from lqlang.harness import GenConfig, gen_welltyped
+    programs = [check_corpus(path, prelude) for path in corpus_files()]
+    programs += [gen_welltyped(GenConfig(seed=s)).checked for s in range(50)]
+    for checked in programs:
+        nodes = list(subterms(checked.term))
+        assert all(n.ty is not None for n in nodes)
+        assert all(n.mult_ann is not None for n in nodes
+                   if isinstance(n, App))
+        again = strip_annotations(checked.term)
+        assert not annotations_equal(checked.term, again)
+        annotate(checked.env, again)
+        assert annotations_equal(checked.term, again)
+
+
+def test_check_program_annotates_the_parsed_term_without_copying(
+        prelude, monkeypatch):
+    """``check_program`` writes the annotations into the parsed program
+    itself: no node is copied, and the checked term holds ``main``."""
+    import lqlang.syntax as S
+    import lqlang.typecheck as T
+    real = S._with
+    copies = Counter()
+
+    def counting(t, **changes):
+        copies[type(t).__name__] += 1
+        return real(t, **changes)
+
+    sfs = [load_corpus(path, prelude) for path in corpus_files()]
+    monkeypatch.setattr(S, "_with", counting)
+    monkeypatch.setattr(T, "_with", counting)
+    for sf in sfs:
+        checked = T.check_program(sf.decls, sf.defs, sf.main)
+        assert any(n is sf.main for n in subterms(checked.term))
+        assert sf.main.ty is not None
+    assert copies == Counter()
+
+
+def test_a_rejected_program_stays_as_parsed(prelude):
+    """Annotations are written only once the whole program is accepted:
+    after a rejection no node of the parsed program has any."""
+    parsed = 0
+    for path in reject_files():
+        try:
+            sf = load_corpus(path, prelude)
+        except CheckError:
+            continue  # rejected by the parser
+        with pytest.raises(CheckError):
+            check_program(sf.decls, sf.defs, sf.main)
+        for term in [sf.main] + [rhs for *_, rhs in sf.defs]:
+            for n in subterms(term):
+                assert n.ty is None, (path.name, n)
+                assert not isinstance(n, App) or n.mult_ann is None
+        parsed += 1
+    assert parsed >= 10
 
 
 def test_zero_fits_omega_binder(prelude_env):
@@ -489,8 +543,8 @@ def test_usage_keys_are_the_free_variables(prelude, monkeypatch):
 @dataclass
 class CountingMemo(InferMemo):
     """An ``InferMemo`` that counts its hits, by whether a multiplicity
-    variable is in scope.  With a memo, a hit and a miss both return the
-    term itself, so only the memo can tell them apart."""
+    variable is in scope.  A hit and a miss give the same result, so only
+    the memo can tell them apart."""
     hits: Counter = field(default_factory=Counter)
 
     def hit(self, env, t):
@@ -507,7 +561,7 @@ def test_memo_reinfers_when_a_free_variable_changes_type(prelude_env):
     as_bool = env.bind_var("x", TData("Bool"), OMEGA)
     lam = Lam(OMEGA, "y", INT, Var("x"))
     assert type_equiv(infer(as_int, lam).ty, TArrow(INT, OMEGA, INT))
-    assert infer(as_int, lam).term is lam
+    infer(as_int, lam)
     assert memo.hits["outside"] == 1  # the second inference was a hit
     again = infer(as_bool, lam)
     assert memo.hits["outside"] == 1  # this one was not
@@ -536,10 +590,10 @@ def test_memo_never_hits_under_a_mult_lambda(prelude_env):
 
 
 def test_memo_types_as_the_memoless_infer_does(prelude):
-    """With a memo ``infer`` only types: a miss returns the term itself, as
-    a hit does, with the type and usage that a memo-less ``infer`` gives.
-    Here on the source and sharing forms of the corpus and gen seeds 0-49,
-    each typed twice, so that the second is a hit."""
+    """With a memo, a miss and a hit give the type and usage that a
+    memo-less ``infer`` gives.  Here on the source and sharing forms of
+    the corpus and gen seeds 0-49, each typed twice, so that the second is
+    a hit."""
     from lqlang.harness import GenConfig, gen_welltyped
     from lqlang.translate import to_sharing
     programs = [check_corpus(path, prelude) for path in corpus_files()]
@@ -551,7 +605,6 @@ def test_memo_types_as_the_memoless_infer_does(prelude):
             env = replace(checked.env, memo=memo)
             for hits in (0, 1):
                 r = infer(env, t)
-                assert r.term is t
                 assert type_equiv(r.ty, want.ty) and r.usage == want.usage
                 assert memo.hits["outside"] == hits
 
