@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .pretty import summarize
-from .runtime import (BlockReason, Clo, EMPTY_ENV, Env, Machine, Outcome,
-                      TraceRecord, arith)
+from .runtime import (ARITH, BlockReason, Clo, EMPTY_ENV, Env, Machine,
+                      Outcome, TraceRecord, arith)
 from .syntax import (App, ArrName, ArrayLit, Case, Con, IntLit, Lam, Let,
                      LetBind, MultApp, MultLam, ONE, Prim, Term, Var,
                      term_subst_mult)
@@ -269,6 +269,11 @@ def _eval_prim(st: _State, t: Prim, env: Env, name: str,
         raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "prim", "",
                          f"primitive '{name}' expects {arity} arguments, "
                          f"got {len(args)}")
+    if name in ARITH:
+        st.tick("prim", t, env)
+        a = _force_int(st, name, args[0], env)
+        b = _force_int(st, name, args[1], env)
+        return Clo(arith(name, a, b))
     match name:
         case "newMArray":
             st.tick("newMArray", t, env)
@@ -325,12 +330,6 @@ def _eval_prim(st: _State, t: Prim, env: Env, name: str,
                                           want_frozen=True)
             _check_bounds(st, name, cell_name, cell, i)
             return _eval(st, Var(cell.elems[i]), EMPTY_ENV)
-
-        case "add" | "sub" | "mul" | "eq" | "lt":
-            st.tick("prim", t, env)
-            a = _force_int(st, name, args[0], env)
-            b = _force_int(st, name, args[1], env)
-            return Clo(arith(name, a, b))
 
         case _:
             raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "prim", "",

@@ -52,8 +52,8 @@ from typing import Iterator, Optional
 
 from .multiplicity import NF_OMEGA, NF_ONE, mult_normalize
 from .pretty import summarize
-from .runtime import (BlockReason, Clo, Env, Machine, Outcome, TraceRecord,
-                      arith)
+from .runtime import (ARITH, BlockReason, Clo, Env, Machine, Outcome,
+                      TraceRecord, arith)
 from .statecheck import (UNIT_VAL, AnnState, Checker, EnvBind, SEntry,
                          state_welltyped, with_internal_decls)
 from .syntax import (App, ArrayLit, Case, Con, IntLit, Lam, Let, LetBind,
@@ -497,6 +497,11 @@ def _eval_prim(st: _PState, t: Prim, env: Env, name: str,
     # one closure per argument, so an argument pending in several premises
     # is one term to the state check
     cargs = tuple(Clo(a, env) for a in args)
+    if name in ARITH:
+        st.tick("prim", t, env)
+        a = _want_int(st, name, _prim_arg(st, name, cargs, 0, demand, stack))
+        b = _want_int(st, name, _prim_arg(st, name, cargs, 1, demand, stack))
+        return _ret(st, "prim", Clo(arith(name, a, b)), demand, ty, stack)
     match name:
         case "newMArray":
             st.tick("newMArray", t, env)
@@ -567,15 +572,6 @@ def _eval_prim(st: _PState, t: Prim, env: Env, name: str,
             elem_ty = b.ty if b is not None else arr.elem_ty
             return _eval(st, Clo(Var(elem_name, ty=elem_ty)), demand, elem_ty,
                          stack)
-
-        case "add" | "sub" | "mul" | "eq" | "lt":
-            st.tick("prim", t, env)
-            a = _want_int(st, name, _prim_arg(st, name, cargs, 0,
-                                              demand, stack))
-            b = _want_int(st, name, _prim_arg(st, name, cargs, 1,
-                                              demand, stack))
-            return _ret(st, "prim", Clo(arith(name, a, b)), demand, ty,
-                        stack)
 
         case _:
             raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "prim", "",

@@ -234,13 +234,6 @@ def usage_add(u1: Usage, u2: Usage) -> Usage:
     return out
 
 
-def usage_add_into(acc: Usage, u: Usage) -> Usage:
-    """``usage_add`` into ``acc`` in place; returns ``acc``."""
-    for x, m in u.items():
-        acc[x] = mult_add(acc.get(x, ZERO), m)
-    return acc
-
-
 def usage_scale(pi: MultExpr, u: Usage) -> Usage:
     """``pi`` times every entry of ``u``.  Scaling by 1 returns ``u`` itself,
     so callers must not mutate the result."""

@@ -59,8 +59,9 @@ class Clo:
         return self._built
 
 
-_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-          "eq": operator.eq, "lt": operator.lt}
+# the arithmetic primitives, which both evaluators test for first
+ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+         "eq": operator.eq, "lt": operator.lt}
 _BOOL = TData("Bool")
 
 
@@ -68,7 +69,7 @@ def arith(name: str, a: int, b: int) -> Term:
     """The typed value of the primitive ``name`` (``add``, ``sub``, ``mul``,
     ``eq`` or ``lt``) on ``a`` and ``b``: an integer, or ``True``/``False``
     for a comparison."""
-    result = _ARITH[name](a, b)
+    result = ARITH[name](a, b)
     if isinstance(result, bool):
         return Con("True" if result else "False", (), (), (), ty=_BOOL)
     return IntLit(result, ty=INT)

@@ -182,7 +182,7 @@ def _declared(cache: CheckCache, xi: TypeEnv, typed: tuple[Clo, Type, Usage],
     """The usage of a typed closure, if its type is ``ty`` and ``ty`` is
     well-formed."""
     _, t_ty, u = typed
-    if not cache.same_type(t_ty, ty):
+    if not type_equiv(t_ty, ty):
         return None
     if id(ty) not in cache.types:
         try:
@@ -193,35 +193,18 @@ def _declared(cache: CheckCache, xi: TypeEnv, typed: tuple[Clo, Type, Usage],
     return u
 
 
-_TYPE = operator.itemgetter(0)  # of a (type, multiplicity) binding
-
-
 def _infer_clo(env: TypeEnv, clo: Clo) -> Optional[tuple[Type, Usage]]:
     """Type and usage of the built term of ``clo`` in ``env``, or None if
     it is ill-typed there.
 
     The closure's source term is inferred, each of its binders bound in
     place to the type of the name it stands for and restored afterwards,
-    so that the memo in ``env`` meets the program's own subterms; its
-    usage is then renamed back through the closure's environment.  The
-    built term is inferred only when two free variables of the source
-    term stand for one name: merging their usages would not be exact,
-    since a case join is not additive."""
+    so that ``infer`` finds the program's own subterms in the memo in
+    ``env`` (``InferMemo.hit``); its usage is then renamed back through
+    the closure's environment.  The built term is inferred only when two
+    free variables of the source term stand for one name: merging their
+    usages would not be exact, since a case join is not additive."""
     vars_ = env.vars
-    memo = env.memo
-    hit = (memo.entries.get(id(clo.term))
-           if memo is not None and not env.mult_vars else None)
-    if hit is not None:
-        # what ``infer`` would find in the memo, read through the closure's
-        # environment without binding its binders
-        names = list(map(clo.env.get, hit[3], hit[3]))
-        bound = list(map(vars_.get, names))
-        if None not in bound:
-            usage: Usage = dict(zip(names, hit[2].values()))
-            if len(usage) == len(names) and (
-                    all(map(operator.is_, map(_TYPE, bound), hit[4]))
-                    or all(map(memo.same_type, map(_TYPE, bound), hit[4]))):
-                return hit[1], usage
     saved: list[tuple[str, object]] = []
     for x, bound in [(x, vars_.get(y)) for x, y in clo.env.items()]:
         if bound is not None:
@@ -238,7 +221,7 @@ def _infer_clo(env: TypeEnv, clo: Clo) -> Optional[tuple[Type, Usage]]:
         if len(set(names)) == len(names):
             return None
     else:
-        usage = {}
+        usage: Usage = {}
         for x, u in r.usage.items():
             y = clo.env.get(x, x)
             if y not in vars_:
@@ -427,7 +410,7 @@ class Checker:
         for b in order:
             ctx = xi.vars.get(b.name)
             if (b.forcing if ctx is None else b.linear and not b.forcing
-                    or not self.cache.same_type(ctx[0], b.ty)):
+                    or not type_equiv(ctx[0], b.ty)):
                 return False
         self.stale = False
         self.xi = xi

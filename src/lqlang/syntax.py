@@ -31,6 +31,8 @@ class Loc:
 
 class Type:
     __slots__ = ()
+    # the key ``typecheck.type_key`` works out for the type and keeps on it
+    _key = None
 
 
 @dataclass(frozen=True)
@@ -356,10 +358,13 @@ _setattr = object.__setattr__
 
 
 def subterms(t: Term) -> Iterator[Term]:
-    """The term and all of its descendants, pre-order."""
-    yield t
-    for c in children(t):
-        yield from subterms(c)
+    """The term and all of its descendants, pre-order.  The walk keeps its
+    own stack, so no nesting depth meets Python's recursion limit."""
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        yield s
+        todo.extend(reversed(children(s)))
 
 
 def free_vars(t: Term) -> frozenset[str]:

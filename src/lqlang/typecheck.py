@@ -8,6 +8,10 @@ node.  ``annotate`` writes the types into a term that ``infer`` accepts;
 ``check_program`` elaborates top-level definitions into nested lets around
 ``main`` and annotates the whole program in place.
 
+Two types are equal up to the multiplicity semiring and the renaming of
+``forall`` binders.  ``type_equiv`` decides it by identity or by one
+comparison of the keys ``type_key`` keeps on each type object.
+
 An environment may carry an ``InferMemo``, which the pure evaluator's
 state check keeps for one run: ``infer`` then returns the recorded type
 and usage of a subterm it has seen, by identity, whenever its free
@@ -104,44 +108,52 @@ def _fail(kind: Kind, msg: str, loc: Loc | None) -> CheckError:
 # Type equality (alpha-equivalence on forall binders, multiplicities up to
 # semiring equivalence)
 
-def _nf_key(m: MultExpr, ren: dict[str, str]):
-    nf = mult_normalize(m)
-    return tuple(sorted((tuple(sorted(ren.get(v, v) for v in mono)), c)
-                        for mono, c in nf.terms))
+def type_key(t: Type) -> tuple:
+    """The key of ``t``: two types are equal exactly when their keys are.
+    Each part is led by its class, each multiplicity is its normal form,
+    and each ``forall`` binder is named by its depth.  A key depends only
+    on the type's structure, so it is worked out once and kept on ``t``."""
+    return t._key or _key(t, {}, 0)
 
 
-def _type_eq(a: Type, b: Type, ra: dict[str, str], rb: dict[str, str],
-             depth: int) -> bool:
-    cls = type(a)
-    if cls is not type(b):
-        return False
-    if cls is TInt:
-        return True
+def _key(t: Type, ren: dict[str, str], depth: int) -> tuple:
+    """The key of ``t`` under ``depth`` ``forall`` binders, named in ``ren``;
+    outside every binder it is the key kept on ``t``."""
+    if not depth and t._key is not None:
+        return t._key
+    cls = type(t)
     if cls is TArrow:
-        return (_nf_key(a.mult, ra) == _nf_key(b.mult, rb)
-                and _type_eq(a.dom, b.dom, ra, rb, depth)
-                and _type_eq(a.cod, b.cod, ra, rb, depth))
-    if cls is TData:
-        ms1, ms2, ts1, ts2 = a.mult_args, b.mult_args, a.type_args, b.type_args
-        return (a.name == b.name and len(ms1) == len(ms2)
-                and len(ts1) == len(ts2)
-                and all(_nf_key(m1, ra) == _nf_key(m2, rb)
-                        for m1, m2 in zip(ms1, ms2))
-                and all(_type_eq(t1, t2, ra, rb, depth)
-                        for t1, t2 in zip(ts1, ts2)))
-    if cls is TMArray or cls is TArray:
-        return _type_eq(a.elem, b.elem, ra, rb, depth)
-    if cls is TVar:
-        return a.name == b.name
-    if cls is TForall:
-        tag = f"\x00{depth}"
-        return _type_eq(a.body, b.body, {**ra, a.var: tag},
-                        {**rb, b.var: tag}, depth + 1)
-    return False
+        key = (TArrow, _key(t.dom, ren, depth), _mult_key(t.mult, ren),
+               _key(t.cod, ren, depth))
+    elif cls is TData:
+        key = (TData, t.name, tuple([_mult_key(m, ren) for m in t.mult_args]),
+               tuple([_key(a, ren, depth) for a in t.type_args]))
+    elif cls is TMArray or cls is TArray:
+        key = (cls, _key(t.elem, ren, depth))
+    elif cls is TForall:
+        key = (TForall,
+               _key(t.body, {**ren, t.var: f"\x00{depth}"}, depth + 1))
+    elif cls is TVar:
+        key = (TVar, t.name)
+    elif cls is TInt:
+        key = (TInt,)
+    else:
+        raise AssertionError(t)
+    if not depth:
+        _setattr(t, "_key", key)
+    return key
+
+
+def _mult_key(m: MultExpr, ren: dict[str, str]) -> tuple:
+    terms = mult_normalize(m).terms
+    if not ren:
+        return terms
+    return tuple(sorted((tuple(sorted([ren.get(v, v) for v in mono])), c)
+                        for mono, c in terms))
 
 
 def type_equiv(a: Type, b: Type) -> bool:
-    return a is b or _type_eq(a, b, {}, {}, 0)
+    return a is b or type_key(a) == type_key(b)
 
 
 # ---------------------------------------------------------------------------
@@ -254,22 +266,12 @@ class InferMemo:
     multiplicity binder a memo neither hits nor records.
 
     ``entries`` maps a subterm's id to the subterm, its type, its usage,
-    its free variables (the usage keys) and the types they had.  ``equal``
-    holds the pairs of types found equivalent, by id.  Each entry holds its
-    objects, so their ids cannot be reused.  A memo assumes the datatype
-    declarations stay the same."""
+    its free variables (the usage keys) and the types they had, which a hit
+    compares with ``type_equiv``.  Each entry holds its objects, so their
+    ids cannot be reused.  A memo assumes the datatype declarations stay
+    the same."""
     entries: dict[int, tuple[Term, Type, Usage, tuple[str, ...],
                              tuple[Type, ...]]] = field(default_factory=dict)
-    equal: dict[tuple[int, int], tuple[Type, Type]] = field(
-        default_factory=dict)
-
-    def same_type(self, a: Type, b: Type) -> bool:
-        if a is b or (id(a), id(b)) in self.equal:
-            return True
-        if not type_equiv(a, b):
-            return False
-        self.equal[id(a), id(b)] = (a, b)
-        return True
 
     def hit(self, env: TypeEnv, t: Term) -> Optional[InferResult]:
         entry = self.entries.get(id(t))
@@ -277,7 +279,7 @@ class InferMemo:
             return None
         for x, ty in zip(entry[3], entry[4]):
             bound = env.vars.get(x)
-            if bound is None or not self.same_type(bound[0], ty):
+            if bound is None or not type_equiv(bound[0], ty):
                 return None
         return InferResult(entry[1], entry[2])
 

@@ -527,10 +527,10 @@ def test_checks_do_not_grow_with_the_state(prelude, monkeypatch, family):
 
 def test_case_frames_have_one_type_per_run(prelude):
     """Each case node's frame has one type per result type and run, so the
-    check's type caches, keyed by identity, stop growing once every rule
-    has been seen: 4 and 4 entries at n = 25 and 200.  A frame type built
-    at every case step added an entry to each cache per step (53 and 29 at
-    n = 25, 403 and 204 at n = 200)."""
+    check's table of well-formed types, keyed by identity, stops growing
+    once every rule has been seen: 4 entries at n = 25 and 200.  A frame
+    type built at every case step added an entry per step (29 at n = 25,
+    204 at n = 200)."""
     sizes = []
     for n in (25, 200):
         checked = _checked_text(prelude, _tri(n))
@@ -539,7 +539,7 @@ def test_case_frames_have_one_type_per_run(prelude):
                                 10_000_000)
         assert res.outcome.is_value
         cache = res.state.checker.cache
-        sizes.append((len(cache.equal), len(cache.types)))
+        sizes.append(len(cache.types))
     assert sizes[0] == sizes[1]
 
 

@@ -21,7 +21,10 @@ from lqlang.syntax import (App, ArrName, ArrayLit, Branch, Case, Con, INT,
                            Term, Type, Var, children, free_vars,
                            map_children, mult_vars, rename_vars,
                            rhs_free_vars, subterms, term_subst_mult)
+from lqlang.translate import to_sharing
 from lqlang.typecheck import strip_annotations, type_equiv
+
+from conftest import check_corpus, corpus_files
 
 P = MVar("p")
 P_TY = TArrow(INT, P, INT)
@@ -253,6 +256,40 @@ def test_free_vars_uses_no_host_stack():
         assert rhs_free_vars(t.binds[0]) == ("x",)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_subterms_uses_no_host_stack():
+    """``subterms`` walks on an explicit stack: a 50,000-deep nested
+    ``add``, built directly, under CPython's default recursion limit."""
+    t = Var("x")
+    for i in range(50_000):
+        t = Prim("add", (IntLit(i), t))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        walked = list(subterms(t))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(walked) == 100_001
+    assert walked[0] is t and walked[1] is t.args[0]
+    assert walked[-1] == Var("x")
+
+
+def _recursive_subterms(t):
+    """The pre-order of ``subterms`` as one recursive generator per level."""
+    yield t
+    for c in children(t):
+        yield from _recursive_subterms(c)
+
+
+def test_subterms_keeps_the_recursive_pre_order(prelude):
+    """On the checked and sharing forms of ``corpus/*.lq``, ``subterms``
+    yields the nodes of the recursive pre-order, in its order."""
+    for path in corpus_files():
+        checked = check_corpus(path, prelude)
+        for t in (checked.term, to_sharing(checked.term, checked.env)):
+            assert ([id(s) for s in subterms(t)]
+                    == [id(s) for s in _recursive_subterms(t)]), path
 
 
 # ---------------------------------------------------------------------------

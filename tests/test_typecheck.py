@@ -1,6 +1,7 @@
 """The typing rules, their verdicts on the canonical examples, and the
 algorithmic contracts (usages as outputs, checked at binders)."""
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -9,15 +10,16 @@ import pytest
 from lqlang.diagnostics import CheckError, Kind
 from lqlang.multiplicity import NF_OMEGA, NF_ONE, mult_normalize
 from lqlang.parser import parse_program
+from lqlang.pretty import show_type
 from lqlang.syntax import (App, Branch, Case, Con, ConDecl, DataDecl, INT,
-                           IntLit, Lam, Let, LetBind, MProd, MVar, MultApp,
-                           MultLam, OMEGA, ONE, Prim, TArray, TArrow, TData,
-                           TForall, TMArray, TVar, Var, subterms,
-                           term_subst_mult)
+                           IntLit, Lam, Let, LetBind, MProd, MSum, MVar,
+                           MultApp, MultLam, OMEGA, ONE, Prim, TArray, TArrow,
+                           TData, TForall, TMArray, TVar, Var, subterms,
+                           term_subst_mult, type_subst_mult)
 from lqlang.typecheck import (InferMemo, TypeEnv, annotate,
                               annotations_equal, check_datadecl,
                               check_program, infer, instantiate_con,
-                              strip_annotations, type_equiv)
+                              strip_annotations, type_equiv, type_key)
 
 from conftest import (CORPUS, check_corpus, corpus_files, load_corpus,
                       reject_files)
@@ -607,6 +609,136 @@ def test_memo_types_as_the_memoless_infer_does(prelude):
                 r = infer(env, t)
                 assert type_equiv(r.ty, want.ty) and r.usage == want.usage
                 assert memo.hits["outside"] == hits
+
+
+# --- type equality -------------------------------------------------------------
+
+def _int_to_int(m):
+    return TArrow(INT, m, INT)
+
+
+P, Q, R = MVar("p"), MVar("q"), MVar("r")
+BOOL = TData("Bool")
+
+# (a, b, are they equal types?)
+TYPE_PAIRS = [
+    (_int_to_int(MSum(P, Q)), _int_to_int(MSum(Q, P)), True),
+    (_int_to_int(MProd(ONE, P)), _int_to_int(P), True),
+    (_int_to_int(MProd(OMEGA, P)), _int_to_int(MProd(P, OMEGA)), True),
+    (_int_to_int(MSum(P, P)), _int_to_int(MProd(OMEGA, P)), True),
+    (_int_to_int(MSum(P, Q)), _int_to_int(MProd(P, Q)), False),
+    (_int_to_int(ONE), _int_to_int(OMEGA), False),
+    (TForall("p", _int_to_int(P)), TForall("r", _int_to_int(R)), True),
+    (TForall("p", _int_to_int(P)), TForall("r", _int_to_int(P)), False),
+    (TForall("p", _int_to_int(P)), _int_to_int(P), False),
+    (TForall("p", TForall("q", TArrow(INT, P, _int_to_int(Q)))),
+     TForall("q", TForall("p", TArrow(INT, Q, _int_to_int(P)))), True),
+    (TForall("p", TForall("q", TArrow(INT, P, _int_to_int(Q)))),
+     TForall("p", TForall("q", TArrow(INT, Q, _int_to_int(P)))), False),
+    (TForall("p", TForall("p", _int_to_int(P))),
+     TForall("q", TForall("r", _int_to_int(R))), True),
+    (TForall("p", TForall("p", _int_to_int(P))),
+     TForall("q", TForall("r", _int_to_int(Q))), False),
+    (TData("Pair", (ONE, ONE), (INT, INT)),
+     TData("Pair", (ONE, ONE), (INT, BOOL)), False),
+    (TData("Pair", (MSum(P, Q), ONE), (INT, INT)),
+     TData("Pair", (MSum(Q, P), ONE), (INT, INT)), True),
+    (TData("Pair", (ONE, OMEGA), (INT, INT)),
+     TData("Pair", (OMEGA, ONE), (INT, INT)), False),
+    (TMArray(INT), TArray(INT), False),
+    (TVar("a"), TData("a"), False),
+]
+
+
+def test_type_equiv_is_up_to_normal_forms_and_binder_renaming():
+    wrong = [(show_type(a), show_type(b)) for a, b, equal in TYPE_PAIRS
+             if type_equiv(a, b) is not equal
+             or type_equiv(b, a) is not equal]
+    assert not wrong
+
+
+def _same_type(a, b, ra, rb, tags):
+    """A structural comparison of two types: each multiplicity by its
+    normal form, with the variables of enclosing binders renamed alike."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, TForall):
+        tag = f"#{next(tags)}"
+        return _same_type(a.body, b.body, {**ra, a.var: tag},
+                          {**rb, b.var: tag}, tags)
+    if isinstance(a, TArrow):
+        return (_same_mult(a.mult, b.mult, ra, rb)
+                and _same_type(a.dom, b.dom, ra, rb, tags)
+                and _same_type(a.cod, b.cod, ra, rb, tags))
+    if isinstance(a, TData):
+        return (a.name == b.name
+                and len(a.mult_args) == len(b.mult_args)
+                and len(a.type_args) == len(b.type_args)
+                and all(_same_mult(m, n, ra, rb)
+                        for m, n in zip(a.mult_args, b.mult_args))
+                and all(_same_type(s, t, ra, rb, tags)
+                        for s, t in zip(a.type_args, b.type_args)))
+    if isinstance(a, (TMArray, TArray)):
+        return _same_type(a.elem, b.elem, ra, rb, tags)
+    if isinstance(a, TVar):
+        return a.name == b.name
+    return True
+
+
+def _same_mult(m, n, ra, rb):
+    def renamed(x, ren):
+        return sorted((sorted(ren.get(v, v) for v in mono), c)
+                      for mono, c in mult_normalize(x).terms)
+    return renamed(m, ra) == renamed(n, rb)
+
+
+def _respelled(t, fresh):
+    """``t`` written another way: binders renamed, and each multiplicity
+    ``m`` written ``1 * m``."""
+    if isinstance(t, TForall):
+        p = f"{t.var}{next(fresh)}"
+        return TForall(p, _respelled(type_subst_mult(t.body, t.var, MVar(p)),
+                                     fresh))
+    if isinstance(t, TArrow):
+        return TArrow(_respelled(t.dom, fresh), MProd(ONE, t.mult),
+                      _respelled(t.cod, fresh))
+    if isinstance(t, TData):
+        return TData(t.name, tuple(MProd(ONE, m) for m in t.mult_args),
+                     tuple(_respelled(a, fresh) for a in t.type_args))
+    if isinstance(t, (TMArray, TArray)):
+        return type(t)(_respelled(t.elem, fresh))
+    return t
+
+
+def test_type_equiv_agrees_with_a_structural_comparison(prelude):
+    """Every type that ``annotate`` writes on the corpus and gen seeds
+    0-49, and each written another way (``_respelled``), one of each
+    printed form: ``type_equiv`` agrees with ``_same_type`` on every
+    pair."""
+    from lqlang.harness import GenConfig, gen_welltyped
+    programs = [check_corpus(path, prelude) for path in corpus_files()]
+    programs += [gen_welltyped(GenConfig(seed=s)).checked for s in range(50)]
+    fresh = itertools.count()
+    types = {}
+    for checked in programs:
+        for node in subterms(checked.term):
+            types.setdefault(show_type(node.ty), node.ty)
+    for ty in list(types.values()):
+        again = _respelled(ty, fresh)
+        types.setdefault(show_type(again), again)
+    types = list(types.values())
+    assert len(types) > 50
+    tags = itertools.count()
+    for i, a in enumerate(types):
+        for b in types[i:]:
+            assert type_equiv(a, b) == _same_type(a, b, {}, {}, tags), (
+                show_type(a), show_type(b))
+
+
+def test_a_type_keeps_its_key():
+    for ty in [INT, BOOL, *(t for pair in TYPE_PAIRS for t in pair[:2])]:
+        key = type_key(ty)
+        assert type_key(ty) is key
 
 
 # --- constructor instances -----------------------------------------------------
