@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .pretty import show_term, summarize
-from .syntax import (Con, INT, IntLit, LetBind, TData, Term, rename_vars,
-                     rhs_free_vars)
+from .syntax import Con, INT, IntLit, LetBind, TData, Term, rename_vars
 
 # Source binder -> the heap or environment name it stands for.  An
 # environment is never changed once built; extending one copies it.  A name
@@ -152,11 +151,16 @@ class Machine:
     def trim(self, env: Env, b: LetBind) -> Env:
         """``env`` cut down to the free variables of ``b``'s right-hand
         side, so that a stored closure keeps only the names it can reach.
-        The list is the one the sharing translation recorded on ``b``, so
-        a step does not walk the term."""
+        The list is the one the sharing translation, or the ``newMArray``
+        rule that built ``b``, recorded on it (``LetBind.fv``), so a step
+        does not walk the term; a binding without one is a program that
+        did not go through the translation."""
+        fv = b.fv
+        assert fv is not None, (
+            f"let binding '{b.var}' has no recorded free-variable list")
         if not env:
             return env
-        return {x: env[x] for x in rhs_free_vars(b) if x in env}
+        return {x: env[x] for x in fv if x in env}
 
     def tick(self, rule: str, redex: Term, env: Env) -> None:
         """Count one rule application to the closure ``redex``/``env``."""

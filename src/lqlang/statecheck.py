@@ -6,12 +6,12 @@ become a chain of left-weighted pairs whose constructor consumes its left
 component at the entry's demand (``encode_state``, which builds each
 closure into a term).  ``reference_welltyped`` is that definition, run from
 scratch.  ``state_welltyped`` gives the same verdict without re-typing the
-whole state: a ``CheckCache`` keeps the type and usage of every state
-closure it has typed, keyed by identity, so each binding, focus and stack
-closure of a run is typed once (``_infer_clo``).  The cache is also
-``infer``'s memo for the run, keyed by source subterm, so a subterm of the
-program is typed again only when one of its free variables has another
-type.  The verdict itself is kept as running totals (``Checker``).
+whole state: a closure that joins the state, as a binding or on the
+chain, is typed through ``infer``'s memo for the run (``CheckCache``),
+keyed by source subterm, so a closure pushed again is answered at its
+root, and a subterm of the program is typed again only when one of its
+free variables has another type (``_infer_clo``).  The verdict itself is
+kept as running totals (``Checker``).
 """
 
 from __future__ import annotations
@@ -165,23 +165,17 @@ def reference_welltyped(s: AnnState) -> bool:
 
 @dataclass
 class CheckCache(InferMemo):
-    """What the state checks of one run share; it is also the run's memo
-    for ``infer`` (``InferMemo``).
-
-    ``inferred`` maps a state closure's id to the closure, the type and
-    the usage of its built term.  ``types`` holds the types that passed
-    ``check_type``, by id.  Each entry holds its objects, so their ids
-    cannot be reused."""
-    inferred: dict[int, tuple[Clo, Type, Usage]] = field(
-        default_factory=dict)
+    """What the state checks of one run share: the run's memo for
+    ``infer`` (``InferMemo``), and ``types``, the types that passed
+    ``check_type``, by id.  Each entry holds its type, so the ids cannot
+    be reused."""
     types: dict[int, Type] = field(default_factory=dict)
 
 
-def _declared(cache: CheckCache, xi: TypeEnv, typed: tuple[Clo, Type, Usage],
+def _declared(cache: CheckCache, xi: TypeEnv, t_ty: Type, u: Usage,
               ty: Type) -> Optional[Usage]:
-    """The usage of a typed closure, if its type is ``ty`` and ``ty`` is
-    well-formed."""
-    _, t_ty, u = typed
+    """The usage ``u`` of a closure of type ``t_ty``, if ``t_ty`` is
+    ``ty`` and ``ty`` is well-formed."""
     if not type_equiv(t_ty, ty):
         return None
     if id(ty) not in cache.types:
@@ -203,7 +197,9 @@ def _infer_clo(env: TypeEnv, clo: Clo) -> Optional[tuple[Type, Usage]]:
     ``env`` (``InferMemo.hit``); its usage is then renamed back through
     the closure's environment.  The built term is inferred only when two
     free variables of the source term stand for one name: merging their
-    usages would not be exact, since a case join is not additive."""
+    usages would not be exact, since a case join is not additive.  A
+    closure is typed each time it joins the state; one typed before is
+    then answered by the memo at its root."""
     vars_ = env.vars
     saved: list[tuple[str, object]] = []
     for x, bound in [(x, vars_.get(y)) for x, y in clo.env.items()]:
@@ -243,9 +239,10 @@ def _infer_clo(env: TypeEnv, clo: Clo) -> Optional[tuple[Type, Usage]]:
 
 def state_welltyped(s: AnnState, checker: Optional[Checker] = None) -> bool:
     """The verdict of ``reference_welltyped``, from one inference per
-    closure and run: from the running totals of ``checker`` on its
-    machine's current snapshot, else from totals replayed from ``s`` that
-    share the checker's cache, which must only see states of its run."""
+    closure that joined the state: from the running totals of ``checker``
+    on its machine's current snapshot, else from totals replayed from
+    ``s`` that share the checker's cache, which must only see states of
+    its run."""
     if checker is not None and s is checker.current:
         return checker.check(s)
     return Checker(checker and checker.cache).check(s)
@@ -279,8 +276,8 @@ class Checker:
     the bindings in state order.  The machine reports each binding it
     inserts, removes, forces or updates (``report``); a check reconciles
     those bindings, diffs the chain against the last check's, types only
-    the closures it has not seen, and re-validates only the names whose
-    binding, parts or misplaced uses changed.
+    the closures that joined the state, and re-validates only the names
+    whose binding, parts or misplaced uses changed.
 
     A replay (``_replay``) builds the totals from nothing: the bindings of
     a state count as inserted in state order, and its chain as pushed.  A
@@ -300,10 +297,6 @@ class Checker:
         self.st = st  # the machine whose records these are, if any
         self.current: Optional[AnnState] = None  # the machine's snapshot
         self.stale = True  # replay at the next check
-
-    @property
-    def inferred(self) -> dict[int, tuple[Clo, Type, Usage]]:
-        return self.cache.inferred
 
     def snapshot(self, focus: Clo, demand: MultExpr, ty: Type,
                  stack: Optional[SEntry]) -> AnnState:
@@ -499,14 +492,10 @@ class Checker:
     def _typed(self, c: Clo, ty: Type) -> Optional[Usage]:
         """The usage of ``c`` if it has type ``ty`` and uses no name that
         is neither bound nor in the context."""
-        inferred = self.cache.inferred
-        typed = inferred.get(id(c))
-        if typed is None:
-            r = _infer_clo(self.env, c)
-            if r is None:
-                return None
-            typed = inferred[id(c)] = (c, *r)
-        u = _declared(self.cache, self.xi, typed, ty)
+        r = _infer_clo(self.env, c)
+        if r is None:
+            return None
+        u = _declared(self.cache, self.xi, *r, ty)
         bound = self.binds.keys()
         if (u is not None and not u.keys() <= bound
                 and not u.keys() - bound <= self.xi.vars.keys()):

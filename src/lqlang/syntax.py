@@ -236,9 +236,10 @@ class LetBind:
     rhs: Term
     loc: Optional[Loc] = field(**_ANN)
     # The free variables of ``rhs`` in first-occurrence order, recorded by
-    # the sharing translation (``record_free_vars``) or on first use
-    # (``rhs_free_vars``).  A copy whose ``rhs`` has other free variables
-    # must drop it: ``map_children`` and ``rename_vars`` do.
+    # the sharing translation (``record_free_vars``); the evaluators' own
+    # ``newMArray`` bindings are built with theirs.  A copy whose ``rhs``
+    # has other free variables must drop it: ``map_children`` and
+    # ``rename_vars`` do.
     fv: Optional[tuple[str, ...]] = field(**_ANN)
 
 
@@ -377,15 +378,6 @@ def record_free_vars(t: Term) -> Term:
     recorded (``LetBind.fv``), in one walk."""
     _free_vars(t, True)
     return t
-
-
-def rhs_free_vars(b: LetBind) -> tuple[str, ...]:
-    """The free variables of ``b.rhs`` in first-occurrence order: the
-    recorded list, or, for a binding that has none (a hand-built term, a
-    renamed copy), the list computed now and recorded."""
-    if b.fv is None:
-        _setattr(b, "fv", _free_vars(b.rhs, True))
-    return b.fv  # type: ignore[return-value]
 
 
 def _free_vars(t: Term, record: bool) -> tuple[str, ...]:

@@ -352,7 +352,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
     elif cls is Let:
         m = t.mult
         binds = t.binds
-        _check_mult_scope(env, m, t.loc)
+        _check_mult_in(m, env.mult_vars, frozenset(), t.loc)
         for b in binds:
             check_type(env, b.var_ty, loc=b.loc or t.loc)
         names = [b.var for b in binds]
@@ -395,7 +395,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
         x = t.var
         a = t.var_ty
         check_type(env, a, loc=t.loc)
-        _check_mult_scope(env, m, t.loc)
+        _check_mult_in(m, env.mult_vars, frozenset(), t.loc)
         vars_ = env.vars
         saved = [(x, vars_.get(x, _UNBOUND))]
         vars_[x] = (a, m)
@@ -409,7 +409,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
 
     elif cls is Case:
         m = t.mult
-        _check_mult_scope(env, m, t.loc)
+        _check_mult_in(m, env.mult_vars, frozenset(), t.loc)
         rs = infer(env, t.scrut)
         if not isinstance(rs.ty, TData):
             raise _fail(Kind.TYPE_MISMATCH,
@@ -476,7 +476,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
         for a in t.type_args:
             check_type(env, a, loc=t.loc)
         for m in t.mult_args:
-            _check_mult_scope(env, m, t.loc)
+            _check_mult_in(m, env.mult_vars, frozenset(), t.loc)
         fields, result = instantiate_con(env, name, t.type_args, t.mult_args,
                                          t.loc)
         if len(t.args) != len(fields):
@@ -496,7 +496,7 @@ def infer(env: TypeEnv, t: Term) -> InferResult:
 
     elif cls is MultApp:
         m = t.mult
-        _check_mult_scope(env, m, t.loc)
+        _check_mult_in(m, env.mult_vars, frozenset(), t.loc)
         rf = infer(env, t.fun)
         if not isinstance(rf.ty, TForall):
             raise _fail(Kind.TYPE_MISMATCH,
@@ -561,13 +561,6 @@ def _require_usage(x: str, u: UsageMult, declared: MultExpr,
         raise _fail(Kind.LINEARITY_MISMATCH,
                     f"variable '{x}' is used with multiplicity {shown} but "
                     f"is bound with multiplicity {show_mult(declared)}", loc)
-
-
-def _check_mult_scope(env: TypeEnv, m: MultExpr, loc: Loc | None) -> None:
-    for v in mult_vars(m):
-        if v not in env.mult_vars:
-            raise _fail(Kind.UNBOUND_VARIABLE,
-                        f"multiplicity variable '{v}' is not in scope", loc)
 
 
 def _check_fresh(env: TypeEnv, p: str, loc: Loc | None) -> None:

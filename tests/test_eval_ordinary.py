@@ -82,6 +82,14 @@ def test_missing_binding_blocks():
     assert res.outcome.reason is BlockReason.MISSING_LINEAR_BINDING
 
 
+def test_let_without_recorded_free_variables_is_refused():
+    """A let step reads its binding's free-variable list, which only the
+    sharing translation records; a term that skipped it is refused."""
+    t = Let(ONE, (LetBind("z", INT, IntLit(1)),), Var("z"))
+    with pytest.raises(AssertionError, match="'z'"):
+        eval_term(Heap(), t, 100)
+
+
 def test_missing_branch_blocks(prelude_env):
     t = Case(ONE, Con("True", (), (), ()), (Branch("False", (), IntLit(0)),))
     sh = to_sharing(infer_unchecked(prelude_env, t), prelude_env)

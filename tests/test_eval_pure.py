@@ -424,6 +424,22 @@ def test_instantiated_let_keeps_its_scope_and_preserves(prelude):
     assert res.check_count > 0
 
 
+@pytest.mark.xfail(raises=PreservationViolation, strict=True,
+                   reason="_PState.insert puts the bindings made while "
+                          "forcing a binding before it, not before its group")
+def test_forcing_an_earlier_member_of_a_recursive_group_preserves(prelude):
+    """``a`` uses ``b``, bound after it in one w-group.  Both semantics
+    print 16, but forcing ``a`` inserts the translation's ``let[1]``
+    bindings just before ``a``, where ``b`` is out of scope, so the state
+    after rule 'int' fails its check."""
+    checked = _checked_text(prelude, "main = let[w] a : Int = add(6, add(b, "
+                                     "1)) , b : Int = 9 in add(a, 0)\n")
+    sh = to_sharing(checked.term, checked.env)
+    res = instrumented_eval(initial_state(sh, checked.ty, checked.env),
+                            100_000)
+    assert res.outcome.value == IntLit(16)
+
+
 def test_planted_unremoved_linear_binding_is_caught(prelude, monkeypatch):
     """A linear variable rule that leaves the forced binding in the
     environment breaks preservation."""
@@ -460,37 +476,25 @@ def _checked_text(prelude, text):
 
 
 def _work_per_check(prelude, monkeypatch, text):
-    """The closures whose typing each check of an instrumented run looks
-    up, and the bindings listed off the machine, per check; the initial
-    state's check, which types the whole program, apart."""
+    """The closures each check of an instrumented run types, and the
+    bindings listed off the machine, per check; the run's first check,
+    which types the whole program, apart."""
+    import lqlang.statecheck as C
     module = importlib.import_module("lqlang.eval_pure")
-    real, real_load, real_ordered = (module.state_welltyped, module._load,
-                                     _PState.ordered)
+    real, real_infer_clo, real_ordered = (module.state_welltyped,
+                                          C._infer_clo, _PState.ordered)
     tally = Counter()
 
-    class Looked(dict):
-        def __contains__(self, key):
-            tally["looked"] += tally["checking"]
-            return super().__contains__(key)
+    def infer_clo(env, clo):
+        tally["typed"] += tally["checking"]
+        return real_infer_clo(env, clo)
 
-        def __getitem__(self, key):
-            tally["looked"] += tally["checking"]
-            return super().__getitem__(key)
-
-        def get(self, key, default=None):
-            tally["looked"] += tally["checking"]
-            return super().get(key, default)
-
-    def load(*args, **kwargs):
-        st = real_load(*args, **kwargs)
-        st.checker.cache.inferred = Looked()
-        return st
-
-    def spy(s, cache=None):
-        tally["checking"] = bool(cache.inferred)
+    def spy(s, checker=None):
+        tally["checking"] = tally["calls"] > 0
+        tally["calls"] += 1
         tally["checks"] += tally["checking"]
         try:
-            return real(s, cache)
+            return real(s, checker)
         finally:
             tally["checking"] = 0
 
@@ -499,7 +503,7 @@ def _work_per_check(prelude, monkeypatch, text):
             tally["listed"] += 1
             yield b
 
-    monkeypatch.setattr(module, "_load", load)
+    monkeypatch.setattr(C, "_infer_clo", infer_clo)
     monkeypatch.setattr(module, "state_welltyped", spy)
     monkeypatch.setattr(_PState, "ordered", ordered)
     checked = _checked_text(prelude, text)
@@ -507,21 +511,23 @@ def _work_per_check(prelude, monkeypatch, text):
     res = instrumented_eval(initial_state(sh, checked.ty, checked.env),
                             10_000_000)
     assert res.outcome.is_value
-    return tally["looked"] / tally["checks"], tally["listed"]
+    return tally["typed"] / tally["checks"], tally["listed"]
 
 
 @pytest.mark.parametrize("family", [_wide, _tri])
 def test_checks_do_not_grow_with_the_state(prelude, monkeypatch, family):
     """A check works on what changed since the last one: the closures it
-    looks up do not grow with the state (about 2 per check at n = 25 and
-    400), and it lists no binding.  The whole-state fold looked up every
-    live binding's and stack entry's closure at every check (54 and 804
-    per check on ``wide``, 37 and 443 on ``tri``), and listed every
-    binding.  A new closure's usage is still renamed name by name: in
-    ``wide n`` one closure per binding has O(n) free names."""
+    types do not grow with the state (1.96 and 2.00 per check at n = 25
+    and 400 on ``wide``, 1.75 and 1.75 on ``tri``), and it lists no
+    binding.  The whole-state fold looked up every live binding's and
+    stack entry's closure at every check (54 and 804 per check on
+    ``wide``, 37 and 443 on ``tri``), and listed every binding.  A
+    closure's usage is still renamed name by name: in ``wide n`` one
+    closure per binding has O(n) free names.  The floor makes a spy that
+    stops seeing the checker's calls fail."""
     small, listed_small = _work_per_check(prelude, monkeypatch, family(25))
     large, listed_large = _work_per_check(prelude, monkeypatch, family(400))
-    assert large <= 1.25 * small
+    assert 1 <= small and large <= 1.25 * small
     assert listed_small == listed_large == 0
 
 

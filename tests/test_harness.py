@@ -8,8 +8,8 @@ from collections import Counter
 import pytest
 
 from lqlang.diagnostics import CheckError
-from lqlang.harness import (GenConfig, GenProgram, bisim_run, fuzz,
-                            gen_welltyped, is_ground_type)
+from lqlang.harness import (FuzzSummary, GenConfig, GenProgram, bisim_run,
+                            fuzz, gen_welltyped, is_ground_type)
 from lqlang.parser import parse_program
 from lqlang.syntax import (INT, IntLit, OMEGA, ONE, TArrow, TData, TForall,
                            TMArray)
@@ -214,6 +214,21 @@ def test_fuzz_json_and_table():
     blob = summary.to_json()
     assert blob["count"] == 2 and "state_checks" in blob
     assert "progress violations" in summary.table()
+
+
+def test_fuzz_json_keys_keep_their_order():
+    """``lq fuzz --json`` prints the summary's fields in declaration
+    order, then the two rates."""
+    summary = FuzzSummary(count=2, fuel=50_000, seed=11, blackholes=1,
+                          state_checks=10, reproducers=["r.lq"],
+                          elapsed_s=0.5)
+    assert list(summary.to_json().items()) == [
+        ("count", 2), ("fuel", 50_000), ("seed", 11),
+        ("progress_violations", 0), ("preservation_violations", 0),
+        ("disagreements", 0), ("blackholes", 1), ("fuel_outs", 0),
+        ("generation_failures", 0), ("state_checks", 10),
+        ("reproducers", ["r.lq"]), ("elapsed_s", 0.5),
+        ("programs_per_s", 4.0), ("state_checks_per_s", 20.0)]
 
 
 def _count_machines(monkeypatch):

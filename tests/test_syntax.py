@@ -19,8 +19,8 @@ from lqlang.syntax import (App, ArrName, ArrayLit, Branch, Case, Con, INT,
                            IntLit, Lam, Let, LetBind, MVar, MultApp,
                            MultExpr, MultLam, OMEGA, ONE, Prim, TArrow, TInt,
                            Term, Type, Var, children, free_vars,
-                           map_children, mult_vars, rename_vars,
-                           rhs_free_vars, subterms, term_subst_mult)
+                           map_children, mult_vars, record_free_vars,
+                           rename_vars, subterms, term_subst_mult)
 from lqlang.translate import to_sharing
 from lqlang.typecheck import strip_annotations, type_equiv
 
@@ -105,7 +105,9 @@ def test_subterms_yields_every_slot(t, names):
 @pytest.mark.parametrize("t,names", EXAMPLES, ids=IDS)
 def test_free_vars_finds_every_slot(t, names):
     assert free_vars(t) == set(names)
-    assert set(rhs_free_vars(LetBind("z", None, t))) == set(names)
+    b = LetBind("z", None, t)
+    record_free_vars(Let(ONE, (b,), Var("z")))
+    assert set(b.fv) == set(names)
 
 
 @pytest.mark.parametrize("t,names", EXAMPLES, ids=IDS)
@@ -253,7 +255,7 @@ def test_free_vars_uses_no_host_stack():
     sys.setrecursionlimit(1_000)
     try:
         assert free_vars(t) == {"x"}
-        assert rhs_free_vars(t.binds[0]) == ("x",)
+        assert record_free_vars(t).binds[0].fv == ("x",)
     finally:
         sys.setrecursionlimit(limit)
 
