@@ -246,7 +246,7 @@ def test_recorded_lists_are_the_free_variables(prelude):
     """Every let binding of a sharing form carries the free variables of
     its right-hand side, once each, in first-occurrence order; a copy by
     ``term_subst_mult`` keeps them, and a copy by ``rename_vars`` never
-    carries a stale one: it carries none until the lists are recorded
+    carries a stale one, and gets the right ones when they are recorded
     again."""
     from lqlang.syntax import MultLam, record_free_vars, rename_vars, \
         term_subst_mult
