@@ -256,6 +256,8 @@ def _main(argv: Optional[list[str]]) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "fuel", 0) < 0:
+            raise ValueError("fuel must be >= 0")
         return args.fn(args)
     except Rejected as exc:
         for d in exc.diagnostics:

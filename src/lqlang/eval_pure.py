@@ -99,11 +99,8 @@ class _PState(Machine):
     array_copies: int = 0
     check_count: int = 0
     checker: Optional[Checker] = None  # in a checked run
-    # each case node's frame, by id, and its type at each result type, by
-    # ids (``case_frame``)
+    # each case node's frame, by id (``case_frame``)
     frames: dict[int, tuple[Case, Lam]] = field(default_factory=dict)
-    frame_types: dict[tuple[int, int], tuple[Case, Type, TArrow]] = field(
-        default_factory=dict)
 
     def __post_init__(self) -> None:
         self.end.prev = self.end.next = self.end
@@ -138,21 +135,14 @@ class _PState(Machine):
     def case_frame(self, t: Case, ty: Type) -> tuple[Lam, TArrow]:
         """The pending branches of ``t`` as a function of its scrutinee,
         ``\\%hole. case %hole of ...``, and its type when the case has type
-        ``ty``: one frame per case node and run, and one type per result
-        type, so that a case step builds neither, and the memo and the type
-        caches in the check cache, which are keyed by identity, see the same
-        objects each time."""
+        ``ty``: one frame per case node and run, so that the memo in the
+        check cache, keyed by identity, sees the same term each time."""
         frame = self.frames.get(id(t))
         if frame is None:
             scrut_ty = t.scrut.ty
             body = _with(t, scrut=Var(HOLE, ty=scrut_ty))
-            frame = self.frames[id(t)] = (t, Lam(t.mult, HOLE, scrut_ty,
-                                                 body))
-        typed = self.frame_types.get((id(t), id(ty)))
-        if typed is None:
-            typed = self.frame_types[id(t), id(ty)] = (
-                t, ty, TArrow(t.scrut.ty, t.mult, ty))
-        return frame[1], typed[2]
+            frame = self.frames[id(t)] = (t, Lam(t.mult, HOLE, scrut_ty, body))
+        return frame[1], TArrow(t.scrut.ty, t.mult, ty)
 
 
 @dataclass
@@ -552,13 +542,12 @@ def _eval_prim(st: _PState, t: Prim, env: Env, name: str,
             st.tick("freeze", t, env)
             arr = _want_array(st, name, cargs, demand, stack,
                               want_frozen=False)
-            frozen = ArrayLit(arr.elems, arr.elem_ty, True,
-                              ty=TArray(arr.elem_ty))
+            arr_ty = TArray(arr.elem_ty)
+            frozen = ArrayLit(arr.elems, arr.elem_ty, True, ty=arr_ty)
             x = st.fresh(FRESH_PREFIX)
-            st.insert(EnvBind(x, False, TArray(arr.elem_ty), Clo(frozen),
-                              st.new_group()))
-            value = Con("Unrestricted", (TArray(arr.elem_ty),), (),
-                        (Var(x, ty=TArray(arr.elem_ty)),), ty=ty)
+            st.insert(EnvBind(x, False, arr_ty, Clo(frozen), st.new_group()))
+            value = Con("Unrestricted", (arr_ty,), (), (Var(x, ty=arr_ty),),
+                        ty=ty)
             return _ret(st, "freeze", Clo(value), demand, ty, stack)
 
         case "index":

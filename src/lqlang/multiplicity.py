@@ -68,15 +68,12 @@ def mult_vars(m: MultExpr) -> frozenset[str]:
 
 def mult_subst(m: MultExpr, var: str, by: MultExpr) -> MultExpr:
     """Substitute ``by`` for the multiplicity variable ``var`` in ``m``."""
-    match m:
-        case MVar(name) if name == var:
-            return by
-        case MSum(a, b):
-            return MSum(mult_subst(a, var, by), mult_subst(b, var, by))
-        case MProd(a, b):
-            return MProd(mult_subst(a, var, by), mult_subst(b, var, by))
-        case _:
-            return m
+    cls = type(m)
+    if cls is MVar:
+        return by if m.name == var else m
+    if cls is MSum or cls is MProd:
+        return cls(mult_subst(m.left, var, by), mult_subst(m.right, var, by))
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -166,24 +166,23 @@ def reference_welltyped(s: AnnState) -> bool:
 @dataclass
 class CheckCache(InferMemo):
     """What the state checks of one run share: the run's memo for
-    ``infer`` (``InferMemo``), and ``types``, the types that passed
-    ``check_type``, by id.  Each entry holds its type, so the ids cannot
-    be reused."""
-    types: dict[int, Type] = field(default_factory=dict)
+    ``infer`` (``InferMemo``), and ``types``, the interned types that
+    passed ``check_type``."""
+    types: set[Type] = field(default_factory=set)
 
 
 def _declared(cache: CheckCache, xi: TypeEnv, t_ty: Type, u: Usage,
               ty: Type) -> Optional[Usage]:
     """The usage ``u`` of a closure of type ``t_ty``, if ``t_ty`` is
-    ``ty`` and ``ty`` is well-formed."""
+    ``ty`` and ``ty`` is well-formed, which is checked once per run."""
     if not type_equiv(t_ty, ty):
         return None
-    if id(ty) not in cache.types:
+    if ty not in cache.types:
         try:
             check_type(xi, ty)
         except CheckError:
             return None
-        cache.types[id(ty)] = ty
+        cache.types.add(ty)
     return u
 
 
@@ -412,8 +411,7 @@ class Checker:
         # the context and every name bound since the replay, at its type:
         # the environment closures are typed in
         self.env = TypeEnv(xi.decls, xi.cons, {**xi.vars, **{
-            b.name: (b.ty, OMEGA) for b in order}}, frozenset(), self.cache,
-            xi.instances)
+            b.name: (b.ty, OMEGA) for b in order}}, frozenset(), self.cache)
         self.labels = {id(b): i * _GAP for i, b in enumerate(order)}
         groups = [g for g, _ in itertools.groupby(order, _GROUP)]
         if len(set(groups)) == len(groups):

@@ -4,7 +4,8 @@ from ``multiplicity``) multiplicity expressions.
 All nodes are immutable but for the slots that the checker (``annotate``)
 and the free-variable walk fill in.  Equality ignores the annotation slots
 (``loc``, ``ty``, ``mult_ann``) so that two terms compare equal
-regardless of source position or typechecker output.
+regardless of source position or typechecker output.  A type is one
+object per structure (``Type``).
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from typing import Callable, Iterator, Optional
 
 from .multiplicity import (MProd, MSum, MVar, MultExpr, OMEGA, ONE,  # noqa: F401
                            Omega, One, is_omega_mult, mult_subst, mult_vars)
+
+
+_new = object.__new__
+_setattr = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -30,49 +35,78 @@ class Loc:
 # Types
 
 class Type:
+    """A type.  A class called with a type's fields returns the one object
+    of that exact structure, binder names and multiplicities as written
+    (hash-consing, after Filliâtre & Conchon, ML Workshop 2006), so ``==``
+    is identity.  ``typecheck.type_equiv`` equates types up to binder
+    names and multiplicity normal forms."""
+
     __slots__ = ()
     # the key ``typecheck.type_key`` works out for the type and keeps on it
     _key = None
 
+    def __new__(cls, *fields):
+        key = (cls,) + fields
+        t = _TYPES.get(key)
+        if t is None:
+            names = cls.__match_args__
+            if len(fields) != len(names):
+                raise TypeError(f"{cls.__name__} takes {len(names)} fields")
+            t = _TYPES[key] = _new(cls)
+            for name, value in zip(names, fields):
+                _setattr(t, name, value)
+        return t
 
-@dataclass(frozen=True)
+
+# Every type, by its class and fields; the types among these hash and
+# compare by identity, so a lookup never walks a type.  The table keeps
+# every type built: which ones a caller finds already there changes no
+# result, only that equal types are one object.
+_TYPES: dict[tuple, Type] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class TInt(Type):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class TVar(Type):
     """A datatype parameter; only legal inside a datatype declaration."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class TArrow(Type):
     dom: Type
     mult: MultExpr
     cod: Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class TForall(Type):
     var: str
     body: Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class TData(Type):
     name: str
     mult_args: tuple[MultExpr, ...] = ()
     type_args: tuple[Type, ...] = ()
 
+    def __new__(cls, name, mult_args=(), type_args=()):
+        key = (TData, name, tuple(mult_args), tuple(type_args))
+        return _TYPES.get(key) or Type.__new__(*key)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class TMArray(Type):
     elem: Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class TArray(Type):
     elem: Type
 
@@ -102,50 +136,49 @@ def type_mult_vars(t: Type) -> frozenset[str]:
 
 def type_subst_mult(t: Type, var: str, by: MultExpr) -> Type:
     """Capture-avoiding substitution of a multiplicity into a type."""
-    match t:
-        case TArrow(dom, m, cod):
-            return TArrow(type_subst_mult(dom, var, by),
-                          mult_subst(m, var, by),
-                          type_subst_mult(cod, var, by))
-        case TForall(p, body):
-            if p == var:
-                return t
-            if p in mult_vars(by):
-                fresh = _fresh_against(p, mult_vars(by) | type_mult_vars(body))
-                body = type_subst_mult(body, p, MVar(fresh))
-                return TForall(fresh, type_subst_mult(body, var, by))
-            return TForall(p, type_subst_mult(body, var, by))
-        case TData(name, margs, targs):
-            return TData(name,
-                         tuple(mult_subst(m, var, by) for m in margs),
-                         tuple(type_subst_mult(a, var, by) for a in targs))
-        case TMArray(elem):
-            return TMArray(type_subst_mult(elem, var, by))
-        case TArray(elem):
-            return TArray(type_subst_mult(elem, var, by))
-        case _:
+    cls = type(t)
+    if cls is TArrow:
+        return TArrow(type_subst_mult(t.dom, var, by),
+                      mult_subst(t.mult, var, by),
+                      type_subst_mult(t.cod, var, by))
+    if cls is TData:
+        if not t.mult_args and not t.type_args:
             return t
+        return TData(t.name,
+                     tuple([mult_subst(m, var, by) for m in t.mult_args]),
+                     tuple([type_subst_mult(a, var, by) for a in t.type_args]))
+    if cls is TMArray or cls is TArray:
+        return cls(type_subst_mult(t.elem, var, by))
+    if cls is TForall:
+        p, body = t.var, t.body
+        if p == var:
+            return t
+        if p in mult_vars(by):
+            fresh = _fresh_against(p, mult_vars(by) | type_mult_vars(body))
+            body = type_subst_mult(body, p, MVar(fresh))
+            p = fresh
+        return TForall(p, type_subst_mult(body, var, by))
+    return t
 
 
 def type_subst_tvars(t: Type, mapping: dict[str, Type]) -> Type:
     """Instantiate datatype parameters; mapping values contain no TVar."""
-    match t:
-        case TVar(name):
-            return mapping.get(name, t)
-        case TArrow(dom, m, cod):
-            return TArrow(type_subst_tvars(dom, mapping), m,
-                          type_subst_tvars(cod, mapping))
-        case TForall(p, body):
-            return TForall(p, type_subst_tvars(body, mapping))
-        case TData(name, margs, targs):
-            return TData(name, margs,
-                         tuple(type_subst_tvars(a, mapping) for a in targs))
-        case TMArray(elem):
-            return TMArray(type_subst_tvars(elem, mapping))
-        case TArray(elem):
-            return TArray(type_subst_tvars(elem, mapping))
-        case _:
+    cls = type(t)
+    if cls is TVar:
+        return mapping.get(t.name, t)
+    if cls is TArrow:
+        return TArrow(type_subst_tvars(t.dom, mapping), t.mult,
+                      type_subst_tvars(t.cod, mapping))
+    if cls is TData:
+        if not t.type_args:
             return t
+        return TData(t.name, t.mult_args,
+                     tuple([type_subst_tvars(a, mapping) for a in t.type_args]))
+    if cls is TMArray or cls is TArray:
+        return cls(type_subst_tvars(t.elem, mapping))
+    if cls is TForall:
+        return TForall(t.var, type_subst_tvars(t.body, mapping))
+    return t
 
 
 def _fresh_against(base: str, taken: frozenset[str]) -> str:
@@ -352,10 +385,6 @@ def _with(t, **changes):
         _setattr(new, name,
                  changes[name] if name in changes else getattr(t, name))
     return new
-
-
-_new = object.__new__
-_setattr = object.__setattr__
 
 
 def subterms(t: Term) -> Iterator[Term]:

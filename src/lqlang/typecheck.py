@@ -10,17 +10,15 @@ node.  ``annotate`` writes the types into a term that ``infer`` accepts;
 
 Two types are equal up to the multiplicity semiring and the renaming of
 ``forall`` binders.  ``type_equiv`` decides it by identity or by one
-comparison of the keys ``type_key`` keeps on each type object.
+comparison of the keys ``type_key`` keeps on each type object.  Types are
+interned (``syntax.Type``): a type that ``infer``, a rule or
+``instantiate_con`` builds again is the object built before.
 
 An environment may carry an ``InferMemo``, which the pure evaluator's
 state check keeps for one run: ``infer`` then returns the recorded type
 and usage of a subterm it has seen, by identity, whenever its free
 variables still have the types they had.  Without a memo every call
 infers afresh.
-
-Every environment derived from a program's ``TypeEnv`` shares its table of
-constructor instances, so ``instantiate_con`` builds each instance once per
-program and repeated field and result types are the same objects.
 """
 
 from __future__ import annotations
@@ -66,9 +64,6 @@ class TypeEnv:
     vars: dict[str, tuple[Type, MultExpr]]
     mult_vars: frozenset[str]
     memo: Optional["InferMemo"] = field(default=None, compare=False)
-    # the program's constructor instances (``instantiate_con``)
-    instances: dict[tuple, tuple] = field(default_factory=dict,
-                                          compare=False)
 
     @staticmethod
     def from_decls(decls: list[DataDecl]) -> "TypeEnv":
@@ -86,12 +81,12 @@ class TypeEnv:
         for x, ty, m in binds:
             new_vars[x] = (ty, m)
         return TypeEnv(self.decls, self.cons, new_vars, self.mult_vars,
-                       self.memo, self.instances)
+                       self.memo)
 
     def bind_mult(self, p: str) -> "TypeEnv":
         """A new environment with ``p`` in scope, sharing ``vars``."""
         return TypeEnv(self.decls, self.cons, self.vars,
-                       self.mult_vars | {p}, self.memo, self.instances)
+                       self.mult_vars | {p}, self.memo)
 
 
 @dataclass(slots=True)
@@ -216,13 +211,9 @@ def instantiate_con(env: TypeEnv, con_name: str, type_args: tuple[Type, ...],
                     mult_args: tuple[MultExpr, ...],
                     loc: Loc | None = None
                     ) -> tuple[tuple[tuple[Type, MultExpr], ...], Type]:
-    """Instantiated field signature and result type of a constructor.
-
-    Each instance is built once per program: ``env.instances`` keeps it by
-    the constructor's name and the identities of the arguments, with the
-    arguments themselves so that their ids cannot be reused.  Repeated
-    instances are then the same type objects, and comparing them is an
-    identity test."""
+    """Instantiated field signature and result type of a constructor: a
+    new tuple on each call, of interned types, so a repeated instance has
+    the same field and result type objects."""
     entry = env.cons.get(con_name)
     if entry is None:
         raise _fail(Kind.UNBOUND_VARIABLE,
@@ -238,23 +229,14 @@ def instantiate_con(env: TypeEnv, con_name: str, type_args: tuple[Type, ...],
                     f"constructor '{con_name}' expects "
                     f"{len(decl.type_params)} type arguments, "
                     f"got {len(type_args)}", loc)
-    key = (con_name, *map(id, type_args), *map(id, mult_args))
-    hit = env.instances.get(key)
-    if hit is not None:
-        return hit[2], hit[3]
     tmap = dict(zip(decl.type_params, type_args))
     fields = []
     for fty, fmult in con.fields:
-        ity = type_subst_tvars(fty, tmap)
+        fty = type_subst_tvars(fty, tmap)
         for p, m in zip(decl.mult_params, mult_args):
-            ity = type_subst_mult(ity, p, m)
-        imult = fmult
-        for p, m in zip(decl.mult_params, mult_args):
-            imult = mult_subst(imult, p, m)
-        fields.append((ity, imult))
-    instance = (tuple(fields), TData(decl.name, mult_args, type_args))
-    env.instances[key] = (tuple(type_args), tuple(mult_args), *instance)
-    return instance
+            fty, fmult = type_subst_mult(fty, p, m), mult_subst(fmult, p, m)
+        fields.append((fty, fmult))
+    return tuple(fields), TData(decl.name, mult_args, type_args)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,30 @@ def test_fuzz_subcommand(tmp_path, capsys):
         assert blob[key] > 0, key
 
 
+@pytest.mark.parametrize("args,error", [
+    (("run", str(CORPUS / "int_lit.lq"), "--fuel=-1"), "fuel must be >= 0"),
+    (("run", str(CORPUS / "int_lit.lq"), "--sem=both", "--fuel=-1"),
+     "fuel must be >= 0"),
+    (("fuzz", "--count=2", "--seed=1", "--fuel=-3"), "fuel must be >= 0"),
+    (("fuzz", "--count=0", "--seed=1"), "count must be >= 1"),
+    (("fuzz", "--depth=-1"), "max_depth must be >= 1"),
+], ids=["run", "run-both", "fuzz-fuel", "fuzz-count", "fuzz-depth"])
+def test_a_bad_number_is_a_usage_error(tmp_path, capsys, args, error):
+    """A negative fuel, a count below 1 or a depth below 1 exits 2 with
+    the error, before any program runs."""
+    if args[0] == "fuzz":
+        args += (f"--repro-dir={tmp_path}",)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_zero_fuel_is_valid(capsys):
+    code, out, err = run_cli(capsys, "run", str(CORPUS / "int_lit.lq"),
+                             "--fuel=0")
+    assert code == 1 and out.startswith("out of fuel")
+
+
 def test_fuzz_counts_an_ill_typed_initial_state_as_a_violation(
         tmp_path, capsys, monkeypatch):
     """A translation that leaves a free variable makes the checked run's

@@ -16,7 +16,7 @@ from lqlang.statecheck import (Checker, encode_state, reference_welltyped,
                                stack_entries)
 from lqlang.syntax import (App, ArrayLit, Branch, Case, Con, INT, IntLit,
                            Lam, Let, LetBind, OMEGA, ONE, Prim, TArray,
-                           TData, TMArray, Var)
+                           TArrow, TData, TMArray, Var)
 from lqlang.translate import to_sharing
 from lqlang.parser import parse_program
 from lqlang.pretty import show_type
@@ -549,20 +549,32 @@ def test_case_frames_have_one_type_per_run(prelude):
     assert sizes[0] == sizes[1]
 
 
-def test_unchecked_case_steps_build_no_frame_type(prelude):
-    """An unchecked run takes each case frame's type from the per-run
-    table too, so the table holds one type per case node and result type
-    whatever the number of case steps.  A case step that built its own
-    frame type left the table empty."""
+def test_unchecked_case_steps_share_their_frame_types(prelude, monkeypatch):
+    """In an unchecked run, every case step of one case node at one result
+    type gets the same frame type object, so the run sees as many frame
+    types at n = 200 as at n = 25, each one the type built directly."""
+    real = _PState.case_frame
+    seen = []
+
+    def spy(self, t, ty):
+        frame, frame_ty = real(self, t, ty)
+        seen.append((t, ty, frame_ty))
+        return frame, frame_ty
+
+    monkeypatch.setattr(_PState, "case_frame", spy)
     tables = []
     for n in (25, 200):
+        seen.clear()
         checked = _checked_text(prelude, _tri(n))
         sh = to_sharing(checked.term, checked.env)
         res = eval_pure(initial_state(sh, checked.ty, checked.env),
                         10_000_000)
         assert res.outcome.is_value and res.check_count == 0
-        tables.append(sorted(show_type(ty) for _, _, ty
-                             in res.state.frame_types.values()))
+        assert len(seen) > n
+        for t, ty, frame_ty in seen:
+            assert frame_ty is TArrow(t.scrut.ty, t.mult, ty)
+        tables.append(sorted(show_type(ty) for ty in
+                             {id(ty): ty for _, _, ty in seen}.values()))
     assert tables[0] and tables[0] == tables[1]
 
 

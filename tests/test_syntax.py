@@ -13,18 +13,24 @@ from collections import Counter
 
 import pytest
 
+from lqlang import typecheck
+from lqlang.diagnostics import CheckError
 from lqlang.multiplicity import MultNF, mult_normalize
-from lqlang.pretty import show_term, summarize
+from lqlang.parser import parse_program
+from lqlang.pretty import show_term, show_type, summarize
 from lqlang.syntax import (App, ArrName, ArrayLit, Branch, Case, Con, INT,
-                           IntLit, Lam, Let, LetBind, MVar, MultApp,
-                           MultExpr, MultLam, OMEGA, ONE, Prim, TArrow, TInt,
-                           Term, Type, Var, children, free_vars,
+                           IntLit, Lam, Let, LetBind, MProd, MSum, MVar,
+                           MultApp, MultExpr, MultLam, OMEGA, ONE, Prim,
+                           TArray, TArrow, TData, TForall, TInt, TMArray,
+                           TVar, Term, Type, Var, children, free_vars,
                            map_children, mult_vars, record_free_vars,
-                           rename_vars, subterms, term_subst_mult)
+                           rename_vars, subterms, term_subst_mult,
+                           type_subst_mult, type_subst_tvars)
 from lqlang.translate import to_sharing
-from lqlang.typecheck import strip_annotations, type_equiv
+from lqlang.typecheck import (infer, instantiate_con, strip_annotations,
+                              type_equiv)
 
-from conftest import check_corpus, corpus_files
+from conftest import CORPUS, check_corpus, corpus_files
 
 P = MVar("p")
 P_TY = TArrow(INT, P, INT)
@@ -304,11 +310,12 @@ def test_subterms_keeps_the_recursive_pre_order(prelude):
 # example.
 
 def _example(cls, fresh):
-    """An instance of ``cls`` built from its field declarations; each
-    term-valued slot gets a new ``Var`` from ``fresh``."""
+    """An instance of ``cls`` built from its field declarations, in order,
+    since a type takes its fields positionally; each term-valued slot gets
+    a new ``Var`` from ``fresh``."""
     hints = typing.get_type_hints(cls)
-    return cls(**{f.name: _value(hints[f.name], fresh)
-                  for f in dataclasses.fields(cls) if f.init and f.compare})
+    return cls(*[_value(hints[f.name], fresh)
+                 for f in dataclasses.fields(cls) if f.init and f.compare])
 
 
 def _value(hint, fresh):
@@ -377,10 +384,14 @@ def test_map_children_copies_every_child(cls):
     assert (out is t) == (not kids)
 
 
-@pytest.mark.parametrize("cls", _classes(Type), ids=lambda c: c.__name__)
+TYPE_CLASSES = _classes(Type)
+
+
+@pytest.mark.parametrize("cls", TYPE_CLASSES, ids=lambda c: c.__name__)
 def test_type_equiv_holds_between_equal_copies(cls):
+    """Two equal constructions of a type are one object."""
     a, b = _example(cls, _counter()), _example(cls, _counter())
-    assert a is not b and a == b
+    assert a is b
     assert type_equiv(a, b)
 
 
@@ -396,3 +407,140 @@ def test_every_multiplicity_normalizes(cls):
     m = _example(cls, _counter())
     assert isinstance(mult_normalize(m), MultNF)
     assert mult_vars(m) == _mult_var_names(m)
+
+
+# ---------------------------------------------------------------------------
+# One object per type
+#
+# Types are interned: whatever builds a type, the parser, a substitution,
+# ``instantiate_con`` or a typing rule, gets the one object of its exact
+# structure.
+
+Q = MVar("q")
+
+TYPED = """data Box (a) where { MkBox : a ->[1] Box a }
+def f : forall p. (Int ->[p] Int) ->[1] MArray Int ->[p + w] Array (Pair p w Int Bool) =[w]
+  /\\p . \\[1] g : Int ->[p] Int . \\[p + w] m : MArray Int . m
+main = 0
+"""
+
+
+def _parts(ty):
+    """``ty`` and every type in it."""
+    yield ty
+    for f in dataclasses.fields(ty):
+        value = getattr(ty, f.name)
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, Type):
+                yield from _parts(x)
+
+
+def test_the_parser_builds_each_type_once(prelude):
+    def types(sf):
+        return [*(fty for d in sf.decls for c in d.constructors
+                  for fty, _ in c.fields), *(ty for _, ty, _, _ in sf.defs)]
+
+    first, again = (types(parse_program(TYPED, base=prelude))
+                    for _ in range(2))
+    assert all(a is b for a, b in zip(first, again, strict=True))
+    assert {type(p) for t in first for p in _parts(t)} == set(TYPE_CLASSES)
+    assert first[-1] is TForall("p", TArrow(
+        TArrow(INT, P, INT), ONE,
+        TArrow(TMArray(INT), MSum(P, OMEGA),
+               TArray(TData("Pair", (P, OMEGA), (INT, TData("Bool")))))))
+
+
+def test_substitutions_build_each_type_once():
+    def poly(m):
+        return TForall("q", TArrow(TData("Pair", (m, Q), (TVar("a"), INT)),
+                                   m, TMArray(TVar("a"))))
+
+    assert type_subst_mult(poly(P), "p", OMEGA) is poly(OMEGA)
+    # capture-avoiding: the binder is renamed apart from the substitute
+    renamed = type_subst_mult(poly(P), "p", Q)
+    assert renamed is type_subst_mult(poly(MVar("p")), "p", MVar("q"))
+    assert renamed is TForall("q0", TArrow(
+        TData("Pair", (Q, MVar("q0")), (TVar("a"), INT)), Q,
+        TMArray(TVar("a"))))
+    arrays = type_subst_tvars(poly(P), {"a": TArray(INT)})
+    assert arrays is type_subst_tvars(poly(P), {"a": TArray(TInt())})
+    assert arrays is TForall("q", TArrow(
+        TData("Pair", (P, Q), (TArray(INT), INT)), P, TMArray(TArray(INT))))
+
+
+def test_the_checker_builds_each_type_once(prelude_env):
+    """``instantiate_con`` and the rules that build a type: ``Lam``,
+    ``MultLam``, ``MultApp``, array values and primitives."""
+    fields, result = instantiate_con(prelude_env, "MkPair",
+                                     (INT, TData("Bool")), (P, OMEGA))
+    again, again_result = instantiate_con(
+        prelude_env, "MkPair", (TInt(), TData("Bool", (), ())),
+        (MVar("p"), OMEGA))
+    assert [f for f, _ in again] == [f for f, _ in fields] == [
+        INT, TData("Bool")]
+    assert again_result is result is TData("Pair", (P, OMEGA),
+                                           (INT, TData("Bool")))
+    env = prelude_env.bind_vars([("e", INT, OMEGA),
+                                 ("m", TMArray(INT), ONE)])
+    poly = MultLam("p", Lam(ONE, "f", P_TY, Var("f")))
+    w_ty = TArrow(INT, OMEGA, INT)
+    expected = [
+        (Lam(ONE, "x", INT, Var("x")), TArrow(INT, ONE, INT)),
+        (poly, TForall("p", TArrow(P_TY, ONE, P_TY))),
+        (MultApp(poly, OMEGA), TArrow(w_ty, ONE, w_ty)),
+        (ArrayLit(("e", "e"), INT, False), TMArray(INT)),
+        (ArrayLit(("e",), INT, True), TArray(INT)),
+        (Prim("eq", (Var("e"), Var("e"))), TData("Bool")),
+        (Prim("freeze", (Var("m"),)),
+         TData("Unrestricted", (), (TArray(INT),))),
+        (Con("MkPair", (INT, INT), (ONE, OMEGA), (Var("e"), Var("e"))),
+         TData("Pair", (ONE, OMEGA), (INT, INT))),
+    ]
+    for t, ty in expected:
+        assert infer(env, t).ty is infer(env, t).ty is ty, show_term(t)
+
+
+def test_types_equal_up_to_names_or_normal_forms_are_distinct_objects():
+    """Interning is by exact structure, so types that differ only in a
+    binder name or in how a multiplicity is written stay apart, and print
+    as written; ``type_equiv`` equates them."""
+    pairs = [
+        (TForall("p", TArrow(INT, P, INT)), TForall("q", TArrow(INT, Q, INT))),
+        (TArrow(INT, MSum(ONE, ONE), INT), TArrow(INT, OMEGA, INT)),
+        (TData("Pair", (MProd(P, Q), ONE), (INT, INT)),
+         TData("Pair", (MProd(Q, P), ONE), (INT, INT))),
+        (TMArray(TArrow(INT, MProd(ONE, P), INT)), TMArray(TArrow(INT, P, INT))),
+    ]
+    for a, b in pairs:
+        assert a is not b and a != b
+        assert show_type(a) != show_type(b)
+        assert type_equiv(a, b)
+
+
+def test_a_type_key_is_computed_once_per_type(prelude, monkeypatch):
+    """Over checking ``corpus/**``, the key of each distinct type is worked
+    out at most once: a type built again is the object that keeps its key.
+    When every use built its own object, ``Bool``'s key was worked out 16
+    times."""
+    real_key, real_type_key = typecheck._key, typecheck.type_key
+    built = Counter()
+    asked = []
+
+    def key(t, ren, depth):
+        if not depth and t._key is None:
+            built[repr(t)] += 1
+        return real_key(t, ren, depth)
+
+    def type_key(t):
+        asked.append(t)
+        return real_type_key(t)
+
+    monkeypatch.setattr(typecheck, "_key", key)
+    monkeypatch.setattr(typecheck, "type_key", type_key)
+    for path in sorted(CORPUS.rglob("*.lq")):
+        try:
+            check_corpus(path, prelude)
+        except CheckError:
+            pass
+    assert asked  # the rejected programs compare distinct types
+    assert all(n == 1 for n in built.values()), built.most_common(3)

@@ -743,38 +743,38 @@ def test_a_type_keeps_its_key():
 
 # --- constructor instances -----------------------------------------------------
 
-def test_constructor_instances_are_built_once_per_program(prelude):
-    """Under one program's environment an instance is built once, so
-    repeated field and result types are the same objects; every environment
-    derived from it shares its instances.  Another program's environment
-    never reads them, and a failure is raised on every call."""
+def test_constructor_instances_are_shared_types(prelude):
+    """A repeated instance, under a program's environment or one derived
+    from it and from equal but separately built arguments, has the same
+    field and result type objects, in a new tuple.  Another program's
+    ``Box`` instance has its own field type, and a failure is raised on
+    every call."""
     from lqlang.eval_pure import initial_state
     env = TypeEnv.from_decls(prelude.decls)
-    targs, margs = (INT, TData("Bool")), (ONE, OMEGA)
-    fields, result = instantiate_con(env, "MkPair", targs, margs)
+    margs = (ONE, OMEGA)
+    fields, result = instantiate_con(env, "MkPair", (INT, TData("Bool")),
+                                     margs)
     assert isinstance(fields, tuple)
     assert [f for f, _ in fields] == [INT, TData("Bool")]
+    assert fields[1][0] is TData("Bool")
     for derived in (env, env.bind_var("x", INT, ONE), env.bind_mult("p"),
                     initial_state(IntLit(0), INT, env).xi):
-        assert derived.instances is env.instances
-        again, again_result = instantiate_con(derived, "MkPair", targs, margs)
-        assert again is fields and again_result is result
-    # equal but other argument objects: a new instance, equivalent
-    other, _ = instantiate_con(env, "MkPair", (INT, TData("Bool")), margs)
-    assert other is not fields and other == fields
+        again, again_result = instantiate_con(
+            derived, "MkPair", (INT, TData("Bool", (), ())), (ONE, OMEGA))
+        assert again is not fields
+        assert all(f is g and m == n
+                   for (f, m), (g, n) in zip(again, fields, strict=True))
+        assert again_result is result
 
     def box(field_ty):
         sf = parse_program("data Box where { MkBox : " + field_ty
                            + " ->[1] Box }\nmain = 0\n", base=prelude)
         return check_program(sf.decls, sf.defs, sf.main).env
 
-    ints, bools = box("Int"), box("Bool")
-    assert ints.instances is not bools.instances
-    assert instantiate_con(ints, "MkBox", (), ())[0][0][0] == INT
-    assert instantiate_con(bools, "MkBox", (), ())[0][0][0] == TData("Bool")
-    known = dict(env.instances)
+    ints, _ = instantiate_con(box("Int"), "MkBox", (), ())
+    bools, _ = instantiate_con(box("Bool"), "MkBox", (), ())
+    assert ints[0][0] is INT and bools[0][0] is TData("Bool")
     for _ in range(2):
         with pytest.raises(CheckError) as e:
             instantiate_con(env, "MkPair", (INT,), margs)
         assert kind_of(e.value) is Kind.ARITY_MISMATCH
-    assert env.instances == known
