@@ -68,11 +68,18 @@ def mult_vars(m: MultExpr) -> frozenset[str]:
 
 def mult_subst(m: MultExpr, var: str, by: MultExpr) -> MultExpr:
     """Substitute ``by`` for the multiplicity variable ``var`` in ``m``."""
+    return mult_subst_all(m, {var: by})
+
+
+def mult_subst_all(m: MultExpr, subst: dict[str, MultExpr]) -> MultExpr:
+    """Substitute ``subst[p]`` for each multiplicity variable ``p`` that
+    ``subst`` maps, all at once."""
     cls = type(m)
     if cls is MVar:
-        return by if m.name == var else m
+        return subst.get(m.name, m)
     if cls is MSum or cls is MProd:
-        return cls(mult_subst(m.left, var, by), mult_subst(m.right, var, by))
+        return cls(mult_subst_all(m.left, subst),
+                   mult_subst_all(m.right, subst))
     return m
 
 
@@ -291,9 +298,10 @@ def sub_usage(u: UsageMult, pi: MultExpr) -> bool:
 def usage_subst(u: Usage, var: str, by: MultExpr) -> Usage:
     """Substitute a multiplicity variable inside every usage entry."""
     out: Usage = {}
+    subst = {var: by}
     for x, m in u.items():
         if m is ZERO:
             out[x] = ZERO
         else:
-            out[x] = mult_normalize(mult_subst(nf_render(m), var, by))
+            out[x] = mult_normalize(mult_subst_all(nf_render(m), subst))
     return out

@@ -24,7 +24,6 @@ datatype or constructor may be used before its declaration.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice
 from typing import Callable, Optional
@@ -66,9 +65,10 @@ _EOF_PADDING = 2
 class Tokens:
     """The tokens of a text as three parallel lists: ``kinds`` ("ident",
     "int", "op" or "eof"), ``texts`` and ``offsets`` into the text, ending
-    in ``_EOF_PADDING`` eof tokens with text "".  ``loc(i)`` computes a
-    token's line and column, only when it is read, from the file's table of
-    line starts (offsets just after each newline)."""
+    in ``_EOF_PADDING`` eof tokens with text "".  ``loc(i)`` is a token's
+    location: its offset and the file's table of line starts (offsets just
+    after each newline), from which ``Loc`` works out the line and column
+    only when they are read."""
 
     __slots__ = ("kinds", "texts", "offsets", "line_starts")
 
@@ -80,9 +80,7 @@ class Tokens:
         self.line_starts = line_starts
 
     def loc(self, i: int) -> Loc:
-        pos = self.offsets[i]
-        line = bisect_right(self.line_starts, pos)
-        return Loc(line, pos - self.line_starts[line - 1] + 1)
+        return Loc.at(self.offsets[i], self.line_starts)
 
 
 def tokenize(text: str, source: str = "<input>") -> Tokens:

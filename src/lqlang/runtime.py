@@ -6,8 +6,8 @@ term paired with an environment (``Env``) from its free source binders to
 the names they stand for, and a beta, case or let step extends the
 environment rather than copying the body.  A let step cuts each new
 closure's environment down to its right-hand side's free variables
-(``Machine.trim``), read from the list that the sharing translation
-recorded on the binding (``LetBind.fv``), so a step never walks the
+(``Machine.trim``), read from the list that the sharing translation gave
+the binding as it built it (``LetBind.fv``), so a step never walks the
 program.  ``Clo`` is the one closure type of both machines: the ordinary
 heap's suspensions and values, and the pure machine's bindings, stack
 entries, focus and values.  A closure becomes a term again (``Clo.built``,

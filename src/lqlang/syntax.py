@@ -2,7 +2,7 @@
 from ``multiplicity``) multiplicity expressions.
 
 All nodes are immutable but for the slots that the checker (``annotate``)
-and the free-variable walk fill in.  Equality ignores the annotation slots
+and the sharing translation fill in.  Equality ignores the annotation slots
 (``loc``, ``ty``, ``mult_ann``) so that two terms compare equal
 regardless of source position or typechecker output.  A type is one
 object per structure (``Type``).
@@ -10,25 +10,70 @@ object per structure (``Type``).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterator, Optional
 
 from .multiplicity import (MProd, MSum, MVar, MultExpr, OMEGA, ONE,  # noqa: F401
-                           Omega, One, is_omega_mult, mult_subst, mult_vars)
+                           Omega, One, is_omega_mult, mult_subst,
+                           mult_subst_all, mult_vars)
 
 
 _new = object.__new__
 _setattr = object.__setattr__
 
 
-@dataclass(frozen=True)
 class Loc:
-    line: int
-    col: int
+    """A place in a source text: its ``line`` and ``col``, both counted
+    from 1.  ``Loc(line, col)`` is given them; the parser gives each node
+    ``Loc.at(offset, line_starts)``, a token's offset and the text's table
+    of line starts (the offsets just after each newline), and the line and
+    column are worked out when they are first read."""
+
+    __slots__ = ("_offset", "_line_starts", "_line_col")
+
+    def __init__(self, line: int, col: int) -> None:
+        self._line_col = (line, col)
+
+    @classmethod
+    def at(cls, offset: int, line_starts: list[int]) -> Loc:
+        loc = _new(cls)
+        loc._offset = offset
+        loc._line_starts = line_starts
+        return loc
+
+    @property
+    def line_col(self) -> tuple[int, int]:
+        try:
+            return self._line_col
+        except AttributeError:
+            starts, offset = self._line_starts, self._offset
+            line = bisect_right(starts, offset)
+            self._line_col = (line, offset - starts[line - 1] + 1)
+            return self._line_col
+
+    @property
+    def line(self) -> int:
+        return self.line_col[0]
+
+    @property
+    def col(self) -> int:
+        return self.line_col[1]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Loc:
+            return NotImplemented
+        return self.line_col == other.line_col
+
+    def __hash__(self) -> int:
+        return hash(self.line_col)
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.col}"
+        return "{}:{}".format(*self.line_col)
+
+    def __repr__(self) -> str:
+        return "Loc(line={}, col={})".format(*self.line_col)
 
 
 # ---------------------------------------------------------------------------
@@ -136,33 +181,44 @@ def type_mult_vars(t: Type) -> frozenset[str]:
 
 def type_subst_mult(t: Type, var: str, by: MultExpr) -> Type:
     """Capture-avoiding substitution of a multiplicity into a type."""
+    return type_subst_mult_all(t, {var: by})
+
+
+def type_subst_mult_all(t: Type, subst: dict[str, MultExpr]) -> Type:
+    """Capture-avoiding substitution of ``subst[p]`` for each multiplicity
+    variable ``p`` that ``subst`` maps, all at once."""
     cls = type(t)
     if cls is TArrow:
-        return TArrow(type_subst_mult(t.dom, var, by),
-                      mult_subst(t.mult, var, by),
-                      type_subst_mult(t.cod, var, by))
+        return TArrow(type_subst_mult_all(t.dom, subst),
+                      mult_subst_all(t.mult, subst),
+                      type_subst_mult_all(t.cod, subst))
     if cls is TData:
         if not t.mult_args and not t.type_args:
             return t
         return TData(t.name,
-                     tuple([mult_subst(m, var, by) for m in t.mult_args]),
-                     tuple([type_subst_mult(a, var, by) for a in t.type_args]))
+                     tuple([mult_subst_all(m, subst) for m in t.mult_args]),
+                     tuple([type_subst_mult_all(a, subst)
+                            for a in t.type_args]))
     if cls is TMArray or cls is TArray:
-        return cls(type_subst_mult(t.elem, var, by))
+        return cls(type_subst_mult_all(t.elem, subst))
     if cls is TForall:
         p, body = t.var, t.body
-        if p == var:
-            return t
-        if p in mult_vars(by):
-            fresh = _fresh_against(p, mult_vars(by) | type_mult_vars(body))
-            body = type_subst_mult(body, p, MVar(fresh))
+        if p in subst:
+            subst = {q: m for q, m in subst.items() if q != p}
+            if not subst:
+                return t
+        taken = frozenset().union(*map(mult_vars, subst.values()))
+        if p in taken:
+            fresh = _fresh_against(p, taken | type_mult_vars(body))
+            body = type_subst_mult_all(body, {p: MVar(fresh)})
             p = fresh
-        return TForall(p, type_subst_mult(body, var, by))
+        return TForall(p, type_subst_mult_all(body, subst))
     return t
 
 
 def type_subst_tvars(t: Type, mapping: dict[str, Type]) -> Type:
-    """Instantiate datatype parameters; mapping values contain no TVar."""
+    """Instantiate datatype parameters; mapping values contain no TVar.  A
+    ``forall`` whose variable a value mentions is renamed apart first."""
     cls = type(t)
     if cls is TVar:
         return mapping.get(t.name, t)
@@ -177,7 +233,13 @@ def type_subst_tvars(t: Type, mapping: dict[str, Type]) -> Type:
     if cls is TMArray or cls is TArray:
         return cls(type_subst_tvars(t.elem, mapping))
     if cls is TForall:
-        return TForall(t.var, type_subst_tvars(t.body, mapping))
+        p, body = t.var, t.body
+        taken = frozenset().union(*map(type_mult_vars, mapping.values()))
+        if p in taken:
+            fresh = _fresh_against(p, taken | type_mult_vars(body))
+            body = type_subst_mult(body, p, MVar(fresh))
+            p = fresh
+        return TForall(p, type_subst_tvars(body, mapping))
     return t
 
 
@@ -268,11 +330,11 @@ class LetBind:
     var_ty: Optional[Type]
     rhs: Term
     loc: Optional[Loc] = field(**_ANN)
-    # The free variables of ``rhs`` in first-occurrence order, recorded by
-    # the sharing translation (``record_free_vars``); the evaluators' own
-    # ``newMArray`` bindings are built with theirs.  A copy whose ``rhs``
-    # has other free variables must drop it: ``map_children`` and
-    # ``rename_vars`` do.
+    # The free variables of ``rhs`` in first-occurrence order, given to
+    # each binding by the sharing translation as it builds the binding
+    # (``translate.to_sharing``); the evaluators' own ``newMArray``
+    # bindings are built with theirs.  A copy whose ``rhs`` has other free
+    # variables must drop it: ``with_children`` and ``rename_vars`` do.
     fv: Optional[tuple[str, ...]] = field(**_ANN)
 
 
@@ -347,12 +409,37 @@ def children(t: Term) -> tuple[Term, ...]:
     return ()
 
 
+def with_children(t: Term, kids) -> Term:
+    """``t`` rebuilt with ``kids`` as its direct subterms, given in the
+    order of ``children``.  A node with no subterms comes back as itself,
+    and a let binding's copy drops its free-variable list.  With
+    ``children`` and ``map_children``, this is the one place that knows
+    which fields of a node hold subterms; every other walk handles only
+    the nodes where it differs and leaves the rest to these three."""
+    cls = type(t)
+    if cls is App:
+        return _with(t, fun=kids[0], arg=kids[1])
+    if cls is Lam or cls is MultLam:
+        return _with(t, body=kids[0])
+    if cls is Let:
+        return _with(t, binds=tuple([_with(b, rhs=rhs, fv=None)
+                                     for b, rhs in zip(t.binds, kids)]),
+                     body=kids[-1])
+    if cls is Prim or cls is Con:
+        return _with(t, args=tuple(kids)) if t.args else t
+    if cls is Case:
+        return _with(t, scrut=kids[0],
+                     branches=tuple([_with(b, body=body) for b, body
+                                     in zip(t.branches, kids[1:])]))
+    if cls is MultApp:
+        return _with(t, fun=kids[0])
+    return t
+
+
 def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
     """``t`` rebuilt with ``f`` applied to each direct subterm, in the
-    order of ``children``.  A node with no subterms comes back as itself.
-    With ``children``, this is the one place that knows which fields of a
-    node hold subterms; every other walk handles only the nodes where it
-    differs and leaves the rest to these two."""
+    order of ``children``, as ``with_children`` rebuilds it.  A node with
+    no subterms comes back as itself."""
     cls = type(t)
     if cls is App:
         return _with(t, fun=f(t.fun), arg=f(t.arg))
@@ -387,6 +474,38 @@ def _with(t, **changes):
     return new
 
 
+def var_node(name: str, ty: Optional[Type]) -> Var:
+    """``Var(name, ty=ty)``, set field by field in declaration order, as
+    ``_with`` sets them: the sharing translation builds one for each
+    argument it binds, and the constructor takes twice as long."""
+    new = _new(Var)
+    _setattr(new, "loc", None)
+    _setattr(new, "ty", ty)
+    _setattr(new, "name", name)
+    return new
+
+
+def let_node(mult: MultExpr, var: str, rhs: Term, fv: tuple[str, ...],
+             body: Term) -> Let:
+    """``let[mult] var = rhs in body`` at ``body``'s type, its one binding
+    typed as ``rhs`` and carrying the free-variable list ``fv``; set field
+    by field, as ``var_node`` is."""
+    b = _new(LetBind)
+    _setattr(b, "var", var)
+    _setattr(b, "var_ty", rhs.ty)
+    _setattr(b, "rhs", rhs)
+    _setattr(b, "loc", None)
+    _setattr(b, "fv", fv)
+    new = _new(Let)
+    _setattr(new, "loc", None)
+    _setattr(new, "ty", body.ty)
+    _setattr(new, "mult", mult)
+    _setattr(new, "binds", (b,))
+    _setattr(new, "body", body)
+    _setattr(new, "rec", is_omega_mult(mult))
+    return new
+
+
 def subterms(t: Term) -> Iterator[Term]:
     """The term and all of its descendants, pre-order.  The walk keeps its
     own stack, so no nesting depth meets Python's recursion limit."""
@@ -398,22 +517,8 @@ def subterms(t: Term) -> Iterator[Term]:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    """The free variables of ``t``."""
-    return frozenset(_free_vars(t, False))
-
-
-def record_free_vars(t: Term) -> Term:
-    """``t`` with the free-variable list of every let binding in it
-    recorded (``LetBind.fv``), in one walk."""
-    _free_vars(t, True)
-    return t
-
-
-def _free_vars(t: Term, record: bool) -> tuple[str, ...]:
-    """The free variables of ``t`` in first-occurrence order.  A post-order
-    walk on an explicit stack, so that no nesting depth meets Python's
-    recursion limit; with ``record``, each let binding it passes gets the
-    list of its right-hand side."""
+    """The free variables of ``t``.  A post-order walk on an explicit
+    stack, so that no nesting depth meets Python's recursion limit."""
     done: list[tuple[str, ...]] = []  # the lists of finished subterms
     todo: list = [t]  # subterms to enter, and (node, n) to finish
     while todo:
@@ -422,32 +527,27 @@ def _free_vars(t: Term, record: bool) -> tuple[str, ...]:
             s, n = s
             parts = done[-n:]
             del done[-n:]
-            if isinstance(s, (Lam, Case, Let)):
-                _unbind(s, parts, record)
-            parts = [p for p in parts if p]
-            done.append(parts[0] if len(parts) == 1 else
-                        tuple(dict.fromkeys(chain.from_iterable(parts))))
-        elif isinstance(s, Var):
+            done.append(join_free_vars(s, parts))
+        elif type(s) is Var:
             done.append((s.name,))
         elif kids := children(s):
             todo.append((s, len(kids)))
             todo.extend(reversed(kids))
-        elif isinstance(s, ArrayLit):
-            done.append(tuple(dict.fromkeys(s.elems)))
         else:
-            done.append(())
-    return done[0]
+            done.append(join_free_vars(s, []))
+    return frozenset(done[0])
 
 
-def _unbind(t: Term, parts: list[tuple[str, ...]], record: bool) -> None:
-    """Remove from the free variables of each child of the binder ``t``
-    (``parts``, in the order of ``children``) the names ``t`` binds there;
-    with ``record``, first give each let binding its list."""
+def join_free_vars(t: Term, parts: list[tuple[str, ...]]
+                   ) -> tuple[str, ...]:
+    """The free variables of ``t`` in first-occurrence order, from those of
+    its children (``parts``, in the order of ``children``): the names a
+    binder binds leave the children it scopes over.  ``parts`` is changed
+    in place."""
     cls = type(t)
+    if cls is Var:
+        return (t.name,)
     if cls is Let:
-        if record:
-            for b, names in zip(t.binds, parts):
-                _setattr(b, "fv", names)
         bound = [b.var for b in t.binds]
         for i in range(0 if t.rec else len(bound), len(parts)):
             parts[i] = _minus(parts[i], bound)
@@ -456,6 +556,12 @@ def _unbind(t: Term, parts: list[tuple[str, ...]], record: bool) -> None:
             parts[i] = _minus(parts[i], b.binders)
     elif cls is Lam:
         parts[0] = _minus(parts[0], (t.var,))
+    elif cls is ArrayLit:
+        return tuple(dict.fromkeys(t.elems))
+    parts = [p for p in parts if p]
+    if len(parts) < 2:
+        return parts[0] if parts else ()
+    return tuple(dict.fromkeys(chain.from_iterable(parts)))
 
 
 def _minus(names: tuple[str, ...], bound) -> tuple[str, ...]:
@@ -510,11 +616,13 @@ def _without(mapping: dict[str, str], names) -> dict[str, str]:
 def term_subst_mult(t: Term, var: str, by: MultExpr) -> Term:
     """Substitute a multiplicity throughout a term, annotations included."""
 
+    subst = {var: by}
+
     def sm(m: Optional[MultExpr]) -> Optional[MultExpr]:
-        return mult_subst(m, var, by) if m is not None else None
+        return mult_subst_all(m, subst) if m is not None else None
 
     def st(a: Optional[Type]) -> Optional[Type]:
-        return type_subst_mult(a, var, by) if a is not None else None
+        return type_subst_mult_all(a, subst) if a is not None else None
 
     def go(t: Term) -> Term:
         changes = {"ty": st(t.ty)}

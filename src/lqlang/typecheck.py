@@ -32,13 +32,13 @@ from .multiplicity import (NF_OMEGA, NF_ONE, ZERO, Usage, UsageMult,
                            sub_usage, usage_add, usage_join, usage_scale,
                            usage_subst)
 from .pretty import show_mult, show_type
-from .syntax import (App, ArrName, ArrayLit, Case, Con, DataDecl, INT,
-                     IntLit, Lam, Let, LetBind, Loc, MProd, MultApp,
+from .syntax import (App, ArrName, ArrayLit, Case, Con, ConDecl, DataDecl,
+                     INT, IntLit, Lam, Let, LetBind, Loc, MProd, MultApp,
                      MultExpr, MultLam, OMEGA, ONE, Prim, TArray, TArrow,
                      TData, TForall, TInt, TMArray, TVar, Term, Type, Var,
                      _setattr, _with, is_omega_mult, map_children,
-                     mult_subst, mult_vars, subterms, type_mult_vars,
-                     type_subst_mult, type_subst_tvars)
+                     mult_subst_all, mult_vars, subterms, type_mult_vars,
+                     type_subst_mult, type_subst_mult_all, type_subst_tvars)
 
 BUILTIN_TYPE_NAMES = frozenset({"Int", "MArray", "Array"})
 
@@ -213,7 +213,33 @@ def instantiate_con(env: TypeEnv, con_name: str, type_args: tuple[Type, ...],
                     ) -> tuple[tuple[tuple[Type, MultExpr], ...], Type]:
     """Instantiated field signature and result type of a constructor: a
     new tuple on each call, of interned types, so a repeated instance has
-    the same field and result type objects."""
+    the same field and result type objects.  The multiplicity arguments
+    go in first, all at once, so none is captured by a parameter or by a
+    type argument's multiplicities; then the type arguments."""
+    decl, con, msubst = _con_instance(env, con_name, type_args, mult_args,
+                                      loc)
+    tmap = dict(zip(decl.type_params, type_args))
+    fields = tuple([(type_subst_tvars(type_subst_mult_all(fty, msubst), tmap),
+                     mult_subst_all(fmult, msubst))
+                    for fty, fmult in con.fields])
+    return fields, TData(decl.name, mult_args, type_args)
+
+
+def con_field_mults(env: TypeEnv, con_name: str,
+                    type_args: tuple[Type, ...],
+                    mult_args: tuple[MultExpr, ...],
+                    loc: Loc | None = None) -> tuple[MultExpr, ...]:
+    """The field multiplicities of ``instantiate_con``'s signature, and its
+    errors, without building the field types."""
+    _, con, msubst = _con_instance(env, con_name, type_args, mult_args, loc)
+    return tuple([mult_subst_all(fmult, msubst) for _, fmult in con.fields])
+
+
+def _con_instance(env: TypeEnv, con_name: str, type_args: tuple[Type, ...],
+                  mult_args: tuple[MultExpr, ...], loc: Loc | None
+                  ) -> tuple[DataDecl, ConDecl, dict[str, MultExpr]]:
+    """A constructor's declarations and the map from its datatype's
+    multiplicity parameters to ``mult_args``, once the arities match."""
     entry = env.cons.get(con_name)
     if entry is None:
         raise _fail(Kind.UNBOUND_VARIABLE,
@@ -229,14 +255,7 @@ def instantiate_con(env: TypeEnv, con_name: str, type_args: tuple[Type, ...],
                     f"constructor '{con_name}' expects "
                     f"{len(decl.type_params)} type arguments, "
                     f"got {len(type_args)}", loc)
-    tmap = dict(zip(decl.type_params, type_args))
-    fields = []
-    for fty, fmult in con.fields:
-        fty = type_subst_tvars(fty, tmap)
-        for p, m in zip(decl.mult_params, mult_args):
-            fty, fmult = type_subst_mult(fty, p, m), mult_subst(fmult, p, m)
-        fields.append((fty, fmult))
-    return tuple(fields), TData(decl.name, mult_args, type_args)
+    return decl, con, dict(zip(decl.mult_params, mult_args))
 
 
 # ---------------------------------------------------------------------------

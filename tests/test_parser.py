@@ -210,6 +210,27 @@ def test_token_locations_match_their_offsets():
             assert tokens.loc(i) == Loc(line, col), (tok, pos)
 
 
+def test_node_locations_are_worked_out_when_read(prelude, monkeypatch):
+    """Parsing works out no line or column.  A node's location does so when
+    it is first read, once, and then equals, hashes and prints as the
+    ``Loc(line, col)`` it stands for."""
+    import lqlang.syntax as S
+    calls = []
+    real = S.bisect_right
+    monkeypatch.setattr(S, "bisect_right",
+                        lambda *args: calls.append(args) or real(*args))
+    main = parse_program("main =\n  add(1,\n      2)\n", base=prelude).main
+    assert not calls
+    two = main.args[1]
+    assert (two.loc.line, two.loc.col) == (3, 7)
+    assert len(calls) == 1
+    assert two.loc == Loc(3, 7) and hash(two.loc) == hash(Loc(3, 7))
+    assert str(two.loc) == "3:7"
+    assert repr(two.loc) == repr(Loc(3, 7)) == "Loc(line=3, col=7)"
+    assert len(calls) == 1
+    assert main.loc == Loc(2, 3) and main.loc != two.loc
+
+
 # also recorded, as ``lq check`` output, by ``frontend_golden.py``
 SYNTAX_ERROR_CASES = [
     ("main =\t$", "unexpected character '$'", 1, 8),

@@ -23,9 +23,10 @@ from lqlang.syntax import (App, ArrName, ArrayLit, Branch, Case, Con, INT,
                            MultApp, MultExpr, MultLam, OMEGA, ONE, Prim,
                            TArray, TArrow, TData, TForall, TInt, TMArray,
                            TVar, Term, Type, Var, children, free_vars,
-                           map_children, mult_vars, record_free_vars,
-                           rename_vars, subterms, term_subst_mult,
-                           type_subst_mult, type_subst_tvars)
+                           let_node, map_children, mult_vars, rename_vars,
+                           subterms, term_subst_mult, type_subst_mult,
+                           type_subst_mult_all, type_subst_tvars, var_node,
+                           with_children)
 from lqlang.translate import to_sharing
 from lqlang.typecheck import (infer, instantiate_con, strip_annotations,
                               type_equiv)
@@ -109,11 +110,11 @@ def test_subterms_yields_every_slot(t, names):
 
 
 @pytest.mark.parametrize("t,names", EXAMPLES, ids=IDS)
-def test_free_vars_finds_every_slot(t, names):
+def test_free_vars_finds_every_slot(t, names, prelude_env):
     assert free_vars(t) == set(names)
-    b = LetBind("z", None, t)
-    record_free_vars(Let(ONE, (b,), Var("z")))
-    assert set(b.fv) == set(names)
+    sh = to_sharing(Let(ONE, (LetBind("z", None, t),), Var("z")),
+                    prelude_env)
+    assert sh.binds[0].fv == tuple(names)
 
 
 @pytest.mark.parametrize("t,names", EXAMPLES, ids=IDS)
@@ -261,7 +262,6 @@ def test_free_vars_uses_no_host_stack():
     sys.setrecursionlimit(1_000)
     try:
         assert free_vars(t) == {"x"}
-        assert record_free_vars(t).binds[0].fv == ("x",)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -384,6 +384,38 @@ def test_map_children_copies_every_child(cls):
     assert (out is t) == (not kids)
 
 
+@pytest.mark.parametrize("cls", TERM_CLASSES, ids=lambda c: c.__name__)
+def test_with_children_puts_each_child_in_its_slot(cls):
+    t = _example(cls, _counter())
+    kids = children(t)
+    new = [Var(f"new{i}") for i in range(len(kids))]
+    out = with_children(t, new)
+    assert [id(c) for c in children(out)] == [id(c) for c in new]
+    slots = iter(new)
+    assert out == map_children(t, lambda s: next(slots))
+    assert (out.loc, out.ty) == (t.loc, t.ty)
+    assert (out is t) == (not kids)
+    if isinstance(out, Let):
+        assert all(b.fv is None for b in out.binds)
+
+
+def test_node_builders_set_what_the_constructors_set():
+    """``var_node`` and ``let_node`` set the fields that ``Var`` and ``Let``
+    set, in the same order, annotations and ``rec`` included."""
+    assert list(vars(var_node("x", P_TY)).items()) == \
+        list(vars(Var("x", ty=P_TY)).items())
+    rhs, body = IntLit(1, ty=INT), Var("y", ty=P_TY)
+    for mult in (ONE, OMEGA, P, MSum(ONE, ONE)):
+        built = let_node(mult, "y", rhs, ("a",), body)
+        made = Let(mult, (LetBind("y", INT, rhs, fv=("a",)),), body,
+                   ty=P_TY)
+        assert list(vars(built)) == list(vars(made))
+        assert all(getattr(built, k) == getattr(made, k)
+                   for k in vars(made) if k != "binds")
+        [b], [m] = built.binds, made.binds
+        assert list(vars(b).items()) == list(vars(m).items())
+
+
 TYPE_CLASSES = _classes(Type)
 
 
@@ -417,6 +449,18 @@ def test_every_multiplicity_normalizes(cls):
 # structure.
 
 Q = MVar("q")
+
+def test_multiplicities_are_substituted_all_at_once():
+    """Each variable is replaced once, by what it maps to, and a ``forall``
+    shadows its variable and is renamed apart from the replacements."""
+    subst = {"p": Q, "q": OMEGA}
+    assert type_subst_mult_all(TArrow(TArrow(INT, P, INT), Q, INT), subst) \
+        is TArrow(TArrow(INT, Q, INT), OMEGA, INT)
+    assert type_subst_mult_all(TForall("q", TArrow(INT, P, P_TY)), subst) \
+        is TForall("q0", TArrow(INT, Q, TArrow(INT, Q, INT)))
+    assert type_subst_mult_all(TForall("p", P_TY), {"p": Q}) \
+        is TForall("p", P_TY)
+
 
 TYPED = """data Box (a) where { MkBox : a ->[1] Box a }
 def f : forall p. (Int ->[p] Int) ->[1] MArray Int ->[p + w] Array (Pair p w Int Bool) =[w]

@@ -1,6 +1,7 @@
 """The sharing translation: argument variables everywhere, multiplicities
 taken from the arrow / field signatures, idempotence, typing preserved."""
 
+import sys
 from collections import Counter
 
 from lqlang.multiplicity import ZERO, mult_equiv, mult_normalize
@@ -216,9 +217,9 @@ def first_free(t, bound=frozenset(), out=None):
 
 
 def sharing_forms(prelude):
-    """The sharing forms of corpus/**, tests/data and gen seeds 0-199; a
-    rejected program is translated unchecked, as ``lq run
-    --no-typecheck`` does."""
+    """The sharing forms of corpus/**, tests/data and gen seeds 0-199, each
+    with its name and environment; a rejected program is translated
+    unchecked, as ``lq run --no-typecheck`` does."""
     from lqlang.diagnostics import CheckError
     from lqlang.harness import GenConfig, gen_welltyped
     from lqlang.typecheck import TypeEnv, check_program, elaborate_defs
@@ -230,12 +231,14 @@ def sharing_forms(prelude):
         except CheckError:
             env = TypeEnv.from_decls(sf.decls)
             yield path.name, to_sharing(elaborate_defs(sf.defs, sf.main),
-                                        env, untyped_arrow_mult=OMEGA)
+                                        env, untyped_arrow_mult=OMEGA), env
         else:
-            yield path.name, to_sharing(checked.term, checked.env)
+            yield (path.name, to_sharing(checked.term, checked.env),
+                   checked.env)
     for seed in range(200):
         checked = gen_welltyped(GenConfig(seed=seed)).checked
-        yield f"seed {seed}", to_sharing(checked.term, checked.env)
+        yield (f"seed {seed}", to_sharing(checked.term, checked.env),
+               checked.env)
 
 
 def let_binds(t):
@@ -246,12 +249,11 @@ def test_recorded_lists_are_the_free_variables(prelude):
     """Every let binding of a sharing form carries the free variables of
     its right-hand side, once each, in first-occurrence order; a copy by
     ``term_subst_mult`` keeps them, and a copy by ``rename_vars`` never
-    carries a stale one, and gets the right ones when they are recorded
-    again."""
-    from lqlang.syntax import MultLam, record_free_vars, rename_vars, \
-        term_subst_mult
+    carries a stale one, and gets the right ones when it is translated
+    again (the translation is idempotent)."""
+    from lqlang.syntax import MultLam, rename_vars, term_subst_mult
     tally = Counter()
-    for name, sh in sharing_forms(prelude):
+    for name, sh, env in sharing_forms(prelude):
         for b in let_binds(sh):
             assert b.fv == first_free(b.rhs), name
             assert set(b.fv) == free_vars(b.rhs), name
@@ -272,9 +274,58 @@ def test_recorded_lists_are_the_free_variables(prelude):
             renamed = rename_vars(s, {x: f"{x}'" for x in fv})
             for b in let_binds(renamed):
                 assert b.fv is None or set(b.fv) == free_vars(b.rhs), name
-            for b in let_binds(record_free_vars(renamed)):
+            again = to_sharing(renamed, env)
+            assert again == renamed, name
+            for b in let_binds(again):
                 assert set(b.fv) == free_vars(b.rhs), name
                 tally["renamed"] += 1
     assert tally["lists"] > 10_000
     assert tally["substituted"] > tally["lists"]
     assert tally["renamed"] > 10_000
+
+
+def test_translation_uses_no_host_stack(prelude):
+    """A nested ``add`` five times deeper than the recursion limit that the
+    translation runs under: the translation keeps its own stack.  Its lists
+    are ``first_free``'s, from the outermost and innermost bindings and
+    every 250th between."""
+    from lqlang.parser import parse_program
+    from lqlang.typecheck import check_program
+    depth, limit = 5_000, 1_000
+    nest = "".join(f"add({'ab'[i % 2]}, " for i in range(depth))
+    sf = parse_program(f"main = (\\[w] a : Int . \\[w] b : Int . {nest}0"
+                       + ")" * depth + ") 1 2", base=prelude)
+    checked = check_program(sf.decls, sf.defs, sf.main)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        sh = to_sharing(checked.term, checked.env)
+    finally:
+        sys.setrecursionlimit(old)
+    binds = let_binds(sh)
+    assert len(binds) == depth + 2  # each inner add, 0, 1 and 2
+    # a let-bound argument's variables come first, so every list but the
+    # innermost starts with the innermost add's variable, b
+    assert {b.fv for b in binds} == {(), ("b",), ("b", "a")}
+    for b in binds[:20] + binds[::250] + binds[-20:]:
+        assert b.fv == first_free(b.rhs)
+
+
+def test_translation_instantiates_no_constructor(prelude, monkeypatch):
+    """The translation reads a constructor's field multiplicities from its
+    declaration; it builds no field types (``instantiate_con``)."""
+    import lqlang.translate
+    import lqlang.typecheck
+
+    def boom(*args, **kwargs):
+        raise AssertionError("instantiate_con called")
+
+    checked = [check_corpus(path, prelude) for path in corpus_files()]
+    with_args = [c for c in checked if any(
+        isinstance(s, Con) and s.args for s in subterms(c.term))]
+    assert len(with_args) >= 8
+    monkeypatch.setattr(lqlang.typecheck, "instantiate_con", boom)
+    monkeypatch.setattr(lqlang.translate, "instantiate_con", boom,
+                        raising=False)
+    for c in with_args:
+        assert is_sharing(to_sharing(c.term, c.env))

@@ -18,8 +18,9 @@ from lqlang.syntax import (App, Branch, Case, Con, ConDecl, DataDecl, INT,
                            term_subst_mult, type_subst_mult)
 from lqlang.typecheck import (InferMemo, TypeEnv, annotate,
                               annotations_equal, check_datadecl,
-                              check_program, infer, instantiate_con,
-                              strip_annotations, type_equiv, type_key)
+                              check_program, con_field_mults, infer,
+                              instantiate_con, strip_annotations, type_equiv,
+                              type_key)
 
 from conftest import (CORPUS, check_corpus, corpus_files, load_corpus,
                       reject_files)
@@ -742,6 +743,41 @@ def test_a_type_keeps_its_key():
 
 
 # --- constructor instances -----------------------------------------------------
+
+def test_constructor_multiplicity_arguments_are_not_captured(prelude):
+    """A constructor's multiplicity arguments go into its signature all at
+    once, before its type arguments: each parameter is mapped once, and a
+    multiplicity variable that an argument mentions is never taken for a
+    parameter of the datatype, nor bound by a field's ``forall``.  The
+    translation reads the same field multiplicities."""
+    env = TypeEnv.from_decls(prelude.decls)
+    q = MVar("q")
+    g_ty = TArrow(INT, q, INT)
+    fields, result = instantiate_con(env, "MkPair", (g_ty, INT), (q, OMEGA))
+    assert fields == ((g_ty, q), (INT, OMEGA))
+    assert result is TData("Pair", (q, OMEGA), (g_ty, INT))
+    assert con_field_mults(env, "MkPair", (g_ty, INT), (q, OMEGA)) \
+        == (q, OMEGA)
+
+    def main_type(p):
+        sf = parse_program(f"main = /\\{p} . \\[1] g : Int ->[{p}] Int . "
+                           f"MkPair @[Int ->[{p}] Int, Int] @[1, 1] g 0\n",
+                           base=prelude)
+        return check_program(sf.decls, sf.defs, sf.main).ty
+
+    assert type_equiv(main_type("p"), main_type("r"))
+
+    def poly_type(r):
+        sf = parse_program(
+            "data Poly (a) where { MkPoly : (forall p. a ->[p] Int) ->[1] "
+            "Poly a }\nmain = /\\p . \\[1] f : forall " + r
+            + ". (Int ->[p] Int) ->[" + r + "] Int . "
+            "MkPoly @[Int ->[p] Int] f\n", base=prelude)
+        return check_program(sf.decls, sf.defs, sf.main).ty
+
+    # a field's ``forall p`` does not capture the type argument's ``p``
+    assert type_equiv(poly_type("q"), poly_type("r"))
+
 
 def test_constructor_instances_are_shared_types(prelude):
     """A repeated instance, under a program's environment or one derived
