@@ -52,8 +52,9 @@ def to_sharing(t: Term, env: TypeEnv,
     fresh = map(f"{FRESH_PREFIX}{{}}".format, count()).__next__
     # finished subterms, each let-bound argument after its fresh name
     done: list = []
-    # subterms to enter, [argument] for an argument to let-bind, and
-    # (node, len(done), multiplicities) to finish
+    # subterms to enter, [argument] for an argument to let-bind (its fresh
+    # name is drawn as it is entered), and (node, len(done), multiplicities)
+    # to finish
     todo: list = [t]
     while todo:
         s = todo.pop()

@@ -304,8 +304,8 @@ def test_translation_uses_no_host_stack(prelude):
         sys.setrecursionlimit(old)
     binds = let_binds(sh)
     assert len(binds) == depth + 2  # each inner add, 0, 1 and 2
-    # a let-bound argument's variables come first, so every list but the
-    # innermost starts with the innermost add's variable, b
+    # a let-bound argument's variables come first, so each add's list
+    # starts with the innermost add's variable, b; a literal's is empty
     assert {b.fv for b in binds} == {(), ("b",), ("b", "a")}
     for b in binds[:20] + binds[::250] + binds[-20:]:
         assert b.fv == first_free(b.rhs)
