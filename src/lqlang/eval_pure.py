@@ -4,8 +4,15 @@ States carry full type information: an ambient context (types for
 variables whose bindings are currently, or were, under evaluation), an
 ordered typed environment, a focused term with the demand (1 or w) at
 which it is being consumed, and a stack describing the rest of the
-computation.  Arrays are plain values here: ``write`` returns a fresh
-copy, ``freeze`` retags, and nothing is mutated in place.
+computation.  The context, the stack entries and the case frames are
+typing witnesses that only the state check reads, so only a checked run
+builds them: an unchecked one passes no stack (``None``) and leaves the
+context as it was.  It still works out every demand a premise runs at.
+Skipping ``_dmul`` on a witness's demand changes no outcome: ``m.app``
+substitutes before a body runs, so a closed, checked program never
+reaches a non-concrete multiplicity there.  Arrays are plain values
+here: ``write`` returns a fresh copy, ``freeze`` retags, and nothing is
+mutated in place.
 
 The machine evaluates closures (``runtime.Clo``) rather than substituting:
 environment bindings, stack entries, the focus and values are terms under
@@ -14,10 +21,11 @@ and let extend that environment.  The machine's state is made of the
 records an ``AnnState`` holds: its bindings are ``EnvBind``s, found by name
 in a dict and linked in state order, its stack entries are ``SEntry``s
 linked by ``below``, and its ambient context is one ``TypeEnv`` that the
-shared variable rule extends.  Inserting a binding before the one being
-forced, removing a consumed one and pushing an entry are O(1), and a state
-is read off the machine without copying or listing a binding, an entry,
-the context or a term; names, steps and traces are those of substitution.
+shared variable rule of a checked run extends.  Inserting a binding
+before the one being forced, removing a consumed one and pushing an entry
+are O(1), and a state is read off the machine without copying or listing
+a binding, an entry, the context or a term; names, steps and traces are
+those of substitution.
 
 ``_eval`` chooses a rule with ``type(t) is`` tests, tried in the order the
 rules fire most often.  No node class has a subclass, so exactly one test
@@ -39,9 +47,10 @@ README: the continuation of ``newMArray`` is run at demand 1 expecting an
 Unrestricted result, and ``freeze`` binds the frozen array as an
 unrestricted binding (frozen arrays are shareable; a linear binding would
 make repeated indexing block and would leave an unconsumable binding
-behind).  The stack entry pushed while a case scrutinee is evaluated is a
-one-argument function wrapping the branches, so that the pending branches
-are accounted for without guessing which branch will be taken.
+behind).  The stack entry a checked run pushes while a case scrutinee is
+evaluated is a one-argument function wrapping the branches, so that the
+pending branches are accounted for without guessing which branch will be
+taken.
 """
 
 from __future__ import annotations
@@ -88,7 +97,9 @@ def initial_state(term: Term, ty: Type, env: TypeEnv) -> AnnState:
 
 @dataclass
 class _PState(Machine):
-    xi: TypeEnv  # the ambient context; the shared variable rule extends it
+    # the ambient context; the shared variable rule of a checked run
+    # extends it
+    xi: TypeEnv
     binds: dict[str, EnvBind] = field(default_factory=dict)
     # sentinel of the binding list: end.next is the first binding
     end: EnvBind = field(default_factory=lambda: EnvBind("", False, TInt(),
@@ -99,7 +110,7 @@ class _PState(Machine):
     array_copies: int = 0
     check_count: int = 0
     checker: Optional[Checker] = None  # in a checked run
-    # each case node's frame, by id (``case_frame``)
+    # each case node's frame, by id (``case_frame``), in a checked run
     frames: dict[int, tuple[Case, Lam]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -292,9 +303,9 @@ def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
                 continue  # single tail premise at demand 1
             st.tick("shared variable", t, env)
             b.forcing = True
-            st.xi.vars[x] = (b.ty, OMEGA)  # grows, never pruned
             st.anchors.append(b)
             if st.checker is not None:
+                st.xi.vars[x] = (b.ty, OMEGA)  # grows, never pruned
                 st.checker.report(b)
             try:
                 z = _eval(st, b.term, demand, ty, stack)
@@ -333,9 +344,11 @@ def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
             fun_ty = fun.ty
             assert isinstance(fun_ty, TArrow), \
                 "pure evaluation needs annotated terms"
-            pi = t.mult_ann if t.mult_ann is not None else fun_ty.mult
-            entry = SEntry(Clo(arg, env), _dmul(st, pi, demand), fun_ty.dom,
-                           stack)
+            entry = None
+            if st.checker is not None:
+                pi = t.mult_ann if t.mult_ann is not None else fun_ty.mult
+                entry = SEntry(Clo(arg, env), _dmul(st, pi, demand),
+                               fun_ty.dom, stack)
             fv = _eval(st, Clo(fun, env), demand, fun_ty, entry)
             lam = fv.term
             if not isinstance(lam, Lam):
@@ -358,8 +371,10 @@ def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
             st.fresh(FRESH_PREFIX)
             # the pending branches, as a function of the scrutinee; only a
             # state check reads them
-            frame, frame_ty = st.case_frame(t, ty)
-            entry = SEntry(Clo(frame, env), demand, frame_ty, stack)
+            entry = None
+            if st.checker is not None:
+                frame, frame_ty = st.case_frame(t, ty)
+                entry = SEntry(Clo(frame, env), demand, frame_ty, stack)
             sv = _eval(st, Clo(scrut, env), _dmul(st, t.mult, demand),
                        scrut_ty, entry)
             con = sv.term
@@ -433,14 +448,16 @@ _PENDING: dict[str, list[list[int]]] = {
 
 def _prim_arg(st: _PState, name: str, args: tuple[Clo, ...], stage: int,
               demand: MultExpr, stack: Optional[SEntry]) -> Clo:
-    """Premise ``stage`` of a primitive.  Each argument still unconsumed
-    meanwhile is on the stack at its signature multiplicity scaled by the
-    demand."""
+    """Premise ``stage`` of a primitive.  In a checked run, each argument
+    still unconsumed meanwhile is on the stack at its signature
+    multiplicity scaled by the demand."""
     mults = PRIM_ARG_MULTS[name]
-    for j in _PENDING[name][stage]:
-        arg = args[j]
-        assert isinstance(arg.term, Var) and arg.term.ty is not None
-        stack = SEntry(arg, _dmul(st, mults[j], demand), arg.term.ty, stack)
+    if st.checker is not None:
+        for j in _PENDING[name][stage]:
+            arg = args[j]
+            assert isinstance(arg.term, Var) and arg.term.ty is not None
+            stack = SEntry(arg, _dmul(st, mults[j], demand), arg.term.ty,
+                           stack)
     i = _PRIM_ORDER[name][stage]
     arg = args[i]
     assert isinstance(arg.term, Var) and arg.term.ty is not None

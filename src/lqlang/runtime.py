@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .pretty import show_term, summarize
-from .syntax import Con, INT, IntLit, LetBind, TData, Term, rename_vars
+from .syntax import Con, INT, LetBind, TData, Term, int_node, rename_vars
 
 # Source binder -> the heap or environment name it stands for.  An
 # environment is never changed once built; extending one copies it.  A name
@@ -62,6 +62,9 @@ class Clo:
 ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
          "eq": operator.eq, "lt": operator.lt}
 _BOOL = TData("Bool")
+# nodes are never changed, so every comparison returns one of these two
+_TRUE = Con("True", (), (), (), ty=_BOOL)
+_FALSE = Con("False", (), (), (), ty=_BOOL)
 
 
 def arith(name: str, a: int, b: int) -> Term:
@@ -69,9 +72,11 @@ def arith(name: str, a: int, b: int) -> Term:
     ``eq`` or ``lt``) on ``a`` and ``b``: an integer, or ``True``/``False``
     for a comparison."""
     result = ARITH[name](a, b)
-    if isinstance(result, bool):
-        return Con("True" if result else "False", (), (), (), ty=_BOOL)
-    return IntLit(result, ty=INT)
+    if result is True:
+        return _TRUE
+    if result is False:
+        return _FALSE
+    return int_node(result, INT)
 
 
 class OutcomeKind(enum.Enum):

@@ -485,6 +485,16 @@ def var_node(name: str, ty: Optional[Type]) -> Var:
     return new
 
 
+def int_node(value: int, ty: Optional[Type]) -> IntLit:
+    """``IntLit(value, ty=ty)``, set field by field as ``var_node`` is:
+    every arithmetic step of both evaluators builds one."""
+    new = _new(IntLit)
+    _setattr(new, "loc", None)
+    _setattr(new, "ty", ty)
+    _setattr(new, "value", value)
+    return new
+
+
 def let_node(mult: MultExpr, var: str, rhs: Term, fv: tuple[str, ...],
              body: Term) -> Let:
     """``let[mult] var = rhs in body`` at ``body``'s type, its one binding

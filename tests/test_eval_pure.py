@@ -16,10 +16,9 @@ from lqlang.statecheck import (Checker, encode_state, reference_welltyped,
                                stack_entries)
 from lqlang.syntax import (App, ArrayLit, Branch, Case, Con, INT, IntLit,
                            Lam, Let, LetBind, OMEGA, ONE, Prim, TArray,
-                           TArrow, TData, TMArray, Var)
+                           TData, TMArray, Var)
 from lqlang.translate import to_sharing
 from lqlang.parser import parse_program
-from lqlang.pretty import show_type
 from lqlang.typecheck import annotate, check_program
 
 from conftest import CORPUS, DATA, check_corpus, corpus_files
@@ -549,33 +548,65 @@ def test_case_frames_have_one_type_per_run(prelude):
     assert sizes[0] == sizes[1]
 
 
-def test_unchecked_case_steps_share_their_frame_types(prelude, monkeypatch):
-    """In an unchecked run, every case step of one case node at one result
-    type gets the same frame type object, so the run sees as many frame
-    types at n = 200 as at n = 25, each one the type built directly."""
-    real = _PState.case_frame
-    seen = []
+def test_unchecked_runs_build_no_typing_witnesses(prelude, monkeypatch):
+    """Stack entries and case frames exist for the state check alone, so an
+    unchecked run of ``tri 25``, ``tri 200`` or an array program builds
+    neither.  A checked run of each builds both, which makes a spy that
+    stops seeing them fail."""
+    module = importlib.import_module("lqlang.eval_pure")
+    tally = Counter()
+    real_frame, real_entry = _PState.case_frame, module.SEntry
 
-    def spy(self, t, ty):
-        frame, frame_ty = real(self, t, ty)
-        seen.append((t, ty, frame_ty))
-        return frame, frame_ty
+    def case_frame(self, t, ty):
+        tally["frames"] += 1
+        return real_frame(self, t, ty)
 
-    monkeypatch.setattr(_PState, "case_frame", spy)
-    tables = []
-    for n in (25, 200):
-        seen.clear()
-        checked = _checked_text(prelude, _tri(n))
+    def entry(*args):
+        tally["entries"] += 1
+        return real_entry(*args)
+
+    monkeypatch.setattr(_PState, "case_frame", case_frame)
+    monkeypatch.setattr(module, "SEntry", entry)
+    programs = [_checked_text(prelude, _tri(25)),
+                _checked_text(prelude, _tri(200)),
+                check_corpus(CORPUS / "array_builder.lq", prelude)]
+    for checked, check in [(p, False) for p in programs] + [
+            (programs[0], True), (programs[2], True)]:
+        tally.clear()
         sh = to_sharing(checked.term, checked.env)
         res = eval_pure(initial_state(sh, checked.ty, checked.env),
-                        10_000_000)
-        assert res.outcome.is_value and res.check_count == 0
-        assert len(seen) > n
-        for t, ty, frame_ty in seen:
-            assert frame_ty is TArrow(t.scrut.ty, t.mult, ty)
-        tables.append(sorted(show_type(ty) for ty in
-                             {id(ty): ty for _, _, ty in seen}.values()))
-    assert tables[0] and tables[0] == tables[1]
+                        10_000_000, check=check)
+        assert res.outcome.is_value and res.steps > 20
+        if check:
+            assert tally["frames"] > 0 and tally["entries"] > 0
+        else:
+            assert tally["frames"] == tally["entries"] == 0
+            assert not res.state.frames and not res.state.xi.vars
+
+
+def _agreement_programs(prelude):
+    for path in corpus_files() + sorted(DATA.glob("*.lq")):
+        yield path.name, check_corpus(path, prelude)
+    for seed in range(50):
+        yield f"seed {seed}", gen_welltyped(GenConfig(seed=seed)).checked
+
+
+def test_checked_and_unchecked_runs_agree(prelude):
+    """A checked run builds the typing witnesses and an unchecked one does
+    not; otherwise they run the same rules, so they give the same outcome,
+    value, steps, array counts, remaining linear bindings and trace."""
+    for name, checked in _agreement_programs(prelude):
+        sh = to_sharing(checked.term, checked.env)
+        runs = [eval_pure(initial_state(sh, checked.ty, checked.env), 2_000,
+                          want_trace=True, check=check)
+                for check in (False, True)]
+        plain, full = [
+            (r.outcome.kind, r.outcome.reason, r.outcome.rule,
+             r.outcome.location, r.outcome.detail, r.outcome.value,
+             r.steps, r.array_allocs, r.array_copies, r.linear_bindings(),
+             r.trace) for r in runs]
+        assert plain == full, name
+        assert runs[0].check_count == 0 < runs[1].check_count, name
 
 
 def _count_replays(monkeypatch):

@@ -18,15 +18,16 @@ from lqlang.diagnostics import CheckError
 from lqlang.multiplicity import MultNF, mult_normalize
 from lqlang.parser import parse_program
 from lqlang.pretty import show_term, show_type, summarize
+from lqlang.runtime import arith
 from lqlang.syntax import (App, ArrName, ArrayLit, Branch, Case, Con, INT,
                            IntLit, Lam, Let, LetBind, MProd, MSum, MVar,
                            MultApp, MultExpr, MultLam, OMEGA, ONE, Prim,
                            TArray, TArrow, TData, TForall, TInt, TMArray,
                            TVar, Term, Type, Var, children, free_vars,
-                           let_node, map_children, mult_vars, rename_vars,
-                           subterms, term_subst_mult, type_subst_mult,
-                           type_subst_mult_all, type_subst_tvars, var_node,
-                           with_children)
+                           int_node, let_node, map_children, mult_vars,
+                           rename_vars, subterms, term_subst_mult,
+                           type_subst_mult, type_subst_mult_all,
+                           type_subst_tvars, var_node, with_children)
 from lqlang.translate import to_sharing
 from lqlang.typecheck import (infer, instantiate_con, strip_annotations,
                               type_equiv)
@@ -400,10 +401,13 @@ def test_with_children_puts_each_child_in_its_slot(cls):
 
 
 def test_node_builders_set_what_the_constructors_set():
-    """``var_node`` and ``let_node`` set the fields that ``Var`` and ``Let``
-    set, in the same order, annotations and ``rec`` included."""
+    """``var_node``, ``int_node`` and ``let_node`` set the fields that
+    ``Var``, ``IntLit`` and ``Let`` set, in the same order, annotations and
+    ``rec`` included."""
     assert list(vars(var_node("x", P_TY)).items()) == \
         list(vars(Var("x", ty=P_TY)).items())
+    assert list(vars(int_node(-3, INT)).items()) == \
+        list(vars(IntLit(-3, ty=INT)).items())
     rhs, body = IntLit(1, ty=INT), Var("y", ty=P_TY)
     for mult in (ONE, OMEGA, P, MSum(ONE, ONE)):
         built = let_node(mult, "y", rhs, ("a",), body)
@@ -414,6 +418,19 @@ def test_node_builders_set_what_the_constructors_set():
                    for k in vars(made) if k != "binds")
         [b], [m] = built.binds, made.binds
         assert list(vars(b).items()) == list(vars(m).items())
+
+
+def test_arithmetic_results():
+    """An integer result is built as ``IntLit`` builds it, and every
+    comparison returns one of two shared ``True``/``False`` nodes."""
+    for name, a, b, value in (("add", 2, 3, 5), ("sub", 2, 3, -1),
+                              ("mul", 2, 3, 6)):
+        assert list(vars(arith(name, a, b)).items()) == \
+            list(vars(IntLit(value, ty=INT)).items())
+    true, false = arith("eq", 1, 1), arith("lt", 1, 0)
+    for node, name in ((true, "True"), (false, "False")):
+        assert node == Con(name) and node.ty is TData("Bool")
+    assert arith("lt", 0, 1) is true and arith("eq", 0, 1) is false
 
 
 TYPE_CLASSES = _classes(Type)
