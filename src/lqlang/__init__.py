@@ -7,8 +7,7 @@ pure one), and a differential-testing harness that checks the two agree.
 
 from .diagnostics import CheckError, Diagnostic, Kind
 from .eval_ordinary import Heap, eval_term, trace_eval
-from .eval_pure import (AnnState, eval_pure, initial_state,
-                        instrumented_eval, state_welltyped)
+from .eval_pure import AnnState, eval_pure, initial_state, instrumented_eval
 from .harness import DiffReport, GenConfig, bisim_run, fuzz, gen_welltyped
 from .multiplicity import (MultNF, ZERO, mult_equiv, mult_normalize,
                            sub_usage, usage_add, usage_join, usage_scale)
@@ -27,6 +26,6 @@ __all__ = [
     "check_datadecl", "check_program", "eval_pure", "eval_term", "fuzz",
     "gen_welltyped", "infer", "initial_state", "instrumented_eval",
     "is_sharing", "mult_equiv", "mult_normalize", "parse_prelude",
-    "parse_program", "state_welltyped", "sub_usage", "to_sharing",
-    "trace_eval", "usage_add", "usage_join", "usage_scale",
+    "parse_program", "sub_usage", "to_sharing", "trace_eval", "usage_add",
+    "usage_join", "usage_scale",
 ]

@@ -40,7 +40,8 @@ the progress suite checks.
 conclusion of every rule application, with a ``statecheck.Checker`` to
 which the machine reports every binding it inserts, removes, forces and
 updates; in a tail chain of rules the conclusion states coincide, so one
-check covers the chain.
+check covers the chain.  A state its running totals cannot represent
+raises ``statecheck.UnrepresentableState``, an internal error.
 
 Two readings of the array rules are fixed here and documented in the
 README: the continuation of ``newMArray`` is run at demand 1 expecting an
@@ -63,8 +64,7 @@ from .multiplicity import NF_OMEGA, NF_ONE, mult_normalize
 from .pretty import summarize
 from .runtime import (ARITH, BlockReason, Clo, Env, Machine, Outcome,
                       TraceRecord, arith)
-from .statecheck import (UNIT_VAL, AnnState, Checker, EnvBind, SEntry,
-                         state_welltyped, with_internal_decls)
+from .statecheck import AnnState, Checker, EnvBind, SEntry, state_welltyped
 from .syntax import (App, ArrayLit, Case, Con, IntLit, Lam, Let, LetBind,
                      MultApp, MultExpr, MultLam, OMEGA, ONE, Omega, One, Prim,
                      TArray, TArrow, TInt, TMArray, Term, Type, Var, _with,
@@ -88,7 +88,7 @@ class PreservationViolation(Exception):
 
 def initial_state(term: Term, ty: Type, env: TypeEnv) -> AnnState:
     """Whole-program state: the result of a run is consumed once."""
-    xi = dataclasses.replace(with_internal_decls(env), vars={})
+    xi = dataclasses.replace(env, vars={})
     return AnnState(xi=xi, env=(), focus=Clo(term), demand=ONE, focus_ty=ty)
 
 
@@ -103,7 +103,7 @@ class _PState(Machine):
     binds: dict[str, EnvBind] = field(default_factory=dict)
     # sentinel of the binding list: end.next is the first binding
     end: EnvBind = field(default_factory=lambda: EnvBind("", False, TInt(),
-                                                         Clo(UNIT_VAL), 0))
+                                                         Clo(Var("")), 0))
     anchors: list[EnvBind] = field(default_factory=list)
     group_counter: int = 0
     array_allocs: int = 0
@@ -178,8 +178,7 @@ def _load(s: AnnState, fuel: int, check: bool,
     in several states.  The machine never changes a stack entry, so it
     shares ``s.stack``."""
     xi = dataclasses.replace(
-        with_internal_decls(s.xi),
-        vars={x: (ty, OMEGA) for x, (ty, _) in s.xi.vars.items()})
+        s.xi, vars={x: (ty, OMEGA) for x, (ty, _) in s.xi.vars.items()})
     st = _PState(xi=xi, fuel=fuel, trace=[] if want_trace else None)
     for b in s.env:
         st.insert(dataclasses.replace(b))

@@ -37,7 +37,8 @@ from .syntax import (App, Branch, Case, Con, DataDecl, INT, IntLit, Lam, Let,
                      LetBind, MVar, MultApp, MultExpr, MultLam, OMEGA, ONE,
                      Prim, TArrow, TData, TForall, TMArray, Term, Type, Var)
 from .translate import to_sharing
-from .typecheck import CheckedProgram, TypeEnv, check_program, instantiate_con
+from .typecheck import (CheckedProgram, TypeEnv, check_program,
+                        con_field_mults, instantiate_con)
 
 BOOL = TData("Bool")
 PAIR_II = TData("Pair", (ONE, ONE), (INT, INT))
@@ -479,9 +480,8 @@ def deep_force_pure(res: PureResult, value: Term, env: TypeEnv,
     """As ``deep_force_ordinary``; each field is forced at the demand of
     its declared multiplicity."""
     def force_field(con: Con, i: int) -> Outcome:
-        fields, _ = instantiate_con(env, con.name, con.type_args,
-                                    con.mult_args)
-        demand = ONE if mult_normalize(fields[i][1]) == NF_ONE else OMEGA
+        mults = con_field_mults(env, con.name, con.type_args, con.mult_args)
+        demand = ONE if mult_normalize(mults[i]) == NF_ONE else OMEGA
         return force_pure_variable(res, _field_name(con, i), demand,
                                    fuel).outcome
     return deep_force(value, force_field)

@@ -11,9 +11,9 @@ the binding as it built it (``LetBind.fv``), so a step never walks the
 program.  ``Clo`` is the one closure type of both machines: the ordinary
 heap's suspensions and values, and the pure machine's bindings, stack
 entries, focus and values.  A closure becomes a term again (``Clo.built``,
-``rename_vars``) only where a term is observed: a traced or aborted step, a
-final value, or a state encoded whole (``statecheck.encode_state``).  The
-pure evaluator's state check types closures as they are.
+``rename_vars``) only where a term is observed: a traced or aborted step or
+a final value.  The pure evaluator's state check types closures as they
+are.
 
 ``Machine`` holds what the two semantics have in common: fuel, the step
 count, fresh names, the rule trace, the aborts (fuel, blocked, blackhole)
@@ -41,21 +41,17 @@ EMPTY_ENV: Env = {}
 
 
 class Clo:
-    """A term under an environment.  Its built term (``rename_vars`` of the
-    term under the environment) is made once, on first use, and kept for
-    ``statecheck.encode_state``, which builds each closure of each state."""
+    """A term under an environment, neither changed once it is made."""
 
-    __slots__ = ("term", "env", "_built")
+    __slots__ = ("term", "env")
 
     def __init__(self, term: Term, env: Env = EMPTY_ENV) -> None:
         self.term = term
         self.env = env
-        self._built: Optional[Term] = None
 
     def built(self) -> Term:
-        if self._built is None:
-            self._built = rename_vars(self.term, self.env)
-        return self._built
+        """``rename_vars`` of the term under the environment, made anew."""
+        return rename_vars(self.term, self.env)
 
 
 # the arithmetic primitives, which both evaluators test for first

@@ -3,50 +3,34 @@
 A state is well-typed when its encoding typechecks: the environment becomes
 nested lets at the binding multiplicities, and the focus plus the stack
 become a chain of left-weighted pairs whose constructor consumes its left
-component at the entry's demand (``encode_state``, which builds each
-closure into a term).  ``reference_welltyped`` is that definition, run from
-scratch.  ``state_welltyped`` gives the same verdict without re-typing the
-whole state: a closure that joins the state, as a binding or on the
-chain, is typed through ``infer``'s memo for the run (``CheckCache``),
-keyed by source subterm, so a closure pushed again is answered at its
-root, and a subterm of the program is typed again only when one of its
-free variables has another type (``_infer_clo``).  The verdict itself is
-kept as running totals (``Checker``).
+component at the entry's demand.  The tests build it and infer it from
+scratch (``tests/reference_state.py``).  ``state_welltyped`` gives the same
+verdict without re-typing the whole state: a closure that joins the state, as
+a binding or on the chain, is typed through ``infer``'s memo for the run
+(``CheckCache``), keyed by source subterm, so a closure pushed again is
+answered at its root, and a subterm of the program is typed again only
+when one of its free variables has another type (``_infer_clo``).  The
+verdict itself is kept as running totals (``Checker``), the one judge.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from .diagnostics import CheckError
 from .multiplicity import (NF_ONE, ZERO, Usage, UsageMult, mult_mul,
                            mult_normalize)
 from .runtime import Clo
-from .syntax import (Con, ConDecl, DataDecl, Let, LetBind, MVar, MultExpr,
-                     OMEGA, ONE, TData, TVar, Term, Type, free_vars,
-                     mult_vars)
+from .syntax import MultExpr, OMEGA, ONE, Type, free_vars, mult_vars
 from .typecheck import (_UNBOUND, InferMemo, InferResult, TypeEnv, _restore,
                         check_type, infer, type_equiv)
 
 # the label distance between bindings put at either end of a machine's
 # binding list (``Checker.inserted``)
 _GAP = 1 << 20
-
-# Internal datatypes for the state encoding: a unit type and left-weighted
-# pairs, whose constructor consumes the left component at multiplicity p
-# and the right component exactly once.
-UNIT_DECL = DataDecl("%Unit", (), (), (ConDecl("%MkUnit", ()),))
-WPAIR_DECL = DataDecl(
-    "%WPair", ("p",), ("a", "b"),
-    (ConDecl("%MkWPair", ((TVar("a"), MVar("p")), (TVar("b"), ONE))),))
-
-UNIT_TY = TData("%Unit", (), ())
-UNIT_VAL = Con("%MkUnit", (), (), (), ty=UNIT_TY)
-
 
 @dataclass(slots=True)
 class SEntry:
@@ -98,66 +82,6 @@ class AnnState:
             raise AttributeError(name)
         self.env = tuple(machine.ordered())
         return self.env
-
-
-def with_internal_decls(env: TypeEnv) -> TypeEnv:
-    decls = dict(env.decls)
-    cons = dict(env.cons)
-    for d in (UNIT_DECL, WPAIR_DECL):
-        decls[d.name] = d
-        for c in d.constructors:
-            cons[c.name] = (d, c)
-    return dataclasses.replace(env, decls=decls, cons=cons)
-
-
-# ---------------------------------------------------------------------------
-# The encoding: the definition of well-typedness
-
-def _wrap(entry_term: Term, entry_demand: MultExpr, entry_ty: Type,
-          rest: Term, rest_ty: Type) -> tuple[Term, Type]:
-    ty = TData("%WPair", (entry_demand,), (entry_ty, rest_ty))
-    term = Con("%MkWPair", (entry_ty, rest_ty), (entry_demand,),
-               (entry_term, rest), ty=ty)
-    return term, ty
-
-
-def stack_entries(top: Optional[SEntry]) -> Iterator[SEntry]:
-    """The stack from ``top`` down: newest entry first."""
-    while top is not None:
-        yield top
-        top = top.below
-
-
-def encode_state(s: AnnState) -> tuple[Term, Type]:
-    """The state as a closed term and its expected type, each closure
-    built.  Each run of live bindings of one group is one let."""
-    payload: Term = UNIT_VAL
-    payload_ty: Type = UNIT_TY
-    # oldest first; newest ends up outermost
-    for entry in reversed(list(stack_entries(s.stack))):
-        payload, payload_ty = _wrap(entry.term.built(), entry.demand,
-                                    entry.ty, payload, payload_ty)
-    term, ty = _wrap(s.focus.built(), s.demand, s.focus_ty, payload,
-                     payload_ty)
-
-    live = [b for b in s.env if not b.forcing]
-    for run in reversed([list(run) for _, run in
-                         itertools.groupby(live, _GROUP)]):
-        mult = ONE if run[0].linear else OMEGA
-        binds = tuple(LetBind(b.name, b.ty, b.term.built()) for b in run)
-        term = Let(mult=mult, binds=binds, body=term, ty=ty)
-    return term, ty
-
-
-def reference_welltyped(s: AnnState) -> bool:
-    """The definition of state well-typedness: encode the whole state and
-    infer its type from scratch."""
-    term, expected = encode_state(s)
-    try:
-        result = infer(s.xi, term)
-    except CheckError:
-        return False
-    return type_equiv(result.ty, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +161,33 @@ def _infer_clo(env: TypeEnv, clo: Clo) -> Optional[tuple[Type, Usage]]:
 # The running totals
 
 def state_welltyped(s: AnnState, checker: Optional[Checker] = None) -> bool:
-    """The verdict of ``reference_welltyped``, from one inference per
+    """The verdict on ``s``, from one inference per
     closure that joined the state: from the running totals of ``checker``
     on its machine's current snapshot, else from totals replayed from
     ``s`` that share the checker's cache, which must only see states of
-    its run."""
+    its run; ``UnrepresentableState`` if the totals cannot represent it."""
     if checker is not None and s is checker.current:
         return checker.check(s)
     return Checker(checker and checker.cache).check(s)
+
+
+class UnrepresentableState(AssertionError):
+    """A state the running totals cannot represent (see ``Checker``).  No
+    evaluator run makes one, so a machine's state that is one is an
+    internal error.  ``reason`` names the condition, and ``name`` the first
+    offending binding in state order, or for a multiplicity variable in
+    context, the first such variable by name."""
+
+    def __init__(self, reason: str, name: str) -> None:
+        super().__init__(f"state not representable: {reason}: '{name}'")
+        self.reason, self.name = reason, name
+
+
+MULT_VAR = "multiplicity variable in context"
+DUPLICATE = "two bindings of one name"
+MIXED_GROUP = "group of linear and unrestricted bindings"
+CONTEXT_NAME = "context name not bound as an unrestricted binding of its type"
+FORCED_OUTSIDE = "forced binding outside the context"
 
 
 # a contribution's share of the running totals: its scaled usage at each
@@ -260,7 +203,7 @@ class Checker:
 
     The let groups of the encoding are the runs of live bindings of one
     ``group`` in state order, and its typing amounts to this.  Each live
-    binding and each entry of the %WPair chain (the focus, then the stack)
+    binding and each entry of the pair chain (the focus, then the stack)
     must have its declared type, and contributes its usage scaled by the
     binding's multiplicity or the entry's demand.  A name in the ambient
     context ``xi`` may be used anywhere.  Any other name used must be live;
@@ -287,9 +230,9 @@ class Checker:
     otherwise ``runs`` numbers each live binding's run.  A state with a
     multiplicity variable in context, two bindings of one name, a group of
     linear and unrestricted bindings, a context name bound other than as
-    an unrestricted binding of its type, a forced binding outside the
-    context, or no internal declarations is not represented:
-    ``reference_welltyped`` judges it."""
+    an unrestricted binding of its type, or a forced binding outside the
+    context is not represented: a check of one raises
+    ``UnrepresentableState``."""
 
     def __init__(self, cache: Optional[CheckCache] = None, st=None) -> None:
         self.cache = cache or CheckCache()
@@ -331,7 +274,7 @@ class Checker:
 
     def _rerun(self, b: EnvBind) -> bool:
         """Once a group is split: ``b`` just joined or left the live
-        bindings.  Give it the run ``encode_state`` would, and say whether
+        bindings.  Give it its run in the encoding, and say whether
         every other binding keeps its run."""
         end, before, after = self.st.end, b.prev, b.next
         while before.forcing:  # the sentinel is not
@@ -389,21 +332,26 @@ class Checker:
             labels[id(left)] = base + k * step
             left = left.next
 
-    def _replay(self, s: AnnState) -> bool:
-        """Build the totals from nothing, for ``s``: False if they cannot
-        represent it."""
+    def _replay(self, s: AnnState) -> None:
+        """Build the totals from nothing, for ``s``, or raise
+        ``UnrepresentableState`` if they cannot represent it."""
         xi, order = s.xi, s.env
-        if (xi.mult_vars or "%MkWPair" not in xi.cons
-                or "%MkUnit" not in xi.cons
-                or len({b.name for b in order}) < len(order)
-                or len({(b.group, b.linear) for b in order})
-                > len({b.group for b in order})):
-            return False
+        if xi.mult_vars:
+            raise UnrepresentableState(MULT_VAR, min(xi.mult_vars))
+        names: set[str] = set()
+        linear: dict[int, bool] = {}  # by group, its first binding's
         for b in order:
             ctx = xi.vars.get(b.name)
-            if (b.forcing if ctx is None else b.linear and not b.forcing
-                    or not type_equiv(ctx[0], b.ty)):
-                return False
+            if b.name in names:
+                raise UnrepresentableState(DUPLICATE, b.name)
+            if linear.setdefault(b.group, b.linear) != b.linear:
+                raise UnrepresentableState(MIXED_GROUP, b.name)
+            if ctx is None:
+                if b.forcing:
+                    raise UnrepresentableState(FORCED_OUTSIDE, b.name)
+            elif b.linear and not b.forcing or not type_equiv(ctx[0], b.ty):
+                raise UnrepresentableState(CONTEXT_NAME, b.name)
+            names.add(b.name)
         self.stale = False
         self.xi = xi
         self.binds = (self.st.binds if self.st is not None
@@ -430,13 +378,12 @@ class Checker:
         self.misplaced: dict[str, int] = {}
         self.changed: set[str] = set()
         self.failing: set[str] = set()
-        return True
 
     def check(self, s: AnnState) -> bool:
         """The verdict on ``s``: the machine's current snapshot, or the
         state these totals were made for."""
-        if self.stale and not self._replay(s):
-            return reference_welltyped(s)
+        if self.stale:
+            self._replay(s)
         binds = self.binds
         for b in self.dirty.values():
             self.changed.add(b.name)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .multiplicity import (MProd, MSum, MVar, MultExpr, OMEGA, ONE,  # noqa: F401
                            Omega, One, is_omega_mult, mult_subst,
@@ -413,9 +413,10 @@ def with_children(t: Term, kids) -> Term:
     """``t`` rebuilt with ``kids`` as its direct subterms, given in the
     order of ``children``.  A node with no subterms comes back as itself,
     and a let binding's copy drops its free-variable list.  With
-    ``children`` and ``map_children``, this is the one place that knows
-    which fields of a node hold subterms; every other walk handles only
-    the nodes where it differs and leaves the rest to these three."""
+    ``children``, this is the one place that knows which fields of a node
+    hold subterms; every other walk handles only the nodes where it
+    differs, and rebuilds the rest as ``with_children(t, [f(k) for k in
+    children(t)])``."""
     cls = type(t)
     if cls is App:
         return _with(t, fun=kids[0], arg=kids[1])
@@ -433,30 +434,6 @@ def with_children(t: Term, kids) -> Term:
                                      in zip(t.branches, kids[1:])]))
     if cls is MultApp:
         return _with(t, fun=kids[0])
-    return t
-
-
-def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
-    """``t`` rebuilt with ``f`` applied to each direct subterm, in the
-    order of ``children``, as ``with_children`` rebuilds it.  A node with
-    no subterms comes back as itself."""
-    cls = type(t)
-    if cls is App:
-        return _with(t, fun=f(t.fun), arg=f(t.arg))
-    if cls is Lam or cls is MultLam:
-        return _with(t, body=f(t.body))
-    if cls is Let:
-        return _with(t, binds=tuple(_with(b, rhs=f(b.rhs), fv=None)
-                                    for b in t.binds),
-                     body=f(t.body))
-    if cls is Prim or cls is Con:
-        return _with(t, args=tuple(map(f, t.args))) if t.args else t
-    if cls is Case:
-        return _with(t, scrut=f(t.scrut),
-                     branches=tuple(_with(b, body=f(b.body))
-                                    for b in t.branches))
-    if cls is MultApp:
-        return _with(t, fun=f(t.fun))
     return t
 
 
@@ -613,7 +590,8 @@ def rename_vars(t: Term, mapping: dict[str, str]) -> Term:
         case ArrayLit(elems):
             return _with(t, elems=tuple(mapping.get(e, e) for e in elems))
         case _:
-            return map_children(t, lambda s: rename_vars(s, mapping))
+            return with_children(t, [rename_vars(k, mapping)
+                                     for k in children(t)])
 
 
 def _without(mapping: dict[str, str], names) -> dict[str, str]:
@@ -653,12 +631,13 @@ def term_subst_mult(t: Term, var: str, by: MultExpr) -> Term:
                                mult_args=tuple(map(sm, margs)))
             case Let(m, binds, body):
                 # the term variables stay, so each binding keeps its
-                # recorded free-variable list, which ``map_children`` drops
+                # recorded free-variable list, which ``with_children`` drops
                 return _with(t, mult=sm(m), body=go(body), binds=tuple(
                     _with(b, var_ty=st(b.var_ty), rhs=go(b.rhs))
                     for b in binds), **changes)
             case ArrayLit():
                 changes.update(elem_ty=st(t.elem_ty))
-        return map_children(_with(t, **changes), go)
+        t = _with(t, **changes)
+        return with_children(t, [go(k) for k in children(t)])
 
     return go(t)

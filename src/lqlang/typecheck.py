@@ -36,9 +36,10 @@ from .syntax import (App, ArrName, ArrayLit, Case, Con, ConDecl, DataDecl,
                      INT, IntLit, Lam, Let, LetBind, Loc, MProd, MultApp,
                      MultExpr, MultLam, OMEGA, ONE, Prim, TArray, TArrow,
                      TData, TForall, TInt, TMArray, TVar, Term, Type, Var,
-                     _setattr, _with, is_omega_mult, map_children,
+                     _setattr, _with, children, is_omega_mult,
                      mult_subst_all, mult_vars, subterms, type_mult_vars,
-                     type_subst_mult, type_subst_mult_all, type_subst_tvars)
+                     type_subst_mult, type_subst_mult_all, type_subst_tvars,
+                     with_children)
 
 BUILTIN_TYPE_NAMES = frozenset({"Int", "MArray", "Array"})
 
@@ -833,7 +834,8 @@ def annotate(env: TypeEnv, t: Term) -> InferResult:
 def strip_annotations(t: Term) -> Term:
     """``t`` without the typechecker's ``ty`` and ``mult_ann`` fields."""
     changes = {"mult_ann": None} if isinstance(t, App) else {}
-    return map_children(_with(t, ty=None, **changes), strip_annotations)
+    t = _with(t, ty=None, **changes)
+    return with_children(t, [strip_annotations(k) for k in children(t)])
 
 
 def annotations_equal(a: Term, b: Term) -> bool:

@@ -26,8 +26,8 @@ from lqlang.harness import (GenConfig, deep_force_ordinary, deep_force_pure,
 from lqlang.multiplicity import NF_OMEGA, mult_normalize
 from lqlang.syntax import (INT, Case, Con, Lam, Let, MProd, MSum, MVar,
                            MultApp, MultExpr, MultLam, TArray, TArrow, TData,
-                           TForall, TMArray, Term, Type, Var, map_children,
-                           subterms)
+                           TForall, TMArray, Term, Type, Var, children,
+                           subterms, with_children)
 from lqlang.translate import to_sharing
 from lqlang.typecheck import check_program, elaborate_defs, type_equiv
 
@@ -122,7 +122,8 @@ def rename_apart(t: Term) -> Term:
                     mult_args=tuple(rename_mult(m, ms) for m in margs),
                     args=tuple(go(a, scope, ms) for a in args))
             case _:
-                return map_children(t, lambda s: go(s, scope, ms))
+                return with_children(t, [go(k, scope, ms)
+                                         for k in children(t)])
 
     return go(t, {}, {})
 

@@ -12,8 +12,9 @@ from lqlang.eval_pure import (AnnState, EnvBind, PreservationViolation,
                               instrumented_eval, state_welltyped)
 from lqlang.harness import GenConfig, fuzz, gen_welltyped
 from lqlang.runtime import BlockReason, Clo, OutcomeKind
-from lqlang.statecheck import (Checker, encode_state, reference_welltyped,
-                               stack_entries)
+from lqlang.statecheck import (CONTEXT_NAME, DUPLICATE, FORCED_OUTSIDE,
+                               MIXED_GROUP, MULT_VAR, Checker,
+                               UnrepresentableState)
 from lqlang.syntax import (App, ArrayLit, Branch, Case, Con, INT, IntLit,
                            Lam, Let, LetBind, OMEGA, ONE, Prim, TArray,
                            TData, TMArray, Var)
@@ -22,6 +23,8 @@ from lqlang.parser import parse_program
 from lqlang.typecheck import annotate, check_program
 
 from conftest import CORPUS, DATA, check_corpus, corpus_files
+from reference_state import (encode_state, reference_welltyped,
+                             stack_entries)
 
 
 def prepare(env, term):
@@ -192,6 +195,50 @@ def test_encoding_length(prelude_env):
     assert depth == len(list(stack_entries(st.stack))) + 1
 
 
+def _unrepresentable(xi):
+    """One state per condition the running totals cannot represent, with
+    the binding (or multiplicity variable) a check must name, and the
+    reference's verdict."""
+    def bind(name, linear, group, n=5, forcing=False):
+        return EnvBind(name, linear, INT, Clo(IntLit(n, ty=INT)), group,
+                       forcing)
+
+    def state(env, focus, xi=xi):
+        return AnnState(xi=xi, env=env, focus=Clo(focus), demand=ONE,
+                        focus_ty=INT)
+
+    x, y = Var("x", ty=INT), Var("y", ty=INT)
+    add_xy = Prim("add", (x, y), ty=INT)
+    yield MULT_VAR, "p", True, state(
+        (bind("x", True, 1),), x, replace(xi, mult_vars=frozenset("rqp")))
+    # the inner x shadows the outer, which is never consumed
+    yield DUPLICATE, "x", False, state(
+        (bind("x", True, 1), bind("y", True, 2), bind("x", True, 3)), add_xy)
+    # the group's first binding makes it a let[1]
+    yield MIXED_GROUP, "y", True, state(
+        (bind("x", True, 1), bind("y", False, 1)), add_xy)
+    yield CONTEXT_NAME, "y", True, state(
+        (bind("x", False, 1), bind("y", True, 2)), add_xy,
+        replace(xi, vars={"y": (INT, OMEGA)}))
+    yield FORCED_OUTSIDE, "y", True, state(
+        (bind("x", True, 1), bind("y", False, 2, forcing=True)), x)
+
+
+def test_unrepresentable_states_name_their_reason(prelude_env):
+    """A check of a state the running totals cannot represent raises
+    ``UnrepresentableState``, an ``AssertionError``, which names the
+    condition and the first offending binding in state order; the
+    reference still gives each state a verdict."""
+    xi = prepare(prelude_env, IntLit(0)).xi
+    for reason, name, verdict, s in _unrepresentable(xi):
+        with pytest.raises(UnrepresentableState) as info:
+            state_welltyped(s)
+        assert (info.value.reason, info.value.name) == (reason, name)
+        assert f"{reason}: '{name}'" in str(info.value)
+        assert isinstance(info.value, AssertionError)
+        assert reference_welltyped(s) is verdict, reason
+
+
 # --- instrumentation -----------------------------------------------------------
 
 def test_instrumented_corpus_program(prelude_env):
@@ -284,10 +331,15 @@ def _perturbed(s, k):
         yield "pop stack", replace(s, stack=top.below)
 
 
+_REASONS = (MULT_VAR, DUPLICATE, MIXED_GROUP, CONTEXT_NAME, FORCED_OUTSIDE)
+
+
 def _compare_on_runs(monkeypatch, programs, perturb):
     """Run each program under ``instrumented_eval`` and compare the
     incremental verdict with the reference at every checked state and,
-    with ``perturb``, on its perturbed copies, through the run's cache."""
+    with ``perturb``, on its perturbed copies, through the run's cache.
+    A perturbed copy the totals cannot represent is counted under the
+    reason it raises."""
     module = importlib.import_module("lqlang.eval_pure")
     incremental = module.state_welltyped
     tally = Counter()
@@ -300,7 +352,10 @@ def _compare_on_runs(monkeypatch, programs, perturb):
             for kind, bad in _perturbed(s, tally["states"]):
                 expected = reference_welltyped(bad)
                 tally[kind] += not expected
-                tally["mismatches"] += incremental(bad, cache) != expected
+                try:
+                    tally["mismatches"] += incremental(bad, cache) != expected
+                except UnrepresentableState as exc:
+                    tally[exc.reason] += 1
         return verdict
 
     monkeypatch.setattr(module, "state_welltyped", spy)
@@ -333,6 +388,9 @@ def test_incremental_check_matches_reference_on_perturbed_states(
                              _checked_programs(prelude, range(5)),
                              perturb=True)
     assert tally["mismatches"] == 0
+    # flipping a binding whose name the context holds, or that shares its
+    # group with others, makes a state the totals cannot represent
+    assert {r for r in _REASONS if tally[r]} == {CONTEXT_NAME, MIXED_GROUP}
     # every kind of perturbation yields ill-typed states; "focus type Int"
     # needs the type comparison on cache hits
     for kind in ("drop binding", "flip linear", "reverse env",

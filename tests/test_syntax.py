@@ -2,8 +2,8 @@
 
 Each example is one instance of a ``Term`` subclass whose child slots all
 hold distinct ``Var`` nodes, annotated with a type that mentions the
-multiplicity variable ``p``.  The walks built on ``map_children`` and
-``children`` must reach every one of them.
+multiplicity variable ``p``.  The walks built on ``children`` and
+``with_children`` must reach every one of them.
 """
 
 import dataclasses
@@ -24,7 +24,7 @@ from lqlang.syntax import (App, ArrName, ArrayLit, Branch, Case, Con, INT,
                            MultApp, MultExpr, MultLam, OMEGA, ONE, Prim,
                            TArray, TArrow, TData, TForall, TInt, TMArray,
                            TVar, Term, Type, Var, children, free_vars,
-                           int_node, let_node, map_children, mult_vars,
+                           int_node, let_node, mult_vars,
                            rename_vars, subterms, term_subst_mult,
                            type_subst_mult, type_subst_mult_all,
                            type_subst_tvars, var_node, with_children)
@@ -143,13 +143,15 @@ def test_strip_annotations_clears_every_slot(t, names):
 
 @pytest.mark.parametrize("t,names", EXAMPLES, ids=IDS)
 def test_map_children_visits_children_in_order(t, names):
+    """A walk's default case, ``with_children(t, [f(k) for k in
+    children(t)])``, calls ``f`` on the children in order."""
     seen = []
 
     def f(s):
         seen.append(s)
         return s
 
-    out = map_children(t, f)
+    out = with_children(t, [f(k) for k in children(t)])
     assert [id(s) for s in seen] == [id(s) for s in children(t)]
     assert out == t
     if not children(t):
@@ -377,7 +379,7 @@ def test_children_follow_the_field_declarations(cls):
 @pytest.mark.parametrize("cls", TERM_CLASSES, ids=lambda c: c.__name__)
 def test_map_children_copies_every_child(cls):
     t = _example(cls, _counter())
-    out = map_children(t, dataclasses.replace)
+    out = with_children(t, [dataclasses.replace(k) for k in children(t)])
     assert out == t
     kids = children(t)
     assert len(children(out)) == len(kids)
@@ -392,8 +394,8 @@ def test_with_children_puts_each_child_in_its_slot(cls):
     new = [Var(f"new{i}") for i in range(len(kids))]
     out = with_children(t, new)
     assert [id(c) for c in children(out)] == [id(c) for c in new]
-    slots = iter(new)
-    assert out == map_children(t, lambda s: next(slots))
+    # every other field is kept: putting the old children back gives ``t``
+    assert with_children(out, kids) == t
     assert (out.loc, out.ty) == (t.loc, t.ty)
     assert (out is t) == (not kids)
     if isinstance(out, Let):

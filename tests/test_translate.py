@@ -151,21 +151,32 @@ def test_evaluation_walks_no_free_variables(prelude, monkeypatch):
     """The translation lists each let's free variables; the evaluators read
     the lists, so a run, a checked run and a deep force walk no term.
     Every free-variable walk goes through ``syntax.children``, which is
-    counted here."""
+    counted here.  So does ``rename_vars``, when a closure is built into
+    the value a run returns (``Clo.built``): that walk renames the value
+    and reads no free variable, so it is counted apart."""
     import lqlang.syntax as S
     from lqlang.eval_ordinary import Heap, eval_term
     from lqlang.eval_pure import eval_pure, initial_state, instrumented_eval
     from lqlang.harness import deep_force_ordinary, deep_force_pure
     from lqlang.parser import parse_program
+    from lqlang.runtime import Clo
     from lqlang.typecheck import check_program
     visits = Counter()
-    real = S.children
+    real, real_built = S.children, Clo.built
 
     def counting(t):
-        visits["nodes"] += 1
+        visits["built" if visits["building"] else "nodes"] += 1
         return real(t)
 
+    def built(self):
+        visits["building"] += 1
+        try:
+            return real_built(self)
+        finally:
+            visits["building"] -= 1
+
     monkeypatch.setattr(S, "children", counting)
+    monkeypatch.setattr(Clo, "built", built)
     sf = parse_program(write_chain(500), base=prelude)
     checked = check_program(sf.decls, sf.defs, sf.main)
     sh = to_sharing(checked.term, checked.env)
@@ -183,6 +194,7 @@ def test_evaluation_walks_no_free_variables(prelude, monkeypatch):
                                 10**6)
     assert ok and ptree == otree
     assert visits["nodes"] == 0
+    assert visits["built"] > 0  # each run's ``MkPair`` value
     assert translated > 2_000  # the translation's one walk
     assert not any(hasattr(r.state, "fv_memo") for r in (ores, pres, ires))
 
