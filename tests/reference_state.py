@@ -6,10 +6,11 @@ becomes nested lets at the binding multiplicities, one let per run of live
 bindings of one group, and the focus plus the stack become a chain of
 left-weighted pairs whose constructor consumes its left component at the
 entry's demand (``encode_state``, which builds each closure into a term).
-``reference_welltyped`` infers the whole encoding with no memo, in the
-state's context with two internal datatypes added (``with_internal_decls``).
-It gives a verdict on every state, the ones the running totals cannot
-represent included.
+``reference_welltyped`` infers the whole encoding with no inference memo,
+in the state's context with two internal datatypes added
+(``with_internal_decls``); it keeps only each run's built terms
+(``_RunMemo``).  It gives a verdict on every state, the ones the running
+totals cannot represent included.
 """
 
 from __future__ import annotations
@@ -46,13 +47,11 @@ class _RunMemo:
     """What the reference keeps for the states of one run.  They share one
     context object ``xi``, which the machine extends in place, so ``env``,
     that context with the internal datatypes, shares its variables.
-    ``built`` holds the built term of each closure by closure identity,
-    and ``held`` the closures, so that no other closure takes an id while
-    it is kept."""
+    ``built`` holds each closure with its built term, by closure identity;
+    holding the closure keeps its id from being reused while it is kept."""
     xi: TypeEnv
     env: TypeEnv
-    built: dict[int, Term] = field(default_factory=dict)
-    held: list[Clo] = field(default_factory=list)
+    built: dict[int, tuple[Clo, Term]] = field(default_factory=dict)
 
 
 _memo: Optional[_RunMemo] = None
@@ -96,15 +95,13 @@ def encode_state(s: AnnState) -> tuple[Term, Type]:
     """The state as a closed term and its expected type, each closure
     built, once per run.  Each run of live bindings of one group is one
     let."""
-    memo = _run_memo(s.xi)
-    terms = memo.built
+    terms = _run_memo(s.xi).built
 
     def built(c: Clo) -> Term:
-        t = terms.get(id(c))
-        if t is None:
-            t = terms[id(c)] = c.built()
-            memo.held.append(c)
-        return t
+        hit = terms.get(id(c))
+        if hit is None:
+            hit = terms[id(c)] = (c, c.built())
+        return hit[1]
 
     payload: Term = UNIT_VAL
     payload_ty: Type = UNIT_TY
