@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .pretty import show_term, summarize
-from .syntax import Con, INT, LetBind, TData, Term, int_node, rename_vars
+from .syntax import Con, INT, IntLit, LetBind, TData, Term, rename_vars
 
 # Source binder -> the heap or environment name it stands for.  An
 # environment is never changed once built; extending one copies it.  A name
@@ -72,7 +72,7 @@ def arith(name: str, a: int, b: int) -> Term:
         return _TRUE
     if result is False:
         return _FALSE
-    return int_node(result, INT)
+    return IntLit(result, ty=INT)
 
 
 class OutcomeKind(enum.Enum):

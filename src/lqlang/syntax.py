@@ -1,11 +1,16 @@
 """Abstract syntax: types, terms, datatype declarations, and (re-exported
 from ``multiplicity``) multiplicity expressions.
 
-All nodes are immutable but for the slots that the checker (``annotate``)
-and the sharing translation fill in.  Equality ignores the annotation slots
-(``loc``, ``ty``, ``mult_ann``) so that two terms compare equal
-regardless of source position or typechecker output.  A type is one
-object per structure (``Type``).
+Term nodes are plain slotted records, built by one ordinary constructor
+call.  Nothing enforces their immutability at run time; it is a contract.
+After a node is built, only three writers set a field of it, and each only
+on nodes it has just accepted or built: ``typecheck.annotate`` (``ty`` and
+``mult_ann``, on a term it accepted), the sharing translation (``fv``, on
+the let bindings it builds) and ``Let.__post_init__`` (``rec``).  Every
+other change makes a copy (``_with``, ``with_children``).  Equality and
+hashing ignore the annotation slots (``loc``, ``ty``, ``mult_ann``,
+``fv``) so that two terms compare equal regardless of source position or
+typechecker output.  A type is one object per structure (``Type``).
 """
 
 from __future__ import annotations
@@ -256,23 +261,23 @@ def _fresh_against(base: str, taken: frozenset[str]) -> str:
 _ANN = dict(default=None, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Term:
     loc: Optional[Loc] = field(**_ANN)
     ty: Optional[Type] = field(**_ANN)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var(Term):
     name: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntLit(Term):
     value: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lam(Term):
     mult: MultExpr = ONE
     var: str = ""
@@ -280,7 +285,7 @@ class Lam(Term):
     body: Term = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class App(Term):
     fun: Term = None  # type: ignore[assignment]
     arg: Term = None  # type: ignore[assignment]
@@ -288,19 +293,19 @@ class App(Term):
     mult_ann: Optional[MultExpr] = field(**_ANN)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MultLam(Term):
     param: str = ""
     body: Term = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MultApp(Term):
     fun: Term = None  # type: ignore[assignment]
     mult: MultExpr = ONE
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Con(Term):
     name: str = ""
     type_args: tuple[Type, ...] = ()
@@ -308,7 +313,7 @@ class Con(Term):
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Branch:
     con: str
     binders: tuple[str, ...]
@@ -316,14 +321,14 @@ class Branch:
     loc: Optional[Loc] = field(**_ANN)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Case(Term):
     mult: MultExpr = ONE
     scrut: Term = None  # type: ignore[assignment]
     branches: tuple[Branch, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LetBind:
     var: str
     # None only on evaluator-internal bindings, which are never typechecked.
@@ -338,7 +343,7 @@ class LetBind:
     fv: Optional[tuple[str, ...]] = field(**_ANN)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Let(Term):
     mult: MultExpr = ONE
     binds: tuple[LetBind, ...] = ()
@@ -349,23 +354,23 @@ class Let(Term):
     rec: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rec", is_omega_mult(self.mult))
+        self.rec = is_omega_mult(self.mult)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Prim(Term):
     name: str = ""
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ArrName(Term):
     """Reference to a heap array cell; created only by the in-place evaluator."""
 
     name: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ArrayLit(Term):
     """An array value (element variables); created only by the pure evaluator."""
 
@@ -374,7 +379,7 @@ class ArrayLit(Term):
     frozen_tag: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DataDecl:
     name: str
     mult_params: tuple[str, ...]
@@ -383,7 +388,7 @@ class DataDecl:
     loc: Optional[Loc] = field(**_ANN)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ConDecl:
     name: str
     fields: tuple[tuple[Type, MultExpr], ...]
@@ -438,58 +443,14 @@ def with_children(t: Term, kids) -> Term:
 
 
 def _with(t, **changes):
-    """A copy of the frozen node ``t`` (a term, branch or let binding) with
+    """A copy of the node ``t`` (a term, branch or let binding) with
     ``changes`` to its fields.  Unlike ``dataclasses.replace`` it does not
     re-run ``__post_init__``, so a copied ``Let`` keeps its ``rec``, and it
-    skips ``__init__`` on the hot paths of renaming and translation.  Fields
-    are set one by one, not through ``__dict__``: touching an instance's
-    ``__dict__`` makes CPython give it a separate dict, twice the size."""
+    skips ``__init__`` on the hot paths of renaming and translation."""
     new = _new(type(t))
     for name in t.__dataclass_fields__:
         _setattr(new, name,
                  changes[name] if name in changes else getattr(t, name))
-    return new
-
-
-def var_node(name: str, ty: Optional[Type]) -> Var:
-    """``Var(name, ty=ty)``, set field by field in declaration order, as
-    ``_with`` sets them: the sharing translation builds one for each
-    argument it binds, and the constructor takes twice as long."""
-    new = _new(Var)
-    _setattr(new, "loc", None)
-    _setattr(new, "ty", ty)
-    _setattr(new, "name", name)
-    return new
-
-
-def int_node(value: int, ty: Optional[Type]) -> IntLit:
-    """``IntLit(value, ty=ty)``, set field by field as ``var_node`` is:
-    every arithmetic step of both evaluators builds one."""
-    new = _new(IntLit)
-    _setattr(new, "loc", None)
-    _setattr(new, "ty", ty)
-    _setattr(new, "value", value)
-    return new
-
-
-def let_node(mult: MultExpr, var: str, rhs: Term, fv: tuple[str, ...],
-             body: Term) -> Let:
-    """``let[mult] var = rhs in body`` at ``body``'s type, its one binding
-    typed as ``rhs`` and carrying the free-variable list ``fv``; set field
-    by field, as ``var_node`` is."""
-    b = _new(LetBind)
-    _setattr(b, "var", var)
-    _setattr(b, "var_ty", rhs.ty)
-    _setattr(b, "rhs", rhs)
-    _setattr(b, "loc", None)
-    _setattr(b, "fv", fv)
-    new = _new(Let)
-    _setattr(new, "loc", None)
-    _setattr(new, "ty", body.ty)
-    _setattr(new, "mult", mult)
-    _setattr(new, "binds", (b,))
-    _setattr(new, "body", body)
-    _setattr(new, "rec", is_omega_mult(mult))
     return new
 
 

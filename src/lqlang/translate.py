@@ -23,9 +23,8 @@ from __future__ import annotations
 from itertools import count
 
 from . import syntax
-from .syntax import (App, Con, IntLit, Let, MultExpr, Prim, Term, Var,
-                     _setattr, join_free_vars, let_node, subterms, var_node,
-                     with_children)
+from .syntax import (App, Con, IntLit, Let, LetBind, MultExpr, Prim, Term,
+                     Var, join_free_vars, subterms, with_children)
 from .typecheck import PRIM_ARG_MULTS, TypeEnv, con_field_mults
 
 FRESH_PREFIX = "%s"  # unutterable in surface syntax
@@ -103,7 +102,7 @@ def _rebuilt(t: Term, parts: list[Done]) -> Done:
     fvs = [fv for _, fv in parts]
     if type(node) is Let:
         for b, fv in zip(node.binds, fvs):
-            _setattr(b, "fv", fv)
+            b.fv = fv
     return node, join_free_vars(node, fvs)
 
 
@@ -111,7 +110,7 @@ def _bound_argument(app: App, parts: list, mult: MultExpr) -> Done:
     """``let[mult] y = arg in fun y`` from ``app``'s finished function, its
     argument's fresh name ``y`` and its finished argument."""
     (fun, fun_fv), y, (rhs, rhs_fv) = parts
-    body = with_children(app, (fun, var_node(y, rhs.ty)))
+    body = with_children(app, (fun, Var(y, ty=rhs.ty)))
     return _let(mult, y, rhs, rhs_fv, body, (*fun_fv, y))
 
 
@@ -126,7 +125,7 @@ def _saturated(t: Term, parts: list, mults: tuple[MultExpr, ...]) -> Done:
             y = next(entries)
             rhs, rhs_fv = next(entries)
             lets.append((y, rhs, rhs_fv, mult))
-            arg = var_node(y, rhs.ty)
+            arg = Var(y, ty=rhs.ty)
         args.append(arg)
     body = with_children(t, args)
     fv = tuple(dict.fromkeys([arg.name for arg in args]))
@@ -139,7 +138,7 @@ def _let(mult: MultExpr, y: str, rhs: Term, rhs_fv: tuple[str, ...],
          body: Term, body_fv: tuple[str, ...]) -> Done:
     """``let[mult] y = rhs in body``, at ``body``'s type, and its free
     variables as ``join_free_vars`` gives them."""
-    let = let_node(mult, y, rhs, rhs_fv, body)
+    let = Let(mult, (LetBind(y, rhs.ty, rhs, fv=rhs_fv),), body, ty=body.ty)
     if y in body_fv:
         body_fv = tuple([x for x in body_fv if x != y])
     if let.rec and y in rhs_fv:

@@ -822,9 +822,9 @@ def annotate(env: TypeEnv, t: Term) -> InferResult:
     recorder = _Recorder()
     result = infer(replace(env, memo=recorder), t)
     for node, ty in recorder.typed:  # ``fun.ty`` is set before its ``App``
-        _setattr(node, "ty", ty)
+        node.ty = ty
         if type(node) is App:
-            _setattr(node, "mult_ann", node.fun.ty.mult)
+            node.mult_ann = node.fun.ty.mult
     return result
 
 

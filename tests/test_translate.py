@@ -3,6 +3,7 @@ taken from the arrow / field signatures, idempotence, typing preserved."""
 
 import sys
 from collections import Counter
+from dataclasses import replace
 
 from lqlang.multiplicity import ZERO, mult_equiv, mult_normalize
 from lqlang.syntax import (App, ArrayLit, Case, Con, INT, IntLit, Lam, Let,
@@ -78,13 +79,23 @@ def test_idempotent_on_corpus(prelude):
         assert once == twice, path.name
 
 
+def _checked_programs(prelude):
+    from lqlang.harness import GenConfig, gen_welltyped
+    from conftest import DATA
+    for path in corpus_files() + sorted(DATA.glob("*.lq")):
+        yield path.name, check_corpus(path, prelude)
+    for seed in range(200):
+        yield f"seed {seed}", gen_welltyped(GenConfig(seed=seed)).checked
+
+
 def test_translation_preserves_typing(prelude):
-    for path in corpus_files():
-        checked = check_corpus(path, prelude)
-        sh = to_sharing(checked.term, checked.env)
-        re = infer(checked.env, strip_annotations(sh))
-        assert type_equiv(re.ty, checked.ty), path.name
-        assert not {x for x, u in re.usage.items() if u is not ZERO}
+    """``infer``, with no memo, accepts the sharing form of every checked
+    program at the program's type, and leaves no variable used."""
+    for name, checked in _checked_programs(prelude):
+        env = replace(checked.env, memo=None)
+        re = infer(env, to_sharing(checked.term, checked.env))
+        assert type_equiv(re.ty, checked.ty), name
+        assert not {x for x, u in re.usage.items() if u is not ZERO}, name
 
 
 def test_translation_preserves_free_variable_usage(prelude_env):
