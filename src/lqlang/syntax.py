@@ -445,8 +445,7 @@ def with_children(t: Term, kids) -> Term:
 def _with(t, **changes):
     """A copy of the node ``t`` (a term, branch or let binding) with
     ``changes`` to its fields.  Unlike ``dataclasses.replace`` it does not
-    re-run ``__post_init__``, so a copied ``Let`` keeps its ``rec``, and it
-    skips ``__init__`` on the hot paths of renaming and translation."""
+    re-run ``__post_init__``, so a copied ``Let`` keeps its ``rec``."""
     new = _new(type(t))
     for name in t.__dataclass_fields__:
         _setattr(new, name,
