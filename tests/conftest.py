@@ -45,6 +45,16 @@ def check_corpus(path, prelude):
     return check_program(sf.decls, sf.defs, sf.main)
 
 
+def checked_programs(prelude, seeds):
+    """Each accepted program of ``corpus/*.lq`` and ``tests/data/*.lq``,
+    then of gen seeds ``0 .. seeds - 1``, checked, with its name."""
+    from lqlang.harness import GenConfig, gen_welltyped
+    for path in corpus_files() + sorted(DATA.glob("*.lq")):
+        yield path.name, check_corpus(path, prelude)
+    for seed in range(seeds):
+        yield f"seed {seed}", gen_welltyped(GenConfig(seed=seed)).checked
+
+
 def rand_mult(rng: random.Random, depth: int = 3, vars=("p", "q", "r")):
     """Random multiplicity expression; shared by several test modules."""
     from lqlang.syntax import MProd, MSum, MVar, OMEGA, ONE

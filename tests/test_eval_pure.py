@@ -22,7 +22,8 @@ from lqlang.translate import to_sharing
 from lqlang.parser import parse_program
 from lqlang.typecheck import annotate, check_program
 
-from conftest import CORPUS, DATA, check_corpus, corpus_files
+from conftest import (CORPUS, DATA, check_corpus, checked_programs,
+                      corpus_files)
 from reference_state import (encode_state, reference_welltyped,
                              stack_entries)
 
@@ -642,18 +643,11 @@ def test_unchecked_runs_build_no_typing_witnesses(prelude, monkeypatch):
             assert not res.state.frames and not res.state.xi.vars
 
 
-def _agreement_programs(prelude):
-    for path in corpus_files() + sorted(DATA.glob("*.lq")):
-        yield path.name, check_corpus(path, prelude)
-    for seed in range(50):
-        yield f"seed {seed}", gen_welltyped(GenConfig(seed=seed)).checked
-
-
 def test_checked_and_unchecked_runs_agree(prelude):
     """A checked run builds the typing witnesses and an unchecked one does
     not; otherwise they run the same rules, so they give the same outcome,
     value, steps, array counts, remaining linear bindings and trace."""
-    for name, checked in _agreement_programs(prelude):
+    for name, checked in checked_programs(prelude, 50):
         sh = to_sharing(checked.term, checked.env)
         runs = [eval_pure(initial_state(sh, checked.ty, checked.env), 2_000,
                           want_trace=True, check=check)

@@ -13,22 +13,14 @@ import dataclasses
 
 from lqlang.eval_ordinary import Heap, eval_term
 from lqlang.eval_pure import eval_pure, initial_state
-from lqlang.harness import (GenConfig, deep_force_ordinary, deep_force_pure,
-                            gen_welltyped)
+from lqlang.harness import deep_force_ordinary, deep_force_pure
 from lqlang.runtime import Clo
 from lqlang.syntax import Branch, Let, LetBind, Term, subterms
 from lqlang.translate import to_sharing
 
-from conftest import DATA, check_corpus, corpus_files
+from conftest import checked_programs
 
 FUEL = 100_000
-
-
-def _programs(prelude):
-    for path in corpus_files() + sorted(DATA.glob("*.lq")):
-        yield path.name, check_corpus(path, prelude)
-    for seed in range(50):
-        yield f"seed {seed}", gen_welltyped(GenConfig(seed=seed)).checked
 
 
 def _snapshot(t: Term) -> list:
@@ -76,7 +68,7 @@ def _observe(checked, sh) -> None:
 
 def test_evaluation_changes_no_node(prelude):
     runs = 0
-    for name, checked in _programs(prelude):
+    for name, checked in checked_programs(prelude, 50):
         sh = to_sharing(checked.term, checked.env)
         snapshot = _snapshot(checked.term) + _snapshot(sh)
         _observe(checked, sh)

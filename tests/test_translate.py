@@ -13,7 +13,7 @@ from lqlang.translate import is_sharing, to_sharing
 from lqlang.typecheck import (annotate, infer, strip_annotations,
                               type_equiv)
 
-from conftest import check_corpus, corpus_files
+from conftest import check_corpus, checked_programs, corpus_files
 
 
 def translate(env, term):
@@ -79,19 +79,10 @@ def test_idempotent_on_corpus(prelude):
         assert once == twice, path.name
 
 
-def _checked_programs(prelude):
-    from lqlang.harness import GenConfig, gen_welltyped
-    from conftest import DATA
-    for path in corpus_files() + sorted(DATA.glob("*.lq")):
-        yield path.name, check_corpus(path, prelude)
-    for seed in range(200):
-        yield f"seed {seed}", gen_welltyped(GenConfig(seed=seed)).checked
-
-
 def test_translation_preserves_typing(prelude):
     """``infer``, with no memo, accepts the sharing form of every checked
     program at the program's type, and leaves no variable used."""
-    for name, checked in _checked_programs(prelude):
+    for name, checked in checked_programs(prelude, 200):
         env = replace(checked.env, memo=None)
         re = infer(env, to_sharing(checked.term, checked.env))
         assert type_equiv(re.ty, checked.ty), name
