@@ -15,9 +15,21 @@ becomes the value closure itself.  Heap names, steps and traces are those
 of substitution: a term is built from its closure (``Clo.built``) only for
 a traced step, an abort and the final value.
 
-``_eval`` chooses a rule with ``type(t) is`` tests, tried in the order the
-rules fire most often.  No node class has a subclass, so exactly one test
-holds, and the order carries no meaning.
+``_eval`` is the big-step relation run as a machine, derived by CPS
+conversion and defunctionalization (Ager, Biernacki, Danvy & Midtgaard,
+*A Functional Correspondence between Evaluators and Abstract Machines*,
+PPDP 2003), towards Sestoft's mark-1 machine (JFP 1997).  It is one loop
+over a list of frames, one per pending premise, each saying what is left
+of its rule once the premise has a value: a forced variable's update, an
+application head, a case scrutinee, an ``m.app`` head, each premise of a
+primitive, and ``newMArray``'s body.  Premises run in the order the rules
+give them, so steps, heap names and traces are those of the recursive
+reading, and fuel, not the host's recursion limit, bounds how deep a run
+goes.  When an abort (or any other exception) leaves the loop, each
+pending update frame first takes its name out of ``forcing``, as its rule
+would have on finishing.  A rule is chosen with ``type(t) is`` tests, and
+a frame with ``is`` tests on its kind, both tried in the order they come
+most often; exactly one test holds, so the order carries no meaning.
 
 Typestate is checked dynamically here: ``write`` and ``freeze`` block on
 a frozen cell and ``index`` blocks on a mutable one.  On well-typed
@@ -32,7 +44,7 @@ blackhole (ill-founded recursion through unrestricted bindings).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 from .pretty import summarize
 from .runtime import (ARITH, BlockReason, Clo, EMPTY_ENV, Env, Machine,
@@ -116,117 +128,278 @@ def force_variable(prev: EvalResult, name: str, fuel: int) -> EvalResult:
     return _finish(st, lambda: _eval(st, Var(name), EMPTY_ENV).built())
 
 
+# The frames of ``_eval``, one per pending premise: each is a tuple whose
+# first item is one of these kinds, and holds what its rule needs to finish
+# once the premise has a value.
+_UPDATE = "update"        # (_UPDATE, x): overwrite the forced binding x
+_APP = "app"              # (_APP, t, env): enter the head's body
+_CASE = "case"            # (_CASE, t, env): enter the scrutinee's branch
+_MAPP = "m.app"           # (_MAPP, t): instantiate the head at t.mult
+_ARITH_A = "arith a"      # (_ARITH_A, t, env): then the second operand
+_ARITH_B = "arith b"      # (_ARITH_B, t, a): compute
+_NEW_SIZE = "new size"    # (_NEW_SIZE, t, env): allocate, run the body
+_NEW_BODY = "new body"    # (_NEW_BODY,): check the body's value
+_WRITE_I = "write i"      # (_WRITE_I, t, env): then the array
+_WRITE_ARR = "write arr"  # (_WRITE_ARR, t, env, i): write in place
+_FREEZE = "freeze"        # (_FREEZE, t): retag
+_INDEX_I = "index i"      # (_INDEX_I, t, env): then the array
+_INDEX_ARR = "index arr"  # (_INDEX_ARR, t, i): force the element
+
+
 def _eval(st: _State, t: Term, env: Env) -> Clo:
     heap = st.heap.bindings
-    while True:
-        cls = type(t)
-        if cls is Var:
-            x = env.get(t.name, t.name)
-            binding = heap.get(x)
-            if x in st.forcing:
-                raise st.blackhole(x)
-            if binding is None:
-                raise st.blocked(BlockReason.MISSING_LINEAR_BINDING,
-                                 "variable", x, f"no binding for '{x}'")
-            if isinstance(binding, Cell):
-                raise st.blocked(BlockReason.PRIMITIVE_MISUSE,
-                                 "variable", x,
-                                 "term variable resolved to an array cell")
-            st.tick("variable", t, env)
-            st.forcing.add(x)
-            try:
-                value = _eval(st, binding.term, binding.env)
-            finally:
-                st.forcing.discard(x)
-            heap[x] = value
-            return value
-        if cls is Let:
-            st.tick("let", t, env)
-            binds = t.binds
-            inner = env.copy()
-            for b in binds:
-                inner[b.var] = st.fresh(FRESH_PREFIX)
-            rhs_env = inner if t.rec else env
-            for b in binds:
-                heap[inner[b.var]] = Clo(b.rhs, st.trim(rhs_env, b))
-            t, env = t.body, inner
-            continue
-        if cls is IntLit:
-            st.tick("int", t, env)
-            return Clo(t)
-        if cls is Prim:
-            return _eval_prim(st, t, env, t.name, t.args)
-        if cls is App:
-            arg = t.arg
-            assert isinstance(arg, Var), "term must be in sharing form"
-            st.tick("application", t, env)
-            fv = _eval(st, t.fun, env)
-            lam = fv.term
-            if not isinstance(lam, Lam):
-                raise st.blocked(BlockReason.PRIMITIVE_MISUSE,
-                                 "application", "",
-                                 "application head is not a function")
-            t, env = lam.body, {**fv.env, lam.var: env.get(arg.name,
-                                                           arg.name)}
-            continue
-        if cls is Lam:
-            st.tick("abs", t, env)
-            return Clo(t, env)
-        if cls is Case:
-            st.tick("case", t, env)
-            sv = _eval(st, t.scrut, env)
-            con = sv.term
-            if not isinstance(con, Con):
-                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case", "",
-                                 "case scrutinee is not a constructor")
-            branch = next((b for b in t.branches if b.con == con.name),
-                          None)
-            if branch is None:
-                raise st.blocked(BlockReason.MISSING_BRANCH, "case",
-                                 con.name,
-                                 f"no branch for constructor '{con.name}'")
-            if len(branch.binders) != len(con.args):
-                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case",
-                                 con.name, "branch arity mismatch")
-            if branch.binders:
-                env = env.copy()
-                for y, a in zip(branch.binders, con.args):
-                    assert isinstance(a, Var)
-                    env[y] = sv.env.get(a.name, a.name)
-            t = branch.body
-            continue
-        if cls is Con:
-            st.tick("constructor", t, env)
-            return Clo(t, env)
-        if cls is ArrName:
-            st.tick("mutable cell", t, env)
-            if not isinstance(heap.get(t.name), Cell):
-                raise st.blocked(BlockReason.MISSING_LINEAR_BINDING,
-                                 "mutable cell", t.name,
-                                 f"no array cell named '{t.name}'")
-            return Clo(t)
-        if cls is MultLam:
-            st.tick("m.abs", t, env)
-            return Clo(t, env)
-        if cls is MultApp:
-            st.tick("m.app", t, env)
-            fv = _eval(st, t.fun, env)
-            mlam = fv.term
-            if not isinstance(mlam, MultLam):
-                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "m.app",
-                                 "", "multiplicity application head is "
-                                     "not a multiplicity abstraction")
-            t, env = term_subst_mult(mlam.body, mlam.param, t.mult), fv.env
-            continue
-        if cls is ArrayLit:
-            raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "value", "",
-                             "array values do not occur in this semantics")
+    forcing = st.forcing
+    frames: list[tuple] = []
+    try:
+        while True:
+            cls = type(t)
+            if cls is Var:
+                x = env.get(t.name, t.name)
+                binding = heap.get(x)
+                if x in forcing:
+                    raise st.blackhole(x)
+                if binding is None:
+                    raise st.blocked(BlockReason.MISSING_LINEAR_BINDING,
+                                     "variable", x, f"no binding for '{x}'")
+                if isinstance(binding, Cell):
+                    raise st.blocked(BlockReason.PRIMITIVE_MISUSE,
+                                     "variable", x,
+                                     "term variable resolved to an array "
+                                     "cell")
+                st.tick("variable", t, env)
+                forcing.add(x)
+                frames.append((_UPDATE, x))
+                t, env = binding.term, binding.env
+                continue
+            if cls is Let:
+                st.tick("let", t, env)
+                binds = t.binds
+                inner = env.copy()
+                for b in binds:
+                    inner[b.var] = st.fresh(FRESH_PREFIX)
+                rhs_env = inner if t.rec else env
+                for b in binds:
+                    heap[inner[b.var]] = Clo(b.rhs, st.trim(rhs_env, b))
+                t, env = t.body, inner
+                continue
+            if cls is IntLit:
+                st.tick("int", t, env)
+                v = Clo(t)
+            elif cls is Prim:
+                name, args = t.name, t.args
+                arity = len(PRIM_ARG_MULTS.get(name, ()))
+                if len(args) < arity:  # reachable only without the checker
+                    raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "prim", "",
+                                     f"primitive '{name}' expects {arity} "
+                                     f"arguments, got {len(args)}")
+                if name in ARITH:
+                    st.tick("prim", t, env)
+                    frames.append((_ARITH_A, t, env))
+                    t = args[0]
+                    continue
+                if name == "newMArray":
+                    st.tick("newMArray", t, env)
+                    st.newmarray_count += 1
+                    frames.append((_NEW_SIZE, t, env))
+                    t = args[0]
+                    continue
+                if name == "write":
+                    st.tick("write", t, env)
+                    st.write_count += 1
+                    frames.append((_WRITE_I, t, env))
+                    t = args[1]
+                    continue
+                if name == "freeze":
+                    st.tick("freeze", t, env)
+                    frames.append((_FREEZE, t))
+                    t = args[0]
+                    continue
+                if name == "index":
+                    st.tick("index", t, env)
+                    frames.append((_INDEX_I, t, env))
+                    t = args[1]
+                    continue
+                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "prim", "",
+                                 f"unknown primitive '{name}'")
+            elif cls is App:
+                assert isinstance(t.arg, Var), "term must be in sharing form"
+                st.tick("application", t, env)
+                frames.append((_APP, t, env))
+                t = t.fun
+                continue
+            elif cls is Lam:
+                st.tick("abs", t, env)
+                v = Clo(t, env)
+            elif cls is Case:
+                st.tick("case", t, env)
+                frames.append((_CASE, t, env))
+                t = t.scrut
+                continue
+            elif cls is Con:
+                st.tick("constructor", t, env)
+                v = Clo(t, env)
+            elif cls is ArrName:
+                st.tick("mutable cell", t, env)
+                if not isinstance(heap.get(t.name), Cell):
+                    raise st.blocked(BlockReason.MISSING_LINEAR_BINDING,
+                                     "mutable cell", t.name,
+                                     f"no array cell named '{t.name}'")
+                v = Clo(t)
+            elif cls is MultLam:
+                st.tick("m.abs", t, env)
+                v = Clo(t, env)
+            elif cls is MultApp:
+                st.tick("m.app", t, env)
+                frames.append((_MAPP, t))
+                t = t.fun
+                continue
+            elif cls is ArrayLit:
+                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "value", "",
+                                 "array values do not occur in this "
+                                 "semantics")
+            else:
+                raise AssertionError(f"cannot evaluate {t!r}")
 
-        raise AssertionError(f"cannot evaluate {t!r}")
+            # ``v`` is a value: return it to the pending frames until one
+            # has a term to evaluate next
+            while frames:
+                frame = frames.pop()
+                kind = frame[0]
+                if kind is _UPDATE:
+                    x = frame[1]
+                    forcing.discard(x)
+                    heap[x] = v
+                    continue
+                if kind is _APP:
+                    _, t, env = frame
+                    lam = v.term
+                    if not isinstance(lam, Lam):
+                        raise st.blocked(BlockReason.PRIMITIVE_MISUSE,
+                                         "application", "",
+                                         "application head is not a "
+                                         "function")
+                    arg = t.arg.name
+                    t, env = lam.body, {**v.env, lam.var: env.get(arg, arg)}
+                    break
+                if kind is _CASE:
+                    _, t, env = frame
+                    con = v.term
+                    if not isinstance(con, Con):
+                        raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case",
+                                         "", "case scrutinee is not a "
+                                             "constructor")
+                    branch = next((b for b in t.branches
+                                   if b.con == con.name), None)
+                    if branch is None:
+                        raise st.blocked(BlockReason.MISSING_BRANCH, "case",
+                                         con.name, f"no branch for "
+                                                   f"constructor "
+                                                   f"'{con.name}'")
+                    if len(branch.binders) != len(con.args):
+                        raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case",
+                                         con.name, "branch arity mismatch")
+                    if branch.binders:
+                        env = env.copy()
+                        for y, a in zip(branch.binders, con.args):
+                            assert isinstance(a, Var)
+                            env[y] = v.env.get(a.name, a.name)
+                    t = branch.body
+                    break
+                if kind is _ARITH_A:
+                    _, t, env = frame
+                    frames.append((_ARITH_B, t, _want_int(st, t.name, v)))
+                    t = t.args[1]
+                    break
+                if kind is _ARITH_B:
+                    _, t, a = frame
+                    v = Clo(arith(t.name, a, _want_int(st, t.name, v)))
+                    continue
+                if kind is _MAPP:
+                    mlam = v.term
+                    if not isinstance(mlam, MultLam):
+                        raise st.blocked(BlockReason.PRIMITIVE_MISUSE,
+                                         "m.app", "", "multiplicity "
+                                         "application head is not a "
+                                         "multiplicity abstraction")
+                    t = term_subst_mult(mlam.body, mlam.param, frame[1].mult)
+                    env = v.env
+                    break
+                if kind is _NEW_SIZE:
+                    _, t, env = frame
+                    name, args = t.name, t.args
+                    size = _want_int(st, name, v)
+                    if size < 0:
+                        raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name,
+                                         "", f"negative array size {size}")
+                    assert isinstance(args[1], Var) and isinstance(args[2],
+                                                                   Var)
+                    cell_name = st.fresh(CELL_PREFIX)
+                    heap[cell_name] = Cell(False, [env.get(args[1].name,
+                                                           args[1].name)]
+                                           * size)
+                    st.cell_allocs += 1
+                    x = st.fresh(FRESH_PREFIX)
+                    frames.append((_NEW_BODY,))
+                    t = Let(mult=ONE,
+                            binds=(LetBind(x, None,  # type: ignore[arg-type]
+                                           ArrName(cell_name), fv=()),),
+                            body=App(args[2], Var(x)))
+                    break
+                if kind is _NEW_BODY:
+                    value = v.term
+                    if not (isinstance(value, Con)
+                            and value.name == "Unrestricted"
+                            and len(value.args) == 1):
+                        raise st.blocked(BlockReason.PRIMITIVE_MISUSE,
+                                         "newMArray", "", "array "
+                                         "continuation did not return an "
+                                         "Unrestricted value")
+                    continue
+                if kind is _WRITE_I:
+                    _, t, env = frame
+                    frames.append((_WRITE_ARR, t, env,
+                                   _want_int(st, t.name, v)))
+                    t = t.args[0]
+                    break
+                if kind is _WRITE_ARR:
+                    _, t, env, i = frame
+                    cell_name, cell = _want_cell(st, t.name, v, i,
+                                                 want_frozen=False)
+                    elem = t.args[2]
+                    assert isinstance(elem, Var)
+                    # in place; no allocation
+                    cell.elems[i] = env.get(elem.name, elem.name)
+                    v = Clo(ArrName(cell_name))
+                    continue
+                if kind is _FREEZE:
+                    cell_name, cell = _want_cell(st, "freeze", v, None,
+                                                 want_frozen=False)
+                    cell.frozen = True  # retag in place
+                    alias = st.fresh(FRESH_PREFIX)
+                    heap[alias] = Clo(ArrName(cell_name))
+                    v = Clo(Con("Unrestricted", (), (), (Var(alias),)))
+                    continue
+                if kind is _INDEX_I:
+                    _, t, env = frame
+                    frames.append((_INDEX_ARR, t, _want_int(st, t.name, v)))
+                    t = t.args[0]
+                    break
+                if kind is _INDEX_ARR:
+                    _, t, i = frame
+                    cell_name, cell = _want_cell(st, t.name, v, i,
+                                                 want_frozen=True)
+                    t, env = Var(cell.elems[i]), EMPTY_ENV
+                    break
+                raise AssertionError(f"unknown frame {frame!r}")
+            else:
+                return v
+    finally:
+        for frame in frames:
+            if frame[0] is _UPDATE:
+                forcing.discard(frame[1])
 
 
-def _force_int(st: _State, prim: str, arg: Term, env: Env) -> int:
-    v = _eval(st, arg, env)
+def _want_int(st: _State, prim: str, v: Clo) -> int:
     if not isinstance(v.term, IntLit):
         raise st.blocked(BlockReason.PRIMITIVE_MISUSE, prim, "",
                          f"'{prim}' needs an integer, got "
@@ -234,9 +407,10 @@ def _force_int(st: _State, prim: str, arg: Term, env: Env) -> int:
     return v.term.value
 
 
-def _force_cell(st: _State, prim: str, arg: Term, env: Env,
-                want_frozen: bool) -> tuple[str, Cell]:
-    v = _eval(st, arg, env)
+def _want_cell(st: _State, prim: str, v: Clo, i: Optional[int],
+               want_frozen: bool) -> tuple[str, Cell]:
+    """The cell that ``v`` names, in the wanted typestate, with the index
+    ``i``, if given, in bounds."""
     if not isinstance(v.term, ArrName):
         raise st.blocked(BlockReason.PRIMITIVE_MISUSE, prim, "",
                          f"'{prim}' needs an array, got "
@@ -250,87 +424,8 @@ def _force_cell(st: _State, prim: str, arg: Term, env: Env,
         state = "frozen" if cell.frozen else "mutable"
         raise st.blocked(BlockReason.TYPESTATE_VIOLATION, prim, name,
                          f"'{prim}' applied to a {state} array")
-    return name, cell
-
-
-def _check_bounds(st: _State, prim: str, name: str, cell: Cell,
-                  i: int) -> None:
-    if not 0 <= i < len(cell.elems):
+    if i is not None and not 0 <= i < len(cell.elems):
         raise st.blocked(BlockReason.PRIMITIVE_MISUSE, prim, name,
                          f"index {i} out of bounds for array of size "
                          f"{len(cell.elems)}")
-
-
-def _eval_prim(st: _State, t: Prim, env: Env, name: str,
-               args: tuple[Term, ...]) -> Clo:
-    heap = st.heap.bindings
-    arity = len(PRIM_ARG_MULTS.get(name, ()))
-    if len(args) < arity:  # reachable only without the typechecker
-        raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "prim", "",
-                         f"primitive '{name}' expects {arity} arguments, "
-                         f"got {len(args)}")
-    if name in ARITH:
-        st.tick("prim", t, env)
-        a = _force_int(st, name, args[0], env)
-        b = _force_int(st, name, args[1], env)
-        return Clo(arith(name, a, b))
-    match name:
-        case "newMArray":
-            st.tick("newMArray", t, env)
-            st.newmarray_count += 1
-            size = _force_int(st, name, args[0], env)
-            if size < 0:
-                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
-                                 f"negative array size {size}")
-            assert isinstance(args[1], Var) and isinstance(args[2], Var)
-            cell_name = st.fresh(CELL_PREFIX)
-            heap[cell_name] = Cell(False, [env.get(args[1].name,
-                                                   args[1].name)] * size)
-            st.cell_allocs += 1
-            x = st.fresh(FRESH_PREFIX)
-            inner: Term = Let(
-                mult=ONE,
-                binds=(LetBind(x, None, ArrName(cell_name),  # type: ignore[arg-type]
-                               fv=()),),
-                body=App(args[2], Var(x)))
-            result = _eval(st, inner, env)
-            value = result.term
-            if not (isinstance(value, Con) and value.name == "Unrestricted"
-                    and len(value.args) == 1):
-                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
-                                 "array continuation did not return an "
-                                 "Unrestricted value")
-            return result
-
-        case "write":
-            st.tick("write", t, env)
-            st.write_count += 1
-            i = _force_int(st, name, args[1], env)
-            cell_name, cell = _force_cell(st, name, args[0], env,
-                                          want_frozen=False)
-            _check_bounds(st, name, cell_name, cell, i)
-            assert isinstance(args[2], Var)
-            # in place; no allocation
-            cell.elems[i] = env.get(args[2].name, args[2].name)
-            return Clo(ArrName(cell_name))
-
-        case "freeze":
-            st.tick("freeze", t, env)
-            cell_name, cell = _force_cell(st, name, args[0], env,
-                                          want_frozen=False)
-            cell.frozen = True  # retag in place
-            alias = st.fresh(FRESH_PREFIX)
-            heap[alias] = Clo(ArrName(cell_name))
-            return Clo(Con("Unrestricted", (), (), (Var(alias),)))
-
-        case "index":
-            st.tick("index", t, env)
-            i = _force_int(st, name, args[1], env)
-            cell_name, cell = _force_cell(st, name, args[0], env,
-                                          want_frozen=True)
-            _check_bounds(st, name, cell_name, cell, i)
-            return _eval(st, Var(cell.elems[i]), EMPTY_ENV)
-
-        case _:
-            raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "prim", "",
-                             f"unknown primitive '{name}'")
+    return name, cell

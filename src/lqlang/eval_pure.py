@@ -6,7 +6,7 @@ ordered typed environment, a focused term with the demand (1 or w) at
 which it is being consumed, and a stack describing the rest of the
 computation.  The context, the stack entries and the case frames are
 typing witnesses that only the state check reads, so only a checked run
-builds them: an unchecked one passes no stack (``None``) and leaves the
+builds them: an unchecked one keeps no stack (``None``) and leaves the
 context as it was.  It still works out every demand a premise runs at.
 Skipping ``_dmul`` on a witness's demand changes no outcome: ``m.app``
 substitutes before a body runs, so a closed, checked program never
@@ -27,9 +27,28 @@ are O(1), and a state is read off the machine without copying or listing
 a binding, an entry, the context or a term; names, steps and traces are
 those of substitution.
 
-``_eval`` chooses a rule with ``type(t) is`` tests, tried in the order the
-rules fire most often.  No node class has a subclass, so exactly one test
-holds, and the order carries no meaning.
+``_eval`` is the big-step relation run as a machine, derived by CPS
+conversion and defunctionalization (Ager, Biernacki, Danvy & Midtgaard,
+PPDP 2003), towards Sestoft's mark-1 machine (JFP 1997).  It is one loop
+over a list of control frames, one per pending premise, each saying what
+is left of its rule once the premise has a value: a shared variable's
+update, an application head, a case scrutinee, an ``m.app`` head, each
+premise of a primitive, and ``newMArray``'s body.  A control frame holds
+no typing witness, only the demand and type its rule resumes at.  The
+witnesses are built under the ``st.checker is not None`` tests, so a
+checked and an unchecked run share the one loop: the stack entries, the
+case frames, the context, the checker's reports and the check of each
+rule's conclusion (``_ret``); and the witness stack a rule ran above, kept
+on a list of its own while a premise runs above another.  Premises run in
+the order the rules give them, so steps, heap names and traces are those
+of the recursive reading, and fuel, not the host's recursion limit, bounds
+how deep a run goes.  When an abort, a ``PreservationViolation`` or any
+other exception leaves the loop, each pending update frame, newest first,
+does what its rule would have on finishing: it drops its anchor, clears
+its binding's ``forcing`` and reports the binding to the checker.  A rule
+is chosen with ``type(t) is`` tests, and a frame with ``is`` tests on its
+kind, both tried in the order they come most often; exactly one test
+holds, so the order carries no meaning.
 
 Linear bindings are removed from the environment when forced and forcing
 them at demand w blocks; on well-typed programs neither a removed binding
@@ -62,12 +81,12 @@ from typing import Iterator, Optional
 
 from .multiplicity import NF_OMEGA, NF_ONE, mult_normalize
 from .pretty import summarize
-from .runtime import (ARITH, BlockReason, Clo, Env, Machine, Outcome,
-                      TraceRecord, arith)
+from .runtime import (ARITH, BlockReason, Clo, EMPTY_ENV, Env, Machine,
+                      Outcome, TraceRecord, arith)
 from .statecheck import AnnState, Checker, EnvBind, SEntry, state_welltyped
 from .syntax import (App, ArrayLit, Case, Con, IntLit, Lam, Let, LetBind,
                      MultApp, MultExpr, MultLam, OMEGA, ONE, Omega, One, Prim,
-                     TArray, TArrow, TInt, TMArray, Term, Type, Var, _with,
+                     TArray, TArrow, TInt, TMArray, Term, Type, Var,
                      term_subst_mult)
 from .typecheck import PRIM_ARG_MULTS, TypeEnv
 
@@ -151,7 +170,7 @@ class _PState(Machine):
         frame = self.frames.get(id(t))
         if frame is None:
             scrut_ty = t.scrut.ty
-            body = _with(t, scrut=Var(HOLE, ty=scrut_ty))
+            body = t._with(scrut=Var(HOLE, ty=scrut_ty))
             frame = self.frames[id(t)] = (t, Lam(t.mult, HOLE, scrut_ty, body))
         return frame[1], TArrow(t.scrut.ty, t.mult, ty)
 
@@ -262,164 +281,16 @@ def _dmul(st: _PState, a: MultExpr, b: MultExpr) -> MultExpr:
 
 
 def _ret(st: _PState, rule: str, value: Clo, demand: MultExpr, ty: Type,
-         stack: Optional[SEntry]) -> Clo:
-    checker = st.checker
-    if checker is not None:
-        st.check_count += 1
-        if not state_welltyped(checker.snapshot(value, demand, ty, stack),
-                               checker):
-            raise PreservationViolation(
-                rule, f"value {summarize(value.term, value.env)} at "
-                      f"demand {'1' if demand == ONE else 'w'} with "
-                      f"{len(st.binds)} bindings")
-    return value
-
-
-def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
-          stack: Optional[SEntry]) -> Clo:
-    while True:
-        t, env = c.term, c.env
-        cls = type(t)
-        if cls is Var:
-            x = env.get(t.name, t.name)
-            b = st.binds.get(x)
-            if b is None:
-                raise st.blocked(
-                    BlockReason.MISSING_LINEAR_BINDING,
-                    "linear variable", x,
-                    f"no binding for '{x}' (already consumed?)")
-            if b.forcing:
-                raise st.blackhole(x)
-            if b.linear:
-                if _concrete(st, demand) is not ONE:
-                    raise st.blocked(
-                        BlockReason.MISSING_LINEAR_BINDING,
-                        "linear variable", x,
-                        f"linear binding '{x}' demanded non-linearly")
-                st.tick("linear variable", t, env)
-                st.remove(b)
-                c = b.term
-                continue  # single tail premise at demand 1
-            st.tick("shared variable", t, env)
-            b.forcing = True
-            st.anchors.append(b)
-            if st.checker is not None:
-                st.xi.vars[x] = (b.ty, OMEGA)  # grows, never pruned
-                st.checker.report(b)
-            try:
-                z = _eval(st, b.term, demand, ty, stack)
-            finally:
-                st.anchors.pop()
-                b.forcing = False
-                if st.checker is not None:
-                    st.checker.report(b)
-            b.term = z
-            return _ret(st, "shared variable", z, demand, ty, stack)
-        if cls is Let:
-            st.tick("let", t, env)
-            bind_mult = _dmul(st, demand, t.mult)
-            group = st.new_group()
-            binds = t.binds
-            inner = env.copy()
-            for b in binds:
-                inner[b.var] = st.fresh(FRESH_PREFIX)
-            rhs_env = inner if t.rec else env
-            for b in binds:
-                assert b.var_ty is not None
-                st.insert(EnvBind(inner[b.var], bind_mult is ONE, b.var_ty,
-                                  Clo(b.rhs, st.trim(rhs_env, b)), group))
-            c = Clo(t.body, inner)
-            continue
-        if cls is IntLit:
-            st.tick("int", t, env)
-            return _ret(st, "int", c, demand, ty, stack)
-        if cls is Prim:
-            return _eval_prim(st, t, env, t.name, t.args, demand, ty, stack)
-        if cls is App:
-            arg = t.arg
-            assert isinstance(arg, Var), "term must be in sharing form"
-            st.tick("app", t, env)
-            fun = t.fun
-            fun_ty = fun.ty
-            assert isinstance(fun_ty, TArrow), \
-                "pure evaluation needs annotated terms"
-            entry = None
-            if st.checker is not None:
-                pi = t.mult_ann if t.mult_ann is not None else fun_ty.mult
-                entry = SEntry(Clo(arg, env), _dmul(st, pi, demand),
-                               fun_ty.dom, stack)
-            fv = _eval(st, Clo(fun, env), demand, fun_ty, entry)
-            lam = fv.term
-            if not isinstance(lam, Lam):
-                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "app", "",
-                                 "application head is not a function")
-            c = Clo(lam.body, {**fv.env, lam.var: env.get(arg.name,
-                                                          arg.name)})
-            continue
-        if cls is Lam:
-            st.tick("abs", t, env)
-            return _ret(st, "abs", c, demand, ty, stack)
-        if cls is Case:
-            st.tick("case", t, env)
-            scrut = t.scrut
-            scrut_ty = scrut.ty
-            assert scrut_ty is not None, \
-                "pure evaluation needs annotated terms"
-            # drawn but unused, so that heap names and traces stay as
-            # tests/data/eval_golden.json records them
-            st.fresh(FRESH_PREFIX)
-            # the pending branches, as a function of the scrutinee; only a
-            # state check reads them
-            entry = None
-            if st.checker is not None:
-                frame, frame_ty = st.case_frame(t, ty)
-                entry = SEntry(Clo(frame, env), demand, frame_ty, stack)
-            sv = _eval(st, Clo(scrut, env), _dmul(st, t.mult, demand),
-                       scrut_ty, entry)
-            con = sv.term
-            if not isinstance(con, Con):
-                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case", "",
-                                 "case scrutinee is not a constructor")
-            branch = next((b for b in t.branches if b.con == con.name),
-                          None)
-            if branch is None:
-                raise st.blocked(BlockReason.MISSING_BRANCH, "case",
-                                 con.name,
-                                 f"no branch for constructor '{con.name}'")
-            if len(branch.binders) != len(con.args):
-                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case",
-                                 con.name, "branch arity mismatch")
-            if branch.binders:
-                env = env.copy()
-                for y, a in zip(branch.binders, con.args):
-                    assert isinstance(a, Var)
-                    env[y] = sv.env.get(a.name, a.name)
-            c = Clo(branch.body, env)
-            continue
-        if cls is Con:
-            st.tick("constructor", t, env)
-            return _ret(st, "constructor", c, demand, ty, stack)
-        if cls is MultLam:
-            st.tick("m.abs", t, env)
-            return _ret(st, "m.abs", c, demand, ty, stack)
-        if cls is MultApp:
-            st.tick("m.app", t, env)
-            fun_ty = t.fun.ty
-            assert fun_ty is not None, \
-                "pure evaluation needs annotated terms"
-            fv = _eval(st, Clo(t.fun, env), demand, fun_ty, stack)
-            mlam = fv.term
-            if not isinstance(mlam, MultLam):
-                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "m.app",
-                                 "", "multiplicity application head is "
-                                     "not a multiplicity abstraction")
-            c = Clo(term_subst_mult(mlam.body, mlam.param, t.mult), fv.env)
-            continue
-        if cls is ArrayLit:
-            st.tick("array value", t, env)
-            return _ret(st, "array value", c, demand, ty, stack)
-
-        raise AssertionError(f"cannot evaluate {t!r}")
+         stack: Optional[SEntry]) -> None:
+    """In a checked run: the conclusion of ``rule``, ``value`` at ``demand``
+    and ``ty`` above ``stack``, must be a well-typed state."""
+    st.check_count += 1
+    if not state_welltyped(st.checker.snapshot(value, demand, ty, stack),
+                           st.checker):
+        raise PreservationViolation(
+            rule, f"value {summarize(value.term, value.env)} at "
+                  f"demand {'1' if demand == ONE else 'w'} with "
+                  f"{len(st.binds)} bindings")
 
 
 # Premise evaluation order per primitive (indices into the argument list),
@@ -444,23 +315,383 @@ _PENDING: dict[str, list[list[int]]] = {
            for k in range(len(order))]
     for name, order in _PRIM_ORDER.items()}
 
+# The frames of ``_eval``, one per pending premise: each is a tuple whose
+# first item is one of these kinds, and whose last two are the demand and
+# type of the rule that pushed it, which it resumes at.  Between the kind
+# and those come what the rule needs to finish: its node and environment,
+# and for a primitive its argument closures (in a checked run) and the
+# value of its first premise.
+_UPDATE = "update"        # (_UPDATE, b, ...): update the forced binding b
+_APP = "app"              # (_APP, t, env, ...): enter the head's body
+_CASE = "case"            # (_CASE, t, env, ...): enter the branch
+_MAPP = "m.app"           # (_MAPP, t, ...): instantiate the head
+_ARITH_A = "arith a"      # (_ARITH_A, t, env, cargs, ...): second operand
+_ARITH_B = "arith b"      # (_ARITH_B, t, env, cargs, a, ...): compute
+_NEW_SIZE = "new size"    # (_NEW_SIZE, t, env, cargs, ...): run the body
+_NEW_BODY = "new body"    # (_NEW_BODY, ...): check the body's value
+_WRITE_I = "write i"      # (_WRITE_I, t, env, cargs, ...): the array
+_WRITE_ARR = "write arr"  # (_WRITE_ARR, t, env, cargs, i, ...): copy
+_FREEZE = "freeze"        # (_FREEZE, t, env, cargs, ...): retag
+_INDEX_I = "index i"      # (_INDEX_I, t, env, cargs, ...): the array
+_INDEX_ARR = "index arr"  # (_INDEX_ARR, t, env, cargs, i, ...): the element
+_PRIM_FRAMES = {"newMArray": _NEW_SIZE, "write": _WRITE_I,
+                "freeze": _FREEZE, "index": _INDEX_I}
 
-def _prim_arg(st: _PState, name: str, args: tuple[Clo, ...], stage: int,
-              demand: MultExpr, stack: Optional[SEntry]) -> Clo:
-    """Premise ``stage`` of a primitive.  In a checked run, each argument
-    still unconsumed meanwhile is on the stack at its signature
-    multiplicity scaled by the demand."""
+
+def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
+          stack: Optional[SEntry]) -> Clo:
+    """The value of ``c`` at ``demand`` and ``ty`` above the witness stack
+    ``stack``.  The focus is the term ``t`` under ``env``.  ``c`` is its
+    closure when that is one the state holds (a binding's), so that a value
+    found there is returned as that same closure; otherwise it is None, and
+    a closure is made only for a value."""
+    checker = st.checker
+    frames: list[tuple] = []
+    below: list[Optional[SEntry]] = []
+    t, env = c.term, c.env
+    try:
+        while True:
+            cls = type(t)
+            if cls is Var:
+                x = env.get(t.name, t.name)
+                b = st.binds.get(x)
+                if b is None:
+                    raise st.blocked(
+                        BlockReason.MISSING_LINEAR_BINDING,
+                        "linear variable", x,
+                        f"no binding for '{x}' (already consumed?)")
+                if b.forcing:
+                    raise st.blackhole(x)
+                if b.linear:
+                    if _concrete(st, demand) is not ONE:
+                        raise st.blocked(
+                            BlockReason.MISSING_LINEAR_BINDING,
+                            "linear variable", x,
+                            f"linear binding '{x}' demanded non-linearly")
+                    st.tick("linear variable", t, env)
+                    st.remove(b)
+                    c = b.term
+                    t, env = c.term, c.env
+                    continue  # single tail premise at demand 1
+                st.tick("shared variable", t, env)
+                b.forcing = True
+                st.anchors.append(b)
+                if checker is not None:
+                    st.xi.vars[x] = (b.ty, OMEGA)  # grows, never pruned
+                    checker.report(b)
+                frames.append((_UPDATE, b, demand, ty))
+                c = b.term
+                t, env = c.term, c.env
+                continue
+            if cls is Let:
+                st.tick("let", t, env)
+                bind_mult = _dmul(st, demand, t.mult)
+                group = st.new_group()
+                binds = t.binds
+                inner = env.copy()
+                for b in binds:
+                    inner[b.var] = st.fresh(FRESH_PREFIX)
+                rhs_env = inner if t.rec else env
+                for b in binds:
+                    assert b.var_ty is not None
+                    st.insert(EnvBind(inner[b.var], bind_mult is ONE,
+                                      b.var_ty,
+                                      Clo(b.rhs, st.trim(rhs_env, b)), group))
+                t, env, c = t.body, inner, None
+                continue
+            if cls is IntLit:
+                st.tick("int", t, env)
+                v = c if c is not None else Clo(t, env)
+                if checker is not None:
+                    _ret(st, "int", v, demand, ty, stack)
+            elif cls is Prim:
+                name = t.name
+                if name in ARITH:
+                    st.tick("prim", t, env)
+                    kind = _ARITH_A
+                elif name in _PRIM_FRAMES:
+                    st.tick(name, t, env)
+                    kind = _PRIM_FRAMES[name]
+                else:
+                    raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "prim",
+                                     "", f"unknown primitive '{name}'")
+                # one closure per argument, so that an argument pending in
+                # several premises is one term to the state check
+                cargs = None
+                if checker is not None:
+                    cargs = tuple([Clo(a, env) for a in t.args])
+                frames.append((kind, t, env, cargs, demand, ty))
+                t, demand, ty, stack = _prim_arg(st, t, cargs, 0, demand,
+                                                 stack, below)
+                c = None
+                continue
+            elif cls is App:
+                arg = t.arg
+                assert isinstance(arg, Var), "term must be in sharing form"
+                st.tick("app", t, env)
+                fun = t.fun
+                fun_ty = fun.ty
+                assert isinstance(fun_ty, TArrow), \
+                    "pure evaluation needs annotated terms"
+                frames.append((_APP, t, env, demand, ty))
+                if checker is not None:
+                    pi = t.mult_ann if t.mult_ann is not None else fun_ty.mult
+                    below.append(stack)
+                    stack = SEntry(Clo(arg, env), _dmul(st, pi, demand),
+                                   fun_ty.dom, stack)
+                t, c, ty = fun, None, fun_ty
+                continue
+            elif cls is Lam:
+                st.tick("abs", t, env)
+                v = c if c is not None else Clo(t, env)
+                if checker is not None:
+                    _ret(st, "abs", v, demand, ty, stack)
+            elif cls is Case:
+                st.tick("case", t, env)
+                scrut = t.scrut
+                scrut_ty = scrut.ty
+                assert scrut_ty is not None, \
+                    "pure evaluation needs annotated terms"
+                # drawn but unused, so that heap names and traces stay as
+                # tests/data/eval_golden.json records them
+                st.fresh(FRESH_PREFIX)
+                frames.append((_CASE, t, env, demand, ty))
+                # the pending branches, as a function of the scrutinee; only
+                # a state check reads them
+                if checker is not None:
+                    frame, frame_ty = st.case_frame(t, ty)
+                    below.append(stack)
+                    stack = SEntry(Clo(frame, env), demand, frame_ty, stack)
+                demand, ty = _dmul(st, t.mult, demand), scrut_ty
+                t, c = scrut, None
+                continue
+            elif cls is Con:
+                st.tick("constructor", t, env)
+                v = c if c is not None else Clo(t, env)
+                if checker is not None:
+                    _ret(st, "constructor", v, demand, ty, stack)
+            elif cls is MultLam:
+                st.tick("m.abs", t, env)
+                v = c if c is not None else Clo(t, env)
+                if checker is not None:
+                    _ret(st, "m.abs", v, demand, ty, stack)
+            elif cls is MultApp:
+                st.tick("m.app", t, env)
+                fun_ty = t.fun.ty
+                assert fun_ty is not None, \
+                    "pure evaluation needs annotated terms"
+                frames.append((_MAPP, t, demand, ty))
+                t, c, ty = t.fun, None, fun_ty
+                continue
+            elif cls is ArrayLit:
+                st.tick("array value", t, env)
+                v = c if c is not None else Clo(t, env)
+                if checker is not None:
+                    _ret(st, "array value", v, demand, ty, stack)
+            else:
+                raise AssertionError(f"cannot evaluate {t!r}")
+
+            # ``v`` is a value: return it to the pending frames until one
+            # has a term to evaluate next
+            c = None
+            while frames:
+                frame = frames.pop()
+                kind = frame[0]
+                demand, ty = frame[-2], frame[-1]
+                if kind is _UPDATE:
+                    b = frame[1]
+                    st.anchors.pop()
+                    b.forcing = False
+                    if checker is not None:
+                        checker.report(b)
+                    b.term = v
+                    if checker is not None:
+                        _ret(st, "shared variable", v, demand, ty, stack)
+                    continue
+                if kind is _APP:
+                    t, env = frame[1], frame[2]
+                    if checker is not None:
+                        stack = below.pop()
+                    lam = v.term
+                    if not isinstance(lam, Lam):
+                        raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "app",
+                                         "", "application head is not a "
+                                             "function")
+                    arg = t.arg.name
+                    t, env = lam.body, {**v.env, lam.var: env.get(arg, arg)}
+                    break
+                if kind is _CASE:
+                    t, env = frame[1], frame[2]
+                    if checker is not None:
+                        stack = below.pop()
+                    con = v.term
+                    if not isinstance(con, Con):
+                        raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case",
+                                         "", "case scrutinee is not a "
+                                             "constructor")
+                    branch = next((b for b in t.branches
+                                   if b.con == con.name), None)
+                    if branch is None:
+                        raise st.blocked(BlockReason.MISSING_BRANCH, "case",
+                                         con.name, f"no branch for "
+                                                   f"constructor "
+                                                   f"'{con.name}'")
+                    if len(branch.binders) != len(con.args):
+                        raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "case",
+                                         con.name, "branch arity mismatch")
+                    if branch.binders:
+                        env = env.copy()
+                        for y, a in zip(branch.binders, con.args):
+                            assert isinstance(a, Var)
+                            env[y] = v.env.get(a.name, a.name)
+                    t = branch.body
+                    break
+                if kind is _MAPP:
+                    mlam = v.term
+                    if not isinstance(mlam, MultLam):
+                        raise st.blocked(BlockReason.PRIMITIVE_MISUSE,
+                                         "m.app", "", "multiplicity "
+                                         "application head is not a "
+                                         "multiplicity abstraction")
+                    t = term_subst_mult(mlam.body, mlam.param, frame[1].mult)
+                    env = v.env
+                    break
+
+                if kind is _NEW_BODY:
+                    z = v.term
+                    if not (isinstance(z, Con) and z.name == "Unrestricted"
+                            and len(z.args) == 1):
+                        raise st.blocked(BlockReason.PRIMITIVE_MISUSE,
+                                         "newMArray", "", "array "
+                                         "continuation did not return an "
+                                         "Unrestricted value")
+                    if checker is not None:
+                        _ret(st, "newMArray", v, demand, ty, stack)
+                    continue
+
+                # a primitive's premise
+                t, env, cargs = frame[1], frame[2], frame[3]
+                if checker is not None:
+                    stack = below.pop()
+                if kind is _ARITH_A:
+                    frames.append((_ARITH_B, t, env, cargs,
+                                   _want_int(st, t.name, v), demand, ty))
+                    t, demand, ty, stack = _prim_arg(st, t, cargs, 1, demand,
+                                                     stack, below)
+                    break
+                if kind is _ARITH_B:
+                    v = Clo(arith(t.name, frame[4], _want_int(st, t.name, v)))
+                    if checker is not None:
+                        _ret(st, "prim", v, demand, ty, stack)
+                    continue
+                if kind is _NEW_SIZE:
+                    size = _want_int(st, "newMArray", v)
+                    if size < 0:
+                        raise st.blocked(BlockReason.PRIMITIVE_MISUSE,
+                                         "newMArray", "",
+                                         f"negative array size {size}")
+                    elem_var, cont = t.args[1], t.args[2]
+                    assert isinstance(elem_var, Var) and isinstance(cont,
+                                                                    Var)
+                    elem_ty = elem_var.ty
+                    cont_ty = cont.ty
+                    assert elem_ty is not None and isinstance(cont_ty, TArrow)
+                    st.array_allocs += 1
+                    arr_ty = TMArray(elem_ty)
+                    lit = ArrayLit((env.get(elem_var.name, elem_var.name),)
+                                   * size, elem_ty, False, ty=arr_ty)
+                    x = st.fresh(FRESH_PREFIX)
+                    frames.append((_NEW_BODY, demand, ty))
+                    t = Let(mult=ONE,
+                            binds=(LetBind(x, arr_ty, lit, fv=lit.elems[:1]),),
+                            body=App(cont, Var(x, ty=arr_ty), mult_ann=ONE,
+                                     ty=cont_ty.cod),
+                            ty=cont_ty.cod)
+                    demand, ty = ONE, cont_ty.cod
+                    break
+                if kind is _WRITE_I:
+                    frames.append((_WRITE_ARR, t, env, cargs,
+                                   _want_int(st, "write", v), demand, ty))
+                    t, demand, ty, stack = _prim_arg(st, t, cargs, 1, demand,
+                                                     stack, below)
+                    break
+                if kind is _WRITE_ARR:
+                    i = frame[4]
+                    arr = _want_array(st, "write", v, t, env,
+                                      want_frozen=False, i=i)
+                    elem = t.args[2]
+                    assert isinstance(elem, Var)
+                    elems = (arr.elems[:i] + (env.get(elem.name, elem.name),)
+                             + arr.elems[i + 1:])
+                    st.array_copies += 1  # a structurally fresh array
+                    v = Clo(ArrayLit(elems, arr.elem_ty, False, ty=arr.ty))
+                    if checker is not None:
+                        _ret(st, "write", v, demand, ty, stack)
+                    continue
+                if kind is _FREEZE:
+                    arr = _want_array(st, "freeze", v, t, env,
+                                      want_frozen=False)
+                    arr_ty = TArray(arr.elem_ty)
+                    frozen = ArrayLit(arr.elems, arr.elem_ty, True, ty=arr_ty)
+                    x = st.fresh(FRESH_PREFIX)
+                    st.insert(EnvBind(x, False, arr_ty, Clo(frozen),
+                                      st.new_group()))
+                    v = Clo(Con("Unrestricted", (arr_ty,), (),
+                                (Var(x, ty=arr_ty),), ty=ty))
+                    if checker is not None:
+                        _ret(st, "freeze", v, demand, ty, stack)
+                    continue
+                if kind is _INDEX_I:
+                    frames.append((_INDEX_ARR, t, env, cargs,
+                                   _want_int(st, "index", v), demand, ty))
+                    t, demand, ty, stack = _prim_arg(st, t, cargs, 1, demand,
+                                                     stack, below)
+                    break
+                if kind is _INDEX_ARR:
+                    i = frame[4]
+                    arr = _want_array(st, "index", v, t, env,
+                                      want_frozen=True, i=i)
+                    elem_name = arr.elems[i]
+                    b = st.binds.get(elem_name)
+                    ty = b.ty if b is not None else arr.elem_ty
+                    t, env = Var(elem_name, ty=ty), EMPTY_ENV
+                    break
+                raise AssertionError(f"unknown frame {frame!r}")
+            else:
+                return v
+    finally:
+        for frame in reversed(frames):
+            if frame[0] is _UPDATE:
+                b = frame[1]
+                st.anchors.pop()
+                b.forcing = False
+                if checker is not None:
+                    checker.report(b)
+
+
+def _prim_arg(st: _PState, t: Prim, cargs: Optional[tuple[Clo, ...]],
+              stage: int, demand: MultExpr, stack: Optional[SEntry],
+              below: list[Optional[SEntry]]
+              ) -> tuple[Var, MultExpr, Type, Optional[SEntry]]:
+    """Premise ``stage`` of the primitive ``t`` at ``demand`` above
+    ``stack``: the argument to evaluate, under the primitive's environment,
+    with its demand, type and witness stack.  In a checked run, ``stack``
+    goes on ``below``, and each argument still unconsumed meanwhile is on
+    the premise's stack at its signature multiplicity scaled by the
+    demand."""
+    name = t.name
     mults = PRIM_ARG_MULTS[name]
-    if st.checker is not None:
+    if cargs is not None:
+        below.append(stack)
         for j in _PENDING[name][stage]:
-            arg = args[j]
+            arg = cargs[j]
             assert isinstance(arg.term, Var) and arg.term.ty is not None
             stack = SEntry(arg, _dmul(st, mults[j], demand), arg.term.ty,
                            stack)
     i = _PRIM_ORDER[name][stage]
-    arg = args[i]
-    assert isinstance(arg.term, Var) and arg.term.ty is not None
-    return _eval(st, arg, _dmul(st, mults[i], demand), arg.term.ty, stack)
+    arg = t.args[i]
+    assert isinstance(arg, Var) and arg.ty is not None
+    return arg, _dmul(st, mults[i], demand), arg.ty, stack
 
 
 def _want_int(st: _PState, name: str, v: Clo) -> int:
@@ -471,21 +702,19 @@ def _want_int(st: _PState, name: str, v: Clo) -> int:
     return v.term.value
 
 
-def _want_array(st: _PState, name: str, cargs: tuple[Clo, ...],
-                demand: MultExpr, stack: Optional[SEntry], want_frozen: bool,
-                i: Optional[int] = None) -> ArrayLit:
-    """The premise for the array argument ``cargs[0]``: an array in the
-    wanted typestate, with ``i``, if given, in bounds.  A block there names
-    the heap binding the argument stands for."""
-    v = _prim_arg(st, name, cargs, _PRIM_ORDER[name].index(0), demand, stack)
+def _want_array(st: _PState, name: str, v: Clo, t: Prim, env: Env,
+                want_frozen: bool, i: Optional[int] = None) -> ArrayLit:
+    """The value ``v`` of the array argument of ``t`` under ``env``: an
+    array in the wanted typestate, with ``i``, if given, in bounds.  A
+    block there names the binding the argument stands for."""
     arr = v.term
     if not isinstance(arr, ArrayLit):
         raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
                          f"'{name}' needs an array, got "
                          f"{summarize(v.term, v.env)}")
-    arg = cargs[0].term
+    arg = t.args[0]
     assert isinstance(arg, Var)
-    where = cargs[0].env.get(arg.name, arg.name)
+    where = env.get(arg.name, arg.name)
     if arr.frozen_tag != want_frozen:
         state = "frozen" if arr.frozen_tag else "mutable"
         raise st.blocked(BlockReason.TYPESTATE_VIOLATION, name, where,
@@ -495,89 +724,3 @@ def _want_array(st: _PState, name: str, cargs: tuple[Clo, ...],
                          f"index {i} out of bounds for array of size "
                          f"{len(arr.elems)}")
     return arr
-
-
-def _eval_prim(st: _PState, t: Prim, env: Env, name: str,
-               args: tuple[Term, ...], demand: MultExpr, ty: Type,
-               stack: Optional[SEntry]) -> Clo:
-    # one closure per argument, so an argument pending in several premises
-    # is one term to the state check
-    cargs = tuple(Clo(a, env) for a in args)
-    if name in ARITH:
-        st.tick("prim", t, env)
-        a = _want_int(st, name, _prim_arg(st, name, cargs, 0, demand, stack))
-        b = _want_int(st, name, _prim_arg(st, name, cargs, 1, demand, stack))
-        return _ret(st, "prim", Clo(arith(name, a, b)), demand, ty, stack)
-    match name:
-        case "newMArray":
-            st.tick("newMArray", t, env)
-            size = _want_int(st, name, _prim_arg(st, name, cargs, 0,
-                                                 demand, stack))
-            if size < 0:
-                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
-                                 f"negative array size {size}")
-            elem_var, cont = args[1], args[2]
-            assert isinstance(elem_var, Var) and isinstance(cont, Var)
-            elem_ty = elem_var.ty
-            cont_ty = cont.ty
-            assert elem_ty is not None and isinstance(cont_ty, TArrow)
-            st.array_allocs += 1
-            arr_ty = TMArray(elem_ty)
-            lit = ArrayLit((env.get(elem_var.name, elem_var.name),) * size,
-                           elem_ty, False, ty=arr_ty)
-            x = st.fresh(FRESH_PREFIX)
-            inner: Term = Let(
-                mult=ONE,
-                binds=(LetBind(x, arr_ty, lit, fv=lit.elems[:1]),),
-                body=App(cont, Var(x, ty=arr_ty), mult_ann=ONE,
-                         ty=cont_ty.cod),
-                ty=cont_ty.cod)
-            z = _eval(st, Clo(inner, env), ONE, cont_ty.cod, stack)
-            if not (isinstance(z.term, Con) and z.term.name == "Unrestricted"
-                    and len(z.term.args) == 1):
-                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, name, "",
-                                 "array continuation did not return an "
-                                 "Unrestricted value")
-            return _ret(st, "newMArray", z, demand, ty, stack)
-
-        case "write":
-            st.tick("write", t, env)
-            i = _want_int(st, name, _prim_arg(st, name, cargs, 0,
-                                              demand, stack))
-            arr = _want_array(st, name, cargs, demand, stack,
-                              want_frozen=False, i=i)
-            elem = args[2]
-            assert isinstance(elem, Var)
-            elems = (arr.elems[:i] + (env.get(elem.name, elem.name),)
-                     + arr.elems[i + 1:])
-            st.array_copies += 1  # a structurally fresh array every write
-            fresh_arr = ArrayLit(elems, arr.elem_ty, False, ty=arr.ty)
-            return _ret(st, "write", Clo(fresh_arr), demand, ty, stack)
-
-        case "freeze":
-            st.tick("freeze", t, env)
-            arr = _want_array(st, name, cargs, demand, stack,
-                              want_frozen=False)
-            arr_ty = TArray(arr.elem_ty)
-            frozen = ArrayLit(arr.elems, arr.elem_ty, True, ty=arr_ty)
-            x = st.fresh(FRESH_PREFIX)
-            st.insert(EnvBind(x, False, arr_ty, Clo(frozen), st.new_group()))
-            value = Con("Unrestricted", (arr_ty,), (), (Var(x, ty=arr_ty),),
-                        ty=ty)
-            return _ret(st, "freeze", Clo(value), demand, ty, stack)
-
-        case "index":
-            st.tick("index", t, env)
-            i = _want_int(st, name, _prim_arg(st, name, cargs, 0,
-                                              demand, stack))
-            arr = _want_array(st, name, cargs, demand, stack,
-                              want_frozen=True, i=i)
-            elem_name = arr.elems[i]
-            b = st.binds.get(elem_name)
-            elem_ty = b.ty if b is not None else arr.elem_ty
-            return _eval(st, Clo(Var(elem_name, ty=elem_ty)), demand, elem_ty,
-                         stack)
-
-        case _:
-            raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "prim", "",
-                             f"unknown primitive '{name}'")

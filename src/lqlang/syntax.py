@@ -395,6 +395,36 @@ class ConDecl:
     loc: Optional[Loc] = field(**_ANN)
 
 
+# The default of a copier's parameter: the copy keeps the field.
+_SAME = object()
+
+
+def _copier(cls: type) -> type:
+    """Give the node class ``cls`` (a term, branch or let binding) its
+    copier: ``t._with(**changes)`` is a copy of ``t`` with ``changes`` to
+    its fields.  The method is generated once per class, as ``dataclass``
+    generates ``__init__``, so a copy stores each slot once and loops over
+    nothing.  Unlike ``dataclasses.replace`` it does not run
+    ``__post_init__``, so a copied ``Let`` keeps its ``rec``, and it keeps
+    every annotation slot that ``changes`` does not name."""
+    names = cls.__dataclass_fields__
+    src = (f"def _with(self, *, {', '.join(f'{n}=_SAME' for n in names)}):\n"
+           "    new = _new(cls)\n"
+           + "".join(f"    new.{n} = self.{n} if {n} is _SAME else {n}\n"
+                     for n in names)
+           + "    return new\n")
+    scope = {"_SAME": _SAME, "_new": _new, "cls": cls}
+    exec(src, scope)
+    cls._with = scope["_with"]
+    return cls
+
+
+for _cls in (Var, IntLit, Lam, App, MultLam, MultApp, Con, Branch, Case,
+             LetBind, Let, Prim, ArrName, ArrayLit):
+    _copier(_cls)
+del _cls
+
+
 def children(t: Term) -> tuple[Term, ...]:
     """The direct subterms of ``t``: ``fun`` before ``arg``, ``scrut``
     before the branch bodies, right-hand sides before a let body."""
@@ -424,33 +454,22 @@ def with_children(t: Term, kids) -> Term:
     children(t)])``."""
     cls = type(t)
     if cls is App:
-        return _with(t, fun=kids[0], arg=kids[1])
+        return t._with(fun=kids[0], arg=kids[1])
     if cls is Lam or cls is MultLam:
-        return _with(t, body=kids[0])
+        return t._with(body=kids[0])
     if cls is Let:
-        return _with(t, binds=tuple([_with(b, rhs=rhs, fv=None)
-                                     for b, rhs in zip(t.binds, kids)]),
-                     body=kids[-1])
+        return t._with(binds=tuple([b._with(rhs=rhs, fv=None)
+                                    for b, rhs in zip(t.binds, kids)]),
+                       body=kids[-1])
     if cls is Prim or cls is Con:
-        return _with(t, args=tuple(kids)) if t.args else t
+        return t._with(args=tuple(kids)) if t.args else t
     if cls is Case:
-        return _with(t, scrut=kids[0],
-                     branches=tuple([_with(b, body=body) for b, body
-                                     in zip(t.branches, kids[1:])]))
+        return t._with(scrut=kids[0],
+                       branches=tuple([b._with(body=body) for b, body
+                                       in zip(t.branches, kids[1:])]))
     if cls is MultApp:
-        return _with(t, fun=kids[0])
+        return t._with(fun=kids[0])
     return t
-
-
-def _with(t, **changes):
-    """A copy of the node ``t`` (a term, branch or let binding) with
-    ``changes`` to its fields.  Unlike ``dataclasses.replace`` it does not
-    re-run ``__post_init__``, so a copied ``Let`` keeps its ``rec``."""
-    new = _new(type(t))
-    for name in t.__dataclass_fields__:
-        _setattr(new, name,
-                 changes[name] if name in changes else getattr(t, name))
-    return new
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -528,27 +547,27 @@ def rename_vars(t: Term, mapping: dict[str, str]) -> Term:
     match t:
         case Var(name):
             new = mapping.get(name)
-            return _with(t, name=new) if new else t
+            return t._with(name=new) if new else t
         case Lam(_, x, _, body):
             inner = _without(mapping, (x,))
-            return _with(t, body=rename_vars(body, inner))
+            return t._with(body=rename_vars(body, inner))
         case Case(_, scrut, branches):
             new_branches = []
             for b in branches:
                 inner = _without(mapping, b.binders)
-                new_branches.append(_with(b, body=rename_vars(b.body,
-                                                              inner)))
-            return _with(t, scrut=rename_vars(scrut, mapping),
-                         branches=tuple(new_branches))
+                new_branches.append(b._with(body=rename_vars(b.body,
+                                                             inner)))
+            return t._with(scrut=rename_vars(scrut, mapping),
+                           branches=tuple(new_branches))
         case Let(_, binds, body):
             inner = _without(mapping, [b.var for b in binds])
             rhs_map = inner if t.rec else mapping
-            new_binds = tuple(_with(b, rhs=rename_vars(b.rhs, rhs_map),
-                                    fv=None)
+            new_binds = tuple(b._with(rhs=rename_vars(b.rhs, rhs_map),
+                                      fv=None)
                               for b in binds)
-            return _with(t, binds=new_binds, body=rename_vars(body, inner))
+            return t._with(binds=new_binds, body=rename_vars(body, inner))
         case ArrayLit(elems):
-            return _with(t, elems=tuple(mapping.get(e, e) for e in elems))
+            return t._with(elems=tuple(mapping.get(e, e) for e in elems))
         case _:
             return with_children(t, [rename_vars(k, mapping)
                                      for k in children(t)])
@@ -579,7 +598,7 @@ def term_subst_mult(t: Term, var: str, by: MultExpr) -> Term:
                 # shadowed; another MultLam's body is substituted as usual,
                 # since runtime substitutions are closed and `by` cannot
                 # capture its parameter
-                return _with(t, **changes)
+                return t._with(**changes)
             case Lam(m, _, a):
                 changes.update(mult=sm(m), var_ty=st(a))
             case App():
@@ -592,12 +611,12 @@ def term_subst_mult(t: Term, var: str, by: MultExpr) -> Term:
             case Let(m, binds, body):
                 # the term variables stay, so each binding keeps its
                 # recorded free-variable list, which ``with_children`` drops
-                return _with(t, mult=sm(m), body=go(body), binds=tuple(
-                    _with(b, var_ty=st(b.var_ty), rhs=go(b.rhs))
+                return t._with(mult=sm(m), body=go(body), binds=tuple(
+                    b._with(var_ty=st(b.var_ty), rhs=go(b.rhs))
                     for b in binds), **changes)
             case ArrayLit():
                 changes.update(elem_ty=st(t.elem_ty))
-        t = _with(t, **changes)
+        t = t._with(**changes)
         return with_children(t, [go(k) for k in children(t)])
 
     return go(t)

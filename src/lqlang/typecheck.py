@@ -36,7 +36,7 @@ from .syntax import (App, ArrName, ArrayLit, Case, Con, ConDecl, DataDecl,
                      INT, IntLit, Lam, Let, LetBind, Loc, MProd, MultApp,
                      MultExpr, MultLam, OMEGA, ONE, Prim, TArray, TArrow,
                      TData, TForall, TInt, TMArray, TVar, Term, Type, Var,
-                     _setattr, _with, children, is_omega_mult,
+                     _setattr, children, is_omega_mult,
                      mult_subst_all, mult_vars, subterms, type_mult_vars,
                      type_subst_mult, type_subst_mult_all, type_subst_tvars,
                      with_children)
@@ -834,7 +834,7 @@ def annotate(env: TypeEnv, t: Term) -> InferResult:
 def strip_annotations(t: Term) -> Term:
     """``t`` without the typechecker's ``ty`` and ``mult_ann`` fields."""
     changes = {"mult_ann": None} if isinstance(t, App) else {}
-    t = _with(t, ty=None, **changes)
+    t = t._with(ty=None, **changes)
     return with_children(t, [strip_annotations(k) for k in children(t)])
 
 

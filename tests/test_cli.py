@@ -334,12 +334,12 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_recursion_limit_is_an_internal_error_not_a_traceback(tmp_path):
-    """Evaluation deeper than Python's recursion limit exits with code 3
-    and one error line."""
-    text = (CORPUS / "recursion_int.lq").read_text("utf-8")
-    deep = tmp_path / "tri5000.lq"
-    deep.write_text(text.replace("main = tri 5", "main = tri 5000"),
-                    "utf-8")
+    """Input nested deeper than Python's recursion limit exits with code 3
+    and one error line.  The evaluators keep their own stacks, so the input
+    is a term that the parser overflows on: an ``add`` nested 12,000 deep."""
+    deep = tmp_path / "add12000.lq"
+    deep.write_text("main = " + "add(1, " * 12_000 + "0" + ")" * 12_000
+                    + "\n", "utf-8")
     proc = run_module("run", str(deep), "--fuel=10000000")
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""

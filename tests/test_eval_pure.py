@@ -83,7 +83,8 @@ def test_write_produces_fresh_array_value(prelude_env, monkeypatch):
                                         IntLit(0), IntLit(2))),))))),
              (Branch("Unrestricted", ("arr",),
                      Prim("index", (Var("arr"), IntLit(0)))),))
-    res = eval_pure(prepare(prelude_env, t), 100_000)
+    # a checked run: only it reports each rule's value to ``_ret``
+    res = eval_pure(prepare(prelude_env, t), 100_000, check=True)
     assert res.outcome.value == IntLit(2)
     assert res.array_copies == 2
     assert len(applied) == len(returned) == 2

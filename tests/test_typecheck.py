@@ -275,16 +275,19 @@ def test_check_program_annotates_the_parsed_term_without_copying(
     itself: no node is copied, and the checked term holds ``main``."""
     import lqlang.syntax as S
     import lqlang.typecheck as T
-    real = S._with
     copies = Counter()
 
-    def counting(t, **changes):
-        copies[type(t).__name__] += 1
-        return real(t, **changes)
+    def counting(real):
+        def copy(t, **changes):
+            copies[type(t).__name__] += 1
+            return real(t, **changes)
+        return copy
 
     sfs = [load_corpus(path, prelude) for path in corpus_files()]
-    monkeypatch.setattr(S, "_with", counting)
-    monkeypatch.setattr(T, "_with", counting)
+    # every node class's copier
+    for cls in vars(S).values():
+        if isinstance(cls, type) and "_with" in vars(cls):
+            monkeypatch.setattr(cls, "_with", counting(cls._with))
     for sf in sfs:
         checked = T.check_program(sf.decls, sf.defs, sf.main)
         assert any(n is sf.main for n in subterms(checked.term))
