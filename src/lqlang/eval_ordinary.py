@@ -141,9 +141,12 @@ _NEW_SIZE = "new size"    # (_NEW_SIZE, t, env): allocate, run the body
 _NEW_BODY = "new body"    # (_NEW_BODY,): check the body's value
 _WRITE_I = "write i"      # (_WRITE_I, t, env): then the array
 _WRITE_ARR = "write arr"  # (_WRITE_ARR, t, env, i): write in place
-_FREEZE = "freeze"        # (_FREEZE, t): retag
+_FREEZE = "freeze"        # (_FREEZE, t, env): retag
 _INDEX_I = "index i"      # (_INDEX_I, t, env): then the array
 _INDEX_ARR = "index arr"  # (_INDEX_ARR, t, i): force the element
+# each other primitive's first frame, and the argument its premise runs
+_PRIM_FRAMES = {"newMArray": (_NEW_SIZE, 0), "write": (_WRITE_I, 1),
+                "freeze": (_FREEZE, 0), "index": (_INDEX_I, 1)}
 
 
 def _eval(st: _State, t: Term, env: Env) -> Clo:
@@ -194,33 +197,20 @@ def _eval(st: _State, t: Term, env: Env) -> Clo:
                                      f"arguments, got {len(args)}")
                 if name in ARITH:
                     st.tick("prim", t, env)
-                    frames.append((_ARITH_A, t, env))
-                    t = args[0]
-                    continue
-                if name == "newMArray":
-                    st.tick("newMArray", t, env)
-                    st.newmarray_count += 1
-                    frames.append((_NEW_SIZE, t, env))
-                    t = args[0]
-                    continue
-                if name == "write":
-                    st.tick("write", t, env)
-                    st.write_count += 1
-                    frames.append((_WRITE_I, t, env))
-                    t = args[1]
-                    continue
-                if name == "freeze":
-                    st.tick("freeze", t, env)
-                    frames.append((_FREEZE, t))
-                    t = args[0]
-                    continue
-                if name == "index":
-                    st.tick("index", t, env)
-                    frames.append((_INDEX_I, t, env))
-                    t = args[1]
-                    continue
-                raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "prim", "",
-                                 f"unknown primitive '{name}'")
+                    kind, first = _ARITH_A, 0
+                elif name in _PRIM_FRAMES:
+                    st.tick(name, t, env)
+                    if name == "newMArray":
+                        st.newmarray_count += 1
+                    elif name == "write":
+                        st.write_count += 1
+                    kind, first = _PRIM_FRAMES[name]
+                else:
+                    raise st.blocked(BlockReason.PRIMITIVE_MISUSE, "prim",
+                                     "", f"unknown primitive '{name}'")
+                frames.append((kind, t, env))
+                t = args[first]
+                continue
             elif cls is App:
                 assert isinstance(t.arg, Var), "term must be in sharing form"
                 st.tick("application", t, env)

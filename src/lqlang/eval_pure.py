@@ -334,6 +334,7 @@ _WRITE_ARR = "write arr"  # (_WRITE_ARR, t, env, cargs, i, ...): copy
 _FREEZE = "freeze"        # (_FREEZE, t, env, cargs, ...): retag
 _INDEX_I = "index i"      # (_INDEX_I, t, env, cargs, ...): the array
 _INDEX_ARR = "index arr"  # (_INDEX_ARR, t, env, cargs, i, ...): the element
+# each other primitive's first frame
 _PRIM_FRAMES = {"newMArray": _NEW_SIZE, "write": _WRITE_I,
                 "freeze": _FREEZE, "index": _INDEX_I}
 
@@ -459,9 +460,10 @@ def _eval(st: _PState, c: Clo, demand: MultExpr, ty: Type,
                 # the pending branches, as a function of the scrutinee; only
                 # a state check reads them
                 if checker is not None:
-                    frame, frame_ty = st.case_frame(t, ty)
+                    pending, pending_ty = st.case_frame(t, ty)
                     below.append(stack)
-                    stack = SEntry(Clo(frame, env), demand, frame_ty, stack)
+                    stack = SEntry(Clo(pending, env), demand, pending_ty,
+                                   stack)
                 demand, ty = _dmul(st, t.mult, demand), scrut_ty
                 t, c = scrut, None
                 continue

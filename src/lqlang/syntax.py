@@ -399,7 +399,7 @@ class ConDecl:
 _SAME = object()
 
 
-def _copier(cls: type) -> type:
+def _copier(cls: type) -> None:
     """Give the node class ``cls`` (a term, branch or let binding) its
     copier: ``t._with(**changes)`` is a copy of ``t`` with ``changes`` to
     its fields.  The method is generated once per class, as ``dataclass``
@@ -416,7 +416,6 @@ def _copier(cls: type) -> type:
     scope = {"_SAME": _SAME, "_new": _new, "cls": cls}
     exec(src, scope)
     cls._with = scope["_with"]
-    return cls
 
 
 for _cls in (Var, IntLit, Lam, App, MultLam, MultApp, Con, Branch, Case,
